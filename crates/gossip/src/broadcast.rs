@@ -15,10 +15,11 @@ pub type BroadcastId = u64;
 /// Per-node gossip state: which broadcasts this node has already delivered.
 ///
 /// Duplicate detection is backed by a FIFO-bounded [`RecentSet`]. The
-/// default capacity is effectively unbounded — the simulator's runs are
-/// finite and the paper's figures assume perfect duplicate suppression —
-/// while long-running deployments pick a bound with
-/// [`GossipState::with_capacity`].
+/// default capacity is effectively unbounded (perfect duplicate
+/// suppression, at a memory cost that grows with every broadcast);
+/// long-running deployments pick a bound with
+/// [`GossipState::with_capacity`]. The simulator does not hold one of
+/// these per node: it keeps one delivery bitset per broadcast instead.
 ///
 /// # Examples
 ///
@@ -46,8 +47,8 @@ impl Default for GossipState {
 }
 
 impl GossipState {
-    /// Creates a gossip state with an effectively unbounded seen-set (the
-    /// simulator's configuration, keeping the reproduction's figures exact).
+    /// Creates a gossip state with an effectively unbounded seen-set: no
+    /// id is ever forgotten, so no duplicate is ever re-delivered.
     pub fn new() -> Self {
         GossipState::with_capacity(RecentSet::<BroadcastId>::UNBOUNDED)
     }

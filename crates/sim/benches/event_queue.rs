@@ -13,6 +13,12 @@
 //! Each distribution is measured two ways: `pop` (drain a pre-filled
 //! queue; setup untimed) and `cycle` (steady-state pop-one/push-one at a
 //! fixed queue size — the shape of a broadcast drain).
+//!
+//! `fig2_wave` is the one case at the paper's scale: ~25,000 events per
+//! tick for 300 ticks with 96-byte payloads, the shape of one Fig. 2
+//! broadcast sequence at n = 10,000. The 4,096-event cases never leave the
+//! cache and sweep a fraction of the ring; only this one shows what a
+//! backend costs in memory touched once the cursor has passed every bucket.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hyparview_core::SimId;
@@ -107,5 +113,36 @@ fn bench_cycle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pop, bench_cycle);
+const FIG2_WAVE: usize = 25_000;
+const FIG2_TICKS: usize = 300;
+
+fn bench_fig2_wave(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_queue_fig2_wave");
+    group.sample_size(5);
+    for backend in [QueueBackend::Bucket, QueueBackend::Heap] {
+        group.bench_function(BenchmarkId::new(format!("unit/{backend:?}"), FIG2_WAVE), |b| {
+            // A fresh queue per iteration: first-touch page faults of
+            // whatever storage the backend retains are part of the cost.
+            b.iter_batched(
+                || EventQueue::<[u128; 6]>::with_backend(backend),
+                |mut queue| {
+                    for i in 0..FIG2_WAVE {
+                        queue.push(1, SimId::new(0), SimId::new(1), [i as u128; 6]);
+                    }
+                    let mut sum = 0u64;
+                    for _ in 0..FIG2_WAVE * FIG2_TICKS {
+                        let event = queue.pop().expect("steady state");
+                        sum = sum.wrapping_add(event.time);
+                        queue.push(event.time + 1, event.from, event.to, event.payload);
+                    }
+                    black_box(sum)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_pop, bench_cycle, bench_fig2_wave);
 criterion_main!(benches);

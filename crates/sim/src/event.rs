@@ -13,6 +13,9 @@
 //!   is unit latency (every event lands one tick ahead), where a push is an
 //!   O(1) `VecDeque::push_back` and a pop an O(1) `pop_front` — FIFO order
 //!   within a tick holds *by construction* instead of by comparison.
+//!   An empty bucket other than the cursor's owns no storage: buffers
+//!   travel with the populated ticks (two under unit latency) instead of
+//!   staying behind in every bucket the cursor has swept.
 //! * [`QueueBackend::Heap`] — the original `BinaryHeap`, kept for
 //!   differential testing and as an escape hatch (`heap-queue` feature
 //!   flips the default). Every operation pays `O(log n)` plus the heap
@@ -102,10 +105,15 @@ const RING: usize = 256;
 ///   kept exact for the public API;
 /// * within one bucket events sit in `seq` order: direct pushes append in
 ///   insertion order, and refills from the sorted overflow happen before
-///   any later (higher-`seq`) push can target the same tick.
+///   any later (higher-`seq`) push can target the same tick;
+/// * an empty bucket other than the cursor's owns no storage: the cursor
+///   hands its drained bucket's buffer (capacity kept) to `free` when it
+///   leaves, and a bucket takes one from there on its first push.
 #[derive(Debug, Clone)]
 struct BucketRing<P> {
     buckets: Vec<VecDeque<Scheduled<P>>>,
+    /// Emptied buffers (capacity kept) awaiting the next populated tick.
+    free: Vec<VecDeque<Scheduled<P>>>,
     /// Virtual time of the tick at the ring head. Only advances.
     cursor: u64,
     /// Events currently in the ring (not counting overdue/overflow).
@@ -118,6 +126,7 @@ impl<P> BucketRing<P> {
     fn new() -> Self {
         BucketRing {
             buckets: (0..RING).map(|_| VecDeque::new()).collect(),
+            free: Vec::new(),
             cursor: 0,
             ring_len: 0,
             overdue: BinaryHeap::new(),
@@ -135,9 +144,30 @@ impl<P> BucketRing<P> {
         } else if event.time - self.cursor >= RING as u64 {
             self.overflow.push(event);
         } else {
-            self.buckets[(event.time % RING as u64) as usize].push_back(event);
-            self.ring_len += 1;
+            self.place(event);
         }
+    }
+
+    /// Appends an in-window `event` to its tick's bucket, on a recycled buffer if it owns none.
+    #[inline]
+    fn place(&mut self, event: Scheduled<P>) {
+        let bucket = &mut self.buckets[(event.time % RING as u64) as usize];
+        if bucket.capacity() == 0 {
+            *bucket = self.free.pop().unwrap_or_default();
+        }
+        bucket.push_back(event);
+        self.ring_len += 1;
+    }
+
+    /// Moves the cursor off its (empty) bucket to tick `to`, recycling the
+    /// bucket's buffer and pulling newly visible overflow events in.
+    fn advance(&mut self, to: u64) {
+        let spent = &mut self.buckets[(self.cursor % RING as u64) as usize];
+        if spent.capacity() > 0 {
+            self.free.push(std::mem::take(spent));
+        }
+        self.cursor = to;
+        self.refill();
     }
 
     /// Moves every overflow event that entered the ring window into its
@@ -146,8 +176,7 @@ impl<P> BucketRing<P> {
     fn refill(&mut self) {
         while self.overflow.peek().is_some_and(|e| e.time - self.cursor < RING as u64) {
             let event = self.overflow.pop().expect("peeked");
-            self.buckets[(event.time % RING as u64) as usize].push_back(event);
-            self.ring_len += 1;
+            self.place(event);
         }
     }
 
@@ -161,8 +190,7 @@ impl<P> BucketRing<P> {
             // The whole window is empty: jump straight to the next
             // populated tick instead of sweeping empty buckets.
             let next_time = self.overflow.peek()?.time;
-            self.cursor = next_time;
-            self.refill();
+            self.advance(next_time);
         }
         loop {
             let bucket = (self.cursor % RING as u64) as usize;
@@ -172,14 +200,14 @@ impl<P> BucketRing<P> {
             }
             // Ring is non-empty, so a populated bucket lies within RING
             // steps; each advance may pull newly-visible overflow events.
-            self.cursor += 1;
-            self.refill();
+            self.advance(self.cursor + 1);
         }
     }
 
     fn clear(&mut self) {
-        for bucket in &mut self.buckets {
+        for bucket in self.buckets.iter_mut().filter(|b| b.capacity() > 0) {
             bucket.clear();
+            self.free.push(std::mem::take(bucket));
         }
         self.ring_len = 0;
         self.overdue.clear();
@@ -384,6 +412,43 @@ mod tests {
             assert_eq!(q.len(), 1);
             assert!(last_time >= RING as u64 * 3, "cursor must slide: {last_time}");
         }
+    }
+
+    #[test]
+    fn bucket_storage_follows_the_populated_window_not_the_ring() {
+        // The Fig. 2 shape: every event of a wave lands one tick ahead, so
+        // two ticks are populated at any instant while the cursor sweeps
+        // the whole ring. Buffers must travel with the window; a ring whose
+        // buckets each keep their high-water capacity retains RING waves.
+        const WAVE: usize = 20_000;
+        let mut q: EventQueue<usize> = EventQueue::with_backend(QueueBackend::Bucket);
+        for i in 0..WAVE {
+            q.push(1, id(0), id(1), i);
+        }
+        for _ in 0..300 * WAVE {
+            let e = q.pop().expect("steady state");
+            q.push(e.time + 1, e.from, e.to, e.payload);
+        }
+        assert_eq!(q.len(), WAVE);
+        assert!(ring_of(&q).cursor > RING as u64, "the cursor must have swept every bucket");
+        // Two buffers, each grown by doubling to at most 2 × WAVE slots.
+        let retained = retained_capacity(ring_of(&q));
+        assert!(retained <= 4 * WAVE, "{retained} event slots retained for waves of {WAVE}");
+        q.clear();
+        assert!(ring_of(&q).buckets.iter().all(|b| b.capacity() == 0), "clear() recycles too");
+        assert!(retained_capacity(ring_of(&q)) <= 4 * WAVE);
+    }
+
+    fn ring_of<P>(q: &EventQueue<P>) -> &BucketRing<P> {
+        match &q.backend {
+            Backend::Bucket(ring) => ring,
+            Backend::Heap(_) => unreachable!("bucket backend requested"),
+        }
+    }
+
+    /// Event slots allocated over all buckets and the free list.
+    fn retained_capacity<P>(ring: &BucketRing<P>) -> usize {
+        ring.buckets.iter().chain(&ring.free).map(VecDeque::capacity).sum()
     }
 
     #[test]

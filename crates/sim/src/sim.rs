@@ -17,7 +17,7 @@ use crate::attack::AttackPlan;
 use crate::event::{EventQueue, QueueBackend};
 use crate::fault::{mix_fault, unit_draw, FaultOp, FaultOpKind, FaultPlan};
 use hyparview_core::SimId;
-use hyparview_gossip::{BroadcastReport, GossipState, Membership, MembershipEvent, Outbox};
+use hyparview_gossip::{BroadcastReport, Membership, MembershipEvent, Outbox};
 use hyparview_obsv::{
     names, CounterId, HopRecord, PathTracer, Registry, TimerKind, TraceEvent, TraceKind, TraceRing,
     TraceSink, VirtualClock,
@@ -405,11 +405,51 @@ enum Payload<Msg> {
 #[derive(Debug)]
 struct Slot<M> {
     memb: M,
-    gossip: GossipState,
     /// Present only in [`BroadcastMode::Plumtree`]; flood-mode slots carry
     /// no Plumtree state (the paper's experiments run at n = 10,000).
     plumtree: Option<PlumtreeState<SimId, ()>>,
     alive: bool,
+}
+
+/// First deliveries of the whole run: row `id` (broadcast ids are dense) is
+/// a bitset over node indices, 1.25 KB per broadcast at n = 10,000, so the
+/// resident set follows the overlay size and not nodes × broadcasts.
+#[derive(Debug, Default)]
+struct DeliveryTable {
+    rows: Vec<Vec<u64>>,
+}
+
+impl DeliveryTable {
+    /// Word index and mask of `node` within a row.
+    fn slot(node: SimId) -> (usize, u64) {
+        (node.index() / 64, 1 << (node.index() % 64))
+    }
+
+    /// Marks broadcast `id` delivered at `node`; `true` the first time.
+    fn deliver(&mut self, id: u64, node: SimId) -> bool {
+        let (word, bit) = Self::slot(node);
+        let row = &mut self.rows[id as usize];
+        if word >= row.len() {
+            row.resize(word + 1, 0); // `node` was added after the broadcast
+        }
+        let first = row[word] & bit == 0;
+        row[word] |= bit;
+        first
+    }
+
+    fn has_delivered(&self, id: u64, node: SimId) -> bool {
+        let (word, bit) = Self::slot(node);
+        let row = usize::try_from(id).ok().and_then(|id| self.rows.get(id));
+        row.and_then(|row| row.get(word)).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Forgets what `node` delivered: it restarts with fresh state.
+    fn forget(&mut self, node: SimId) {
+        let (word, bit) = Self::slot(node);
+        for w in self.rows.iter_mut().filter_map(|row| row.get_mut(word)) {
+            *w &= !bit;
+        }
+    }
 }
 
 /// Per-message tallies of one tracked broadcast.
@@ -581,6 +621,9 @@ impl BurstReport {
 pub struct Sim<M: Membership<SimId>> {
     config: SimConfig,
     nodes: Vec<Slot<M>>,
+    /// Number of alive slots (kept by `add_node`/`fail_nodes`/`revive`).
+    alive: usize,
+    delivered: DeliveryTable,
     queue: EventQueue<Payload<M::Message>>,
     time: u64,
     rng: StdRng,
@@ -634,6 +677,8 @@ impl<M: Membership<SimId>> Sim<M> {
         Sim {
             config,
             nodes: Vec::new(),
+            alive: 0,
+            delivered: DeliveryTable::default(),
             queue,
             time: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -784,7 +829,8 @@ impl<M: Membership<SimId>> Sim<M> {
             self.factory_seed.wrapping_add((id.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407));
         let memb = (self.factory)(id, seed);
         let plumtree = self.make_plumtree(id);
-        self.nodes.push(Slot { memb, gossip: GossipState::new(), plumtree, alive: true });
+        self.nodes.push(Slot { memb, plumtree, alive: true });
+        self.alive += 1;
         id
     }
 
@@ -845,12 +891,12 @@ impl<M: Membership<SimId>> Sim<M> {
         self.next_broadcast
     }
 
-    /// Whether `node` has delivered broadcast `id` (works in flood and
-    /// Plumtree mode — both record first deliveries in the per-node gossip
-    /// bookkeeping). Lets experiments split reliability by node population,
-    /// e.g. honest-only reliability under an infiltration attack.
+    /// Whether `node` has delivered broadcast `id` since it (re)started, in
+    /// flood and Plumtree mode alike; `false` for an id never broadcast. Lets
+    /// experiments split reliability by node population, e.g. honest-only
+    /// reliability under an infiltration attack.
     pub fn has_delivered(&self, node: SimId, id: u64) -> bool {
-        self.nodes[node.index()].gossip.has_delivered(id)
+        self.delivered.has_delivered(id, node)
     }
 
     /// The simulator's metric registry: `sim.*` event-loop counters plus
@@ -968,7 +1014,7 @@ impl<M: Membership<SimId>> Sim<M> {
 
     /// Number of alive nodes.
     pub fn alive_count(&self) -> usize {
-        self.nodes.iter().filter(|s| s.alive).count()
+        self.alive
     }
 
     /// Ids of all alive nodes.
@@ -982,9 +1028,10 @@ impl<M: Membership<SimId>> Sim<M> {
     ///
     /// Panics if every node is dead.
     pub fn random_alive(&mut self) -> SimId {
-        let alive = self.alive_ids();
-        assert!(!alive.is_empty(), "no alive nodes left");
-        alive[self.rng.gen_range(0..alive.len())]
+        assert!(self.alive > 0, "no alive nodes left");
+        let k = self.rng.gen_range(0..self.alive);
+        let index = (0..self.nodes.len()).filter(|&i| self.nodes[i].alive).nth(k);
+        SimId::new(index.expect("`alive` counts the alive slots"))
     }
 
     // ------------------------------------------------------------------
@@ -1037,7 +1084,7 @@ impl<M: Membership<SimId>> Sim<M> {
     /// next (e.g. the first post-failure broadcast), like real TCP resets.
     pub fn fail_nodes(&mut self, ids: &[SimId]) {
         for id in ids {
-            self.nodes[id.index()].alive = false;
+            self.alive -= usize::from(std::mem::take(&mut self.nodes[id.index()].alive));
         }
         for v in 0..self.nodes.len() {
             if !self.nodes[v].alive || !self.nodes[v].memb.detects_send_failures() {
@@ -1082,8 +1129,9 @@ impl<M: Membership<SimId>> Sim<M> {
             .wrapping_add(0x5EED);
         let slot = &mut self.nodes[id.index()];
         slot.memb = (self.factory)(id, seed);
-        slot.gossip = GossipState::new();
+        self.alive += usize::from(!slot.alive);
         slot.alive = true;
+        self.delivered.forget(id);
         self.nodes[id.index()].plumtree = self.make_plumtree(id);
     }
 
@@ -1122,6 +1170,8 @@ impl<M: Membership<SimId>> Sim<M> {
         assert!(count > 0, "a burst needs at least one message");
         let base = self.next_broadcast;
         self.next_broadcast += count as u64;
+        let row = vec![0; self.nodes.len().div_ceil(64)];
+        self.delivered.rows.resize(self.next_broadcast as usize, row);
         self.metrics.add(self.counters.broadcasts, count as u64);
 
         let mut track = Track::tracking(
@@ -1143,7 +1193,7 @@ impl<M: Membership<SimId>> Sim<M> {
                 BroadcastMode::Flood => {
                     // The origin delivers its own message at hop 0 and
                     // floods.
-                    self.nodes[origin.index()].gossip.deliver(id, 0);
+                    self.delivered.deliver(id, origin);
                     self.metrics.inc(self.counters.delivered);
                     self.record_delivery(id, origin, None, 0);
                     let targets =
@@ -1478,7 +1528,7 @@ impl<M: Membership<SimId>> Sim<M> {
             }
         }
         for delivery in out.deliveries.drain(..) {
-            let first = self.nodes[node.index()].gossip.deliver(delivery.id as u64, delivery.round);
+            let first = self.delivered.deliver(delivery.id as u64, node);
             if first {
                 self.metrics.inc(self.counters.delivered);
                 self.record_delivery(delivery.id as u64, node, via, delivery.round);
@@ -1526,7 +1576,7 @@ impl<M: Membership<SimId>> Sim<M> {
             return;
         }
         self.metrics.inc(self.counters.gossip_delivered);
-        let first_time = self.nodes[to.index()].gossip.deliver(id, hops);
+        let first_time = self.delivered.deliver(id, to);
         if !first_time {
             self.metrics.inc(self.counters.duplicates);
             if let Some(per) = track.per_mut(id) {
@@ -1703,7 +1753,7 @@ impl<M: Membership<SimId>> std::fmt::Debug for Sim<M> {
 mod tests {
     use super::*;
     use hyparview_core::Config;
-    use hyparview_gossip::HyParViewMembership;
+    use hyparview_gossip::{GossipState, HyParViewMembership};
 
     fn hyparview_sim(seed: u64) -> Sim<HyParViewMembership<SimId>> {
         Sim::new(SimConfig::default(), seed, |id, seed| {
@@ -1816,6 +1866,132 @@ mod tests {
         sim.revive(b);
         assert!(sim.is_alive(b));
         assert!(sim.node(b).out_view().is_empty(), "revived node starts fresh");
+    }
+
+    /// Reference model of the delivery table: the `GossipState` every slot
+    /// used to own, fed with the first deliveries the path tracer records.
+    struct DeliveryModel {
+        nodes: Vec<GossipState>,
+    }
+
+    impl DeliveryModel {
+        /// Folds the sim's new first deliveries into the model (each must
+        /// be a first for the model too), then compares `has_delivered`
+        /// for every node and every id up to one never broadcast.
+        fn absorb(&mut self, sim: &mut Sim<HyParViewMembership<SimId>>) -> Vec<HopRecord> {
+            self.nodes.resize_with(sim.len(), GossipState::new);
+            let records = sim.take_path_records().records().to_vec();
+            for r in &records {
+                let first = self.nodes[r.node as usize].deliver(r.msg, r.depth);
+                assert!(first, "node {} delivered broadcast {} twice", r.node, r.msg);
+            }
+            for id in 0..=sim.next_broadcast_id() {
+                for (node, state) in self.nodes.iter().enumerate() {
+                    assert_eq!(
+                        sim.has_delivered(SimId::new(node), id),
+                        state.has_delivered(id),
+                        "node {node}, broadcast {id}"
+                    );
+                }
+            }
+            records
+        }
+
+        /// Runs one burst and checks every report field against the model
+        /// and the sim's own transport counters.
+        fn burst(
+            &mut self,
+            sim: &mut Sim<HyParViewMembership<SimId>>,
+            origin: SimId,
+            count: usize,
+        ) -> BurstReport {
+            let payload_frames =
+                |sim: &Sim<_>| sim.metrics.counter_value(sim.counters.frames_payload);
+            let (stats, payload, base) =
+                (sim.stats(), payload_frames(sim), sim.next_broadcast_id());
+            let burst = sim.broadcast_burst_from(origin, count);
+            let records = self.absorb(sim);
+            assert_eq!(burst.reports.len(), count);
+            for (offset, report) in burst.reports.iter().enumerate() {
+                let firsts: Vec<_> = records.iter().filter(|r| r.msg == report.id).collect();
+                assert_eq!(report.id, base + offset as u64);
+                assert_eq!(report.origin, origin.index());
+                // The slot scan, not the counter `alive_count` returns.
+                assert_eq!(report.alive, sim.alive_ids().len());
+                assert_eq!(report.delivered, firsts.len());
+                assert_eq!(report.max_hops, firsts.iter().map(|r| r.depth).max().unwrap());
+                assert_eq!((report.dropped, report.control), (0, 0));
+            }
+            // Every payload frame sent reached an alive node, as a first
+            // delivery (the origins' own excepted) or redundantly, or a
+            // dead one.
+            let total = |field: fn(&BroadcastReport) -> usize| {
+                burst.reports.iter().map(field).sum::<usize>() as u64
+            };
+            let now = sim.stats();
+            assert_eq!(total(|r| r.sent), payload_frames(sim) - payload);
+            assert_eq!(total(|r| r.to_dead), now.gossip_to_dead - stats.gossip_to_dead);
+            assert_eq!(
+                total(|r| r.delivered - 1) + total(|r| r.redundant),
+                now.gossip_delivered - stats.gossip_delivered
+            );
+            burst
+        }
+    }
+
+    #[test]
+    fn delivery_table_matches_a_gossip_state_per_node() {
+        for mode in [BroadcastMode::Flood, BroadcastMode::Plumtree] {
+            let config = SimConfig::default().with_broadcast_mode(mode);
+            let mut sim = Sim::new(config, 77, |id, seed| {
+                HyParViewMembership::new(id, Config::default(), seed).unwrap()
+            });
+            sim.enable_path_tracing();
+            let mut model = DeliveryModel { nodes: Vec::new() };
+            // 128 nodes fill two bitset words exactly, so the late joiner
+            // below lands past the end of every existing row.
+            let contact = build_overlay(&mut sim, 128);
+            model.absorb(&mut sim);
+            let stable = model.burst(&mut sim, contact, 3);
+            assert!(stable.reports.iter().all(BroadcastReport::is_atomic), "{mode:?}");
+
+            let victims = sim.fail_fraction(0.3);
+            let survivor = sim.alive_ids()[0];
+            model.burst(&mut sim, survivor, 2);
+            sim.run_cycles(2);
+            model.burst(&mut sim, survivor, 1);
+
+            // A revived node starts with nothing delivered ...
+            let revived = victims[0];
+            assert!(sim.has_delivered(revived, 0));
+            sim.revive(revived);
+            model.nodes[revived.index()] = GossipState::new();
+            sim.join(revived, survivor);
+            // ... and so does a node added after broadcasts exist.
+            let late = sim.add_node();
+            sim.join(late, survivor);
+            model.absorb(&mut sim);
+            assert!(!sim.has_delivered(revived, 0) && !sim.has_delivered(late, 0));
+            assert!(!sim.has_delivered(late, sim.next_broadcast_id()), "never broadcast");
+            let healed = model.burst(&mut sim, survivor, 2);
+            assert!(sim.has_delivered(revived, healed.reports[1].id));
+            assert!(sim.has_delivered(late, healed.reports[1].id));
+
+            // Both deliver an old broadcast when a copy still reaches them.
+            for node in [revived, late] {
+                let payload = match mode {
+                    BroadcastMode::Flood => Payload::Gossip { id: 0, hops: 1 },
+                    BroadcastMode::Plumtree => {
+                        Payload::Plumtree(PlumtreeMessage::Gossip { id: 0, round: 1, payload: () })
+                    }
+                };
+                sim.queue.push(sim.time + 1, survivor, node, payload);
+                sim.drain();
+                let records = model.absorb(&mut sim);
+                assert!(records.iter().any(|r| (r.msg, r.node) == (0, node.index() as u64)));
+                assert!(sim.has_delivered(node, 0), "{mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -174,16 +174,35 @@ proptest! {
 
     /// The bucket calendar queue pops the exact `(time, seq)` total order
     /// of the heap baseline under random interleaved workloads: bursts of
-    /// pushes at randomly spread times (near-future, tied, and far beyond
-    /// the bucket ring's window) alternating with partial drains.
+    /// pushes at randomly spread times (near-future, tied, far beyond the
+    /// bucket ring's window, already past) alternating with partial
+    /// drains, full drains followed by far-only pushes (the empty-ring
+    /// cursor jump) and `clear()`. Every one of those paths moves bucket
+    /// buffers through the ring's free list, so a recycled buffer that kept
+    /// an event, or lost one, shows as a diverging pop.
     #[test]
     fn bucket_queue_pops_identically_to_heap(
         seed in any::<u64>(),
-        rounds in 1usize..12,
+        rounds in 1usize..24,
     ) {
         use hyparview_core::SimId;
         use hyparview_sim::{EventQueue, QueueBackend};
         use rand::Rng;
+
+        /// Pops both queues and returns the agreed event time.
+        fn pop_both(
+            bucket: &mut EventQueue<u64>,
+            heap: &mut EventQueue<u64>,
+        ) -> Result<Option<u64>, TestCaseError> {
+            match (bucket.pop(), heap.pop()) {
+                (Some(b), Some(h)) => {
+                    prop_assert_eq!((b.time, b.seq, b.payload), (h.time, h.seq, h.payload));
+                    Ok(Some(b.time))
+                }
+                (None, None) => Ok(None),
+                _ => Err(TestCaseError::fail("one backend ran dry early")),
+            }
+        }
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut bucket: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Bucket);
@@ -192,40 +211,47 @@ proptest! {
         let mut now = 0u64;
         let mut payload = 0u64;
         for _ in 0..rounds {
+            let round = rng.gen_range(0u32..10);
+            match round {
+                // An empty ring: the far-only pushes below make the next
+                // pop jump the cursor instead of sweeping.
+                7 => {
+                    while let Some(time) = pop_both(&mut bucket, &mut heap)? {
+                        now = time;
+                    }
+                }
+                8 => {
+                    bucket.clear();
+                    heap.clear();
+                }
+                _ => {}
+            }
             for _ in 0..rng.gen_range(0..80) {
-                // Mix unit-latency, jitter, ties, and far-tail times.
-                let offset = match rng.gen_range(0u32..10) {
-                    0..=5 => 1,
-                    6..=7 => rng.gen_range(1..32),
-                    8 => rng.gen_range(1..300),
-                    _ => rng.gen_range(1..5_000),
+                let time = match (round, rng.gen_range(0u32..10)) {
+                    (7, _) => now + rng.gen_range(256u64..5_000),
+                    // Already past: behind the last pop, so behind the cursor.
+                    (9, _) => now.saturating_sub(rng.gen_range(0u64..40)),
+                    // Mix unit-latency, jitter, ties, and far-tail times.
+                    (_, 0..=5) => now + 1,
+                    (_, 6..=7) => now + rng.gen_range(1u64..32),
+                    (_, 8) => now + rng.gen_range(1u64..300),
+                    _ => now + rng.gen_range(1u64..5_000),
                 };
                 let (from, to) = (SimId::new(0), SimId::new(1));
-                bucket.push(now + offset, from, to, payload);
-                heap.push(now + offset, from, to, payload);
+                bucket.push(time, from, to, payload);
+                heap.push(time, from, to, payload);
                 payload += 1;
             }
             prop_assert_eq!(bucket.len(), heap.len());
             for _ in 0..rng.gen_range(0..120) {
-                let (b, h) = (bucket.pop(), heap.pop());
-                match (&b, &h) {
-                    (Some(b), Some(h)) => {
-                        prop_assert_eq!(
-                            (b.time, b.seq, b.payload),
-                            (h.time, h.seq, h.payload),
-                            "backends diverged at seed {}", seed
-                        );
-                        now = b.time;
-                    }
-                    (None, None) => break,
-                    _ => return Err(TestCaseError::fail("one backend ran dry early")),
+                match pop_both(&mut bucket, &mut heap)? {
+                    Some(time) => now = time,
+                    None => break,
                 }
             }
         }
         // Full drain: the remaining orders must agree event for event.
-        while let (Some(b), Some(h)) = (bucket.pop(), heap.pop()) {
-            prop_assert_eq!((b.time, b.seq, b.payload), (h.time, h.seq, h.payload));
-        }
+        while pop_both(&mut bucket, &mut heap)?.is_some() {}
         prop_assert!(bucket.is_empty() && heap.is_empty());
     }
 
