@@ -4,15 +4,17 @@
 //!   so a `Vec` with linear scans outperforms hash-based sets while giving
 //!   us O(1) uniform random choice — the operation every membership
 //!   protocol performs constantly.
-//! * [`RecentSet`] is the FIFO-bounded duplicate-suppression set used by
-//!   the gossip layers (flood dedup, Plumtree message-cache index): a
-//!   long-running node cannot afford an unbounded seen-set, and FIFO
-//!   eviction is correct for gossip because duplicates arrive within a few
-//!   network round-trips of the original.
+//! * [`RecentMap`] is the one FIFO-plus-hash structure of the workspace:
+//!   the newest `capacity` keys, each with a value that leaves with its
+//!   key. Plumtree's message store is one, keyed by broadcast id; the flood
+//!   layers' duplicate suppression, [`RecentSet`], is one without values. A
+//!   long-running node cannot afford unbounded history, and FIFO eviction
+//!   suits gossip: duplicates arrive within a few round-trips of the original.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
 /// An order-insensitive set of identifiers with uniform random sampling.
@@ -201,14 +203,92 @@ impl<I: Copy + Eq> IntoIterator for RandomSet<I> {
     }
 }
 
-/// A FIFO-bounded set of recently seen identifiers.
+/// A FIFO-bounded map: the `capacity` most recently inserted keys, one
+/// value each, in one `HashMap` plus one `VecDeque` of keys in insertion
+/// order. A new key entering a full map evicts the oldest key *and its
+/// value*; re-inserting a present key neither refreshes nor overwrites it.
+/// Storage grows on demand: a huge capacity costs nothing up front.
 ///
-/// Capacities up to [`RecentSet::UNBOUNDED`] are accepted; storage starts
-/// empty and grows on demand, so any capacity — including the effectively
-/// unbounded one the simulator uses (its runs are finite and the paper's
-/// figures assume perfect duplicate detection) — costs nothing up front.
+/// ```
+/// use hyparview_core::collections::RecentMap;
 ///
-/// # Examples
+/// let mut cache: RecentMap<u64, &str> = RecentMap::new(2);
+/// assert_eq!(cache.insert(1, "a"), (true, None));
+/// assert_eq!(cache.insert(1, "b"), (false, None), "first value wins");
+/// cache.insert(2, "c");
+/// assert_eq!(cache.insert(3, "d"), (true, Some(1)), "oldest key evicted");
+/// assert_eq!((cache.get(&1), cache.get(&2)), (None, Some(&"c")));
+/// ```
+#[derive(Debug, Clone)]
+pub struct RecentMap<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
+    /// Creates a map remembering at most `capacity` keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "capacity must be positive");
+        RecentMap { map: HashMap::new(), order: VecDeque::new(), capacity }
+    }
+
+    /// Inserts `value` under `key` unless the key is present (one hash
+    /// probe); returns whether it was new and the key evicted for it, if any.
+    pub fn insert(&mut self, key: K, value: V) -> (bool, Option<K>) {
+        let Entry::Vacant(slot) = self.map.entry(key) else { return (false, None) };
+        slot.insert(value);
+        let evicted = if self.order.len() >= self.capacity { self.order.pop_front() } else { None };
+        if let Some(oldest) = &evicted {
+            self.map.remove(oldest);
+        }
+        self.order.push_back(key);
+        (true, evicted)
+    }
+
+    /// Whether `key` is currently remembered.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// The value remembered for `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    /// Mutable access to the value remembered for `key`.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key)
+    }
+
+    /// Number of remembered keys.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Returns `true` when nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The maximum number of keys remembered at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Forgets every key and value (capacity is unchanged).
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+}
+
+/// A FIFO-bounded set of recently seen identifiers: a [`RecentMap`] with no
+/// values.
 ///
 /// ```
 /// use hyparview_core::collections::RecentSet;
@@ -221,75 +301,47 @@ impl<I: Copy + Eq> IntoIterator for RandomSet<I> {
 /// assert!(seen.insert(1), "evicted ids are forgotten");
 /// ```
 #[derive(Debug, Clone)]
-pub struct RecentSet<T> {
-    set: HashSet<T>,
-    order: VecDeque<T>,
-    capacity: usize,
-}
+pub struct RecentSet<T>(RecentMap<T, ()>);
 
 impl<T: Copy + Eq + Hash> RecentSet<T> {
     /// Capacity value that in practice never evicts.
     pub const UNBOUNDED: usize = usize::MAX;
 
-    /// Creates a set remembering at most `capacity` identifiers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates a set remembering at most `capacity` identifiers (panics on
+    /// zero, as [`RecentMap::new`]).
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        RecentSet { set: HashSet::new(), order: VecDeque::new(), capacity }
+        RecentSet(RecentMap::new(capacity))
     }
 
     /// Inserts `id`, returning `true` if it was not already present.
     /// Evicts the oldest id when full.
     pub fn insert(&mut self, id: T) -> bool {
-        self.insert_evicting(id).0
-    }
-
-    /// Inserts `id`, returning whether it was new and the identifier that
-    /// was evicted to make room, if any. Callers that key auxiliary storage
-    /// by id (e.g. a payload cache) use the evicted id to stay in sync.
-    pub fn insert_evicting(&mut self, id: T) -> (bool, Option<T>) {
-        if self.set.contains(&id) {
-            return (false, None);
-        }
-        let mut evicted = None;
-        if self.order.len() >= self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.set.remove(&oldest);
-                evicted = Some(oldest);
-            }
-        }
-        self.order.push_back(id);
-        self.set.insert(id);
-        (true, evicted)
+        self.0.insert(id, ()).0
     }
 
     /// Whether `id` is currently remembered.
     pub fn contains(&self, id: &T) -> bool {
-        self.set.contains(id)
+        self.0.contains_key(id)
     }
 
     /// Number of remembered ids.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.0.len()
     }
 
     /// Returns `true` when nothing is remembered.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.0.is_empty()
     }
 
     /// The maximum number of ids remembered at once.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.0.capacity()
     }
 
     /// Forgets every remembered id (capacity is unchanged).
     pub fn clear(&mut self) {
-        self.set.clear();
-        self.order.clear();
+        self.0.clear();
     }
 }
 
@@ -298,6 +350,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xD15C0)
@@ -318,7 +371,7 @@ mod tests {
         for i in 0..3 {
             s.insert(i);
         }
-        assert_eq!(s.insert_evicting(3), (true, Some(0)));
+        assert!(s.insert(3));
         assert!(!s.contains(&0));
         assert!(s.contains(&1));
         assert!(s.contains(&3));
@@ -330,7 +383,7 @@ mod tests {
         let mut s: RecentSet<u32> = RecentSet::new(2);
         s.insert(1);
         s.insert(2);
-        assert_eq!(s.insert_evicting(2), (false, None));
+        assert!(!s.insert(2));
         assert!(s.contains(&1), "duplicate must not trigger eviction");
     }
 
@@ -344,8 +397,9 @@ mod tests {
     fn recent_set_unbounded_capacity_is_cheap() {
         let mut s: RecentSet<u64> = RecentSet::new(RecentSet::<u64>::UNBOUNDED);
         for i in 0..10_000 {
-            assert_eq!(s.insert_evicting(i), (true, None));
+            assert!(s.insert(i));
         }
+        assert!(s.contains(&0), "nothing was evicted");
         assert_eq!(s.len(), 10_000);
         assert_eq!(s.capacity(), RecentSet::<u64>::UNBOUNDED);
     }
@@ -357,6 +411,84 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert!(s.insert(5));
+    }
+
+    /// The parent commit's `RecentSet` (hash set + FIFO, reporting the
+    /// evicted id) with a side `HashMap` kept in sync by hand: the layout
+    /// `RecentMap` replaced, kept here as the reference model.
+    struct SetPlusMap {
+        set: HashSet<u128>,
+        order: VecDeque<u128>,
+        values: HashMap<u128, u32>,
+        capacity: usize,
+    }
+
+    impl SetPlusMap {
+        fn insert(&mut self, key: u128, value: u32) -> (bool, Option<u128>) {
+            if self.set.contains(&key) {
+                return (false, None);
+            }
+            let mut evicted = None;
+            if self.order.len() >= self.capacity {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.set.remove(&oldest);
+                    self.values.remove(&oldest);
+                    evicted = Some(oldest);
+                }
+            }
+            self.order.push_back(key);
+            self.set.insert(key);
+            self.values.insert(key, value);
+            (true, evicted)
+        }
+    }
+
+    #[test]
+    fn recent_map_matches_the_set_plus_map_pair_it_replaced() {
+        for capacity in [1usize, 2, 7, 64] {
+            let mut r = StdRng::seed_from_u64(0x5EED ^ capacity as u64);
+            let mut map: RecentMap<u128, u32> = RecentMap::new(capacity);
+            let mut model = SetPlusMap {
+                set: HashSet::new(),
+                order: VecDeque::new(),
+                values: HashMap::new(),
+                capacity,
+            };
+            // Keys from a universe 3x the capacity: a steady mix of first
+            // sights, re-inserts of live keys and returns of evicted ones.
+            let universe = 3 * capacity as u128 + 1;
+            for step in 0..4_000u32 {
+                let key = r.gen_range(0..universe);
+                match r.gen_range(0..4) {
+                    0 | 1 => assert_eq!(
+                        map.insert(key, step),
+                        model.insert(key, step),
+                        "insert {key} at step {step}, capacity {capacity}"
+                    ),
+                    2 => {
+                        let update = |v: &mut u32| {
+                            *v = v.wrapping_mul(31) ^ step;
+                            *v
+                        };
+                        assert_eq!(
+                            map.get_mut(&key).map(update),
+                            model.values.get_mut(&key).map(update),
+                            "get_mut {key} at step {step}"
+                        );
+                    }
+                    _ => assert_eq!(map.get(&key), model.values.get(&key), "get {key}"),
+                }
+                assert_eq!(map.len(), model.set.len());
+                assert!(map.len() <= capacity && map.capacity() == capacity);
+                for k in 0..universe {
+                    assert_eq!(map.contains_key(&k), model.set.contains(&k), "membership of {k}");
+                    assert_eq!(map.get(&k), model.values.get(&k), "value of {k}");
+                }
+            }
+            map.clear();
+            assert!(map.is_empty() && !map.contains_key(&0));
+            assert_eq!(map.insert(0, 1), (true, None), "a cleared map evicts nothing");
+        }
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //! *differentially testable*: identical frames in produce identical frames
 //! out, regardless of which I/O shell carried them.
 
-use crate::dedup::RecentSet;
 use crate::node::NetConfig;
 use crate::wire::Frame;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
-use hyparview_core::{Action, Actions, HyParView, Message};
+use hyparview_core::{Action, Actions, HyParView, Message, RecentSet};
 use hyparview_obsv::{
     names, Clock, CounterId, Registry, TimerKind, TraceEvent, TraceKind, TraceRing, TraceSink,
     WallClock,
@@ -139,8 +138,12 @@ pub(crate) enum Broadcaster {
     /// The paper's eager flood (§4.1.ii) with bounded duplicate suppression.
     Flood { seen: RecentSet<u128> },
     /// Plumtree: eager/lazy dissemination; timers are armed through the
-    /// [`NodeCtx`], scaled by `unit`.
-    Plumtree { state: PlumtreeState<SocketAddr, Bytes>, unit: Duration },
+    /// [`NodeCtx`], scaled by `unit`; `apply_plumtree` recycles `out`.
+    Plumtree {
+        state: PlumtreeState<SocketAddr, Bytes>,
+        unit: Duration,
+        out: PlumtreeOut<SocketAddr, Bytes>,
+    },
 }
 
 /// One node's full protocol state, independent of the I/O backend.
@@ -183,6 +186,7 @@ impl NodeCore {
                     config.plumtree.clone().with_cache_capacity(config.dedup_capacity),
                 ),
                 unit: config.plumtree_timer_unit,
+                out: PlumtreeOut::new(),
             },
         };
         let mut metrics = Registry::new();
@@ -321,8 +325,8 @@ impl NodeCore {
                     self.send(peer, &frame, ctx);
                 }
             }
-            Broadcaster::Plumtree { state, .. } => {
-                let mut out = PlumtreeOut::new();
+            Broadcaster::Plumtree { state, out, .. } => {
+                let mut out = std::mem::take(out);
                 state.broadcast(id, payload, &mut out);
                 if !out.deliveries.is_empty() {
                     self.metrics.inc(self.counters.broadcasts_sent);
@@ -340,10 +344,10 @@ impl NodeCore {
             PlumtreeTimer::LazyFlush => TimerKind::LazyFlush,
         };
         self.trace_event(TraceKind::TimerFired { timer: kind });
-        let Broadcaster::Plumtree { state, .. } = &mut self.broadcaster else {
+        let Broadcaster::Plumtree { state, out, .. } = &mut self.broadcaster else {
             return;
         };
-        let mut out = PlumtreeOut::new();
+        let mut out = std::mem::take(out);
         state.on_timer(timer, &mut out);
         self.apply_plumtree(out, ctx);
     }
@@ -370,19 +374,20 @@ impl NodeCore {
             }
             _ => {}
         }
-        let Broadcaster::Plumtree { state, .. } = &mut self.broadcaster else { return };
+        let Broadcaster::Plumtree { state, out, .. } = &mut self.broadcaster else { return };
         if let PlumtreeMessage::Gossip { id, .. } = &message {
             if state.has_seen(*id) {
                 self.metrics.inc(self.counters.duplicates);
             }
         }
-        let mut out = PlumtreeOut::new();
+        let mut out = std::mem::take(out);
         state.handle_message(from, message, &mut out);
         self.apply_plumtree(out, ctx);
     }
 
     /// Ships the effects of one Plumtree step: frames out, deliveries up,
-    /// timer requests to the runtime.
+    /// timer requests to the runtime; the drained buffer goes back into the
+    /// broadcaster for the next step.
     fn apply_plumtree(&mut self, mut out: PlumtreeOut<SocketAddr, Bytes>, ctx: &mut dyn NodeCtx) {
         for (to, message) in out.outbox.drain() {
             match &message {
@@ -410,15 +415,12 @@ impl NodeCore {
                 payload: delivery.payload,
             });
         }
-        if out.timers.is_empty() {
-            return;
-        }
-        let Broadcaster::Plumtree { unit, .. } = &self.broadcaster else { return };
-        let unit = *unit;
+        let Broadcaster::Plumtree { unit, out: slot, .. } = &mut self.broadcaster else { return };
         for request in out.timers.drain(..) {
             let delay = unit.saturating_mul(request.delay.min(u32::MAX as u64) as u32);
             ctx.schedule(request.timer, delay);
         }
+        *slot = out;
     }
 
     /// Counts and ships one outgoing frame.

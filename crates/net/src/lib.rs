@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 mod core;
-pub mod dedup;
 pub mod node;
 pub mod reactor;
 pub mod transport;

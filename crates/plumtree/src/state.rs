@@ -2,7 +2,7 @@
 
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
-use hyparview_core::collections::{RandomSet, RecentSet};
+use hyparview_core::collections::{RandomSet, RecentMap};
 use hyparview_core::Identity;
 use hyparview_gossip::Outbox;
 use std::collections::{HashMap, HashSet};
@@ -191,8 +191,13 @@ impl<I> Default for MissingEntry<I> {
     }
 }
 
-/// Per-node Plumtree state: eager/lazy peer sets, the message cache and the
+/// Per-node Plumtree state: eager/lazy peer sets, the message store and the
 /// missing-message bookkeeping.
+///
+/// The message store is the node's whole memory of past broadcasts: id to
+/// delivery round, tree parent and payload of the
+/// [`PlumtreeConfig::cache_capacity`] most recent first receipts. Duplicate
+/// detection, graft replies and tree optimization forget an evicted id at once.
 ///
 /// Neighbor maintenance is driven by the membership layer: feed active-view
 /// changes through [`PlumtreeState::on_neighbor_up`] /
@@ -208,9 +213,8 @@ pub struct PlumtreeState<I: Identity, P: Clone> {
     config: PlumtreeConfig,
     eager: RandomSet<I>,
     lazy: RandomSet<I>,
-    /// FIFO index over the cached ids; evictions keep `cache` in sync.
-    seen: RecentSet<MsgId>,
-    cache: HashMap<MsgId, Cached<I, P>>,
+    /// The message store (see the type's docs), oldest id evicted first.
+    cache: RecentMap<MsgId, Cached<I, P>>,
     /// Undelivered messages we have heard announcements for.
     missing: HashMap<MsgId, MissingEntry<I>>,
     /// Messages with an armed missing-message timer.
@@ -232,8 +236,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             config,
             eager: RandomSet::new(),
             lazy: RandomSet::new(),
-            seen: RecentSet::new(cache_capacity),
-            cache: HashMap::new(),
+            cache: RecentMap::new(cache_capacity),
             missing: HashMap::new(),
             timer_armed: HashSet::new(),
             lazy_queue: Vec::new(),
@@ -268,9 +271,9 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     }
 
     /// `true` once `id` has been delivered (and is still remembered by the
-    /// bounded cache index).
+    /// bounded message store).
     pub fn has_seen(&self, id: MsgId) -> bool {
-        self.seen.contains(&id)
+        self.cache.contains_key(&id)
     }
 
     /// Number of payloads currently cached for graft replies.
@@ -562,18 +565,10 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         out.timers.push(TimerRequest { timer: PlumtreeTimer::Missing(id), delay });
     }
 
-    /// Records `id` as seen and caches its payload, returning `true` on
-    /// first sight. Evictions from the bounded index drop the payload too.
+    /// Stores `id` with its payload, returning `true` on first sight (a
+    /// full store then forgets its oldest id, payload included).
     fn remember(&mut self, id: MsgId, round: u32, parent: Option<I>, payload: P) -> bool {
-        let (fresh, evicted) = self.seen.insert_evicting(id);
-        if !fresh {
-            return false;
-        }
-        if let Some(old) = evicted {
-            self.cache.remove(&old);
-        }
-        self.cache.insert(id, Cached { round, parent, payload });
-        true
+        self.cache.insert(id, Cached { round, parent, payload }).0
     }
 
     fn eager_push(
@@ -584,7 +579,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         exclude: Option<I>,
         out: &mut PlumtreeOut<I, P>,
     ) {
-        for peer in self.eager.iter().copied().collect::<Vec<_>>() {
+        for &peer in &self.eager {
             if Some(peer) == exclude {
                 continue;
             }
@@ -602,7 +597,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     ) {
         if self.config.lazy_flush_interval == 0 {
             // Batching disabled: one IHave frame per message per lazy peer.
-            for peer in self.lazy.iter().copied().collect::<Vec<_>>() {
+            for &peer in &self.lazy {
                 if Some(peer) == exclude {
                     continue;
                 }
@@ -613,7 +608,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         }
         let ann = Announcement { id, round };
         let mut queued = false;
-        for peer in self.lazy.iter().copied().collect::<Vec<_>>() {
+        for &peer in &self.lazy {
             if Some(peer) == exclude {
                 continue;
             }
@@ -940,6 +935,77 @@ mod tests {
         out = PlumtreeOut::new();
         s.handle_message(1, PlumtreeMessage::Graft { id: Some(0), round: 0 }, &mut out);
         assert!(sends(&mut out).is_empty(), "evicted payloads cannot be grafted");
+    }
+
+    #[test]
+    fn eviction_forgets_an_id_everywhere_at_once() {
+        // Deep delivery of id 5 through eager parent 1, lazy shortcut 2:
+        // while 5 is remembered, a round-2 announcement from 2 would swap.
+        let config =
+            PlumtreeConfig::default().with_cache_capacity(2).with_optimization_threshold(Some(3));
+        let mut s = node_with_config(&[1, 2], config);
+        s.on_prune(2);
+        let mut out = PlumtreeOut::new();
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 5, round: 8, payload: "m" }, &mut out);
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 6, round: 8, payload: "m" }, &mut out);
+        assert!(s.has_seen(5));
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 7, round: 8, payload: "m" }, &mut out);
+        assert!(!s.has_seen(5) && s.has_seen(6) && s.has_seen(7));
+        assert_eq!(s.cached_len(), 2);
+        out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::Graft { id: Some(5), round: 2 }, &mut out);
+        assert!(out.is_empty(), "no payload left to answer the graft with");
+        s.on_prune(2);
+        s.maybe_optimize(2, 5, 2, &mut out);
+        assert!(out.is_empty(), "no delivery round left to optimize against");
+        assert_eq!(s.stats().optimizations, 0);
+        s.maybe_optimize(2, 6, 2, &mut out);
+        assert_eq!(s.stats().optimizations, 1, "a remembered id still swaps");
+    }
+
+    #[test]
+    fn cached_len_counts_exactly_the_ids_has_seen_remembers() {
+        let config = PlumtreeConfig::default()
+            .with_cache_capacity(4)
+            .with_optimization_threshold(Some(1))
+            .with_lazy_flush_interval(2);
+        let mut s: PlumtreeState<u32, u32> = PlumtreeState::new(0, config);
+        s.sync_neighbors(&[1, 2, 3]);
+        // SplitMix64: a seeded stream with no dev-dependency on `rand`.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        const IDS: u64 = 12;
+        let mut out = PlumtreeOut::new();
+        let mut evictions = 0;
+        for step in 0..3_000 {
+            let (from, id, round) = (1 + next(3) as u32, next(IDS) as MsgId, next(9) as u32);
+            let remembered = s.has_seen(id);
+            match next(6) {
+                0 | 1 => {
+                    let gossip = PlumtreeMessage::Gossip { id, round, payload: step };
+                    s.handle_message(from, gossip, &mut out);
+                    assert!(s.has_seen(id), "a payload receipt is always remembered");
+                    evictions += usize::from(!remembered && s.cached_len() == 4);
+                }
+                2 => s.handle_message(from, PlumtreeMessage::IHave { id, round }, &mut out),
+                3 => {
+                    s.handle_message(from, PlumtreeMessage::Graft { id: Some(id), round }, &mut out)
+                }
+                4 => s.on_timer(PlumtreeTimer::Missing(id), &mut out),
+                _ => s.on_timer(PlumtreeTimer::LazyFlush, &mut out),
+            }
+            let seen = (0..IDS).filter(|&i| s.has_seen(i as MsgId)).count();
+            assert_eq!(s.cached_len(), seen, "step {step}: store and has_seen disagree");
+            assert!(seen <= 4, "step {step}: the store outgrew cache_capacity");
+            out = PlumtreeOut::new();
+        }
+        assert!(evictions > 100, "the stream must keep the store full: {evictions}");
     }
 
     #[test]

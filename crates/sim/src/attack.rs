@@ -2,7 +2,8 @@
 //!
 //! An [`AttackPlan`] declares that a fraction of the scenario's nodes are
 //! colluders running one of the attacker models of
-//! [`hyparview_gossip::adversary`]. It mirrors the [`FaultPlan`] design:
+//! [`hyparview_gossip::adversary`]. It mirrors the
+//! [`FaultPlan`](crate::FaultPlan) design:
 //!
 //! * the plan is pure data on [`SimConfig`](crate::SimConfig) /
 //!   [`Scenario`](crate::Scenario);

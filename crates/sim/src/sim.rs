@@ -624,6 +624,8 @@ pub struct Sim<M: Membership<SimId>> {
     /// Number of alive slots (kept by `add_node`/`fail_nodes`/`revive`).
     alive: usize,
     delivered: DeliveryTable,
+    /// Every Plumtree step's effect buffer; `apply_plumtree_out` recycles it.
+    plumtree_out: PlumtreeOut<SimId, ()>,
     queue: EventQueue<Payload<M::Message>>,
     time: u64,
     rng: StdRng,
@@ -679,6 +681,7 @@ impl<M: Membership<SimId>> Sim<M> {
             nodes: Vec::new(),
             alive: 0,
             delivered: DeliveryTable::default(),
+            plumtree_out: PlumtreeOut::new(),
             queue,
             time: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -1224,7 +1227,7 @@ impl<M: Membership<SimId>> Sim<M> {
                     track.sent_by.record(origin.index(), id, targets);
                 }
                 BroadcastMode::Plumtree => {
-                    let mut out = PlumtreeOut::new();
+                    let mut out = std::mem::take(&mut self.plumtree_out);
                     self.plumtree_mut(origin.index()).broadcast(id as MsgId, (), &mut out);
                     self.apply_plumtree_out(origin, None, out, &mut track);
                 }
@@ -1358,7 +1361,7 @@ impl<M: Membership<SimId>> Sim<M> {
                 }
                 Payload::PlumtreeTimer { timer } => {
                     if self.nodes[event.to.index()].alive {
-                        let mut out = PlumtreeOut::new();
+                        let mut out = std::mem::take(&mut self.plumtree_out);
                         self.trace_event(
                             event.to,
                             TraceKind::TimerFired {
@@ -1442,7 +1445,7 @@ impl<M: Membership<SimId>> Sim<M> {
                 _ => {}
             }
         }
-        let mut out = PlumtreeOut::new();
+        let mut out = std::mem::take(&mut self.plumtree_out);
         self.plumtree_mut(to.index()).handle_message(from, message, &mut out);
         self.apply_plumtree_out(to, Some(from), out, track);
     }
@@ -1456,6 +1459,7 @@ impl<M: Membership<SimId>> Sim<M> {
     /// Ships the effects of one Plumtree state-machine step: sends become
     /// latency-delayed events, timer requests become self-addressed events,
     /// deliveries feed the gossip bookkeeping and the broadcast accounting.
+    /// The drained buffer goes back to `self.plumtree_out` for the next step.
     fn apply_plumtree_out(
         &mut self,
         node: SimId,
@@ -1551,6 +1555,7 @@ impl<M: Membership<SimId>> Sim<M> {
                 Payload::PlumtreeTimer { timer: request.timer },
             );
         }
+        self.plumtree_out = out;
     }
 
     /// Reconciles a node's Plumtree eager/lazy sets with its membership
