@@ -1,15 +1,12 @@
 //! Cluster-scale harness: thousands of *live* HyParView nodes — real
 //! listeners, real TCP connections, real frames — in one process, driven
-//! by the `hyparview-net` reactor backend (or, at smoke scale, the legacy
-//! thread-per-connection backend as the differential baseline).
+//! by the `hyparview-net` epoll reactor.
 //!
 //! ```text
 //! # headline run: 2,000 live nodes on one epoll thread
 //! cargo run --release -p hyparview-bench --bin cluster_scale
-//! # CI smoke, both backends
+//! # CI smoke
 //! cargo run --release -p hyparview-bench --bin cluster_scale -- --smoke --assert
-//! cargo run --release -p hyparview-bench --bin cluster_scale -- \
-//!     --smoke --assert --backend threaded
 //! ```
 //!
 //! The measurement phase fires broadcast *bursts* (several messages
@@ -26,11 +23,11 @@
 use hyparview_bench::backoff::Backoff;
 use hyparview_bench::json::JsonObject;
 use hyparview_bench::measure::{
-    metrics_path, perf_artifact, perf_artifact_with_reactor, perf_path, timed, Throughput,
+    metrics_path, perf_artifact_with_reactor, perf_path, timed, Throughput,
 };
 use hyparview_bench::obsv_json::registry_json;
 use hyparview_bench::table::{num, pct, render};
-use hyparview_net::{BroadcastMode, Cluster, NetConfig, Node, NodeStats, TransportBackend};
+use hyparview_net::{BroadcastMode, Cluster, NetConfig, Node, NodeStats};
 use hyparview_obsv::log::Level;
 use hyparview_obsv::{obsv_info, Registry};
 use std::collections::HashMap;
@@ -47,7 +44,6 @@ struct Args {
     active: usize,
     passive: usize,
     shuffle_ms: Option<u64>,
-    backend: TransportBackend,
     mode: BroadcastMode,
     seed: u64,
     json: Option<String>,
@@ -67,7 +63,6 @@ impl Default for Args {
             active: 4,
             passive: 16,
             shuffle_ms: None,
-            backend: TransportBackend::Reactor,
             mode: BroadcastMode::Plumtree,
             seed: 0x11FE_C10D,
             json: None,
@@ -94,13 +89,6 @@ fn parse_args() -> Args {
                     Some(value("--shuffle-ms").parse().expect("--shuffle-ms: integer"))
             }
             "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--backend" => {
-                args.backend = match value("--backend").as_str() {
-                    "reactor" => TransportBackend::Reactor,
-                    "threaded" => TransportBackend::Threaded,
-                    other => panic!("--backend: expected reactor|threaded, got {other}"),
-                }
-            }
             "--mode" => {
                 args.mode = match value("--mode").as_str() {
                     "flood" => BroadcastMode::Flood,
@@ -118,7 +106,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: cluster_scale [--nodes N] [--messages N] [--burst N] \
                      [--active N] [--passive N] [--shuffle-ms N] [--seed N] \
-                     [--backend reactor|threaded] [--mode flood|plumtree] \
+                     [--mode flood|plumtree] \
                      [--smoke] [--json PATH] [--assert]"
                 );
                 std::process::exit(0);
@@ -202,16 +190,9 @@ fn main() {
 
     println!("# Cluster scale — live TCP nodes in one process");
     println!(
-        "# nodes = {}, backend = {}, mode = {}, messages = {} (bursts of {}), \
+        "# nodes = {}, mode = {}, messages = {} (bursts of {}), \
          views = {}/{}, shuffle = {shuffle_ms} ms, seed = {:#x}, fd limit = {fd_limit}",
-        args.nodes,
-        args.backend,
-        args.mode,
-        args.messages,
-        args.burst,
-        args.active,
-        args.passive,
-        args.seed
+        args.nodes, args.mode, args.messages, args.burst, args.active, args.passive, args.seed
     );
 
     let make_config = |i: usize| NetConfig {
@@ -221,26 +202,19 @@ fn main() {
         shuffle_interval: Duration::from_millis(shuffle_ms),
         seed: Some(args.seed.wrapping_add(i as u64)),
         broadcast_mode: args.mode,
-        backend: args.backend,
         ..NetConfig::default()
     };
 
-    // Spawn — on the reactor backend all nodes share ONE epoll thread.
-    let cluster = match args.backend {
-        TransportBackend::Reactor => Some(Cluster::new().expect("reactor thread")),
-        TransportBackend::Threaded => None,
-    };
+    // Spawn — all nodes share ONE epoll thread.
+    let cluster = Cluster::new().expect("reactor thread");
     let spawn_wall = timed(|| {
         let mut nodes: Vec<Node> = Vec::with_capacity(args.nodes);
         let mut rng = args.seed | 1;
         for i in 0..args.nodes {
             let cfg = make_config(i);
             let addr = "127.0.0.1:0".parse().unwrap();
-            let node = match &cluster {
-                Some(cluster) => cluster.spawn_node(addr, cfg),
-                None => Node::spawn(addr, cfg),
-            }
-            .unwrap_or_else(|e| panic!("spawn node {i}: {e}"));
+            let node =
+                cluster.spawn_node(addr, cfg).unwrap_or_else(|e| panic!("spawn node {i}: {e}"));
             if i > 0 {
                 // Join through a random earlier node (xorshift), spreading
                 // the join load instead of hammering the bootstrap node.
@@ -365,12 +339,12 @@ fn main() {
     // Capture the observability snapshots while the handles are still
     // alive: every node's registry merged into one cluster view (counters
     // add, histograms merge bucket-wise), plus the reactor's own loop
-    // gauges on the epoll backend.
+    // gauges.
     let mut node_metrics = Registry::new();
     for node in &nodes {
         node_metrics.merge(&node.metrics());
     }
-    let reactor_metrics = cluster.as_ref().map(Cluster::reactor_metrics);
+    let reactor_metrics = cluster.reactor_metrics();
 
     // Tear the cluster down before touching the filesystem — with
     // thousands of live sockets the fd table is near its limit and even
@@ -382,7 +356,6 @@ fn main() {
     if let Some(path) = &args.json {
         let json = JsonObject::new()
             .str("experiment", "cluster_scale")
-            .str("backend", &args.backend.to_string())
             .str("mode", &args.mode.to_string())
             .int("nodes", node_count as u64)
             .int("messages", args.messages as u64)
@@ -399,22 +372,15 @@ fn main() {
             .build();
         std::fs::write(path, json).expect("write JSON results");
         let sidecar = perf_path(path);
-        // The epoll backend's sidecar carries the reactor introspection
-        // gauges; the threaded baseline has no reactor loop to introspect.
-        let perf = match &reactor_metrics {
-            Some(reactor) => perf_artifact_with_reactor("cluster_scale", 1, &throughput, reactor),
-            None => perf_artifact("cluster_scale", 1, &throughput),
-        };
+        let perf = perf_artifact_with_reactor("cluster_scale", 1, &throughput, &reactor_metrics);
         std::fs::write(&sidecar, perf).expect("write perf sidecar");
-        let mut snapshot = JsonObject::new()
+        let snapshot = JsonObject::new()
             .str("experiment", "cluster_scale")
-            .str("backend", &args.backend.to_string())
-            .raw("nodes", registry_json(&node_metrics));
-        if let Some(reactor) = &reactor_metrics {
-            snapshot = snapshot.raw("reactor", registry_json(reactor));
-        }
+            .raw("nodes", registry_json(&node_metrics))
+            .raw("reactor", registry_json(&reactor_metrics))
+            .build();
         let metrics_file = metrics_path(path);
-        std::fs::write(&metrics_file, snapshot.build()).expect("write metrics snapshot");
+        std::fs::write(&metrics_file, snapshot).expect("write metrics snapshot");
         println!(
             "(JSON results written to {path}, perf sidecar to {sidecar}, \
              metrics snapshot to {metrics_file})"

@@ -6,7 +6,7 @@
 //! scaled-down preset whose *shape* matches the paper; the scale is always
 //! printed with the results.
 
-use hyparview_sim::{protocols::ProtocolKind, ProtocolConfigs, QueueBackend, Scenario};
+use hyparview_sim::{protocols::ProtocolKind, ProtocolConfigs, Scenario};
 
 /// Shared knobs for all experiments.
 #[derive(Debug, Clone)]
@@ -30,10 +30,6 @@ pub struct Params {
     /// [`Params::describe`]: the description is embedded in the JSON
     /// artifacts, which must not vary with execution parallelism.
     pub jobs: usize,
-    /// Event-queue backend the simulations run on. Not a CLI flag — the
-    /// bucket default is strictly faster and pops the identical event
-    /// order; the heap stays reachable for differential tests.
-    pub queue: QueueBackend,
     /// Protocol configurations.
     pub configs: ProtocolConfigs,
 }
@@ -49,7 +45,6 @@ impl Params {
             messages: 1_000,
             runs: 1,
             jobs: 1,
-            queue: QueueBackend::default(),
             configs: ProtocolConfigs::paper(),
         }
     }
@@ -102,12 +97,6 @@ impl Params {
         self
     }
 
-    /// Selects the event-queue backend (differential testing).
-    pub fn with_queue(mut self, queue: QueueBackend) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Sets the stabilization cycle count.
     pub fn with_stabilization(mut self, cycles: usize) -> Self {
         self.stabilization_cycles = cycles;
@@ -120,12 +109,11 @@ impl Params {
         Scenario::new(self.n, self.seed.wrapping_add(run as u64 * 0x9E37_79B9))
             .with_fanout(self.fanout)
             .with_stabilization_cycles(self.stabilization_cycles)
-            .with_queue_backend(self.queue)
     }
 
     /// Applies a scale preset while keeping configs and execution knobs.
     fn preset(self, scale: Params) -> Params {
-        Params { configs: self.configs, jobs: self.jobs, queue: self.queue, ..scale }
+        Params { configs: self.configs, jobs: self.jobs, ..scale }
     }
 
     /// Parses CLI arguments of the form `--n 2000 --messages 100 --seed 7

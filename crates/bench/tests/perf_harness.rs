@@ -1,13 +1,8 @@
-//! Integration tests of the performance harness guarantees:
-//!
-//! * **Queue differential** — a full Figure-2-methodology run (build,
-//!   stabilize, crash, broadcast to quiescence) produces the identical
-//!   results artifact under the bucket calendar queue and the original
-//!   `BinaryHeap`, because both pop the same `(time, seq)` total order.
-//! * **Jobs invariance** — `--jobs 4` parallel seed sweeps serialize to
-//!   artifacts *byte-identical* to `--jobs 1`, for the fig2 and
-//!   `plumtree_latency` smoke shapes: runs are pure functions of their
-//!   seed and partials merge in seed order.
+//! Integration tests of the performance harness guarantee of jobs
+//! invariance: `--jobs 4` parallel seed sweeps serialize to artifacts
+//! *byte-identical* to `--jobs 1`, for the fig2 and `plumtree_latency`
+//! smoke shapes: runs are pure functions of their seed and partials merge
+//! in seed order.
 
 use hyparview_bench::artifacts::{
     fig2_artifact, hyparview_attack_artifact, plumtree_latency_artifact, plumtree_wan_artifact,
@@ -18,7 +13,6 @@ use hyparview_bench::experiments::reliability_after_failures;
 use hyparview_bench::experiments::wan::plumtree_wan;
 use hyparview_bench::Params;
 use hyparview_sim::protocols::ProtocolKind;
-use hyparview_sim::QueueBackend;
 
 /// Scaled-down fig2 smoke: the full methodology, a grid small enough for
 /// a unit-test budget.
@@ -32,13 +26,6 @@ const FIG2_FAILURES: [f64; 2] = [0.2, 0.6];
 fn fig2_doc(params: &Params) -> String {
     let rows = reliability_after_failures(params, &FIG2_KINDS, &FIG2_FAILURES);
     fig2_artifact(params, &rows)
-}
-
-#[test]
-fn fig2_report_is_identical_under_both_queue_backends() {
-    let bucket = fig2_doc(&fig2_params().with_queue(QueueBackend::Bucket));
-    let heap = fig2_doc(&fig2_params().with_queue(QueueBackend::Heap));
-    assert_eq!(bucket, heap, "bucket and heap queues must produce identical broadcast reports");
 }
 
 #[test]

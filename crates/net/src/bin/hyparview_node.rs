@@ -9,7 +9,7 @@
 //!     --bind 127.0.0.1:9001 --join 127.0.0.1:9000
 //! ```
 
-use hyparview_net::{BroadcastMode, NetConfig, Node, TransportBackend};
+use hyparview_net::{BroadcastMode, NetConfig, Node};
 use hyparview_obsv::log::Level;
 use hyparview_obsv::{obsv_error, obsv_info};
 use std::io::BufRead;
@@ -23,7 +23,6 @@ struct Args {
     active: usize,
     passive: usize,
     plumtree: bool,
-    backend: TransportBackend,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -34,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         active: 5,
         passive: 30,
         plumtree: false,
-        backend: TransportBackend::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -55,20 +53,10 @@ fn parse_args() -> Result<Args, String> {
                 args.passive = value("--passive")?.parse().map_err(|e| format!("--passive: {e}"))?
             }
             "--plumtree" => args.plumtree = true,
-            "--backend" => {
-                args.backend = match value("--backend")?.as_str() {
-                    "reactor" => TransportBackend::Reactor,
-                    "threaded" => TransportBackend::Threaded,
-                    other => {
-                        return Err(format!("--backend: expected reactor|threaded, got {other}"))
-                    }
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: hyparview_node [--bind ADDR] [--join ADDR] \
-                     [--shuffle-ms N] [--active N] [--passive N] [--plumtree] \
-                     [--backend reactor|threaded]"
+                     [--shuffle-ms N] [--active N] [--passive N] [--plumtree]"
                 );
                 std::process::exit(0);
             }
@@ -95,17 +83,11 @@ fn main() -> std::io::Result<()> {
             .with_passive_capacity(args.passive),
         shuffle_interval: Duration::from_millis(args.shuffle_ms),
         broadcast_mode: if args.plumtree { BroadcastMode::Plumtree } else { BroadcastMode::Flood },
-        backend: args.backend,
         ..NetConfig::default()
     };
     let mode = config.broadcast_mode;
-    let backend = config.backend;
     let node = Node::spawn(args.bind, config)?;
-    obsv_info!(
-        "hyparview_node",
-        "listening on {} ({mode} broadcast, {backend} backend)",
-        node.addr()
-    );
+    obsv_info!("hyparview_node", "listening on {} ({mode} broadcast)", node.addr());
     if let Some(contact) = args.join {
         obsv_info!("hyparview_node", "joining through {contact}");
         node.join(contact);

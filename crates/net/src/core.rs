@@ -1,17 +1,10 @@
-//! The backend-independent node core: HyParView protocol + broadcast
-//! engine + stats, speaking to the outside world only through the
-//! [`NodeCtx`] effect sink.
+//! The I/O-independent node core: HyParView protocol + broadcast engine +
+//! stats, speaking to the outside world only through the [`NodeCtx`]
+//! effect sink.
 //!
-//! Both runtimes drive the same [`NodeCore`]:
-//!
-//! * the thread-per-connection backend (`node.rs` event loop over
-//!   [`crate::transport::Transport`]) — one core per thread;
-//! * the reactor backend (`reactor.rs`) — many cores multiplexed onto one
-//!   epoll loop.
-//!
-//! Keeping the core sans-runtime is what makes the two backends
-//! *differentially testable*: identical frames in produce identical frames
-//! out, regardless of which I/O shell carried them.
+//! The reactor (`reactor.rs`) multiplexes many [`NodeCore`]s onto one epoll
+//! loop. Keeping the core sans-runtime means identical frames in produce
+//! identical frames out, regardless of which I/O shell carried them.
 
 use crate::node::NetConfig;
 use crate::wire::Frame;
@@ -118,9 +111,8 @@ pub(crate) struct Shared {
 }
 
 /// The effect sink a [`NodeCore`] drives its runtime through: frames out,
-/// graceful connection teardown, timer arming. Implementations:
-/// `ThreadedCtx` (per-node event loop over `Transport`) and `ReactorCtx`
-/// (shared epoll loop).
+/// graceful connection teardown, timer arming. Implemented by the
+/// reactor's `ReactorCtx` (shared epoll loop).
 pub(crate) trait NodeCtx {
     /// Ships `frame` to `to`, opening a connection lazily. Failures are
     /// asynchronous: they come back as an `on_peer_failed` call.
@@ -146,7 +138,7 @@ pub(crate) enum Broadcaster {
     },
 }
 
-/// One node's full protocol state, independent of the I/O backend.
+/// One node's full protocol state, independent of the I/O runtime.
 pub(crate) struct NodeCore {
     local: SocketAddr,
     protocol: HyParView<SocketAddr>,

@@ -2,38 +2,27 @@
 //! sans-io [`HyParView`](hyparview_core::HyParView) state machine plus the
 //! gossip broadcast layer (`NodeCore`) over real TCP.
 //!
-//! Two interchangeable I/O backends execute the same core
-//! ([`TransportBackend`]):
-//!
-//! * [`TransportBackend::Reactor`] (default) — the node registers with a
-//!   shared epoll [`Reactor`](crate::reactor), which multiplexes its event
-//!   loop, timers and every connection onto one thread.
-//!   [`Node::spawn`] is the single-node special case of
-//!   [`Cluster::spawn_node`](crate::Cluster::spawn_node), which drives
-//!   thousands of nodes in one process.
-//! * [`TransportBackend::Threaded`] — the original thread-per-connection
-//!   [`Transport`] plus one event-loop thread per node; kept as the
-//!   differential baseline (the `threaded-transport` cfg feature flips the
-//!   default, mirroring the simulator's `heap-queue`).
+//! A node registers with a shared epoll [`Reactor`](crate::reactor), which
+//! multiplexes its event loop, timers and every connection onto one thread.
+//! [`Node::spawn`] is the single-node special case of
+//! [`Cluster::spawn_node`](crate::Cluster::spawn_node), which drives
+//! thousands of nodes in one process.
 //!
 //! This is the deployable form of the system the paper sketches for its
 //! PlanetLab experiment (§6): real sockets, real connection failures, the
 //! same protocol core as the simulator.
 
-use crate::core::{NodeCore, NodeCtx, Shared};
-use crate::reactor::{Cluster, ReactorNode};
-use crate::transport::{Transport, TransportConfig, TransportEvent};
+use crate::core::Shared;
+use crate::reactor::{Cluster, ClusterInner};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, tick, unbounded, Receiver, Sender};
+use crossbeam::channel::Receiver;
 use hyparview_core::Config;
 use hyparview_obsv::{Registry, TraceEvent};
-use hyparview_plumtree::{BroadcastMode, PlumtreeConfig, PlumtreeTimer};
+use hyparview_plumtree::{BroadcastMode, PlumtreeConfig};
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use crate::core::{Delivery, NodeStats};
 
@@ -50,39 +39,6 @@ pub const DEFAULT_OPTIMIZATION_THRESHOLD: u32 = 2;
 /// while keeping the worst-case repair delay small.
 pub const DEFAULT_LAZY_FLUSH_INTERVAL: u64 = 2;
 
-/// Which I/O runtime executes a node's protocol core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportBackend {
-    /// One shared epoll reactor drives listener, connections and timers —
-    /// the scalable default (thousands of nodes per process).
-    Reactor,
-    /// Thread-per-connection [`Transport`] plus an event-loop thread per
-    /// node — the original runtime, kept as the differential baseline.
-    Threaded,
-}
-
-impl Default for TransportBackend {
-    /// [`TransportBackend::Reactor`], unless the `threaded-transport` cfg
-    /// feature flips the workspace back to the legacy backend (the same
-    /// pattern as the simulator's `heap-queue` feature).
-    fn default() -> Self {
-        if cfg!(feature = "threaded-transport") {
-            TransportBackend::Threaded
-        } else {
-            TransportBackend::Reactor
-        }
-    }
-}
-
-impl std::fmt::Display for TransportBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportBackend::Reactor => write!(f, "reactor"),
-            TransportBackend::Threaded => write!(f, "threaded"),
-        }
-    }
-}
-
 /// Runtime configuration for a [`Node`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -92,17 +48,15 @@ pub struct NetConfig {
     pub shuffle_interval: Duration,
     /// RNG seed for the protocol instance (`None` = from entropy).
     pub seed: Option<u64>,
-    /// Transport tuning (shared by both backends: `writer_queue` bounds
-    /// the per-peer outbound queue, `connect_timeout` applies to the
-    /// threaded backend's blocking connects).
-    pub transport: TransportConfig,
+    /// Outbound queue capacity per peer, in frames; a peer whose queue
+    /// overflows is treated as failed (NeEM-style slow-peer expulsion,
+    /// §5.5) so TCP back-pressure cannot freeze the overlay.
+    pub writer_queue: usize,
     /// How many recent gossip ids to remember for duplicate suppression
     /// (flood mode) / how many payloads the Plumtree cache keeps.
     pub dedup_capacity: usize,
     /// How broadcast payloads are disseminated.
     pub broadcast_mode: BroadcastMode,
-    /// Which I/O backend runs the node (see [`TransportBackend`]).
-    pub backend: TransportBackend,
     /// Plumtree tuning (timeouts in abstract units, see
     /// [`NetConfig::plumtree_timer_unit`]). The cache capacity is
     /// overridden by `dedup_capacity` so both engines share one knob.
@@ -129,10 +83,9 @@ impl Default for NetConfig {
             protocol: Config::default(),
             shuffle_interval: Duration::from_millis(500),
             seed: None,
-            transport: TransportConfig::default(),
+            writer_queue: 1024,
             dedup_capacity: 8192,
             broadcast_mode: BroadcastMode::Flood,
-            backend: TransportBackend::default(),
             plumtree: PlumtreeConfig::default()
                 .with_optimization_threshold(Some(DEFAULT_OPTIMIZATION_THRESHOLD))
                 .with_lazy_flush_interval(DEFAULT_LAZY_FLUSH_INTERVAL),
@@ -146,12 +99,6 @@ impl NetConfig {
     /// Selects the broadcast dissemination engine.
     pub fn with_broadcast_mode(mut self, mode: BroadcastMode) -> Self {
         self.broadcast_mode = mode;
-        self
-    }
-
-    /// Selects the I/O backend.
-    pub fn with_backend(mut self, backend: TransportBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -175,10 +122,9 @@ pub(crate) enum Control {
     Join(SocketAddr),
     Broadcast { id: u128, payload: Bytes },
     Leave,
-    Shutdown,
 }
 
-/// Capacity of the application delivery channel (both backends).
+/// Capacity of the application delivery channel.
 pub(crate) const DELIVERY_QUEUE: usize = 65_536;
 
 /// A running HyParView node bound to a TCP address.
@@ -199,78 +145,25 @@ pub(crate) const DELIVERY_QUEUE: usize = 65_536;
 /// # }
 /// ```
 pub struct Node {
-    addr: SocketAddr,
-    deliveries: Receiver<Delivery>,
-    shared: Arc<Mutex<Shared>>,
-    inner: Inner,
-}
-
-enum Inner {
-    Threaded { control: Sender<Control>, thread: Option<std::thread::JoinHandle<()>> },
-    Reactor(ReactorNode),
+    pub(crate) addr: SocketAddr,
+    pub(crate) deliveries: Receiver<Delivery>,
+    pub(crate) shared: Arc<Mutex<Shared>>,
+    /// The reactor hosting this node, and the node's index on it.
+    pub(crate) cluster: Arc<ClusterInner>,
+    pub(crate) index: usize,
 }
 
 impl Node {
-    /// Binds `addr` (port 0 for ephemeral) and starts the node on the
-    /// backend selected by `config.backend`. Under the reactor backend
-    /// this spawns a private single-node [`Cluster`] — to share one
-    /// reactor across many nodes, use
-    /// [`Cluster::spawn_node`](crate::Cluster::spawn_node) instead.
+    /// Binds `addr` (port 0 for ephemeral) and starts the node on a private
+    /// single-node [`Cluster`] — to share one reactor across many nodes,
+    /// use [`Cluster::spawn_node`](crate::Cluster::spawn_node) instead.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from binding the listener.
+    /// Returns any I/O error from creating the reactor or binding the
+    /// listener.
     pub fn spawn(addr: SocketAddr, config: NetConfig) -> std::io::Result<Node> {
-        match config.backend {
-            TransportBackend::Threaded => Node::spawn_threaded(addr, config),
-            TransportBackend::Reactor => {
-                let cluster = Cluster::new()?;
-                cluster.spawn_node(addr, config)
-            }
-        }
-    }
-
-    pub(crate) fn from_reactor(
-        addr: SocketAddr,
-        deliveries: Receiver<Delivery>,
-        shared: Arc<Mutex<Shared>>,
-        handle: ReactorNode,
-    ) -> Node {
-        Node { addr, deliveries, shared, inner: Inner::Reactor(handle) }
-    }
-
-    fn spawn_threaded(addr: SocketAddr, config: NetConfig) -> std::io::Result<Node> {
-        let (transport, transport_rx) = Transport::bind(addr, config.transport.clone())?;
-        let local = transport.local_addr();
-
-        let (control_tx, control_rx) = unbounded();
-        let (delivery_tx, delivery_rx) = bounded(DELIVERY_QUEUE);
-        let shared = Arc::new(Mutex::new(Shared::default()));
-        let core = NodeCore::new(local, &config, Arc::clone(&shared), delivery_tx)?;
-
-        let shuffle_interval = config.shuffle_interval;
-        let broadcast_mode = config.broadcast_mode;
-        let timer_unit = config.plumtree_timer_unit;
-        let thread =
-            std::thread::Builder::new().name(format!("hpv-node-{local}")).spawn(move || {
-                event_loop(EventLoop {
-                    transport,
-                    transport_rx,
-                    control_rx,
-                    core,
-                    timers: BinaryHeap::new(),
-                    shuffle_interval,
-                    broadcast_mode,
-                    timer_unit,
-                })
-            })?;
-
-        Ok(Node {
-            addr: local,
-            deliveries: delivery_rx,
-            shared,
-            inner: Inner::Threaded { control: control_tx, thread: Some(thread) },
-        })
+        Cluster::new()?.spawn_node(addr, config)
     }
 
     /// The node's identity: its bound listen address.
@@ -280,23 +173,13 @@ impl Node {
 
     /// Joins the overlay through `contact`.
     pub fn join(&self, contact: SocketAddr) {
-        match &self.inner {
-            Inner::Threaded { control, .. } => {
-                let _ = control.send(Control::Join(contact));
-            }
-            Inner::Reactor(handle) => handle.join(contact),
-        }
+        self.cluster.control(self.index, Control::Join(contact));
     }
 
     /// Broadcasts `payload` to the overlay, returning the broadcast id.
     pub fn broadcast(&self, payload: Vec<u8>) -> u128 {
         let id = rand::random();
-        match &self.inner {
-            Inner::Threaded { control, .. } => {
-                let _ = control.send(Control::Broadcast { id, payload: Bytes::from(payload) });
-            }
-            Inner::Reactor(handle) => handle.broadcast(id, Bytes::from(payload)),
-        }
+        self.cluster.control(self.index, Control::Broadcast { id, payload: Bytes::from(payload) });
         id
     }
 
@@ -369,38 +252,18 @@ impl Node {
     /// Gracefully leaves the overlay (sends `DISCONNECT` to all active
     /// peers) without shutting down.
     pub fn leave(&self) {
-        match &self.inner {
-            Inner::Threaded { control, .. } => {
-                let _ = control.send(Control::Leave);
-            }
-            Inner::Reactor(handle) => handle.leave(),
-        }
+        self.cluster.control(self.index, Control::Leave);
     }
 
-    /// Shuts the node down: closes its listener and every connection. Under
-    /// the threaded backend this also joins the event-loop thread; under
-    /// the reactor backend the shared reactor thread keeps running for its
-    /// other nodes.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        match &mut self.inner {
-            Inner::Threaded { control, thread } => {
-                let _ = control.send(Control::Shutdown);
-                if let Some(thread) = thread.take() {
-                    let _ = thread.join();
-                }
-            }
-            Inner::Reactor(handle) => handle.shutdown(),
-        }
-    }
+    /// Shuts the node down: closes its listener and every connection, and
+    /// waits for the removal to take effect. The shared reactor thread
+    /// keeps running for its other nodes. Same as dropping the handle.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Node {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.cluster.remove_node(self.index);
     }
 }
 
@@ -410,91 +273,5 @@ impl std::fmt::Debug for Node {
             .field("addr", &self.addr)
             .field("active_view", &self.active_view())
             .finish()
-    }
-}
-
-/// The [`NodeCtx`] of the threaded backend: frames go straight to the
-/// blocking [`Transport`], timers onto the event loop's local heap.
-struct ThreadedCtx<'a> {
-    transport: &'a Transport,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, PlumtreeTimer)>>,
-}
-
-impl NodeCtx for ThreadedCtx<'_> {
-    fn send_frame(&mut self, to: SocketAddr, frame: &crate::wire::Frame) {
-        self.transport.send(to, frame);
-    }
-
-    fn disconnect(&mut self, peer: SocketAddr) {
-        self.transport.disconnect(peer);
-    }
-
-    fn schedule(&mut self, timer: PlumtreeTimer, delay: Duration) {
-        self.timers.push(Reverse((Instant::now() + delay, timer)));
-    }
-}
-
-struct EventLoop {
-    transport: Transport,
-    transport_rx: Receiver<TransportEvent>,
-    control_rx: Receiver<Control>,
-    core: NodeCore,
-    /// Min-heap of `(deadline, timer)` Plumtree deadlines.
-    timers: BinaryHeap<Reverse<(Instant, PlumtreeTimer)>>,
-    shuffle_interval: Duration,
-    broadcast_mode: BroadcastMode,
-    timer_unit: Duration,
-}
-
-fn event_loop(state: EventLoop) {
-    let EventLoop {
-        transport,
-        transport_rx,
-        control_rx,
-        mut core,
-        mut timers,
-        shuffle_interval,
-        broadcast_mode,
-        timer_unit,
-    } = state;
-    let ticker = tick(shuffle_interval);
-    // The timer wheel only needs resolution in Plumtree mode; in flood mode
-    // the ticker idles at a long period.
-    let timer_tick = tick(match broadcast_mode {
-        BroadcastMode::Flood => Duration::from_secs(3600),
-        BroadcastMode::Plumtree => timer_unit,
-    });
-    loop {
-        let mut ctx = ThreadedCtx { transport: &transport, timers: &mut timers };
-        crossbeam::channel::select! {
-            recv(control_rx) -> msg => match msg {
-                Ok(Control::Join(contact)) => core.join(contact, &mut ctx),
-                Ok(Control::Broadcast { id, payload }) => core.broadcast(id, payload, &mut ctx),
-                Ok(Control::Leave) => core.leave(&mut ctx),
-                Ok(Control::Shutdown) | Err(_) => {
-                    transport.shutdown();
-                    return;
-                }
-            },
-            recv(transport_rx) -> event => match event {
-                Ok(TransportEvent::Frame { from, frame }) => core.on_frame(from, frame, &mut ctx),
-                Ok(TransportEvent::PeerFailed { peer }) => core.on_peer_failed(peer, &mut ctx),
-                Err(_) => return,
-            },
-            recv(ticker) -> _ => core.on_shuffle_tick(&mut ctx),
-            recv(timer_tick) -> _ => {
-                // Fire every Plumtree timer whose deadline passed.
-                loop {
-                    match ctx.timers.peek() {
-                        Some(Reverse((deadline, _))) if *deadline <= Instant::now() => {
-                            let Some(Reverse((_, timer))) = ctx.timers.pop() else { break };
-                            core.on_plumtree_timer(timer, &mut ctx);
-                        }
-                        _ => break,
-                    }
-                }
-            },
-        }
-        core.publish();
     }
 }

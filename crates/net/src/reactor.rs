@@ -1,12 +1,12 @@
-//! The nonblocking reactor backend: one epoll loop driving many nodes.
+//! The nonblocking reactor: one epoll loop driving many nodes.
 //!
-//! Where the threaded backend spends 3+ OS threads per node (event loop,
-//! accept loop, one writer per peer), the reactor multiplexes *every*
-//! listener, connection, and timer of a whole [`Cluster`] of nodes onto a
-//! single thread blocked in `epoll_wait`. That is what makes thousands of
-//! live nodes in one process practical — the configuration the paper's
-//! evaluation simulates (§6, 10k nodes) but its PlanetLab deployment could
-//! not reach with real sockets.
+//! The reactor multiplexes *every* listener, connection, and timer of a
+//! whole [`Cluster`] of nodes onto a single thread blocked in
+//! `epoll_wait`, where a thread-per-connection design would spend 3+ OS
+//! threads per node. That is what makes thousands of live nodes in one
+//! process practical — the configuration the paper's evaluation simulates
+//! (§6, 10k nodes) but its PlanetLab deployment could not reach with real
+//! sockets.
 //!
 //! Architecture:
 //!
@@ -21,16 +21,13 @@
 //!   shuffle ticks and Plumtree timers for all nodes.
 //! * [`Cluster`] is the application handle: a cheaply clonable reference to
 //!   the reactor thread. [`Cluster::spawn_node`] adds a node and returns
-//!   the same [`Node`] handle the threaded backend produces —
-//!   `Node::spawn` under [`TransportBackend::Reactor`](crate::node::TransportBackend)
-//!   is just a single-node cluster.
+//!   its [`Node`] handle; [`Node::spawn`] is just a single-node cluster.
 //!
-//! Failure semantics mirror the threaded transport: connect errors, broken
-//! connections, and EOF surface as `on_peer_failed`; a peer whose bounded
-//! outbound queue overflows is expelled NeEM-style (§5.5). Because the
-//! reactor keeps read interest on *outbound* connections too, a crashed
-//! peer is usually detected at EOF — earlier than the threaded backend's
-//! write-time detection.
+//! Failure semantics (§4.1, TCP as the failure detector): connect errors,
+//! broken connections, and EOF surface as `on_peer_failed`; a peer whose
+//! bounded outbound queue overflows is expelled NeEM-style (§5.5). Because
+//! the reactor keeps read interest on *outbound* connections too, a crashed
+//! peer is usually detected at EOF, before the next write to it fails.
 
 use crate::core::{NodeCore, NodeCtx, Shared};
 use crate::node::{Control, NetConfig, Node, DELIVERY_QUEUE};
@@ -91,6 +88,20 @@ impl ClusterInner {
             let _ = self.poller.notify();
         }
     }
+
+    /// Queues an application request for node `node`.
+    pub(crate) fn control(&self, node: usize, control: Control) {
+        self.send(ReactorControl::Node(node, control));
+    }
+
+    /// Removes `node` from the reactor (closing its listener and every
+    /// connection) and waits for the removal to take effect. The reactor
+    /// thread keeps running for its other nodes.
+    pub(crate) fn remove_node(&self, node: usize) {
+        let (ack_tx, ack_rx) = bounded(1);
+        self.send(ReactorControl::RemoveNode { node, ack: ack_tx });
+        let _ = ack_rx.recv_timeout(Duration::from_secs(10));
+    }
 }
 
 impl Drop for ClusterInner {
@@ -138,9 +149,6 @@ impl Cluster {
     }
 
     /// Binds `addr` (port 0 for ephemeral) and adds a node to this reactor.
-    /// The returned [`Node`] handle behaves identically to a
-    /// threaded-backend node; `config.backend` is ignored (the node runs on
-    /// *this* reactor by construction).
     ///
     /// # Errors
     ///
@@ -160,54 +168,25 @@ impl Cluster {
             listener: Box::new(listener),
             core: Box::new(core),
             shuffle_interval: config.shuffle_interval,
-            writer_queue: config.transport.writer_queue,
+            writer_queue: config.writer_queue,
             reply: reply_tx,
         });
-        let node = reply_rx.recv_timeout(Duration::from_secs(10)).map_err(|_| {
+        let index = reply_rx.recv_timeout(Duration::from_secs(10)).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::BrokenPipe, "reactor thread is gone")
         })?;
-        Ok(Node::from_reactor(
-            local,
-            delivery_rx,
+        Ok(Node {
+            addr: local,
+            deliveries: delivery_rx,
             shared,
-            ReactorNode { cluster: Arc::clone(&self.inner), node },
-        ))
+            cluster: Arc::clone(&self.inner),
+            index,
+        })
     }
 }
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster").finish_non_exhaustive()
-    }
-}
-
-/// The reactor-side half of a [`Node`] handle: a node index on a shared
-/// reactor.
-pub(crate) struct ReactorNode {
-    cluster: Arc<ClusterInner>,
-    node: usize,
-}
-
-impl ReactorNode {
-    pub(crate) fn join(&self, contact: SocketAddr) {
-        self.cluster.send(ReactorControl::Node(self.node, Control::Join(contact)));
-    }
-
-    pub(crate) fn broadcast(&self, id: u128, payload: Bytes) {
-        self.cluster.send(ReactorControl::Node(self.node, Control::Broadcast { id, payload }));
-    }
-
-    pub(crate) fn leave(&self) {
-        self.cluster.send(ReactorControl::Node(self.node, Control::Leave));
-    }
-
-    /// Removes the node from the reactor (closing its listener and every
-    /// connection) and waits for the removal to take effect. The reactor
-    /// thread keeps running for its other nodes.
-    pub(crate) fn shutdown(&self) {
-        let (ack_tx, ack_rx) = bounded(1);
-        self.cluster.send(ReactorControl::RemoveNode { node: self.node, ack: ack_tx });
-        let _ = ack_rx.recv_timeout(Duration::from_secs(10));
     }
 }
 
@@ -482,8 +461,7 @@ impl Io {
 
     /// Silently closes the outbound connection of `(node, peer)`, if any.
     /// Used when the *inbound* side already proved the peer dead, so the
-    /// stale outbound socket does not linger until its next write fails —
-    /// the reactor-side twin of the threaded transport's writer eviction.
+    /// stale outbound socket does not linger until its next write fails.
     fn drop_outbound(&mut self, node: usize, peer: SocketAddr) {
         if let Some(&key) = self.outbound.get(&(node, peer)) {
             self.close(key);
@@ -549,10 +527,9 @@ struct NodeSlot {
     shuffle_interval: Duration,
 }
 
-/// The [`NodeCtx`] of the reactor backend: frames go to the shared fd
-/// table, timers onto the shared heap. Peer failures raised by sends land
-/// in `failures` and are fed back into the same core by
-/// [`Reactor::with_core`]'s drain loop.
+/// The reactor's [`NodeCtx`]: frames go to the shared fd table, timers onto
+/// the shared heap. Peer failures raised by sends land in `failures` and
+/// are fed back into the same core by [`Reactor::with_core`]'s drain loop.
 struct ReactorCtx<'a> {
     io: &'a mut Io,
     node: usize,
@@ -734,7 +711,6 @@ impl Reactor {
                         self.with_core(node, |core, ctx| core.broadcast(id, payload, ctx))
                     }
                     Control::Leave => self.with_core(node, |core, ctx| core.leave(ctx)),
-                    Control::Shutdown => self.remove_node(node),
                 },
                 Ok(ReactorControl::RemoveNode { node, ack }) => {
                     self.remove_node(node);

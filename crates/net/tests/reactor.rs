@@ -1,22 +1,18 @@
-//! Differential tests of the two transport backends: the epoll reactor and
-//! the legacy thread-per-connection transport must be byte-compatible on
-//! the wire and deliver identical results for the same scenario. These
-//! tests pin both backends explicitly, so they exercise the same pairs
-//! regardless of which backend the `threaded-transport` feature makes the
-//! default.
+//! Transport-level tests of the epoll reactor: partial-frame resumption
+//! and protocol violations on raw connections, exact delivery sets on a
+//! small overlay, and many nodes sharing one reactor thread.
 
 use hyparview_core::Message;
 use hyparview_net::wire::{encode, Frame};
-use hyparview_net::{Cluster, NetConfig, Node, TransportBackend};
+use hyparview_net::{Cluster, NetConfig, Node};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-fn config(backend: TransportBackend) -> NetConfig {
+fn config() -> NetConfig {
     NetConfig {
         shuffle_interval: Duration::from_millis(100),
         seed: Some(7),
-        backend,
         ..NetConfig::default()
     }
 }
@@ -32,10 +28,10 @@ fn wait_until<F: FnMut() -> bool>(timeout: Duration, mut cond: F) -> bool {
     false
 }
 
-fn spawn_cluster(n: usize, backend: TransportBackend) -> Vec<Node> {
+fn spawn_cluster(n: usize) -> Vec<Node> {
     let mut nodes = Vec::with_capacity(n);
     for i in 0..n {
-        let mut cfg = config(backend);
+        let mut cfg = config();
         cfg.seed = Some(100 + i as u64);
         let node = Node::spawn("127.0.0.1:0".parse().unwrap(), cfg).expect("spawn node");
         if let Some(contact) = nodes.first() {
@@ -89,8 +85,9 @@ fn dribble(stream: &mut TcpStream, bytes: &[u8]) {
 /// byte-by-byte into a live node's listener (every header and payload
 /// boundary split) must have exactly the effect of a whole-frame write —
 /// the joiner enters the active view.
-fn dribbled_join_is_decoded(backend: TransportBackend) {
-    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config(backend)).unwrap();
+#[test]
+fn dribbled_join_is_decoded_on_reactor() {
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config()).unwrap();
     // The claimed identity must accept the node's answering connection, or
     // the failure detector would evict it again; a bound listener whose
     // backlog absorbs the connect is enough.
@@ -105,114 +102,57 @@ fn dribbled_join_is_decoded(backend: TransportBackend) {
 
     assert!(
         wait_until(Duration::from_secs(5), || node.active_view().contains(&fake)),
-        "[{backend}] dribbled Join never joined: {:?}",
+        "dribbled Join never joined: {:?}",
         node.active_view()
     );
 }
 
-#[test]
-fn dribbled_join_is_decoded_on_reactor() {
-    dribbled_join_is_decoded(TransportBackend::Reactor);
-}
-
-#[test]
-fn dribbled_join_is_decoded_on_threaded() {
-    dribbled_join_is_decoded(TransportBackend::Threaded);
-}
-
 /// Garbage before the `Hello` must not crash or wedge the node; a valid
-/// join afterwards still works on both backends.
-fn pre_hello_garbage_is_dropped(backend: TransportBackend) {
-    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config(backend)).unwrap();
+/// join afterwards still works.
+#[test]
+fn pre_hello_garbage_is_dropped_on_reactor() {
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config()).unwrap();
     {
         let mut garbage = TcpStream::connect(node.addr()).unwrap();
         // A plausible length prefix followed by junk (tag 0xFF).
         garbage.write_all(&[0, 0, 0, 4, 0xFF, 1, 2, 3]).unwrap();
         garbage.flush().unwrap();
     }
-    let peer = Node::spawn("127.0.0.1:0".parse().unwrap(), config(backend)).unwrap();
+    let peer = Node::spawn("127.0.0.1:0".parse().unwrap(), config()).unwrap();
     peer.join(node.addr());
     assert!(
         wait_until(Duration::from_secs(5), || node.active_view().contains(&peer.addr())),
-        "[{backend}] node wedged by garbage connection"
+        "node wedged by garbage connection"
     );
 }
 
+/// The smoke scenario (5 nodes, 10 round-robin broadcasts) is 100%
+/// reliable: every node's sorted delivered payloads are exactly `m-0..m-9`,
+/// no message lost, duplicated or altered.
 #[test]
-fn pre_hello_garbage_is_dropped_on_reactor() {
-    pre_hello_garbage_is_dropped(TransportBackend::Reactor);
-}
-
-#[test]
-fn pre_hello_garbage_is_dropped_on_threaded() {
-    pre_hello_garbage_is_dropped(TransportBackend::Threaded);
-}
-
-/// The two backends speak the same wire protocol: a mixed overlay (reactor
-/// node + threaded node) forms links and floods across the boundary.
-#[test]
-fn mixed_backend_overlay_interoperates() {
-    let reactor =
-        Node::spawn("127.0.0.1:0".parse().unwrap(), config(TransportBackend::Reactor)).unwrap();
-    let threaded =
-        Node::spawn("127.0.0.1:0".parse().unwrap(), config(TransportBackend::Threaded)).unwrap();
-    threaded.join(reactor.addr());
-    assert!(
-        wait_until(Duration::from_secs(5), || {
-            reactor.active_view().contains(&threaded.addr())
-                && threaded.active_view().contains(&reactor.addr())
-        }),
-        "mixed-backend link never formed: {:?} / {:?}",
-        reactor.active_view(),
-        threaded.active_view()
-    );
-
-    let id = reactor.broadcast(b"across the backend boundary".to_vec());
-    let delivery = threaded.deliveries().recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(delivery.id, id);
-    assert_eq!(delivery.payload.as_ref(), b"across the backend boundary");
-}
-
-/// Runs the same smoke scenario (5 nodes, 10 round-robin broadcasts) on one
-/// backend and returns every node's sorted delivered payload set.
-fn delivered_sets(backend: TransportBackend) -> Vec<Vec<Vec<u8>>> {
-    let nodes = spawn_cluster(5, backend);
-    assert!(
-        connect_overlay(&nodes, Duration::from_secs(10)),
-        "[{backend}] overlay never connected"
-    );
+fn every_node_delivers_exactly_the_broadcast_set() {
+    let nodes = spawn_cluster(5);
+    assert!(connect_overlay(&nodes, Duration::from_secs(10)), "overlay never connected");
     let count = 10;
     for i in 0..count {
         nodes[i % nodes.len()].broadcast(format!("m-{i}").into_bytes());
         // Pace the broadcasts so each flood completes against a settled
-        // overlay; this keeps the scenario deterministic enough to compare.
+        // overlay.
         std::thread::sleep(Duration::from_millis(30));
     }
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let mut got = Vec::new();
-            while got.len() < count {
-                match node.deliveries().recv_timeout(Duration::from_secs(5)) {
-                    Ok(d) => got.push(d.payload.to_vec()),
-                    Err(_) => panic!("[{backend}] node {i} saw {}/{count} messages", got.len()),
-                }
+    let mut expected: Vec<Vec<u8>> = (0..count).map(|i| format!("m-{i}").into_bytes()).collect();
+    expected.sort();
+    for (i, node) in nodes.iter().enumerate() {
+        let mut got = Vec::new();
+        while got.len() < count {
+            match node.deliveries().recv_timeout(Duration::from_secs(5)) {
+                Ok(d) => got.push(d.payload.to_vec()),
+                Err(_) => panic!("node {i} saw {}/{count} messages", got.len()),
             }
-            got.sort();
-            got
-        })
-        .collect()
-}
-
-/// The acceptance check of the refactor: the same cluster scenario produces
-/// *identical* delivery results on both backends (100% reliability each, so
-/// the per-node sets match element for element).
-#[test]
-fn backends_deliver_identical_results() {
-    let reactor = delivered_sets(TransportBackend::Reactor);
-    let threaded = delivered_sets(TransportBackend::Threaded);
-    assert_eq!(reactor, threaded, "backends disagree on delivered message sets");
+        }
+        got.sort();
+        assert_eq!(got, expected, "node {i} delivered a different set");
+    }
 }
 
 /// Many nodes on ONE shared reactor (the `Cluster` runtime proper, not the
@@ -224,7 +164,7 @@ fn shared_cluster_floods_all_nodes() {
     let n = 20;
     let mut nodes: Vec<Node> = Vec::with_capacity(n);
     for i in 0..n {
-        let mut cfg = config(TransportBackend::Reactor);
+        let mut cfg = config();
         cfg.seed = Some(900 + i as u64);
         let node = cluster.spawn_node("127.0.0.1:0".parse().unwrap(), cfg).unwrap();
         if let Some(contact) = nodes.first() {
@@ -255,7 +195,7 @@ fn shared_cluster_survives_node_removal() {
     let cluster = Cluster::new().unwrap();
     let mut nodes: Vec<Node> = Vec::new();
     for i in 0..5 {
-        let mut cfg = config(TransportBackend::Reactor);
+        let mut cfg = config();
         cfg.seed = Some(300 + i as u64);
         let node = cluster.spawn_node("127.0.0.1:0".parse().unwrap(), cfg).unwrap();
         if let Some(contact) = nodes.first() {

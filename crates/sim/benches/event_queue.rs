@@ -1,10 +1,9 @@
-//! Micro-benchmarks of the event-queue backends: the bucket calendar queue
-//! vs the original `BinaryHeap`, across the latency distributions the
-//! simulator actually schedules under.
+//! Micro-benchmarks of the bucket calendar event queue across the latency
+//! distributions the simulator actually schedules under.
 //!
 //! * `unit` — every event lands exactly one tick ahead (the paper's
-//!   PeerSim model and the simulator's hot path): bucket pops are O(1)
-//!   `VecDeque` operations, heap pops pay the full sift.
+//!   PeerSim model and the simulator's hot path): pops are O(1) `VecDeque`
+//!   operations.
 //! * `uniform` — per-message jitter in `[1, 16]`.
 //! * `lognormal_tail` — heavy-tailed draws (median 3, σ = 0.7, cap 96):
 //!   a fraction of events overflow the bucket ring's window and must fold
@@ -17,12 +16,12 @@
 //! `fig2_wave` is the one case at the paper's scale: ~25,000 events per
 //! tick for 300 ticks with 96-byte payloads, the shape of one Fig. 2
 //! broadcast sequence at n = 10,000. The 4,096-event cases never leave the
-//! cache and sweep a fraction of the ring; only this one shows what a
-//! backend costs in memory touched once the cursor has passed every bucket.
+//! cache and sweep a fraction of the ring; only this one shows what the
+//! queue costs in memory touched once the cursor has passed every bucket.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hyparview_core::SimId;
-use hyparview_sim::{EventQueue, LatencyModel, QueueBackend};
+use hyparview_sim::{EventQueue, LatencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,8 +40,8 @@ fn distributions() -> Vec<(&'static str, LatencyModel)> {
 /// Builds a queue holding one broadcast wave: `QUEUE_SIZE` events all
 /// scheduled `latency` past the same instant — under unit latency they
 /// crowd into a single tick, exactly the shape a drain sees.
-fn filled(backend: QueueBackend, model: LatencyModel) -> EventQueue<u64> {
-    let mut queue = EventQueue::with_backend(backend);
+fn filled(model: LatencyModel) -> EventQueue<u64> {
+    let mut queue = EventQueue::new();
     let mut rng = StdRng::seed_from_u64(7);
     for i in 0..QUEUE_SIZE as u64 {
         queue.push(model.sample(&mut rng), SimId::new(0), SimId::new(1), i);
@@ -54,25 +53,19 @@ fn bench_pop(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_pop");
     group.sample_size(30);
     for (label, model) in distributions() {
-        for backend in [QueueBackend::Bucket, QueueBackend::Heap] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{label}/{backend:?}"), QUEUE_SIZE),
-                &model,
-                |b, &model| {
-                    b.iter_batched(
-                        || filled(backend, model),
-                        |mut queue| {
-                            let mut sum = 0u64;
-                            while let Some(event) = queue.pop() {
-                                sum = sum.wrapping_add(event.time);
-                            }
-                            sum
-                        },
-                        BatchSize::LargeInput,
-                    )
+        group.bench_with_input(BenchmarkId::new(label, QUEUE_SIZE), &model, |b, &model| {
+            b.iter_batched(
+                || filled(model),
+                |mut queue| {
+                    let mut sum = 0u64;
+                    while let Some(event) = queue.pop() {
+                        sum = sum.wrapping_add(event.time);
+                    }
+                    sum
                 },
-            );
-        }
+                BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }
@@ -81,34 +74,28 @@ fn bench_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_cycle");
     group.sample_size(30);
     for (label, model) in distributions() {
-        for backend in [QueueBackend::Bucket, QueueBackend::Heap] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{label}/{backend:?}"), CYCLE_OPS),
-                &model,
-                |b, &model| {
-                    b.iter_batched(
-                        || (filled(backend, model), StdRng::seed_from_u64(11)),
-                        |(mut queue, mut rng)| {
-                            // Steady state: every pop schedules a successor,
-                            // exactly like a broadcast wave.
-                            let mut sum = 0u64;
-                            for _ in 0..CYCLE_OPS {
-                                let event = queue.pop().expect("steady state");
-                                sum = sum.wrapping_add(event.time);
-                                queue.push(
-                                    event.time + model.sample(&mut rng),
-                                    event.from,
-                                    event.to,
-                                    event.payload,
-                                );
-                            }
-                            black_box(sum)
-                        },
-                        BatchSize::LargeInput,
-                    )
+        group.bench_with_input(BenchmarkId::new(label, CYCLE_OPS), &model, |b, &model| {
+            b.iter_batched(
+                || (filled(model), StdRng::seed_from_u64(11)),
+                |(mut queue, mut rng)| {
+                    // Steady state: every pop schedules a successor,
+                    // exactly like a broadcast wave.
+                    let mut sum = 0u64;
+                    for _ in 0..CYCLE_OPS {
+                        let event = queue.pop().expect("steady state");
+                        sum = sum.wrapping_add(event.time);
+                        queue.push(
+                            event.time + model.sample(&mut rng),
+                            event.from,
+                            event.to,
+                            event.payload,
+                        );
+                    }
+                    black_box(sum)
                 },
-            );
-        }
+                BatchSize::LargeInput,
+            )
+        });
     }
     group.finish();
 }
@@ -119,28 +106,26 @@ const FIG2_TICKS: usize = 300;
 fn bench_fig2_wave(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_fig2_wave");
     group.sample_size(5);
-    for backend in [QueueBackend::Bucket, QueueBackend::Heap] {
-        group.bench_function(BenchmarkId::new(format!("unit/{backend:?}"), FIG2_WAVE), |b| {
-            // A fresh queue per iteration: first-touch page faults of
-            // whatever storage the backend retains are part of the cost.
-            b.iter_batched(
-                || EventQueue::<[u128; 6]>::with_backend(backend),
-                |mut queue| {
-                    for i in 0..FIG2_WAVE {
-                        queue.push(1, SimId::new(0), SimId::new(1), [i as u128; 6]);
-                    }
-                    let mut sum = 0u64;
-                    for _ in 0..FIG2_WAVE * FIG2_TICKS {
-                        let event = queue.pop().expect("steady state");
-                        sum = sum.wrapping_add(event.time);
-                        queue.push(event.time + 1, event.from, event.to, event.payload);
-                    }
-                    black_box(sum)
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    group.bench_function(BenchmarkId::new("unit", FIG2_WAVE), |b| {
+        // A fresh queue per iteration: first-touch page faults of whatever
+        // storage the queue retains are part of the cost.
+        b.iter_batched(
+            EventQueue::<[u128; 6]>::new,
+            |mut queue| {
+                for i in 0..FIG2_WAVE {
+                    queue.push(1, SimId::new(0), SimId::new(1), [i as u128; 6]);
+                }
+                let mut sum = 0u64;
+                for _ in 0..FIG2_WAVE * FIG2_TICKS {
+                    let event = queue.pop().expect("steady state");
+                    sum = sum.wrapping_add(event.time);
+                    queue.push(event.time + 1, event.from, event.to, event.payload);
+                }
+                black_box(sum)
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

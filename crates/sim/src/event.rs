@@ -5,24 +5,17 @@
 //! the scenario seed — a property the experiments rely on and the property
 //! tests verify.
 //!
-//! Two interchangeable backends implement that total order:
+//! The queue is a hierarchical calendar queue: a ring of per-tick FIFO
+//! buckets covers the near future, a sorted overflow heap holds the latency
+//! tail. The simulator's hot path is unit latency (every event lands one
+//! tick ahead), where a push is an O(1) `VecDeque::push_back` and a pop an
+//! O(1) `pop_front` — FIFO order within a tick holds *by construction*
+//! instead of by comparison. An empty bucket other than the cursor's owns
+//! no storage: buffers travel with the populated ticks (two under unit
+//! latency) instead of staying behind in every bucket the cursor has swept.
 //!
-//! * [`QueueBackend::Bucket`] (the default) — a hierarchical calendar
-//!   queue: a ring of per-tick FIFO buckets covers the near future, a
-//!   sorted overflow heap holds the latency tail. The simulator's hot path
-//!   is unit latency (every event lands one tick ahead), where a push is an
-//!   O(1) `VecDeque::push_back` and a pop an O(1) `pop_front` — FIFO order
-//!   within a tick holds *by construction* instead of by comparison.
-//!   An empty bucket other than the cursor's owns no storage: buffers
-//!   travel with the populated ticks (two under unit latency) instead of
-//!   staying behind in every bucket the cursor has swept.
-//! * [`QueueBackend::Heap`] — the original `BinaryHeap`, kept for
-//!   differential testing and as an escape hatch (`heap-queue` feature
-//!   flips the default). Every operation pays `O(log n)` plus the heap
-//!   shuffle, even when all events live in the very next tick.
-//!
-//! Both backends pop the exact same `(time, seq)` order; the property tests
-//! drive them with identical random workloads and compare pop-by-pop.
+//! The property tests drive it with random workloads and compare pop-by-pop
+//! against a `BinaryHeap` reference model of the `(time, seq)` order.
 
 use hyparview_core::SimId;
 use std::cmp::Ordering;
@@ -59,31 +52,9 @@ impl<P> PartialOrd for Scheduled<P> {
 
 impl<P> Ord for Scheduled<P> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so that the BinaryHeap (a max-heap) pops the earliest
-        // (time, seq) first.
+        // Reverse so that the overdue/overflow heaps (max-heaps) pop the
+        // earliest (time, seq) first.
         other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueBackend {
-    /// Ring of per-tick FIFO buckets + sorted overflow for the tail.
-    Bucket,
-    /// The original binary min-heap.
-    Heap,
-}
-
-impl Default for QueueBackend {
-    /// [`QueueBackend::Bucket`] unless the `heap-queue` feature is enabled
-    /// — the cfg escape hatch that runs the *entire* test suite over the
-    /// old heap for differential coverage.
-    fn default() -> Self {
-        if cfg!(feature = "heap-queue") {
-            QueueBackend::Heap
-        } else {
-            QueueBackend::Bucket
-        }
     }
 }
 
@@ -94,7 +65,7 @@ impl Default for QueueBackend {
 /// constants, never correctness.
 const RING: usize = 256;
 
-/// Calendar-queue backend: bucket `time % RING` holds the events of tick
+/// The calendar ring: bucket `time % RING` holds the events of tick
 /// `time` while `cursor ≤ time < cursor + RING`.
 ///
 /// Invariants:
@@ -215,74 +186,41 @@ impl<P> BucketRing<P> {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Backend<P> {
-    Bucket(BucketRing<P>),
-    Heap(BinaryHeap<Scheduled<P>>),
-}
-
 /// A queue of [`Scheduled`] events popped in `(time, seq)` order, with
 /// FIFO tie-breaking at equal times.
 #[derive(Debug, Clone)]
 pub struct EventQueue<P> {
-    backend: Backend<P>,
+    ring: BucketRing<P>,
     next_seq: u64,
 }
 
 impl<P> Default for EventQueue<P> {
     fn default() -> Self {
-        EventQueue::with_backend(QueueBackend::default())
+        EventQueue { ring: BucketRing::new(), next_seq: 0 }
     }
 }
 
 impl<P> EventQueue<P> {
-    /// Creates an empty queue on the default backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let backend = match backend {
-            QueueBackend::Bucket => Backend::Bucket(BucketRing::new()),
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-        };
-        EventQueue { backend, next_seq: 0 }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Bucket(_) => QueueBackend::Bucket,
-            Backend::Heap(_) => QueueBackend::Heap,
-        }
     }
 
     /// Schedules `payload` from `from` to `to` at absolute `time`.
     pub fn push(&mut self, time: u64, from: SimId, to: SimId, payload: P) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let event = Scheduled { time, seq, to, from, payload };
-        match &mut self.backend {
-            Backend::Bucket(ring) => ring.push(event),
-            Backend::Heap(heap) => heap.push(event),
-        }
+        self.ring.push(Scheduled { time, seq, to, from, payload });
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<Scheduled<P>> {
-        match &mut self.backend {
-            Backend::Bucket(ring) => ring.pop(),
-            Backend::Heap(heap) => heap.pop(),
-        }
+        self.ring.pop()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Bucket(ring) => ring.len(),
-            Backend::Heap(heap) => heap.len(),
-        }
+        self.ring.len()
     }
 
     /// Returns `true` when no events are pending.
@@ -292,19 +230,14 @@ impl<P> EventQueue<P> {
 
     /// Discards all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Bucket(ring) => ring.clear(),
-            Backend::Heap(heap) => heap.clear(),
-        }
+        self.ring.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Both backends, so every case below runs against each.
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Bucket, QueueBackend::Heap];
+    use std::cmp::Reverse;
 
     fn id(i: usize) -> SimId {
         SimId::new(i)
@@ -312,106 +245,90 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<&'static str> = EventQueue::with_backend(backend);
-            q.push(5, id(0), id(1), "late");
-            q.push(1, id(0), id(1), "early");
-            q.push(3, id(0), id(1), "middle");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-            assert_eq!(order, vec!["early", "middle", "late"], "{backend:?}");
-        }
+        let mut q: EventQueue<&'static str> = EventQueue::new();
+        q.push(5, id(0), id(1), "late");
+        q.push(1, id(0), id(1), "early");
+        q.push(3, id(0), id(1), "middle");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, vec!["early", "middle", "late"]);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<u32> = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.push(7, id(0), id(1), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{backend:?}");
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..100 {
+            q.push(7, id(0), id(1), i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn mixed_times_and_sequences() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<(u64, u32)> = EventQueue::with_backend(backend);
-            q.push(2, id(0), id(1), (2, 0));
-            q.push(1, id(0), id(1), (1, 0));
-            q.push(2, id(0), id(1), (2, 1));
-            q.push(1, id(0), id(1), (1, 1));
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-            assert_eq!(order, vec![(1, 0), (1, 1), (2, 0), (2, 1)], "{backend:?}");
-        }
+        let mut q: EventQueue<(u64, u32)> = EventQueue::new();
+        q.push(2, id(0), id(1), (2, 0));
+        q.push(1, id(0), id(1), (1, 0));
+        q.push(2, id(0), id(1), (2, 1));
+        q.push(1, id(0), id(1), (1, 1));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
     }
 
     #[test]
     fn len_and_clear() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<u8> = EventQueue::with_backend(backend);
-            assert!(q.is_empty());
-            q.push(0, id(0), id(1), 1);
-            q.push(0, id(0), id(1), 2);
-            q.push(RING as u64 * 3, id(0), id(1), 3); // overflow territory
-            assert_eq!(q.len(), 3, "{backend:?}");
-            q.clear();
-            assert!(q.is_empty(), "{backend:?}");
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(q.is_empty());
+        q.push(0, id(0), id(1), 1);
+        q.push(0, id(0), id(1), 2);
+        q.push(RING as u64 * 3, id(0), id(1), 3); // overflow territory
+        assert_eq!(q.len(), 3);
+        q.clear();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn carries_sender_and_receiver() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<u8> = EventQueue::with_backend(backend);
-            q.push(0, id(3), id(9), 1);
-            let e = q.pop().unwrap();
-            assert_eq!(e.from, id(3));
-            assert_eq!(e.to, id(9));
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push(0, id(3), id(9), 1);
+        let e = q.pop().unwrap();
+        assert_eq!(e.from, id(3));
+        assert_eq!(e.to, id(9));
     }
 
     #[test]
     fn overflow_events_fold_back_into_the_ring() {
-        // Times far beyond the ring window: the bucket queue must park
-        // them in the overflow and recover the exact global order.
-        let mut bucket: EventQueue<usize> = EventQueue::with_backend(QueueBackend::Bucket);
-        let mut heap: EventQueue<usize> = EventQueue::with_backend(QueueBackend::Heap);
+        // Times far beyond the ring window: the queue must park them in the
+        // overflow and recover the exact global order of the reference
+        // model, a min-heap over `(time, seq, payload)`.
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut model = BinaryHeap::new();
         let times = [0u64, 1, RING as u64, RING as u64 * 5 + 3, 2, RING as u64, 1, 40_000];
         for (i, &t) in times.iter().enumerate() {
-            bucket.push(t, id(0), id(1), i);
-            heap.push(t, id(0), id(1), i);
+            q.push(t, id(0), id(1), i);
+            model.push(Reverse((t, i as u64, i)));
         }
-        loop {
-            let (b, h) = (bucket.pop(), heap.pop());
-            match (&b, &h) {
-                (Some(b), Some(h)) => {
-                    assert_eq!((b.time, b.seq, b.payload), (h.time, h.seq, h.payload));
-                }
-                (None, None) => break,
-                _ => panic!("backends disagree on length"),
-            }
+        while let Some(Reverse(expected)) = model.pop() {
+            let e = q.pop().expect("queue ran dry before the model");
+            assert_eq!((e.time, e.seq, e.payload), expected);
         }
+        assert!(q.pop().is_none(), "queue holds more events than the model");
     }
 
     #[test]
     fn interleaved_push_pop_advances_the_window() {
         // Unit-latency pattern: every pop schedules a successor one tick
         // later, sliding the cursor far past the initial window.
-        for backend in BACKENDS {
-            let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-            q.push(1, id(0), id(1), 0);
-            let mut last_time = 0;
-            for _ in 0..(RING * 4) {
-                let e = q.pop().expect("event pending");
-                assert!(e.time >= last_time, "{backend:?}");
-                last_time = e.time;
-                q.push(e.time + 1, id(0), id(1), e.payload + 1);
-            }
-            assert_eq!(q.len(), 1);
-            assert!(last_time >= RING as u64 * 3, "cursor must slide: {last_time}");
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.push(1, id(0), id(1), 0);
+        let mut last_time = 0;
+        for _ in 0..(RING * 4) {
+            let e = q.pop().expect("event pending");
+            assert!(e.time >= last_time);
+            last_time = e.time;
+            q.push(e.time + 1, id(0), id(1), e.payload + 1);
         }
+        assert_eq!(q.len(), 1);
+        assert!(last_time >= RING as u64 * 3, "cursor must slide: {last_time}");
     }
 
     #[test]
@@ -421,7 +338,7 @@ mod tests {
         // the whole ring. Buffers must travel with the window; a ring whose
         // buckets each keep their high-water capacity retains RING waves.
         const WAVE: usize = 20_000;
-        let mut q: EventQueue<usize> = EventQueue::with_backend(QueueBackend::Bucket);
+        let mut q: EventQueue<usize> = EventQueue::new();
         for i in 0..WAVE {
             q.push(1, id(0), id(1), i);
         }
@@ -430,20 +347,13 @@ mod tests {
             q.push(e.time + 1, e.from, e.to, e.payload);
         }
         assert_eq!(q.len(), WAVE);
-        assert!(ring_of(&q).cursor > RING as u64, "the cursor must have swept every bucket");
+        assert!(q.ring.cursor > RING as u64, "the cursor must have swept every bucket");
         // Two buffers, each grown by doubling to at most 2 × WAVE slots.
-        let retained = retained_capacity(ring_of(&q));
+        let retained = retained_capacity(&q.ring);
         assert!(retained <= 4 * WAVE, "{retained} event slots retained for waves of {WAVE}");
         q.clear();
-        assert!(ring_of(&q).buckets.iter().all(|b| b.capacity() == 0), "clear() recycles too");
-        assert!(retained_capacity(ring_of(&q)) <= 4 * WAVE);
-    }
-
-    fn ring_of<P>(q: &EventQueue<P>) -> &BucketRing<P> {
-        match &q.backend {
-            Backend::Bucket(ring) => ring,
-            Backend::Heap(_) => unreachable!("bucket backend requested"),
-        }
+        assert!(q.ring.buckets.iter().all(|b| b.capacity() == 0), "clear() recycles too");
+        assert!(retained_capacity(&q.ring) <= 4 * WAVE);
     }
 
     /// Event slots allocated over all buckets and the free list.
@@ -456,23 +366,13 @@ mod tests {
         // Push an event *earlier* than an already-popped time. The
         // simulator never does this (latency ≥ 1), but the structure must
         // stay exact: past events pop before everything pending.
-        for backend in BACKENDS {
-            let mut q: EventQueue<&'static str> = EventQueue::with_backend(backend);
-            q.push(10, id(0), id(1), "ten");
-            q.push(11, id(0), id(1), "eleven");
-            assert_eq!(q.pop().unwrap().payload, "ten");
-            q.push(3, id(0), id(1), "three");
-            q.push(2, id(0), id(1), "two");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-            assert_eq!(order, vec!["two", "three", "eleven"], "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn default_backend_honors_the_feature_flag() {
-        let q: EventQueue<u8> = EventQueue::new();
-        let expected =
-            if cfg!(feature = "heap-queue") { QueueBackend::Heap } else { QueueBackend::Bucket };
-        assert_eq!(q.backend(), expected);
+        let mut q: EventQueue<&'static str> = EventQueue::new();
+        q.push(10, id(0), id(1), "ten");
+        q.push(11, id(0), id(1), "eleven");
+        assert_eq!(q.pop().unwrap().payload, "ten");
+        q.push(3, id(0), id(1), "three");
+        q.push(2, id(0), id(1), "two");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, vec!["two", "three", "eleven"]);
     }
 }

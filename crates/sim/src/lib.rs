@@ -28,7 +28,7 @@ pub mod sim;
 pub use any::{AnySim, ProtocolConfigs};
 pub use attack::AttackPlan;
 pub use churn::{run_churn, ChurnEpoch, ChurnPlan, ChurnReport};
-pub use event::{EventQueue, QueueBackend, Scheduled};
+pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultOp, FaultOpKind, FaultPlan};
 pub use hyparview_gossip::{AttackerModel, AttackerRole, MembershipEvent};
 pub use hyparview_plumtree::{BroadcastMode, PlumtreeConfig, PlumtreeStats, PlumtreeTimer};

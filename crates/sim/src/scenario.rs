@@ -89,13 +89,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the event-queue backend (bucket calendar queue by default;
-    /// the heap backend exists for differential testing).
-    pub fn with_queue_backend(mut self, queue: crate::event::QueueBackend) -> Self {
-        self.sim_config.queue = queue;
-        self
-    }
-
     /// Sets the network fault plan (per-link loss, duplication, timed
     /// partition/heal ops) — deterministic per scenario seed.
     pub fn with_faults(mut self, faults: crate::fault::FaultPlan) -> Self {

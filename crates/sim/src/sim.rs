@@ -14,7 +14,7 @@
 //! * everything is deterministic given the scenario seed.
 
 use crate::attack::AttackPlan;
-use crate::event::{EventQueue, QueueBackend};
+use crate::event::EventQueue;
 use crate::fault::{mix_fault, unit_draw, FaultOp, FaultOpKind, FaultPlan};
 use hyparview_core::SimId;
 use hyparview_gossip::{BroadcastReport, Membership, MembershipEvent, Outbox};
@@ -208,11 +208,6 @@ pub struct SimConfig {
     /// [`PlumtreeConfig::with_timeouts_for_max_latency`]) or healthy deep
     /// trees trigger spurious `Graft`s.
     pub plumtree: PlumtreeConfig,
-    /// Event-queue backend. Both backends pop the identical `(time, seq)`
-    /// order; [`QueueBackend::Bucket`] makes the unit-latency hot path
-    /// O(1), [`QueueBackend::Heap`] is the original heap kept for
-    /// differential testing.
-    pub queue: QueueBackend,
     /// Deterministic network fault injection (loss / duplication / timed
     /// partitions). The default plan is inert and costs nothing.
     pub faults: FaultPlan,
@@ -232,7 +227,6 @@ impl Default for SimConfig {
             retry_failed_gossip: false,
             broadcast_mode: BroadcastMode::Flood,
             plumtree: PlumtreeConfig::default(),
-            queue: QueueBackend::default(),
             faults: FaultPlan::default(),
             attack: AttackPlan::default(),
         }
@@ -267,12 +261,6 @@ impl SimConfig {
     /// Sets the Plumtree parameters.
     pub fn with_plumtree(mut self, config: PlumtreeConfig) -> Self {
         self.plumtree = config;
-        self
-    }
-
-    /// Selects the event-queue backend.
-    pub fn with_queue_backend(mut self, queue: QueueBackend) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -671,7 +659,7 @@ impl<M: Membership<SimId>> Sim<M> {
     where
         F: FnMut(SimId, u64) -> M + 'static,
     {
-        let queue = EventQueue::with_backend(config.queue);
+        let queue = EventQueue::new();
         let mut metrics = Registry::new();
         let counters = SimCounters::register(&mut metrics);
         let mut fault_ops = config.faults.ops.clone();

@@ -173,7 +173,7 @@ proptest! {
     }
 
     /// The bucket calendar queue pops the exact `(time, seq)` total order
-    /// of the heap baseline under random interleaved workloads: bursts of
+    /// of a `BinaryHeap` reference model under random interleaved workloads: bursts of
     /// pushes at randomly spread times (near-future, tied, far beyond the
     /// bucket ring's window, already past) alternating with partial
     /// drains, full drains followed by far-only pushes (the empty-ring
@@ -186,29 +186,35 @@ proptest! {
         rounds in 1usize..24,
     ) {
         use hyparview_core::SimId;
-        use hyparview_sim::{EventQueue, QueueBackend};
+        use hyparview_sim::EventQueue;
         use rand::Rng;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
 
-        /// Pops both queues and returns the agreed event time.
+        /// The reference model: a min-heap over `(time, seq, payload)`.
+        type Model = BinaryHeap<Reverse<(u64, u64, u64)>>;
+
+        /// Pops the queue and the model and returns the agreed event time.
         fn pop_both(
-            bucket: &mut EventQueue<u64>,
-            heap: &mut EventQueue<u64>,
+            queue: &mut EventQueue<u64>,
+            model: &mut Model,
         ) -> Result<Option<u64>, TestCaseError> {
-            match (bucket.pop(), heap.pop()) {
-                (Some(b), Some(h)) => {
-                    prop_assert_eq!((b.time, b.seq, b.payload), (h.time, h.seq, h.payload));
-                    Ok(Some(b.time))
+            match (queue.pop(), model.pop()) {
+                (Some(e), Some(Reverse(expected))) => {
+                    prop_assert_eq!((e.time, e.seq, e.payload), expected);
+                    Ok(Some(e.time))
                 }
                 (None, None) => Ok(None),
-                _ => Err(TestCaseError::fail("one backend ran dry early")),
+                _ => Err(TestCaseError::fail("queue and model disagree on length")),
             }
         }
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut bucket: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Bucket);
-        let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
-        prop_assert_ne!(bucket.backend(), heap.backend());
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = Model::new();
         let mut now = 0u64;
+        // The queue numbers its pushes from 0 and `clear()` does not reset
+        // the count, so the payload doubles as the expected `seq`.
         let mut payload = 0u64;
         for _ in 0..rounds {
             let round = rng.gen_range(0u32..10);
@@ -216,13 +222,13 @@ proptest! {
                 // An empty ring: the far-only pushes below make the next
                 // pop jump the cursor instead of sweeping.
                 7 => {
-                    while let Some(time) = pop_both(&mut bucket, &mut heap)? {
+                    while let Some(time) = pop_both(&mut queue, &mut model)? {
                         now = time;
                     }
                 }
                 8 => {
-                    bucket.clear();
-                    heap.clear();
+                    queue.clear();
+                    model.clear();
                 }
                 _ => {}
             }
@@ -237,45 +243,21 @@ proptest! {
                     (_, 8) => now + rng.gen_range(1u64..300),
                     _ => now + rng.gen_range(1u64..5_000),
                 };
-                let (from, to) = (SimId::new(0), SimId::new(1));
-                bucket.push(time, from, to, payload);
-                heap.push(time, from, to, payload);
+                queue.push(time, SimId::new(0), SimId::new(1), payload);
+                model.push(Reverse((time, payload, payload)));
                 payload += 1;
             }
-            prop_assert_eq!(bucket.len(), heap.len());
+            prop_assert_eq!(queue.len(), model.len());
             for _ in 0..rng.gen_range(0..120) {
-                match pop_both(&mut bucket, &mut heap)? {
+                match pop_both(&mut queue, &mut model)? {
                     Some(time) => now = time,
                     None => break,
                 }
             }
         }
         // Full drain: the remaining orders must agree event for event.
-        while pop_both(&mut bucket, &mut heap)?.is_some() {}
-        prop_assert!(bucket.is_empty() && heap.is_empty());
-    }
-
-    /// A full simulation (overlay build, cycles, crash, broadcast) is
-    /// backend-invariant: both queues produce the identical report and
-    /// simulator statistics.
-    #[test]
-    fn simulation_is_queue_backend_invariant(
-        seed in any::<u64>(),
-        n in 20usize..70,
-        failure in 0.0f64..0.6,
-    ) {
-        use hyparview_sim::QueueBackend;
-        let run = |backend| {
-            let scenario = Scenario::new(n, seed)
-                .with_latency(Latency::uniform(1, 9))
-                .with_queue_backend(backend);
-            let mut sim = build_hyparview(&scenario, Config::default());
-            sim.run_cycles(2);
-            sim.fail_fraction(failure);
-            let report = sim.broadcast_from(sim.alive_ids()[0]);
-            (report, sim.stats())
-        };
-        prop_assert_eq!(run(QueueBackend::Bucket), run(QueueBackend::Heap));
+        while pop_both(&mut queue, &mut model)?.is_some() {}
+        prop_assert!(queue.is_empty() && model.is_empty());
     }
 
     /// Fault injection is a pure function of the scenario seed: the same
