@@ -120,7 +120,9 @@ fn main() -> std::io::Result<()> {
                 }
             }
             text => {
-                node.broadcast(text.as_bytes().to_vec());
+                if let Err(e) = node.try_broadcast(text.as_bytes().to_vec()) {
+                    println!("not sent: {e}");
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! identical frames out, regardless of which I/O shell carried them.
 
 use crate::node::NetConfig;
-use crate::wire::Frame;
+use crate::wire::{encode, Frame};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use hyparview_core::{Action, Actions, HyParView, Message, RecentSet};
@@ -114,9 +114,10 @@ pub(crate) struct Shared {
 /// graceful connection teardown, timer arming. Implemented by the
 /// reactor's `ReactorCtx` (shared epoll loop).
 pub(crate) trait NodeCtx {
-    /// Ships `frame` to `to`, opening a connection lazily. Failures are
-    /// asynchronous: they come back as an `on_peer_failed` call.
-    fn send_frame(&mut self, to: SocketAddr, frame: &Frame);
+    /// Ships one encoded frame to `to`, opening a connection lazily.
+    /// Failures are asynchronous: they come back as an `on_peer_failed`
+    /// call.
+    fn send_frame(&mut self, to: SocketAddr, frame: Bytes);
     /// Drops the outbound connection to `peer` (after flushing queued
     /// frames) without reporting a failure.
     fn disconnect(&mut self, peer: SocketAddr);
@@ -276,10 +277,8 @@ impl NodeCore {
                 let _ = self.delivery_tx.try_send(Delivery { id, hops, payload: payload.clone() });
                 // Eager flood: forward to the whole active view except the
                 // sender (§4.1.ii).
-                let frame = Frame::Gossip { id, hops: hops + 1, payload };
-                for peer in self.protocol.broadcast_targets(Some(from)) {
-                    self.send(peer, &frame, ctx);
-                }
+                let targets = self.protocol.broadcast_targets(Some(from));
+                self.send_to_all(&targets, &Frame::Gossip { id, hops: hops + 1, payload }, ctx);
             }
             Frame::PlumtreeGossip { id, round, payload } => {
                 self.on_plumtree(from, PlumtreeMessage::Gossip { id, round, payload }, ctx);
@@ -312,10 +311,8 @@ impl NodeCore {
                 self.trace_event(TraceKind::Delivered { msg: id as u64, hops: 0 });
                 let _ =
                     self.delivery_tx.try_send(Delivery { id, hops: 0, payload: payload.clone() });
-                let frame = Frame::Gossip { id, hops: 1, payload };
-                for peer in self.protocol.broadcast_targets(None) {
-                    self.send(peer, &frame, ctx);
-                }
+                let targets = self.protocol.broadcast_targets(None);
+                self.send_to_all(&targets, &Frame::Gossip { id, hops: 1, payload }, ctx);
             }
             Broadcaster::Plumtree { state, out, .. } => {
                 let mut out = std::mem::take(out);
@@ -381,6 +378,9 @@ impl NodeCore {
     /// timer requests to the runtime; the drained buffer goes back into the
     /// broadcaster for the next step.
     fn apply_plumtree(&mut self, mut out: PlumtreeOut<SocketAddr, Bytes>, ctx: &mut dyn NodeCtx) {
+        // An eager push is the same bytes on every tree link: the encoding
+        // of the last `(id, round)` pushed is kept and shared.
+        let mut pushed: Option<((u128, u32), Bytes)> = None;
         for (to, message) in out.outbox.drain() {
             match &message {
                 PlumtreeMessage::Graft { id, .. } => {
@@ -393,7 +393,19 @@ impl NodeCore {
                 _ => {}
             }
             let frame = plumtree_frame(message);
-            self.send(to, &frame, ctx);
+            self.count_sent(&frame);
+            let push = match &frame {
+                Frame::PlumtreeGossip { id, round, .. } => Some((*id, *round)),
+                _ => None,
+            };
+            let bytes = match &pushed {
+                Some((key, bytes)) if push == Some(*key) => bytes.clone(),
+                _ => encode(&frame),
+            };
+            if let Some(key) = push {
+                pushed = Some((key, bytes.clone()));
+            }
+            ctx.send_frame(to, bytes);
         }
         for delivery in out.deliveries.drain(..) {
             self.metrics.inc(self.counters.deliveries);
@@ -415,8 +427,27 @@ impl NodeCore {
         *slot = out;
     }
 
-    /// Counts and ships one outgoing frame.
+    /// Counts, encodes and ships one outgoing frame.
     fn send(&mut self, to: SocketAddr, frame: &Frame, ctx: &mut dyn NodeCtx) {
+        self.count_sent(frame);
+        ctx.send_frame(to, encode(frame));
+    }
+
+    /// Ships `frame` to every peer of `targets`, encoded once: the
+    /// out-queues share one buffer by reference count.
+    fn send_to_all(&mut self, targets: &[SocketAddr], frame: &Frame, ctx: &mut dyn NodeCtx) {
+        if targets.is_empty() {
+            return;
+        }
+        let bytes = encode(frame);
+        for &to in targets {
+            self.count_sent(frame);
+            ctx.send_frame(to, bytes.clone());
+        }
+    }
+
+    /// Counts one outgoing frame by kind.
+    fn count_sent(&mut self, frame: &Frame) {
         self.metrics.inc(self.counters.frames_sent);
         match frame {
             Frame::Gossip { .. } | Frame::PlumtreeGossip { .. } => {
@@ -429,7 +460,6 @@ impl NodeCore {
             }
             _ => {}
         }
-        ctx.send_frame(to, frame);
     }
 
     fn execute(&mut self, actions: &mut Actions<SocketAddr>, ctx: &mut dyn NodeCtx) {
@@ -509,11 +539,13 @@ impl NodeCore {
             state.stats().fill_registry(&mut self.metrics);
         }
         let mut shared = self.shared.lock();
-        shared.active = self.protocol.active_view().to_vec();
-        shared.passive = self.protocol.passive_view().to_vec();
+        // `clone_into` refills the snapshots in place: no allocation once
+        // they have grown to the view sizes.
+        self.protocol.active_view().as_slice().clone_into(&mut shared.active);
+        self.protocol.passive_view().as_slice().clone_into(&mut shared.passive);
         if let Broadcaster::Plumtree { state, .. } = &self.broadcaster {
-            shared.eager = state.eager_peers();
-            shared.lazy = state.lazy_peers();
+            state.eager().clone_into(&mut shared.eager);
+            state.lazy().clone_into(&mut shared.lazy);
         }
         shared.stats = self.stats_snapshot();
         if shared.metrics.names().len() == self.metrics.names().len() {
@@ -542,5 +574,110 @@ fn plumtree_frame(message: PlumtreeMessage<Bytes>) -> Frame {
         }
         PlumtreeMessage::Graft { id, round } => Frame::PlumtreeGraft { id, round },
         PlumtreeMessage::Prune => Frame::PlumtreePrune,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::FrameReader;
+    use crossbeam::channel::bounded;
+    use hyparview_plumtree::PlumtreeConfig;
+
+    /// A [`NodeCtx`] that keeps what the core hands it.
+    #[derive(Default)]
+    struct Recorder {
+        sent: Vec<(SocketAddr, Bytes)>,
+    }
+
+    impl NodeCtx for Recorder {
+        fn send_frame(&mut self, to: SocketAddr, frame: Bytes) {
+            self.sent.push((to, frame));
+        }
+        fn disconnect(&mut self, _peer: SocketAddr) {}
+        fn schedule(&mut self, _timer: PlumtreeTimer, _delay: Duration) {}
+    }
+
+    fn addr(port: u16) -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], port))
+    }
+
+    /// A core whose active view holds peers 1 to 5 (the paper's fanout).
+    fn core_with_five_neighbors(config: NetConfig) -> NodeCore {
+        let (delivery_tx, _) = bounded(16);
+        let config = NetConfig { seed: Some(1), ..config };
+        let mut core = NodeCore::new(addr(9), &config, Arc::default(), delivery_tx).unwrap();
+        for port in 1..=5 {
+            core.on_frame(addr(port), Frame::Membership(Message::Join), &mut Recorder::default());
+        }
+        assert_eq!(core.protocol.active_view().len(), 5);
+        core
+    }
+
+    fn decoded(bytes: &Bytes) -> Frame {
+        let mut reader = FrameReader::new();
+        reader.extend(bytes);
+        reader.next_frame().unwrap().expect("one whole frame")
+    }
+
+    #[test]
+    fn flood_forward_is_encoded_once_for_all_targets() {
+        let mut core = core_with_five_neighbors(NetConfig::default());
+        let before = core.stats_snapshot();
+        let payload = Bytes::from(vec![7u8; 64]);
+        let mut ctx = Recorder::default();
+        core.on_frame(
+            addr(1),
+            Frame::Gossip { id: 42, hops: 2, payload: payload.clone() },
+            &mut ctx,
+        );
+
+        let mut targets: Vec<u16> = ctx.sent.iter().map(|(to, _)| to.port()).collect();
+        targets.sort_unstable();
+        assert_eq!(targets, [2, 3, 4, 5], "forwarded to the active view except the sender");
+        let first = &ctx.sent[0].1;
+        assert_eq!(decoded(first), Frame::Gossip { id: 42, hops: 3, payload });
+        for (_, bytes) in &ctx.sent {
+            assert_eq!(bytes.as_ptr(), first.as_ptr(), "every out-queue shares one buffer");
+        }
+        let after = core.stats_snapshot();
+        assert_eq!(after.frames_sent - before.frames_sent, 4);
+        assert_eq!(after.payload_frames_sent - before.payload_frames_sent, 4);
+        assert_eq!(after.deliveries - before.deliveries, 1);
+    }
+
+    #[test]
+    fn plumtree_eager_push_is_encoded_once_per_round() {
+        // Static Plumtree: lazy links announce at once, with single IHaves.
+        let mut core = core_with_five_neighbors(
+            NetConfig::default()
+                .with_broadcast_mode(BroadcastMode::Plumtree)
+                .with_plumtree(PlumtreeConfig::default()),
+        );
+        core.on_frame(addr(5), Frame::PlumtreePrune, &mut Recorder::default());
+        let before = core.stats_snapshot();
+        let payload = Bytes::from(vec![7u8; 8 * 1024]);
+        let mut ctx = Recorder::default();
+        let push = Frame::PlumtreeGossip { id: 42, round: 2, payload: payload.clone() };
+        core.on_frame(addr(1), push, &mut ctx);
+
+        let (pushes, announcements): (Vec<_>, Vec<_>) =
+            ctx.sent.iter().partition(|(_, bytes)| bytes.len() > payload.len());
+        let mut targets: Vec<u16> = pushes.iter().map(|(to, _)| to.port()).collect();
+        targets.sort_unstable();
+        assert_eq!(targets, [2, 3, 4], "pushed on the tree links except the sender's");
+        let first = &pushes[0].1;
+        assert_eq!(decoded(first), Frame::PlumtreeGossip { id: 42, round: 3, payload });
+        for (_, bytes) in &pushes {
+            assert_eq!(bytes.as_ptr(), first.as_ptr(), "every out-queue shares one buffer");
+        }
+        assert_eq!(announcements.len(), 1);
+        assert_eq!(announcements[0].0, addr(5));
+        assert_eq!(decoded(&announcements[0].1), Frame::PlumtreeIHave { id: 42, round: 3 });
+        let after = core.stats_snapshot();
+        assert_eq!(after.frames_sent - before.frames_sent, 4);
+        assert_eq!(after.payload_frames_sent - before.payload_frames_sent, 3);
+        assert_eq!(after.ihave_frames_sent - before.ihave_frames_sent, 1);
+        assert_eq!(after.ihave_batch_frames_sent, 0);
     }
 }

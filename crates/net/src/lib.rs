@@ -27,8 +27,8 @@ pub mod wire;
 
 pub use hyparview_plumtree::{BroadcastMode, PlumtreeConfig};
 pub use node::{
-    Delivery, NetConfig, Node, NodeStats, DEFAULT_LAZY_FLUSH_INTERVAL,
+    Delivery, NetConfig, Node, NodeStats, PayloadTooLarge, DEFAULT_LAZY_FLUSH_INTERVAL,
     DEFAULT_OPTIMIZATION_THRESHOLD,
 };
 pub use reactor::Cluster;
-pub use wire::{Frame, FrameReader, WireError};
+pub use wire::{Frame, FrameReader, WireError, MAX_PAYLOAD_LEN};

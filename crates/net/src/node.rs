@@ -14,6 +14,7 @@
 
 use crate::core::Shared;
 use crate::reactor::{Cluster, ClusterInner};
+use crate::wire::MAX_PAYLOAD_LEN;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use hyparview_core::Config;
@@ -118,6 +119,21 @@ impl NetConfig {
     }
 }
 
+/// A broadcast payload above [`MAX_PAYLOAD_LEN`]: no frame can carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PayloadTooLarge {
+    /// Length of the refused payload.
+    pub len: usize,
+}
+
+impl std::fmt::Display for PayloadTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "payload of {} bytes exceeds the {MAX_PAYLOAD_LEN}-byte limit", self.len)
+    }
+}
+
+impl std::error::Error for PayloadTooLarge {}
+
 pub(crate) enum Control {
     Join(SocketAddr),
     Broadcast { id: u128, payload: Bytes },
@@ -177,10 +193,29 @@ impl Node {
     }
 
     /// Broadcasts `payload` to the overlay, returning the broadcast id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `payload` is longer than [`MAX_PAYLOAD_LEN`]; use
+    /// [`Node::try_broadcast`] for payloads of unchecked size.
     pub fn broadcast(&self, payload: Vec<u8>) -> u128 {
+        self.try_broadcast(payload).expect("broadcast payload fits a frame")
+    }
+
+    /// Broadcasts `payload` to the overlay, returning the broadcast id.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a payload longer than [`MAX_PAYLOAD_LEN`] before anything is
+    /// delivered or sent: every receiver would answer the oversized frame
+    /// by dropping the connection and evicting this node from its view.
+    pub fn try_broadcast(&self, payload: Vec<u8>) -> Result<u128, PayloadTooLarge> {
+        if payload.len() > MAX_PAYLOAD_LEN {
+            return Err(PayloadTooLarge { len: payload.len() });
+        }
         let id = rand::random();
         self.cluster.control(self.index, Control::Broadcast { id, payload: Bytes::from(payload) });
-        id
+        Ok(id)
     }
 
     /// Receiver of gossip deliveries (the node's own broadcasts included,

@@ -541,9 +541,8 @@ struct ReactorCtx<'a> {
 }
 
 impl NodeCtx for ReactorCtx<'_> {
-    fn send_frame(&mut self, to: SocketAddr, frame: &Frame) {
-        let bytes = encode(frame);
-        self.io.send(self.node, self.local, to, bytes, self.writer_queue, &mut self.failures);
+    fn send_frame(&mut self, to: SocketAddr, frame: Bytes) {
+        self.io.send(self.node, self.local, to, frame, self.writer_queue, &mut self.failures);
     }
 
     fn disconnect(&mut self, peer: SocketAddr) {

@@ -12,9 +12,20 @@ use hyparview_core::{Message, Priority};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
-/// Maximum accepted payload size (a shuffle with every view entry fits in
-/// well under 4 KiB; anything larger is a corrupt or malicious frame).
+/// Maximum accepted frame body (the bytes the length prefix counts). A
+/// shuffle with every view entry fits in well under 4 KiB; a broadcast may
+/// use the rest, see [`MAX_PAYLOAD_LEN`]. Anything larger is a corrupt or
+/// malicious frame and costs the sender its connection.
 pub const MAX_FRAME_LEN: usize = 64 * 1024;
+
+/// Body bytes in front of a `Gossip` / `PlumtreeGossip` payload: tag, id,
+/// hops or round, payload length.
+const GOSSIP_HEADER_LEN: usize = 1 + 16 + 4 + 4;
+
+/// Largest application payload one broadcast can carry: what
+/// [`MAX_FRAME_LEN`] leaves after the gossip header. A larger payload would
+/// be refused by every receiver's [`FrameReader`].
+pub const MAX_PAYLOAD_LEN: usize = MAX_FRAME_LEN - GOSSIP_HEADER_LEN;
 
 /// Errors produced while decoding frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +141,12 @@ const TAG_PLUMTREE_IHAVE_BATCH: u8 = 14;
 /// Encoded size of one announcement inside an `IHaveBatch` frame.
 const ANNOUNCEMENT_LEN: usize = 16 + 4;
 
+/// Encoded size of the largest address (family byte, IPv6 octets, port).
+const MAX_ADDR_LEN: usize = 1 + 16 + 2;
+
+/// Size of the length prefix.
+const PREFIX_LEN: usize = 4;
+
 fn put_addr(buf: &mut BytesMut, addr: &SocketAddr) {
     match addr.ip() {
         IpAddr::V4(ip) => {
@@ -193,38 +210,57 @@ fn get_addr_list(buf: &mut Bytes) -> Result<Vec<SocketAddr>, WireError> {
     Ok(addrs)
 }
 
-/// Encodes a frame, including the `u32` length prefix.
+/// Upper bound on the encoded size of `frame` with its prefix, exact for the
+/// payload-carrying frames, so that [`encode`] allocates its buffer once.
+fn encoded_len_bound(frame: &Frame) -> usize {
+    let body = match frame {
+        Frame::Gossip { payload, .. } | Frame::PlumtreeGossip { payload, .. } => {
+            GOSSIP_HEADER_LEN + payload.len()
+        }
+        Frame::PlumtreeIHaveBatch { anns } => 1 + 2 + anns.len() * ANNOUNCEMENT_LEN,
+        Frame::Membership(Message::Shuffle { nodes, .. })
+        | Frame::Membership(Message::ShuffleReply { nodes }) => {
+            1 + MAX_ADDR_LEN + 1 + 2 + nodes.len() * MAX_ADDR_LEN
+        }
+        // Hello, the one-address membership messages, IHave, Graft, Prune.
+        _ => 1 + MAX_ADDR_LEN + 4,
+    };
+    PREFIX_LEN + body
+}
+
+/// Encodes a frame, including the `u32` length prefix, into one buffer.
 ///
 /// # Panics
 ///
 /// Panics if a [`Frame::PlumtreeIHaveBatch`] carries more than `u16::MAX`
 /// announcements (senders chunk far below that).
 pub fn encode(frame: &Frame) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
+    let mut buf = BytesMut::with_capacity(encoded_len_bound(frame));
+    buf.put_u32(0); // the length prefix, patched once the body is written
     match frame {
         Frame::Hello { sender } => {
-            body.put_u8(TAG_HELLO);
-            put_addr(&mut body, sender);
+            buf.put_u8(TAG_HELLO);
+            put_addr(&mut buf, sender);
         }
-        Frame::Membership(message) => encode_membership(&mut body, message),
+        Frame::Membership(message) => encode_membership(&mut buf, message),
         Frame::Gossip { id, hops, payload } => {
-            body.put_u8(TAG_GOSSIP);
-            body.put_u128(*id);
-            body.put_u32(*hops);
-            body.put_u32(payload.len() as u32);
-            body.put_slice(payload);
+            buf.put_u8(TAG_GOSSIP);
+            buf.put_u128(*id);
+            buf.put_u32(*hops);
+            buf.put_u32(payload.len() as u32);
+            buf.put_slice(payload);
         }
         Frame::PlumtreeGossip { id, round, payload } => {
-            body.put_u8(TAG_PLUMTREE_GOSSIP);
-            body.put_u128(*id);
-            body.put_u32(*round);
-            body.put_u32(payload.len() as u32);
-            body.put_slice(payload);
+            buf.put_u8(TAG_PLUMTREE_GOSSIP);
+            buf.put_u128(*id);
+            buf.put_u32(*round);
+            buf.put_u32(payload.len() as u32);
+            buf.put_slice(payload);
         }
         Frame::PlumtreeIHave { id, round } => {
-            body.put_u8(TAG_PLUMTREE_IHAVE);
-            body.put_u128(*id);
-            body.put_u32(*round);
+            buf.put_u8(TAG_PLUMTREE_IHAVE);
+            buf.put_u128(*id);
+            buf.put_u32(*round);
         }
         Frame::PlumtreeIHaveBatch { anns } => {
             // The count is a u16; a silent truncation here would desync
@@ -232,30 +268,29 @@ pub fn encode(frame: &Frame) -> Bytes {
             // Senders chunk at hyparview_plumtree::MAX_IHAVE_BATCH (1024),
             // far below this limit.
             assert!(anns.len() <= u16::MAX as usize, "IHaveBatch exceeds the wire count field");
-            body.put_u8(TAG_PLUMTREE_IHAVE_BATCH);
-            body.put_u16(anns.len() as u16);
+            buf.put_u8(TAG_PLUMTREE_IHAVE_BATCH);
+            buf.put_u16(anns.len() as u16);
             for (id, round) in anns {
-                body.put_u128(*id);
-                body.put_u32(*round);
+                buf.put_u128(*id);
+                buf.put_u32(*round);
             }
         }
         Frame::PlumtreeGraft { id, round } => {
-            body.put_u8(TAG_PLUMTREE_GRAFT);
+            buf.put_u8(TAG_PLUMTREE_GRAFT);
             match id {
                 Some(id) => {
-                    body.put_u8(1);
-                    body.put_u128(*id);
+                    buf.put_u8(1);
+                    buf.put_u128(*id);
                 }
-                None => body.put_u8(0),
+                None => buf.put_u8(0),
             }
-            body.put_u32(*round);
+            buf.put_u32(*round);
         }
-        Frame::PlumtreePrune => body.put_u8(TAG_PLUMTREE_PRUNE),
+        Frame::PlumtreePrune => buf.put_u8(TAG_PLUMTREE_PRUNE),
     }
-    let mut framed = BytesMut::with_capacity(4 + body.len());
-    framed.put_u32(body.len() as u32);
-    framed.extend_from_slice(&body);
-    framed.freeze()
+    let body_len = (buf.len() - PREFIX_LEN) as u32;
+    buf[..PREFIX_LEN].copy_from_slice(&body_len.to_be_bytes());
+    buf.freeze()
 }
 
 fn encode_membership(body: &mut BytesMut, message: &Message<SocketAddr>) {
@@ -428,18 +463,29 @@ pub fn decode(mut payload: Bytes) -> Result<Frame, WireError> {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buffer: BytesMut,
+    buf: Vec<u8>,
+    /// Start of the unread bytes in `buf`; 0 whenever nothing is unread.
+    pos: usize,
 }
 
 impl FrameReader {
     /// Creates an empty reader.
     pub fn new() -> Self {
-        FrameReader { buffer: BytesMut::new() }
+        FrameReader::default()
     }
 
     /// Appends raw bytes received from the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
+        if self.pos > 0 {
+            // The tail of a partial frame: move it to the front, so the
+            // buffer holds at most one partial frame plus one read.
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        // Exact growth: a connection keeps this buffer for life, and
+        // doubling would round every burst's high-water mark up.
+        self.buf.reserve_exact(bytes.len());
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Extracts the next complete frame, if any.
@@ -449,26 +495,36 @@ impl FrameReader {
     /// Returns [`WireError`] when the stream is corrupt; the connection
     /// should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buffer.len() < 4 {
+        let unread = &self.buf[self.pos..];
+        let Some((prefix, rest)) = unread.split_first_chunk::<PREFIX_LEN>() else {
             return Ok(None);
-        }
-        let len =
-            u32::from_be_bytes([self.buffer[0], self.buffer[1], self.buffer[2], self.buffer[3]])
-                as usize;
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
         if len > MAX_FRAME_LEN {
             return Err(WireError::FrameTooLarge { len });
         }
-        if self.buffer.len() < 4 + len {
-            return Ok(None);
+        let Some(body) = rest.get(..len) else { return Ok(None) };
+        let body = Bytes::copy_from_slice(body);
+        self.pos += PREFIX_LEN + len;
+        if self.pos == self.buf.len() {
+            // Drained: start over at the front and keep the allocation, so
+            // that an idle connection costs its largest burst and a busy
+            // one does not allocate on every read.
+            self.buf.clear();
+            self.pos = 0;
         }
-        self.buffer.advance(4);
-        let payload = self.buffer.split_to(len).freeze();
-        decode(payload).map(Some)
+        decode(body).map(Some)
     }
 
     /// Bytes currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buf.len() - self.pos
+    }
+
+    /// Bytes of buffer the reader holds on to, read or not (diagnostics):
+    /// the largest backlog it ever held at once.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 
@@ -554,6 +610,32 @@ mod tests {
         let encoded = encode(&frame);
         assert!(encoded.len() < MAX_FRAME_LEN, "batch frame too large: {}", encoded.len());
         round_trip(frame);
+    }
+
+    #[test]
+    fn encode_never_outgrows_its_first_allocation() {
+        let v6 = addr("[2001:db8::1]:443");
+        let payload = Bytes::from_static(&[7; 300]);
+        let exact = [
+            Frame::Gossip { id: 1, hops: 2, payload: payload.clone() },
+            Frame::PlumtreeGossip { id: 1, round: 2, payload },
+            Frame::PlumtreeIHaveBatch { anns: vec![(1, 2); 16] },
+        ];
+        for frame in &exact {
+            assert_eq!(encode(frame).len(), encoded_len_bound(frame), "{frame:?}");
+        }
+        // The widest encoding of every other kind: IPv6 addresses, an id.
+        let bounded = [
+            Frame::Hello { sender: v6 },
+            Frame::Membership(Message::ForwardJoin { new_node: v6, ttl: 6 }),
+            Frame::Membership(Message::Shuffle { origin: v6, ttl: 4, nodes: vec![v6; 8] }),
+            Frame::Membership(Message::ShuffleReply { nodes: vec![v6; 8] }),
+            Frame::PlumtreeIHave { id: 1, round: 2 },
+            Frame::PlumtreeGraft { id: Some(1), round: 2 },
+        ];
+        for frame in &bounded {
+            assert!(encode(frame).len() <= encoded_len_bound(frame), "{frame:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the TCP runtime on the loopback interface: the
 //! reproduction's stand-in for the paper's planned PlanetLab deployment.
 
-use hyparview_net::{BroadcastMode, NetConfig, Node};
+use hyparview_net::{BroadcastMode, NetConfig, Node, PayloadTooLarge, MAX_PAYLOAD_LEN};
 use std::time::{Duration, Instant};
 
 fn config() -> NetConfig {
@@ -113,6 +113,36 @@ fn broadcast_reaches_every_node() {
         assert_eq!(delivery.id, id);
         assert_eq!(delivery.payload.as_ref(), b"flood me");
     }
+}
+
+/// A payload no frame can carry is refused at the origin. Sent anyway, every
+/// neighbour's reader would answer the oversized frame by dropping the
+/// connection and evicting the origin from its active view.
+#[test]
+fn oversized_broadcast_is_refused_at_the_origin() {
+    let nodes = spawn_cluster(3);
+    wait_for_overlay(&nodes);
+    let full_views = |nodes: &[Node]| nodes.iter().all(|n| n.active_view().len() == 2);
+    assert!(wait_until(Duration::from_secs(5), || full_views(&nodes)));
+
+    let len = MAX_PAYLOAD_LEN + 1;
+    assert_eq!(nodes[0].try_broadcast(vec![0; len]), Err(PayloadTooLarge { len }));
+    // Several shuffle intervals: time for an eviction to show, had the
+    // frame gone out.
+    std::thread::sleep(Duration::from_millis(500));
+    assert!(full_views(&nodes), "every active view is intact");
+    assert_eq!(nodes[0].delivery_count(), 0, "nothing was delivered locally");
+
+    let id = nodes[0].broadcast(vec![0x5A; MAX_PAYLOAD_LEN]);
+    for (i, node) in nodes.iter().enumerate() {
+        let delivery = node
+            .deliveries()
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("node {i} missed the largest broadcast"));
+        assert_eq!(delivery.id, id);
+        assert_eq!(delivery.payload.len(), MAX_PAYLOAD_LEN);
+    }
+    assert!(full_views(&nodes));
 }
 
 #[test]

@@ -3,7 +3,9 @@
 
 use bytes::{Buf, Bytes};
 use hyparview_core::{Message, Priority};
-use hyparview_net::wire::{decode, encode, Frame, FrameReader};
+use hyparview_net::wire::{
+    decode, encode, Frame, FrameReader, WireError, MAX_FRAME_LEN, MAX_PAYLOAD_LEN,
+};
 use proptest::prelude::*;
 use std::net::SocketAddr;
 
@@ -107,6 +109,72 @@ fn mid_header_splits_resume_to_the_same_frame() {
             );
             assert_eq!(reader.buffered(), 0);
         }
+    }
+}
+
+/// Feeds `stream` to `reader` in `chunk`-byte reads, as the reactor does.
+fn read_all(reader: &mut FrameReader, stream: &[u8], chunk: usize) -> Vec<Frame> {
+    let mut frames = Vec::new();
+    for slice in stream.chunks(chunk) {
+        reader.extend(slice);
+        while let Some(frame) = reader.next_frame().unwrap() {
+            frames.push(frame);
+        }
+    }
+    frames
+}
+
+/// The size limit is exact: a body of `MAX_FRAME_LEN` bytes (the largest
+/// payload a broadcast may carry) goes through, one byte more is refused
+/// as soon as its length prefix has arrived.
+#[test]
+fn largest_frame_is_accepted_and_one_byte_more_refused() {
+    let payload = Bytes::from(vec![0xAB; MAX_PAYLOAD_LEN]);
+    let frame = Frame::PlumtreeGossip { id: 1, round: 2, payload };
+    let encoded = encode(&frame);
+    assert_eq!(encoded.len(), 4 + MAX_FRAME_LEN);
+    let mut reader = FrameReader::new();
+    assert_eq!(read_all(&mut reader, &encoded, 16 * 1024), [frame]);
+    assert_eq!(reader.buffered(), 0);
+
+    let payload = Bytes::from(vec![0xAB; MAX_PAYLOAD_LEN + 1]);
+    let encoded = encode(&Frame::Gossip { id: 1, hops: 2, payload });
+    let mut reader = FrameReader::new();
+    reader.extend(&encoded[..4]);
+    assert_eq!(reader.next_frame(), Err(WireError::FrameTooLarge { len: MAX_FRAME_LEN + 1 }));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Payloads of any size up to the limit, arriving in the reactor's
+    /// 16 KiB reads; then the same stream again through the same reader,
+    /// which by then has drained and must behave like a new one.
+    #[test]
+    fn large_payloads_survive_reads_and_a_drained_reader_is_as_new(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..=MAX_PAYLOAD_LEN),
+            1..4,
+        ),
+    ) {
+        let frames: Vec<Frame> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| Frame::Gossip {
+                id: i as u128,
+                hops: 1,
+                payload: Bytes::from(payload),
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for f in &frames {
+            stream.extend_from_slice(&encode(f));
+        }
+        let mut reader = FrameReader::new();
+        prop_assert_eq!(&read_all(&mut reader, &stream, 16 * 1024), &frames);
+        prop_assert_eq!(reader.buffered(), 0);
+        prop_assert_eq!(&read_all(&mut reader, &stream, 16 * 1024), &frames);
+        prop_assert_eq!(reader.buffered(), 0);
     }
 }
 

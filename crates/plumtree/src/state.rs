@@ -265,6 +265,16 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         self.lazy.to_vec()
     }
 
+    /// [`PlumtreeState::eager_peers`] without the copy.
+    pub fn eager(&self) -> &[I] {
+        self.eager.as_slice()
+    }
+
+    /// [`PlumtreeState::lazy_peers`] without the copy.
+    pub fn lazy(&self) -> &[I] {
+        self.lazy.as_slice()
+    }
+
     /// `true` if `peer` is currently tracked (eager or lazy).
     pub fn is_neighbor(&self, peer: &I) -> bool {
         self.eager.contains(peer) || self.lazy.contains(peer)
