@@ -89,6 +89,15 @@ impl<I: Identity> HyParViewMembership<I> {
         &mut self.inner
     }
 
+    /// Gracefully leaves the overlay: `Disconnect` to every active peer
+    /// ([`HyParView::leave`]).
+    pub fn leave(&mut self, out: &mut Outbox<I, Message<I>>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        self.inner.leave(&mut actions);
+        self.actions = actions;
+        self.flush(out);
+    }
+
     fn flush(&mut self, out: &mut Outbox<I, Message<I>>) {
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain() {

@@ -1,22 +1,28 @@
-//! The I/O-independent node core: HyParView protocol + broadcast engine +
-//! stats, speaking to the outside world only through the [`NodeCtx`]
-//! effect sink.
+//! One live node, independent of the I/O runtime: the generic
+//! [`NodeCore`] (HyParView membership + flood or Plumtree, the very code
+//! the simulator runs) with `Bytes` payloads, plus what only a deployment
+//! has: the wire encoding, temporary connections, the application's
+//! delivery channel and the published snapshot.
 //!
-//! The reactor (`reactor.rs`) multiplexes many [`NodeCore`]s onto one epoll
-//! loop. Keeping the core sans-runtime means identical frames in produce
-//! identical frames out, regardless of which I/O shell carried them.
+//! [`LiveNode`] turns decoded frames into [`NodeCore`] events; [`LiveCtx`]
+//! is the core's effect sink, which encodes what the core sends (once per
+//! flood forward, once per `(id, round)` eager push) and hands the bytes to
+//! a [`FrameSink`]. The reactor (`reactor.rs`) multiplexes many nodes onto
+//! one epoll loop behind that sink. Keeping all of this sans-runtime means
+//! identical frames in produce identical frames out, regardless of which
+//! I/O shell carried them.
 
 use crate::node::NetConfig;
 use crate::wire::{encode, Frame};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
-use hyparview_core::{Action, Actions, HyParView, Message, RecentSet};
+use hyparview_core::{Message, RecentSet};
 use hyparview_obsv::{
-    names, Clock, CounterId, Registry, TimerKind, TraceEvent, TraceKind, TraceRing, TraceSink,
-    WallClock,
+    names, Clock, CounterId, Registry, TraceEvent, TraceKind, TraceRing, TraceSink, WallClock,
 };
 use hyparview_plumtree::{
-    Announcement, BroadcastMode, PlumtreeMessage, PlumtreeOut, PlumtreeState, PlumtreeTimer,
+    Announcement, BroadcastMode, FrameCounters, HyParViewMembership, Membership, MembershipEvent,
+    MsgId, NodeCore, NodeCtx, PlumtreeMessage, PlumtreeState, PlumtreeTimer, Scratch,
 };
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -64,36 +70,6 @@ pub struct NodeStats {
     pub ihave_batch_anns_sent: u64,
 }
 
-/// Dense handles into a [`NodeCore`]'s registry, registered once at
-/// construction so the frame hot path updates by vector index.
-struct NetCounters {
-    broadcasts_sent: CounterId,
-    deliveries: CounterId,
-    duplicates: CounterId,
-    mode_mismatched: CounterId,
-    frames_sent: CounterId,
-    frames_payload: CounterId,
-    frames_ihave: CounterId,
-    frames_ihave_batch: CounterId,
-    frames_ihave_batch_anns: CounterId,
-}
-
-impl NetCounters {
-    fn register(registry: &mut Registry) -> NetCounters {
-        NetCounters {
-            broadcasts_sent: registry.counter(names::BROADCAST_SENT),
-            deliveries: registry.counter(names::BROADCAST_DELIVERED),
-            duplicates: registry.counter(names::BROADCAST_DUPLICATES),
-            mode_mismatched: registry.counter(names::NET_MODE_MISMATCHED),
-            frames_sent: registry.counter(names::FRAMES_SENT),
-            frames_payload: registry.counter(names::FRAMES_PAYLOAD_SENT),
-            frames_ihave: registry.counter(names::FRAMES_IHAVE_SENT),
-            frames_ihave_batch: registry.counter(names::FRAMES_IHAVE_BATCH_SENT),
-            frames_ihave_batch_anns: registry.counter(names::FRAMES_IHAVE_BATCH_ANNS_SENT),
-        }
-    }
-}
-
 /// Mutable view snapshots shared with the application-facing handle.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Shared {
@@ -102,18 +78,18 @@ pub(crate) struct Shared {
     pub(crate) eager: Vec<SocketAddr>,
     pub(crate) lazy: Vec<SocketAddr>,
     pub(crate) stats: NodeStats,
-    /// Mirror of the core's full metric registry (canonical names,
+    /// Mirror of the node's full metric registry (canonical names,
     /// `hyparview.*` and `plumtree.*` counters included).
     pub(crate) metrics: Registry,
-    /// Trace events drained from the core's ring on publish (bounded by
+    /// Trace events drained from the node's ring on publish (bounded by
     /// the same capacity).
     pub(crate) trace: Option<TraceRing>,
 }
 
-/// The effect sink a [`NodeCore`] drives its runtime through: frames out,
-/// graceful connection teardown, timer arming. Implemented by the
-/// reactor's `ReactorCtx` (shared epoll loop).
-pub(crate) trait NodeCtx {
+/// The transport a [`LiveNode`] drives: encoded frames out, graceful
+/// connection teardown, timer arming. Implemented by the reactor's
+/// `ReactorCtx` (shared epoll loop).
+pub(crate) trait FrameSink {
     /// Ships one encoded frame to `to`, opening a connection lazily.
     /// Failures are asynchronous: they come back as an `on_peer_failed`
     /// call.
@@ -125,37 +101,161 @@ pub(crate) trait NodeCtx {
     fn schedule(&mut self, timer: PlumtreeTimer, delay: Duration);
 }
 
-/// The broadcast engine a core runs.
-#[allow(clippy::large_enum_variant)] // exactly one per node; size is irrelevant
-pub(crate) enum Broadcaster {
-    /// The paper's eager flood (§4.1.ii) with bounded duplicate suppression.
-    Flood { seen: RecentSet<u128> },
-    /// Plumtree: eager/lazy dissemination; timers are armed through the
-    /// [`NodeCtx`], scaled by `unit`; `apply_plumtree` recycles `out`.
-    Plumtree {
-        state: PlumtreeState<SocketAddr, Bytes>,
-        unit: Duration,
-        out: PlumtreeOut<SocketAddr, Bytes>,
-    },
+type LiveMembership = HyParViewMembership<SocketAddr>;
+
+/// What a node's effects land in besides the transport.
+struct Surface {
+    local: SocketAddr,
+    /// Bounded duplicate suppression of the flood (Plumtree's message
+    /// store is its own).
+    seen: Option<RecentSet<u128>>,
+    /// Wall-clock length of one Plumtree timer unit.
+    timer_unit: Duration,
+    scratch: Scratch<SocketAddr, Message<SocketAddr>, Bytes>,
+    delivery_tx: Sender<Delivery>,
+    metrics: Registry,
+    frames: FrameCounters,
+    mode_mismatched: CounterId,
+    trace: Option<TraceRing>,
+    clock: WallClock,
 }
 
 /// One node's full protocol state, independent of the I/O runtime.
-pub(crate) struct NodeCore {
-    local: SocketAddr,
-    protocol: HyParView<SocketAddr>,
-    broadcaster: Broadcaster,
+pub(crate) struct LiveNode {
+    core: NodeCore<SocketAddr, LiveMembership, Bytes>,
+    surface: Surface,
     shared: Arc<Mutex<Shared>>,
-    delivery_tx: Sender<Delivery>,
-    metrics: Registry,
-    counters: NetCounters,
-    trace: Option<TraceRing>,
-    clock: WallClock,
-    /// Reusable scratch buffer for protocol actions.
-    actions: Actions<SocketAddr>,
 }
 
-impl NodeCore {
-    /// Builds the core for `local` from the runtime configuration.
+/// The [`NodeCtx`] of one [`LiveNode`] event: counts, encodes and ships.
+struct LiveCtx<'a> {
+    surface: &'a mut Surface,
+    sink: &'a mut dyn FrameSink,
+    /// An eager push is the same bytes on every tree link: the encoding
+    /// of the last `(id, round)` pushed is kept and shared.
+    pushed: Option<((u128, u32), Bytes)>,
+}
+
+impl LiveCtx<'_> {
+    /// Counts, encodes and ships one membership frame.
+    fn send(&mut self, to: SocketAddr, message: Message<SocketAddr>) {
+        self.surface.metrics.inc(self.surface.frames.sent);
+        self.sink.send_frame(to, encode(&Frame::Membership(message)));
+    }
+}
+
+impl NodeCtx<SocketAddr, LiveMembership, Bytes> for LiveCtx<'_> {
+    fn scratch(&mut self) -> &mut Scratch<SocketAddr, Message<SocketAddr>, Bytes> {
+        &mut self.surface.scratch
+    }
+
+    fn send_membership(
+        &mut self,
+        membership: &LiveMembership,
+        to: SocketAddr,
+        message: Message<SocketAddr>,
+    ) {
+        // Shuffle replies and neighbor rejections go to peers that are
+        // NOT neighbors: the paper sends them over temporary connections
+        // (§4.3). Without the close, every shuffle round leaks one
+        // connection per node — at thousands of nodes that exhausts the
+        // fd table in minutes. A trailing DISCONNECT tells the peer the
+        // close is deliberate, not a crash.
+        let temporary = matches!(
+            message,
+            Message::ShuffleReply { .. } | Message::NeighborReply { accepted: false }
+        ) && !membership.protocol().active_view().contains(&to);
+        let graceful_close = matches!(message, Message::Disconnect);
+        self.send(to, message);
+        if temporary {
+            self.trace(TraceKind::TempConnClose { peer: u64::from(to.port()) });
+            self.send(to, Message::Disconnect);
+        }
+        if graceful_close || temporary {
+            // The frames are queued; the backend flushes them before
+            // tearing the connection down.
+            self.sink.disconnect(to);
+        }
+    }
+
+    /// Encoded once: the out-queues share one buffer by reference count.
+    fn send_flood(&mut self, id: MsgId, hops: u32, payload: Bytes, targets: Vec<SocketAddr>) {
+        if targets.is_empty() {
+            return;
+        }
+        let bytes = encode(&Frame::Gossip { id, hops, payload });
+        let surface = &mut *self.surface;
+        surface.frames.count_payload(&mut surface.metrics, targets.len() as u64);
+        for to in targets {
+            self.sink.send_frame(to, bytes.clone());
+        }
+    }
+
+    fn send_plumtree(&mut self, to: SocketAddr, message: PlumtreeMessage<Bytes>) {
+        let surface = &mut *self.surface;
+        surface.frames.count(&mut surface.metrics, &message, 1);
+        let push = match &message {
+            PlumtreeMessage::Gossip { id, round, .. } => Some((*id, *round)),
+            _ => None,
+        };
+        let bytes = match &self.pushed {
+            Some((key, bytes)) if push == Some(*key) => bytes.clone(),
+            _ => encode(&plumtree_frame(message)),
+        };
+        if let Some(key) = push {
+            self.pushed = Some((key, bytes.clone()));
+        }
+        self.sink.send_frame(to, bytes);
+    }
+
+    fn has_delivered(&self, id: MsgId) -> bool {
+        self.surface.seen.as_ref().is_some_and(|seen| seen.contains(&id))
+    }
+
+    fn deliver(&mut self, id: MsgId, hops: u32, from: Option<SocketAddr>, payload: Bytes) {
+        let surface = &mut *self.surface;
+        if let Some(seen) = &mut surface.seen {
+            seen.insert(id);
+        }
+        if from.is_none() {
+            surface.metrics.inc(surface.frames.broadcasts);
+        }
+        surface.metrics.inc(surface.frames.delivered);
+        self.trace(TraceKind::Delivered { msg: id as u64, hops });
+        let _ = self.surface.delivery_tx.try_send(Delivery { id, hops, payload });
+    }
+
+    fn duplicate(&mut self, _id: MsgId) {
+        self.surface.metrics.inc(self.surface.frames.duplicates);
+    }
+
+    fn schedule(&mut self, timer: PlumtreeTimer, delay: u64) {
+        let delay = self.surface.timer_unit.saturating_mul(delay.min(u32::MAX as u64) as u32);
+        self.sink.schedule(timer, delay);
+    }
+
+    /// Defense decisions are a simulator experiment; a live node only
+    /// drains them.
+    fn membership_event(&mut self, _event: MembershipEvent<SocketAddr>) {}
+
+    fn tracing(&self) -> bool {
+        self.surface.trace.is_some()
+    }
+
+    fn trace_id(&self, peer: SocketAddr) -> u64 {
+        u64::from(peer.port())
+    }
+
+    /// Stamped with this node's wall-clock microseconds.
+    fn trace(&mut self, kind: TraceKind) {
+        let Some(ring) = &mut self.surface.trace else { return };
+        let node = u64::from(self.surface.local.port());
+        ring.record(TraceEvent { time: self.surface.clock.now(), node, kind });
+    }
+}
+
+impl LiveNode {
+    /// Builds the node for `local` from the runtime configuration.
     ///
     /// # Errors
     ///
@@ -165,87 +265,76 @@ impl NodeCore {
         config: &NetConfig,
         shared: Arc<Mutex<Shared>>,
         delivery_tx: Sender<Delivery>,
-    ) -> std::io::Result<NodeCore> {
+    ) -> std::io::Result<LiveNode> {
         let seed = config.seed.unwrap_or_else(rand::random);
-        let protocol = HyParView::new(local, config.protocol.clone(), seed)
+        let membership = LiveMembership::new(local, config.protocol.clone(), seed)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-        let broadcaster = match config.broadcast_mode {
-            BroadcastMode::Flood => {
-                Broadcaster::Flood { seen: RecentSet::new(config.dedup_capacity) }
+        let (core, seen) = match config.broadcast_mode {
+            // HyParView floods its whole active view whatever the fanout.
+            BroadcastMode::Flood => (
+                NodeCore::flood(membership, usize::MAX),
+                Some(RecentSet::new(config.dedup_capacity)),
+            ),
+            BroadcastMode::Plumtree => {
+                let plumtree = config.plumtree.clone().with_cache_capacity(config.dedup_capacity);
+                (NodeCore::plumtree(membership, PlumtreeState::new(local, plumtree)), None)
             }
-            BroadcastMode::Plumtree => Broadcaster::Plumtree {
-                state: PlumtreeState::new(
-                    local,
-                    config.plumtree.clone().with_cache_capacity(config.dedup_capacity),
-                ),
-                unit: config.plumtree_timer_unit,
-                out: PlumtreeOut::new(),
-            },
         };
         let mut metrics = Registry::new();
-        let counters = NetCounters::register(&mut metrics);
+        let frames = FrameCounters::register(&mut metrics);
+        let mode_mismatched = metrics.counter(names::NET_MODE_MISMATCHED);
         let trace = (config.trace_capacity > 0).then(|| TraceRing::new(config.trace_capacity));
-        Ok(NodeCore {
+        let surface = Surface {
             local,
-            protocol,
-            broadcaster,
-            shared,
+            seen,
+            timer_unit: config.plumtree_timer_unit,
+            scratch: Scratch::default(),
             delivery_tx,
             metrics,
-            counters,
+            frames,
+            mode_mismatched,
             trace,
             clock: WallClock::new(),
-            actions: Actions::new(),
-        })
-    }
-
-    /// Appends one decision-trace event, stamped with this node's
-    /// wall-clock microseconds (no-op unless tracing is configured).
-    fn trace_event(&mut self, kind: TraceKind) {
-        let Some(ring) = &mut self.trace else { return };
-        let node = u64::from(self.local.port());
-        ring.record(TraceEvent { time: self.clock.now(), node, kind });
+        };
+        Ok(LiveNode { core, surface, shared })
     }
 
     /// The node's identity (its listen address).
     pub(crate) fn local(&self) -> SocketAddr {
-        self.local
+        self.surface.local
+    }
+
+    /// Runs one core event with the context that ships its effects.
+    fn act(
+        &mut self,
+        sink: &mut dyn FrameSink,
+        event: impl FnOnce(&mut NodeCore<SocketAddr, LiveMembership, Bytes>, &mut LiveCtx<'_>),
+    ) {
+        event(&mut self.core, &mut LiveCtx { surface: &mut self.surface, sink, pushed: None });
     }
 
     /// Starts a join through `contact`.
-    pub(crate) fn join(&mut self, contact: SocketAddr, ctx: &mut dyn NodeCtx) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.protocol.join(contact, &mut actions);
-        self.execute(&mut actions, ctx);
-        self.actions = actions;
+    pub(crate) fn join(&mut self, contact: SocketAddr, sink: &mut dyn FrameSink) {
+        self.act(sink, |core, ctx| core.step(ctx, |node, out| node.join(contact, out)));
     }
 
     /// Gracefully leaves the overlay (DISCONNECT to all active peers).
-    pub(crate) fn leave(&mut self, ctx: &mut dyn NodeCtx) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.protocol.leave(&mut actions);
-        self.execute(&mut actions, ctx);
-        self.actions = actions;
+    pub(crate) fn leave(&mut self, sink: &mut dyn FrameSink) {
+        self.act(sink, |core, ctx| core.step(ctx, |node, out| node.leave(out)));
     }
 
     /// Runs one membership shuffle cycle.
-    pub(crate) fn on_shuffle_tick(&mut self, ctx: &mut dyn NodeCtx) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.protocol.shuffle_tick(&mut actions);
-        self.execute(&mut actions, ctx);
-        self.actions = actions;
+    pub(crate) fn on_shuffle_tick(&mut self, sink: &mut dyn FrameSink) {
+        self.act(sink, |core, ctx| core.step(ctx, |node, out| node.on_cycle(out)));
     }
 
     /// Reacts to a transport-detected peer failure.
-    pub(crate) fn on_peer_failed(&mut self, peer: SocketAddr, ctx: &mut dyn NodeCtx) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.protocol.on_peer_failed(peer, &mut actions);
-        self.execute(&mut actions, ctx);
-        self.actions = actions;
+    pub(crate) fn on_peer_failed(&mut self, peer: SocketAddr, sink: &mut dyn FrameSink) {
+        self.act(sink, |core, ctx| core.step(ctx, |node, out| node.on_send_failed(peer, out)));
     }
 
     /// Handles one decoded frame from `from`.
-    pub(crate) fn on_frame(&mut self, from: SocketAddr, frame: Frame, ctx: &mut dyn NodeCtx) {
+    pub(crate) fn on_frame(&mut self, from: SocketAddr, frame: Frame, sink: &mut dyn FrameSink) {
         match frame {
             Frame::Hello { .. } => {} // handled by the transport layer
             Frame::Membership(message) => {
@@ -253,275 +342,80 @@ impl NodeCore {
                 // rejecting peer has no further use — drop it instead of
                 // letting repair attempts leak connections.
                 let rejected = matches!(message, Message::NeighborReply { accepted: false });
-                let mut actions = std::mem::take(&mut self.actions);
-                self.protocol.handle_message(from, message, &mut actions);
-                self.execute(&mut actions, ctx);
-                self.actions = actions;
-                if rejected && !self.protocol.active_view().contains(&from) {
-                    self.send(from, &Frame::Membership(Message::Disconnect), ctx);
-                    ctx.disconnect(from);
-                }
+                self.act(sink, |core, ctx| {
+                    core.step(ctx, |node, out| node.handle_message(from, message, out));
+                    if rejected && !core.membership().protocol().active_view().contains(&from) {
+                        ctx.send(from, Message::Disconnect);
+                        ctx.sink.disconnect(from);
+                    }
+                });
             }
             Frame::Gossip { id, hops, payload } => {
-                let Broadcaster::Flood { seen } = &mut self.broadcaster else {
+                if self.core.plumtree_state().is_none() {
+                    self.act(sink, |core, ctx| core.on_flood(Some(from), id, hops, payload, ctx));
+                } else {
                     // Flood traffic in Plumtree mode: a misconfigured peer.
-                    self.metrics.inc(self.counters.mode_mismatched);
-                    return;
-                };
-                if !seen.insert(id) {
-                    self.metrics.inc(self.counters.duplicates);
-                    return;
+                    self.surface.metrics.inc(self.surface.mode_mismatched);
                 }
-                self.metrics.inc(self.counters.deliveries);
-                self.trace_event(TraceKind::Delivered { msg: id as u64, hops });
-                let _ = self.delivery_tx.try_send(Delivery { id, hops, payload: payload.clone() });
-                // Eager flood: forward to the whole active view except the
-                // sender (§4.1.ii).
-                let targets = self.protocol.broadcast_targets(Some(from));
-                self.send_to_all(&targets, &Frame::Gossip { id, hops: hops + 1, payload }, ctx);
             }
             Frame::PlumtreeGossip { id, round, payload } => {
-                self.on_plumtree(from, PlumtreeMessage::Gossip { id, round, payload }, ctx);
+                self.on_plumtree(from, PlumtreeMessage::Gossip { id, round, payload }, sink);
             }
             Frame::PlumtreeIHave { id, round } => {
-                self.on_plumtree(from, PlumtreeMessage::IHave { id, round }, ctx);
+                self.on_plumtree(from, PlumtreeMessage::IHave { id, round }, sink);
             }
             Frame::PlumtreeIHaveBatch { anns } => {
                 let anns = anns.iter().map(|&(id, round)| Announcement { id, round }).collect();
-                self.on_plumtree(from, PlumtreeMessage::IHaveBatch { anns }, ctx);
+                self.on_plumtree(from, PlumtreeMessage::IHaveBatch { anns }, sink);
             }
             Frame::PlumtreeGraft { id, round } => {
-                self.on_plumtree(from, PlumtreeMessage::Graft { id, round }, ctx);
+                self.on_plumtree(from, PlumtreeMessage::Graft { id, round }, sink);
             }
             Frame::PlumtreePrune => {
-                self.on_plumtree(from, PlumtreeMessage::Prune, ctx);
+                self.on_plumtree(from, PlumtreeMessage::Prune, sink);
             }
         }
-    }
-
-    /// Broadcasts a payload originated by this node.
-    pub(crate) fn broadcast(&mut self, id: u128, payload: Bytes, ctx: &mut dyn NodeCtx) {
-        match &mut self.broadcaster {
-            Broadcaster::Flood { seen } => {
-                if !seen.insert(id) {
-                    return; // id collision with a recent broadcast: drop
-                }
-                self.metrics.inc(self.counters.broadcasts_sent);
-                self.metrics.inc(self.counters.deliveries);
-                self.trace_event(TraceKind::Delivered { msg: id as u64, hops: 0 });
-                let _ =
-                    self.delivery_tx.try_send(Delivery { id, hops: 0, payload: payload.clone() });
-                let targets = self.protocol.broadcast_targets(None);
-                self.send_to_all(&targets, &Frame::Gossip { id, hops: 1, payload }, ctx);
-            }
-            Broadcaster::Plumtree { state, out, .. } => {
-                let mut out = std::mem::take(out);
-                state.broadcast(id, payload, &mut out);
-                if !out.deliveries.is_empty() {
-                    self.metrics.inc(self.counters.broadcasts_sent);
-                }
-                self.apply_plumtree(out, ctx);
-            }
-        }
-    }
-
-    /// Fires one Plumtree timer that the runtime armed via
-    /// [`NodeCtx::schedule`].
-    pub(crate) fn on_plumtree_timer(&mut self, timer: PlumtreeTimer, ctx: &mut dyn NodeCtx) {
-        let kind = match timer {
-            PlumtreeTimer::Missing(_) => TimerKind::MissingMsg,
-            PlumtreeTimer::LazyFlush => TimerKind::LazyFlush,
-        };
-        self.trace_event(TraceKind::TimerFired { timer: kind });
-        let Broadcaster::Plumtree { state, out, .. } = &mut self.broadcaster else {
-            return;
-        };
-        let mut out = std::mem::take(out);
-        state.on_timer(timer, &mut out);
-        self.apply_plumtree(out, ctx);
     }
 
     fn on_plumtree(
         &mut self,
         from: SocketAddr,
         message: PlumtreeMessage<Bytes>,
-        ctx: &mut dyn NodeCtx,
+        sink: &mut dyn FrameSink,
     ) {
-        if !matches!(self.broadcaster, Broadcaster::Plumtree { .. }) {
+        if self.core.plumtree_state().is_some() {
+            self.act(sink, |core, ctx| core.on_plumtree(from, message, ctx));
+        } else {
             // Plumtree traffic in flood mode: a misconfigured peer.
-            self.metrics.inc(self.counters.mode_mismatched);
-            return;
-        }
-        // Receiver-side tree decisions (the sender side traces
-        // `GraftSent`/`PruneSent` in `apply_plumtree`).
-        match &message {
-            PlumtreeMessage::Graft { .. } => {
-                self.trace_event(TraceKind::EagerPromote { peer: u64::from(from.port()) });
-            }
-            PlumtreeMessage::Prune => {
-                self.trace_event(TraceKind::LazyDemote { peer: u64::from(from.port()) });
-            }
-            _ => {}
-        }
-        let Broadcaster::Plumtree { state, out, .. } = &mut self.broadcaster else { return };
-        if let PlumtreeMessage::Gossip { id, .. } = &message {
-            if state.has_seen(*id) {
-                self.metrics.inc(self.counters.duplicates);
-            }
-        }
-        let mut out = std::mem::take(out);
-        state.handle_message(from, message, &mut out);
-        self.apply_plumtree(out, ctx);
-    }
-
-    /// Ships the effects of one Plumtree step: frames out, deliveries up,
-    /// timer requests to the runtime; the drained buffer goes back into the
-    /// broadcaster for the next step.
-    fn apply_plumtree(&mut self, mut out: PlumtreeOut<SocketAddr, Bytes>, ctx: &mut dyn NodeCtx) {
-        // An eager push is the same bytes on every tree link: the encoding
-        // of the last `(id, round)` pushed is kept and shared.
-        let mut pushed: Option<((u128, u32), Bytes)> = None;
-        for (to, message) in out.outbox.drain() {
-            match &message {
-                PlumtreeMessage::Graft { id, .. } => {
-                    let msg = id.map(|id| id as u64).unwrap_or(0);
-                    self.trace_event(TraceKind::GraftSent { peer: u64::from(to.port()), msg });
-                }
-                PlumtreeMessage::Prune => {
-                    self.trace_event(TraceKind::PruneSent { peer: u64::from(to.port()) });
-                }
-                _ => {}
-            }
-            let frame = plumtree_frame(message);
-            self.count_sent(&frame);
-            let push = match &frame {
-                Frame::PlumtreeGossip { id, round, .. } => Some((*id, *round)),
-                _ => None,
-            };
-            let bytes = match &pushed {
-                Some((key, bytes)) if push == Some(*key) => bytes.clone(),
-                _ => encode(&frame),
-            };
-            if let Some(key) = push {
-                pushed = Some((key, bytes.clone()));
-            }
-            ctx.send_frame(to, bytes);
-        }
-        for delivery in out.deliveries.drain(..) {
-            self.metrics.inc(self.counters.deliveries);
-            self.trace_event(TraceKind::Delivered {
-                msg: delivery.id as u64,
-                hops: delivery.round,
-            });
-            let _ = self.delivery_tx.try_send(Delivery {
-                id: delivery.id,
-                hops: delivery.round,
-                payload: delivery.payload,
-            });
-        }
-        let Broadcaster::Plumtree { unit, out: slot, .. } = &mut self.broadcaster else { return };
-        for request in out.timers.drain(..) {
-            let delay = unit.saturating_mul(request.delay.min(u32::MAX as u64) as u32);
-            ctx.schedule(request.timer, delay);
-        }
-        *slot = out;
-    }
-
-    /// Counts, encodes and ships one outgoing frame.
-    fn send(&mut self, to: SocketAddr, frame: &Frame, ctx: &mut dyn NodeCtx) {
-        self.count_sent(frame);
-        ctx.send_frame(to, encode(frame));
-    }
-
-    /// Ships `frame` to every peer of `targets`, encoded once: the
-    /// out-queues share one buffer by reference count.
-    fn send_to_all(&mut self, targets: &[SocketAddr], frame: &Frame, ctx: &mut dyn NodeCtx) {
-        if targets.is_empty() {
-            return;
-        }
-        let bytes = encode(frame);
-        for &to in targets {
-            self.count_sent(frame);
-            ctx.send_frame(to, bytes.clone());
+            self.surface.metrics.inc(self.surface.mode_mismatched);
         }
     }
 
-    /// Counts one outgoing frame by kind.
-    fn count_sent(&mut self, frame: &Frame) {
-        self.metrics.inc(self.counters.frames_sent);
-        match frame {
-            Frame::Gossip { .. } | Frame::PlumtreeGossip { .. } => {
-                self.metrics.inc(self.counters.frames_payload);
-            }
-            Frame::PlumtreeIHave { .. } => self.metrics.inc(self.counters.frames_ihave),
-            Frame::PlumtreeIHaveBatch { anns } => {
-                self.metrics.inc(self.counters.frames_ihave_batch);
-                self.metrics.add(self.counters.frames_ihave_batch_anns, anns.len() as u64);
-            }
-            _ => {}
-        }
+    /// Broadcasts a payload originated by this node.
+    pub(crate) fn broadcast(&mut self, id: u128, payload: Bytes, sink: &mut dyn FrameSink) {
+        self.act(sink, |core, ctx| core.broadcast(id, payload, ctx));
     }
 
-    fn execute(&mut self, actions: &mut Actions<SocketAddr>, ctx: &mut dyn NodeCtx) {
-        for action in actions.drain() {
-            match action {
-                Action::Send { to, message } => {
-                    // Shuffle replies and neighbor rejections go to peers
-                    // that are NOT neighbors: the paper sends them over
-                    // temporary connections (§4.3). Without the close,
-                    // every shuffle round leaks one connection per node —
-                    // at thousands of nodes that exhausts the fd table in
-                    // minutes. A trailing DISCONNECT tells the peer the
-                    // close is deliberate, not a crash.
-                    let temporary = matches!(
-                        message,
-                        Message::ShuffleReply { .. } | Message::NeighborReply { accepted: false }
-                    ) && !self.protocol.active_view().contains(&to);
-                    let graceful_close = matches!(message, Message::Disconnect);
-                    self.send(to, &Frame::Membership(message), ctx);
-                    if temporary {
-                        self.trace_event(TraceKind::TempConnClose { peer: u64::from(to.port()) });
-                        self.send(to, &Frame::Membership(Message::Disconnect), ctx);
-                    }
-                    if graceful_close || temporary {
-                        // The frames are queued; the backend flushes them
-                        // before tearing the connection down.
-                        ctx.disconnect(to);
-                    }
-                }
-                Action::NeighborUp { peer } => {
-                    // New active-view links enter the Plumtree eager set;
-                    // connections themselves are opened lazily by sends.
-                    self.trace_event(TraceKind::NeighborUp { peer: u64::from(peer.port()) });
-                    if let Broadcaster::Plumtree { state, .. } = &mut self.broadcaster {
-                        state.on_neighbor_up(peer);
-                    }
-                }
-                Action::NeighborDown { peer } => {
-                    // The peer keeps its connection until DISCONNECT or
-                    // failure, but it leaves the broadcast tree immediately.
-                    self.trace_event(TraceKind::NeighborDown { peer: u64::from(peer.port()) });
-                    if let Broadcaster::Plumtree { state, .. } = &mut self.broadcaster {
-                        state.on_neighbor_down(peer);
-                    }
-                }
-            }
-        }
+    /// Fires one Plumtree timer that the runtime armed via
+    /// [`FrameSink::schedule`].
+    pub(crate) fn on_plumtree_timer(&mut self, timer: PlumtreeTimer, sink: &mut dyn FrameSink) {
+        self.act(sink, |core, ctx| core.on_timer(timer, ctx));
     }
 
     /// The legacy counters struct, materialized from the registry.
     fn stats_snapshot(&self) -> NodeStats {
-        let c = |id: CounterId| self.metrics.counter_value(id);
+        let frames = &self.surface.frames;
+        let c = |id: CounterId| self.surface.metrics.counter_value(id);
         NodeStats {
-            broadcasts_sent: c(self.counters.broadcasts_sent),
-            deliveries: c(self.counters.deliveries),
-            duplicates: c(self.counters.duplicates),
-            mode_mismatched: c(self.counters.mode_mismatched),
-            frames_sent: c(self.counters.frames_sent),
-            payload_frames_sent: c(self.counters.frames_payload),
-            ihave_frames_sent: c(self.counters.frames_ihave),
-            ihave_batch_frames_sent: c(self.counters.frames_ihave_batch),
-            ihave_batch_anns_sent: c(self.counters.frames_ihave_batch_anns),
+            broadcasts_sent: c(frames.broadcasts),
+            deliveries: c(frames.delivered),
+            duplicates: c(frames.duplicates),
+            mode_mismatched: c(self.surface.mode_mismatched),
+            frames_sent: c(frames.sent),
+            payload_frames_sent: c(frames.payload),
+            ihave_frames_sent: c(frames.ihave),
+            ihave_batch_frames_sent: c(frames.ihave_batch),
+            ihave_batch_anns_sent: c(frames.ihave_batch_anns),
         }
     }
 
@@ -534,26 +428,30 @@ impl NodeCore {
     /// the first publish; afterwards the layout is stable and the mirror
     /// is an allocation-free value copy.
     pub(crate) fn publish(&mut self) {
-        self.protocol.stats().fill_registry(&mut self.metrics);
-        if let Broadcaster::Plumtree { state, .. } = &self.broadcaster {
-            state.stats().fill_registry(&mut self.metrics);
+        let protocol = self.core.membership().protocol();
+        let metrics = &mut self.surface.metrics;
+        protocol.stats().fill_registry(metrics);
+        if let Some(plumtree) = self.core.plumtree_state() {
+            plumtree.stats().fill_registry(metrics);
         }
+        let stats = self.stats_snapshot();
+        let metrics = &self.surface.metrics;
         let mut shared = self.shared.lock();
         // `clone_into` refills the snapshots in place: no allocation once
         // they have grown to the view sizes.
-        self.protocol.active_view().as_slice().clone_into(&mut shared.active);
-        self.protocol.passive_view().as_slice().clone_into(&mut shared.passive);
-        if let Broadcaster::Plumtree { state, .. } = &self.broadcaster {
-            state.eager().clone_into(&mut shared.eager);
-            state.lazy().clone_into(&mut shared.lazy);
+        protocol.active_view().as_slice().clone_into(&mut shared.active);
+        protocol.passive_view().as_slice().clone_into(&mut shared.passive);
+        if let Some(plumtree) = self.core.plumtree_state() {
+            plumtree.eager().clone_into(&mut shared.eager);
+            plumtree.lazy().clone_into(&mut shared.lazy);
         }
-        shared.stats = self.stats_snapshot();
-        if shared.metrics.names().len() == self.metrics.names().len() {
-            shared.metrics.copy_values_from(&self.metrics);
+        shared.stats = stats;
+        if shared.metrics.names().len() == metrics.names().len() {
+            shared.metrics.copy_values_from(metrics);
         } else {
-            shared.metrics = self.metrics.clone();
+            shared.metrics = metrics.clone();
         }
-        if let Some(ring) = &mut self.trace {
+        if let Some(ring) = &mut self.surface.trace {
             let sink = shared.trace.get_or_insert_with(|| TraceRing::new(ring.capacity()));
             for event in ring.drain() {
                 sink.record(event);
@@ -584,13 +482,13 @@ mod tests {
     use crossbeam::channel::bounded;
     use hyparview_plumtree::PlumtreeConfig;
 
-    /// A [`NodeCtx`] that keeps what the core hands it.
+    /// A [`FrameSink`] that keeps what the node hands it.
     #[derive(Default)]
     struct Recorder {
         sent: Vec<(SocketAddr, Bytes)>,
     }
 
-    impl NodeCtx for Recorder {
+    impl FrameSink for Recorder {
         fn send_frame(&mut self, to: SocketAddr, frame: Bytes) {
             self.sent.push((to, frame));
         }
@@ -603,14 +501,14 @@ mod tests {
     }
 
     /// A core whose active view holds peers 1 to 5 (the paper's fanout).
-    fn core_with_five_neighbors(config: NetConfig) -> NodeCore {
+    fn core_with_five_neighbors(config: NetConfig) -> LiveNode {
         let (delivery_tx, _) = bounded(16);
         let config = NetConfig { seed: Some(1), ..config };
-        let mut core = NodeCore::new(addr(9), &config, Arc::default(), delivery_tx).unwrap();
+        let mut core = LiveNode::new(addr(9), &config, Arc::default(), delivery_tx).unwrap();
         for port in 1..=5 {
             core.on_frame(addr(port), Frame::Membership(Message::Join), &mut Recorder::default());
         }
-        assert_eq!(core.protocol.active_view().len(), 5);
+        assert_eq!(core.core.membership().protocol().active_view().len(), 5);
         core
     }
 

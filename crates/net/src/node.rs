@@ -1,6 +1,7 @@
 //! The node runtime handle: the application-facing [`Node`] driving the
 //! sans-io [`HyParView`](hyparview_core::HyParView) state machine plus the
-//! gossip broadcast layer (`NodeCore`) over real TCP.
+//! gossip broadcast layer (the [`NodeCore`](hyparview_plumtree::NodeCore)
+//! the simulator also runs) over real TCP.
 //!
 //! A node registers with a shared epoll [`Reactor`](crate::reactor), which
 //! multiplexes its event loop, timers and every connection onto one thread.

@@ -15,8 +15,8 @@
 //!   [`Poller`]. Connections are nonblocking with per-connection
 //!   [`FrameReader`]s (partial-frame resumption) and bounded outbound
 //!   queues (`VecDeque<Bytes>` + partial-write cursor).
-//! * `Reactor` owns the nodes: each a sans-runtime `NodeCore` plus its
-//!   listener key, driven through a `ReactorCtx` effect sink. A single
+//! * `Reactor` owns the nodes: each a sans-runtime `LiveNode` plus its
+//!   listener key, driven through a `ReactorCtx` frame sink. A single
 //!   timer heap carries both
 //!   shuffle ticks and Plumtree timers for all nodes.
 //! * [`Cluster`] is the application handle: a cheaply clonable reference to
@@ -29,7 +29,7 @@
 //! the reactor keeps read interest on *outbound* connections too, a crashed
 //! peer is usually detected at EOF, before the next write to it fails.
 
-use crate::core::{NodeCore, NodeCtx, Shared};
+use crate::core::{FrameSink, LiveNode, Shared};
 use crate::node::{Control, NetConfig, Node, DELIVERY_QUEUE};
 use crate::wire::{encode, Frame, FrameReader};
 use bytes::Bytes;
@@ -161,7 +161,7 @@ impl Cluster {
 
         let (delivery_tx, delivery_rx) = bounded(DELIVERY_QUEUE);
         let shared = Arc::new(Mutex::new(Shared::default()));
-        let core = NodeCore::new(local, &config, Arc::clone(&shared), delivery_tx)?;
+        let core = LiveNode::new(local, &config, Arc::clone(&shared), delivery_tx)?;
 
         let (reply_tx, reply_rx) = bounded(1);
         self.inner.send(ReactorControl::AddNode {
@@ -193,7 +193,7 @@ impl std::fmt::Debug for Cluster {
 enum ReactorControl {
     AddNode {
         listener: Box<TcpListener>,
-        core: Box<NodeCore>,
+        core: Box<LiveNode>,
         shuffle_interval: Duration,
         writer_queue: usize,
         reply: Sender<usize>,
@@ -521,13 +521,13 @@ enum TimerEntry {
 }
 
 struct NodeSlot {
-    core: NodeCore,
+    core: LiveNode,
     listener_key: usize,
     writer_queue: usize,
     shuffle_interval: Duration,
 }
 
-/// The reactor's [`NodeCtx`]: frames go to the shared fd table, timers onto
+/// The reactor's [`FrameSink`]: frames go to the shared fd table, timers onto
 /// the shared heap. Peer failures raised by sends land in `failures` and
 /// are fed back into the same core by [`Reactor::with_core`]'s drain loop.
 struct ReactorCtx<'a> {
@@ -540,7 +540,7 @@ struct ReactorCtx<'a> {
     failures: VecDeque<SocketAddr>,
 }
 
-impl NodeCtx for ReactorCtx<'_> {
+impl FrameSink for ReactorCtx<'_> {
     fn send_frame(&mut self, to: SocketAddr, frame: Bytes) {
         self.io.send(self.node, self.local, to, frame, self.writer_queue, &mut self.failures);
     }
@@ -644,7 +644,7 @@ impl Reactor {
     /// (which may raise more — the loop runs to quiescence; it terminates
     /// because re-failing a peer already outside the active view is a
     /// protocol no-op).
-    fn with_core(&mut self, node: usize, f: impl FnOnce(&mut NodeCore, &mut ReactorCtx)) {
+    fn with_core(&mut self, node: usize, f: impl FnOnce(&mut LiveNode, &mut ReactorCtx)) {
         let Reactor { io, nodes, timers, timer_seq, dirty, .. } = self;
         let Some(slot) = nodes.get_mut(node).and_then(|slot| slot.as_mut()) else { return };
         let mut ctx = ReactorCtx {

@@ -29,11 +29,18 @@
 //!
 //! Like `hyparview-core`, this crate is **sans-io**: [`PlumtreeState`] is a
 //! pure state machine that consumes events (messages, timer expirations,
-//! neighbor changes from any [`Membership`](hyparview_gossip::Membership)
-//! implementation) and emits effects through a [`PlumtreeOut`] buffer —
-//! sends via the gossip crate's `Outbox` seam, local deliveries, and timer
-//! requests. The discrete-event simulator (`hyparview-sim`) maps the timer
-//! requests to cycle-delayed events; the TCP runtime (`hyparview-net`) maps
+//! neighbor changes from any [`Membership`] implementation) and emits
+//! effects through a [`PlumtreeOut`] buffer — sends via the gossip crate's
+//! `Outbox` seam, local deliveries, and timer requests.
+//!
+//! The crate also holds the one place where a node is put together:
+//! [`node`]'s [`NodeCore`] composes any [`Membership`] with the paper's
+//! eager flood or with [`PlumtreeState`] (tree links follow the membership
+//! view), and emits every effect through a [`NodeCtx`]. It lives here
+//! because this is the lowest crate that sees both layers. The
+//! discrete-event simulator (`hyparview-sim`) implements the context over
+//! its event queue, mapping timer requests to cycle-delayed events; the TCP
+//! runtime (`hyparview-net`) implements it over the wire codec, mapping
 //! them to wall-clock deadlines.
 //!
 //! ## Quickstart
@@ -57,10 +64,15 @@
 
 pub mod config;
 pub mod message;
+pub mod node;
 pub mod state;
 
 pub use config::{BroadcastMode, PlumtreeConfig};
+// What a runtime names when it implements [`NodeCtx`] for HyParView nodes,
+// so it need not depend on `hyparview-gossip` itself.
+pub use hyparview_gossip::{HyParViewMembership, Membership, MembershipEvent};
 pub use message::{Announcement, MsgId, PlumtreeMessage};
+pub use node::{FrameCounters, NodeCore, NodeCtx, Scratch};
 pub use state::{
     PlumtreeDelivery, PlumtreeOut, PlumtreeState, PlumtreeStats, PlumtreeTimer, TimerRequest,
     MAX_IHAVE_BATCH,

@@ -12,6 +12,15 @@
 //!   send failures* (HyParView, CyclonAcked) the sender is notified — this
 //!   is the simulator's model of TCP as a failure detector;
 //! * everything is deterministic given the scenario seed.
+//!
+//! A simulated node is the same [`NodeCore`] the TCP runtime runs
+//! (membership plus flood or Plumtree, composed once in
+//! `hyparview_plumtree::node`), carrying no payload. [`Sim`] is the node
+//! table and the experiment API; everything the nodes act on (event queue,
+//! latency and fault draws, delivery table, burst accounting, registry,
+//! tracers) is the `Network`, and a node's [`NodeCtx`] is an `Actor`
+//! borrowing it: a send is a fault decision, a latency draw and a queue
+//! push of the typed message.
 
 use crate::attack::AttackPlan;
 use crate::event::EventQueue;
@@ -19,12 +28,11 @@ use crate::fault::{mix_fault, unit_draw, FaultOp, FaultOpKind, FaultPlan};
 use hyparview_core::SimId;
 use hyparview_gossip::{BroadcastReport, Membership, MembershipEvent, Outbox};
 use hyparview_obsv::{
-    names, CounterId, HopRecord, PathTracer, Registry, TimerKind, TraceEvent, TraceKind, TraceRing,
-    TraceSink, VirtualClock,
+    names, CounterId, HopRecord, PathTracer, Registry, TraceEvent, TraceKind, TraceRing, TraceSink,
 };
 use hyparview_plumtree::{
-    BroadcastMode, MsgId, PlumtreeConfig, PlumtreeMessage, PlumtreeOut, PlumtreeState,
-    PlumtreeStats, PlumtreeTimer,
+    BroadcastMode, FrameCounters, MsgId, NodeCore, NodeCtx, PlumtreeConfig, PlumtreeMessage,
+    PlumtreeState, PlumtreeStats, PlumtreeTimer, Scratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -313,15 +321,9 @@ struct SimCounters {
     gossip_delivered: CounterId,
     gossip_to_dead: CounterId,
     failure_notifications: CounterId,
-    broadcasts: CounterId,
     events_processed: CounterId,
-    frames_sent: CounterId,
-    frames_payload: CounterId,
-    frames_ihave: CounterId,
-    frames_ihave_batch: CounterId,
-    frames_ihave_batch_anns: CounterId,
-    delivered: CounterId,
-    duplicates: CounterId,
+    /// The `frames.*` / `broadcast.*` handles shared with the TCP runtime.
+    frames: FrameCounters,
     faults_dropped: CounterId,
     faults_partition_dropped: CounterId,
     faults_duplicated: CounterId,
@@ -343,15 +345,14 @@ impl SimCounters {
             gossip_delivered: registry.counter(names::SIM_GOSSIP_DELIVERED),
             gossip_to_dead: registry.counter(names::SIM_GOSSIP_TO_DEAD),
             failure_notifications: registry.counter(names::SIM_FAILURE_NOTIFICATIONS),
-            broadcasts: registry.counter(names::BROADCAST_SENT),
-            events_processed: registry.counter(names::SIM_EVENTS_PROCESSED),
-            frames_sent: registry.counter(names::FRAMES_SENT),
-            frames_payload: registry.counter(names::FRAMES_PAYLOAD_SENT),
-            frames_ihave: registry.counter(names::FRAMES_IHAVE_SENT),
-            frames_ihave_batch: registry.counter(names::FRAMES_IHAVE_BATCH_SENT),
-            frames_ihave_batch_anns: registry.counter(names::FRAMES_IHAVE_BATCH_ANNS_SENT),
-            delivered: registry.counter(names::BROADCAST_DELIVERED),
-            duplicates: registry.counter(names::BROADCAST_DUPLICATES),
+            // Snapshots serialise in registration order, where
+            // `broadcast.sent` sits ahead of `sim.events_processed`: claim
+            // its place before `FrameCounters::register` finds it again.
+            events_processed: {
+                registry.counter(names::BROADCAST_SENT);
+                registry.counter(names::SIM_EVENTS_PROCESSED)
+            },
+            frames: FrameCounters::register(registry),
             faults_dropped: registry.counter(names::FAULTS_DROPPED),
             faults_partition_dropped: registry.counter(names::FAULTS_PARTITION_DROPPED),
             faults_duplicated: registry.counter(names::FAULTS_DUPLICATED),
@@ -390,12 +391,11 @@ enum Payload<Msg> {
     },
 }
 
+/// One simulated node: the same [`NodeCore`] the TCP runtime runs, moving
+/// typed messages with no payload, plus whether it has crashed.
 #[derive(Debug)]
 struct Slot<M> {
-    memb: M,
-    /// Present only in [`BroadcastMode::Plumtree`]; flood-mode slots carry
-    /// no Plumtree state (the paper's experiments run at n = 10,000).
-    plumtree: Option<PlumtreeState<SimId, ()>>,
+    core: NodeCore<SimId, M, ()>,
     alive: bool,
 }
 
@@ -514,10 +514,6 @@ impl SentLog {
 }
 
 impl Track {
-    fn none() -> Track {
-        Track::default()
-    }
-
     fn tracking(
         base: u64,
         count: u64,
@@ -547,11 +543,17 @@ impl Track {
     }
 
     /// The tallies of tracked broadcast `id`, if tracked.
-    fn per_mut(&mut self, id: u64) -> Option<&mut PerMsg> {
-        if self.active() && (self.base..self.base + self.count).contains(&id) {
-            self.per.get_mut((id - self.base) as usize)
-        } else {
-            None
+    fn per_mut(&mut self, id: MsgId) -> Option<&mut PerMsg> {
+        let offset = self.matches(id).then(|| (id - MsgId::from(self.base)) as usize)?;
+        self.per.get_mut(offset)
+    }
+
+    /// Tallies one payload transmission of `id` that the fault plan turned
+    /// into `copies` frames (none: dropped, but still sent).
+    fn payload_sent(&mut self, id: MsgId, copies: usize) {
+        if let Some(per) = self.per_mut(id) {
+            per.sent += copies.max(1);
+            per.dropped += usize::from(copies == 0);
         }
     }
 
@@ -607,29 +609,36 @@ impl BurstReport {
 /// assert!(report.is_atomic());
 /// ```
 pub struct Sim<M: Membership<SimId>> {
-    config: SimConfig,
     nodes: Vec<Slot<M>>,
     /// Number of alive slots (kept by `add_node`/`fail_nodes`/`revive`).
     alive: usize,
+    net: Network<M::Message>,
+    next_broadcast: u64,
+    factory: Box<dyn FnMut(SimId, u64) -> M>,
+    factory_seed: u64,
+}
+
+/// Everything the nodes act on: the event queue, latency and fault draws,
+/// delivery bookkeeping, metrics and tracers. Borrowed apart from the node
+/// table, it is what an [`Actor`] turns a node's effects into.
+struct Network<Msg> {
+    config: SimConfig,
     delivered: DeliveryTable,
-    /// Every Plumtree step's effect buffer; `apply_plumtree_out` recycles it.
-    plumtree_out: PlumtreeOut<SimId, ()>,
-    queue: EventQueue<Payload<M::Message>>,
+    /// Every step's effect buffers, recycled by [`NodeCore`].
+    scratch: Scratch<SimId, Msg, ()>,
+    queue: EventQueue<Payload<Msg>>,
     time: u64,
     rng: StdRng,
     /// Source of truth for every counter ([`SimStats`] is a view of this).
     metrics: Registry,
     counters: SimCounters,
-    /// The virtual-time face of the shared clock abstraction: advanced in
-    /// lockstep with `time`, read by the trace producers.
-    clock: VirtualClock,
     /// Hop provenance of first deliveries ([`Sim::enable_path_tracing`]).
     path: Option<PathTracer>,
     /// Protocol decision trace ([`Sim::enable_tracing`]).
     trace: Option<TraceRing>,
-    next_broadcast: u64,
-    factory: Box<dyn FnMut(SimId, u64) -> M>,
-    factory_seed: u64,
+    /// Accounting of the burst being disseminated (the empty default
+    /// between bursts).
+    track: Track,
     /// Seed of the per-link latency geometry ([`LatencyAssignment::PerLink`]).
     link_seed: u64,
     /// Memoized per-link draws — fixed for the run by definition, so each
@@ -650,47 +659,7 @@ pub struct Sim<M: Membership<SimId>> {
     next_fault_op: usize,
 }
 
-impl<M: Membership<SimId>> Sim<M> {
-    /// Creates an empty simulation.
-    ///
-    /// `factory` builds a protocol instance for each added node; it receives
-    /// the node id and a per-node seed derived from `seed`.
-    pub fn new<F>(config: SimConfig, seed: u64, factory: F) -> Self
-    where
-        F: FnMut(SimId, u64) -> M + 'static,
-    {
-        let queue = EventQueue::new();
-        let mut metrics = Registry::new();
-        let counters = SimCounters::register(&mut metrics);
-        let mut fault_ops = config.faults.ops.clone();
-        fault_ops.sort_by_key(|op| op.at);
-        Sim {
-            config,
-            nodes: Vec::new(),
-            alive: 0,
-            delivered: DeliveryTable::default(),
-            plumtree_out: PlumtreeOut::new(),
-            queue,
-            time: 0,
-            rng: StdRng::seed_from_u64(seed),
-            metrics,
-            counters,
-            clock: VirtualClock::new(),
-            path: None,
-            trace: None,
-            next_broadcast: 0,
-            factory: Box::new(factory),
-            factory_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
-            link_seed: seed ^ 0x7A7E_11C7_1A7E_11C7,
-            link_latency: HashMap::new(),
-            fault_seed: seed ^ 0xFA17_FA17_FA17_FA17,
-            fault_nonce: 0,
-            partition: None,
-            fault_ops,
-            next_fault_op: 0,
-        }
-    }
-
+impl<Msg> Network<Msg> {
     /// The latency of one transmission from `from` to `to`, in virtual time
     /// units. Per-message assignment draws from the simulation RNG;
     /// per-link assignment derives a stable draw from the link's own seed
@@ -732,7 +701,7 @@ impl<M: Membership<SimId>> Sim<M> {
     /// Loss and duplication apply only to dissemination traffic (flood
     /// gossip and every Plumtree frame) — membership frames model TCP,
     /// which HyParView's design assumes (§3), and go through
-    /// [`Sim::partition_cut`] alone. The fast path — no active plan, no
+    /// [`Network::partition_cut`] alone. The fast path — no active plan, no
     /// partition — returns 1 without consuming anything, so a sim with an
     /// inert [`FaultPlan`] is bit-identical to one with no plan at all.
     /// Fault draws come from a dedicated SplitMix64 stream keyed by
@@ -766,6 +735,251 @@ impl<M: Membership<SimId>> Sim<M> {
         unit_draw(mix_fault(self.fault_seed, nonce))
     }
 
+    /// Tags one *first* delivery with its hop provenance (when path
+    /// tracing is on) and mirrors it into the decision trace (when that
+    /// is on). `parent` is the node the payload arrived from — `None`
+    /// for the broadcast origin's self-delivery.
+    fn record_delivery(&mut self, id: u64, node: SimId, parent: Option<SimId>, depth: u32) {
+        if let Some(tracer) = &mut self.path {
+            tracer.record(HopRecord {
+                msg: id,
+                node: node.index() as u64,
+                parent: parent.map(|p| p.index() as u64),
+                depth,
+                time: self.time,
+            });
+        }
+        self.trace_event(node, TraceKind::Delivered { msg: id, hops: depth });
+    }
+
+    /// Appends one decision-trace event (no-op unless tracing is on).
+    fn trace_event(&mut self, node: SimId, kind: TraceKind) {
+        if let Some(ring) = &mut self.trace {
+            ring.record(TraceEvent { time: self.time, node: node.index() as u64, kind });
+        }
+    }
+}
+
+/// One node's [`NodeCtx`]: its sends become latency-delayed events (typed,
+/// never encoded), its timers self-addressed events, its deliveries rows of
+/// the [`DeliveryTable`] and tallies of the tracked burst.
+struct Actor<'a, M: Membership<SimId>> {
+    net: &'a mut Network<M::Message>,
+    node: SimId,
+}
+
+impl<M: Membership<SimId>> Actor<'_, M> {
+    /// Ships one flood transmission of `id` to `to`, through the fault plan.
+    fn send_gossip(&mut self, to: SimId, id: u64, hops: u32) {
+        let net = &mut *self.net;
+        let copies = net.frame_copies(self.node, to);
+        net.counters.frames.count_payload(&mut net.metrics, copies.max(1) as u64);
+        net.track.payload_sent(MsgId::from(id), copies);
+        for _ in 0..copies {
+            let latency = net.latency_of(self.node, to);
+            net.queue.push(net.time + latency, self.node, to, Payload::Gossip { id, hops });
+        }
+    }
+}
+
+impl<M: Membership<SimId>> NodeCtx<SimId, M, ()> for Actor<'_, M> {
+    fn scratch(&mut self) -> &mut Scratch<SimId, M::Message, ()> {
+        &mut self.net.scratch
+    }
+
+    fn send_membership(&mut self, _membership: &M, to: SimId, message: M::Message) {
+        // Membership traffic rides TCP (HyParView's stated transport
+        // assumption): exempt from loss and duplication, severed only
+        // by a partition. A cut frame was still *sent* — it left the
+        // sender before the network ate it.
+        let net = &mut *self.net;
+        let cut = net.partition_cut(self.node, to);
+        net.metrics.inc(net.counters.frames.sent);
+        if !cut {
+            let latency = net.latency_of(self.node, to);
+            net.queue.push(net.time + latency, self.node, to, Payload::Membership(message));
+        }
+    }
+
+    fn send_flood(&mut self, id: MsgId, hops: u32, _payload: (), targets: Vec<SimId>) {
+        for &to in &targets {
+            self.send_gossip(to, id as u64, hops);
+        }
+        if self.net.track.matches(id) {
+            self.net.track.sent_by.record(self.node.index(), id as u64, targets);
+        }
+    }
+
+    /// With per-broadcast accounting for the tracked ids: payloads land in
+    /// the sent/dropped buckets exactly like flood transmissions;
+    /// `IHave`/`Graft`/`Prune` count as control traffic.
+    fn send_plumtree(&mut self, to: SimId, message: PlumtreeMessage<()>) {
+        let net = &mut *self.net;
+        let copies = net.frame_copies(self.node, to);
+        let sent = copies.max(1);
+        net.counters.frames.count(&mut net.metrics, &message, sent as u64);
+        let track = &mut net.track;
+        match &message {
+            PlumtreeMessage::Gossip { id, .. } => track.payload_sent(*id, copies),
+            PlumtreeMessage::IHave { id, .. } | PlumtreeMessage::Graft { id: Some(id), .. } => {
+                if let Some(per) = track.per_mut(*id) {
+                    per.control += sent;
+                }
+            }
+            PlumtreeMessage::IHaveBatch { anns } => {
+                // Batch-aware accounting: however many announcements it
+                // carries, a batch is *one* control frame — that is the
+                // entire point of lazy-link batching. It can span
+                // several tracked messages, so it lands in the burst's
+                // shared bucket.
+                if anns.iter().any(|a| track.matches(a.id)) {
+                    track.shared_control += sent;
+                }
+            }
+            PlumtreeMessage::Graft { id: None, .. } | PlumtreeMessage::Prune => {
+                // Optimization grafts and prunes carry no id; attribute
+                // them to the burst whose dissemination provoked them
+                // (bursts are disseminated one at a time).
+                if track.active() {
+                    track.shared_control += sent;
+                }
+            }
+        }
+        for _ in 0..copies {
+            let latency = net.latency_of(self.node, to);
+            net.queue.push(net.time + latency, self.node, to, Payload::Plumtree(message.clone()));
+        }
+    }
+
+    fn has_delivered(&self, id: MsgId) -> bool {
+        self.net.delivered.has_delivered(id as u64, self.node)
+    }
+
+    fn deliver(&mut self, id: MsgId, hops: u32, from: Option<SimId>, _payload: ()) {
+        let net = &mut *self.net;
+        // Plumtree's own store can have evicted an id the table still has.
+        if !net.delivered.deliver(id as u64, self.node) {
+            net.metrics.inc(net.counters.frames.duplicates);
+            return;
+        }
+        net.metrics.inc(net.counters.frames.delivered);
+        net.record_delivery(id as u64, self.node, from, hops);
+        if let Some(per) = net.track.per_mut(id) {
+            per.delivered += 1;
+            per.max_hops = per.max_hops.max(hops);
+        }
+    }
+
+    fn duplicate(&mut self, id: MsgId) {
+        let net = &mut *self.net;
+        net.metrics.inc(net.counters.frames.duplicates);
+        if let Some(per) = net.track.per_mut(id) {
+            per.redundant += 1;
+        }
+    }
+
+    fn schedule(&mut self, timer: PlumtreeTimer, delay: u64) {
+        let net = &mut *self.net;
+        net.queue.push(net.time + delay, self.node, self.node, Payload::PlumtreeTimer { timer });
+    }
+
+    /// Defense decisions and attacker actions feed the `attack.*` counters
+    /// and the decision trace.
+    fn membership_event(&mut self, event: MembershipEvent<SimId>) {
+        let net = &mut *self.net;
+        let c = &net.counters;
+        let (counter, traced) = match event {
+            MembershipEvent::JoinDamped { peer } => (
+                c.attack_joins_damped,
+                Some(TraceKind::AdmissionDamped { peer: peer.index() as u64 }),
+            ),
+            MembershipEvent::NeighborDamped { peer } => (
+                c.attack_neighbors_damped,
+                Some(TraceKind::AdmissionDamped { peer: peer.index() as u64 }),
+            ),
+            MembershipEvent::TenureSwapped { peer } => {
+                (c.attack_tenure_swaps, Some(TraceKind::TenureSwap { peer: peer.index() as u64 }))
+            }
+            MembershipEvent::ShuffleBoosted => (c.attack_shuffle_boosts, None),
+            MembershipEvent::NeighborFlood { .. } => (c.attack_neighbor_floods, None),
+            MembershipEvent::AttackerRejoin { .. } => (c.attack_rejoins, None),
+            MembershipEvent::ShuffleBiased => (c.attack_shuffles_biased, None),
+        };
+        net.metrics.inc(counter);
+        if let Some(kind) = traced {
+            net.trace_event(self.node, kind);
+        }
+    }
+
+    fn tracing(&self) -> bool {
+        self.net.trace.is_some()
+    }
+
+    fn trace_id(&self, peer: SimId) -> u64 {
+        peer.index() as u64
+    }
+
+    fn trace(&mut self, kind: TraceKind) {
+        self.net.trace_event(self.node, kind);
+    }
+}
+
+impl<M: Membership<SimId>> Sim<M> {
+    /// Creates an empty simulation.
+    ///
+    /// `factory` builds a protocol instance for each added node; it receives
+    /// the node id and a per-node seed derived from `seed`.
+    pub fn new<F>(config: SimConfig, seed: u64, factory: F) -> Self
+    where
+        F: FnMut(SimId, u64) -> M + 'static,
+    {
+        let mut metrics = Registry::new();
+        let counters = SimCounters::register(&mut metrics);
+        let mut fault_ops = config.faults.ops.clone();
+        fault_ops.sort_by_key(|op| op.at);
+        Sim {
+            nodes: Vec::new(),
+            alive: 0,
+            net: Network {
+                config,
+                delivered: DeliveryTable::default(),
+                scratch: Scratch::default(),
+                queue: EventQueue::new(),
+                time: 0,
+                rng: StdRng::seed_from_u64(seed),
+                metrics,
+                counters,
+                path: None,
+                trace: None,
+                track: Track::default(),
+                link_seed: seed ^ 0x7A7E_11C7_1A7E_11C7,
+                link_latency: HashMap::new(),
+                fault_seed: seed ^ 0xFA17_FA17_FA17_FA17,
+                fault_nonce: 0,
+                partition: None,
+                fault_ops,
+                next_fault_op: 0,
+            },
+            next_broadcast: 0,
+            factory: Box::new(factory),
+            factory_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
+        }
+    }
+
+    /// Runs one event of `node` with the [`Actor`] that ships its effects.
+    fn act(
+        &mut self,
+        node: SimId,
+        event: impl FnOnce(&mut NodeCore<SimId, M, ()>, &mut Actor<'_, M>),
+    ) {
+        event(&mut self.nodes[node.index()].core, &mut Actor { net: &mut self.net, node });
+    }
+
+    /// Runs one membership event of `node`.
+    fn step(&mut self, node: SimId, event: impl FnOnce(&mut M, &mut Outbox<SimId, M::Message>)) {
+        self.act(node, |core, ctx| core.step(ctx, event));
+    }
+
     /// Splits the network into the given groups: from now on every frame
     /// between nodes of different groups is dropped at send time (frames
     /// already in flight still arrive, like packets already on the wire).
@@ -780,28 +994,28 @@ impl<M: Membership<SimId>> Sim<M> {
                 assign[id.index()] = index as u32 + 1;
             }
         }
-        self.partition = Some(assign);
+        self.net.partition = Some(assign);
     }
 
     /// Removes the active partition (no-op when the network is whole).
     pub fn heal_partitions(&mut self) {
-        self.partition = None;
+        self.net.partition = None;
     }
 
     /// Whether a partition is currently in force.
     pub fn partitioned(&self) -> bool {
-        self.partition.is_some()
+        self.net.partition.is_some()
     }
 
     /// Applies every timed fault op whose `at` has been reached. Called
     /// whenever virtual time advances, so partitions cut mid-drain, right
     /// between two event deliveries.
     fn apply_due_fault_ops(&mut self) {
-        while self.next_fault_op < self.fault_ops.len()
-            && self.fault_ops[self.next_fault_op].at <= self.time
+        while self.net.next_fault_op < self.net.fault_ops.len()
+            && self.net.fault_ops[self.net.next_fault_op].at <= self.net.time
         {
-            let op = self.fault_ops[self.next_fault_op].clone();
-            self.next_fault_op += 1;
+            let op = self.net.fault_ops[self.net.next_fault_op].clone();
+            self.net.next_fault_op += 1;
             match op.kind {
                 FaultOpKind::Partition(groups) => {
                     let groups: Vec<Vec<SimId>> =
@@ -818,16 +1032,24 @@ impl<M: Membership<SimId>> Sim<M> {
         let id = SimId::new(self.nodes.len());
         let seed =
             self.factory_seed.wrapping_add((id.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-        let memb = (self.factory)(id, seed);
-        let plumtree = self.make_plumtree(id);
-        self.nodes.push(Slot { memb, plumtree, alive: true });
+        let core = self.make_core(id, seed);
+        self.nodes.push(Slot { core, alive: true });
         self.alive += 1;
         id
     }
 
-    fn make_plumtree(&self, id: SimId) -> Option<PlumtreeState<SimId, ()>> {
-        (self.config.broadcast_mode == BroadcastMode::Plumtree)
-            .then(|| PlumtreeState::new(id, self.config.plumtree.clone()))
+    /// A fresh node: the factory's membership under the configured
+    /// dissemination. Flood-mode nodes carry no Plumtree state (the paper's
+    /// experiments run at n = 10,000).
+    fn make_core(&mut self, id: SimId, seed: u64) -> NodeCore<SimId, M, ()> {
+        let membership = (self.factory)(id, seed);
+        let config = &self.net.config;
+        match config.broadcast_mode {
+            BroadcastMode::Flood => NodeCore::flood(membership, config.fanout),
+            BroadcastMode::Plumtree => {
+                NodeCore::plumtree(membership, PlumtreeState::new(id, config.plumtree.clone()))
+            }
+        }
     }
 
     /// Number of nodes ever added.
@@ -842,12 +1064,12 @@ impl<M: Membership<SimId>> Sim<M> {
 
     /// Current virtual time.
     pub fn time(&self) -> u64 {
-        self.time
+        self.net.time
     }
 
     /// Number of events still waiting in the queue.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.net.queue.len()
     }
 
     /// Whether the simulation is *quiescent*: the event queue is empty.
@@ -857,22 +1079,23 @@ impl<M: Membership<SimId>> Sim<M> {
     /// quiescence is defined purely on the queue, and every drain runs
     /// until this holds.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.net.queue.is_empty()
     }
 
     /// Cumulative simulator statistics, materialized from the metric
     /// registry (the registry is the source of truth; this struct is the
     /// legacy snapshot view).
     pub fn stats(&self) -> SimStats {
-        let value = |id: CounterId| self.metrics.counter_value(id);
+        let counters = &self.net.counters;
+        let value = |id: CounterId| self.net.metrics.counter_value(id);
         SimStats {
-            membership_delivered: value(self.counters.membership_delivered),
-            membership_to_dead: value(self.counters.membership_to_dead),
-            gossip_delivered: value(self.counters.gossip_delivered),
-            gossip_to_dead: value(self.counters.gossip_to_dead),
-            failure_notifications: value(self.counters.failure_notifications),
-            broadcasts: value(self.counters.broadcasts),
-            events_processed: value(self.counters.events_processed),
+            membership_delivered: value(counters.membership_delivered),
+            membership_to_dead: value(counters.membership_to_dead),
+            gossip_delivered: value(counters.gossip_delivered),
+            gossip_to_dead: value(counters.gossip_to_dead),
+            failure_notifications: value(counters.failure_notifications),
+            broadcasts: value(counters.frames.broadcasts),
+            events_processed: value(counters.events_processed),
         }
     }
 
@@ -887,21 +1110,21 @@ impl<M: Membership<SimId>> Sim<M> {
     /// experiments split reliability by node population, e.g. honest-only
     /// reliability under an infiltration attack.
     pub fn has_delivered(&self, node: SimId, id: u64) -> bool {
-        self.delivered.has_delivered(id, node)
+        self.net.delivered.has_delivered(id, node)
     }
 
     /// The simulator's metric registry: `sim.*` event-loop counters plus
     /// the `frames.*` / `broadcast.*` transport vocabulary it shares with
     /// the TCP runtime ([`hyparview_obsv::names`]).
     pub fn metrics(&self) -> &Registry {
-        &self.metrics
+        &self.net.metrics
     }
 
     /// A cluster-style metrics snapshot: the event-loop registry merged
     /// with the aggregated per-node protocol counters (`plumtree.*` in
     /// Plumtree mode).
     pub fn metrics_snapshot(&self) -> Registry {
-        let mut snapshot = self.metrics.clone();
+        let mut snapshot = self.net.metrics.clone();
         if let Some(total) = self.plumtree_stats_total() {
             total.fill_registry(&mut snapshot);
         }
@@ -914,21 +1137,21 @@ impl<M: Membership<SimId>> Sim<M> {
     /// or [`Sim::clear_path_records`]; for long runs, drain between bursts
     /// to bound memory.
     pub fn enable_path_tracing(&mut self) {
-        if self.path.is_none() {
-            self.path = Some(PathTracer::new());
+        if self.net.path.is_none() {
+            self.net.path = Some(PathTracer::new());
         }
     }
 
     /// The hop-provenance records accumulated so far (empty when tracing
     /// is disabled).
     pub fn path_records(&self) -> &[HopRecord] {
-        self.path.as_ref().map(PathTracer::records).unwrap_or(&[])
+        self.net.path.as_ref().map(PathTracer::records).unwrap_or(&[])
     }
 
     /// Moves the accumulated hop-provenance records out, leaving the
     /// tracer enabled but empty.
     pub fn take_path_records(&mut self) -> PathTracer {
-        match &mut self.path {
+        match &mut self.net.path {
             Some(tracer) => std::mem::take(tracer),
             None => PathTracer::new(),
         }
@@ -936,7 +1159,7 @@ impl<M: Membership<SimId>> Sim<M> {
 
     /// Drops accumulated hop-provenance records (between bursts).
     pub fn clear_path_records(&mut self) {
-        if let Some(tracer) = &mut self.path {
+        if let Some(tracer) = &mut self.net.path {
             tracer.clear();
         }
     }
@@ -946,27 +1169,27 @@ impl<M: Membership<SimId>> Sim<M> {
     /// promotions/demotions, timer fires and first deliveries, stamped
     /// with deterministic virtual time.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = Some(TraceRing::new(capacity));
+        self.net.trace = Some(TraceRing::new(capacity));
     }
 
     /// The decision-trace ring, if tracing is enabled.
     pub fn trace(&self) -> Option<&TraceRing> {
-        self.trace.as_ref()
+        self.net.trace.as_ref()
     }
 
     /// The simulator configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.net.config
     }
 
     /// Shared access to a node's protocol instance.
     pub fn node(&self, id: SimId) -> &M {
-        &self.nodes[id.index()].memb
+        self.nodes[id.index()].core.membership()
     }
 
     /// Mutable access to a node's protocol instance.
     pub fn node_mut(&mut self, id: SimId) -> &mut M {
-        &mut self.nodes[id.index()].memb
+        self.nodes[id.index()].core.membership_mut()
     }
 
     /// Shared access to a node's Plumtree broadcast state (tree inspection:
@@ -977,8 +1200,8 @@ impl<M: Membership<SimId>> Sim<M> {
     /// Panics unless the simulation runs in [`BroadcastMode::Plumtree`].
     pub fn plumtree_node(&self, id: SimId) -> &PlumtreeState<SimId, ()> {
         self.nodes[id.index()]
-            .plumtree
-            .as_ref()
+            .core
+            .plumtree_state()
             .expect("plumtree_node requires BroadcastMode::Plumtree")
     }
 
@@ -986,14 +1209,12 @@ impl<M: Membership<SimId>> Sim<M> {
     /// their counters freeze at crash time; revived nodes restart at zero).
     /// `None` outside [`BroadcastMode::Plumtree`].
     pub fn plumtree_stats_total(&self) -> Option<PlumtreeStats> {
-        if self.config.broadcast_mode != BroadcastMode::Plumtree {
+        if self.net.config.broadcast_mode != BroadcastMode::Plumtree {
             return None;
         }
         let mut total = PlumtreeStats::default();
-        for slot in &self.nodes {
-            if let Some(pt) = &slot.plumtree {
-                total += *pt.stats();
-            }
+        for state in self.nodes.iter().filter_map(|slot| slot.core.plumtree_state()) {
+            total += *state.stats();
         }
         Some(total)
     }
@@ -1020,7 +1241,7 @@ impl<M: Membership<SimId>> Sim<M> {
     /// Panics if every node is dead.
     pub fn random_alive(&mut self) -> SimId {
         assert!(self.alive > 0, "no alive nodes left");
-        let k = self.rng.gen_range(0..self.alive);
+        let k = self.net.rng.gen_range(0..self.alive);
         let index = (0..self.nodes.len()).filter(|&i| self.nodes[i].alive).nth(k);
         SimId::new(index.expect("`alive` counts the alive slots"))
     }
@@ -1034,11 +1255,7 @@ impl<M: Membership<SimId>> Sim<M> {
     /// join the network one by one, without running any membership rounds in
     /// between").
     pub fn join(&mut self, joiner: SimId, contact: SimId) {
-        let mut out = Outbox::new();
-        self.nodes[joiner.index()].memb.join(contact, &mut out);
-        self.dispatch(joiner, &mut out);
-        self.sync_plumtree(joiner.index());
-        self.collect_membership_events(joiner);
+        self.step(joiner, |node, out| node.join(contact, out));
         self.drain();
     }
 
@@ -1050,18 +1267,14 @@ impl<M: Membership<SimId>> Sim<M> {
             let mut order = self.alive_ids();
             // Fisher–Yates with the sim RNG keeps runs deterministic.
             for i in (1..order.len()).rev() {
-                let j = self.rng.gen_range(0..=i);
+                let j = self.net.rng.gen_range(0..=i);
                 order.swap(i, j);
             }
             for id in order {
                 if !self.nodes[id.index()].alive {
                     continue;
                 }
-                let mut out = Outbox::new();
-                self.nodes[id.index()].memb.on_cycle(&mut out);
-                self.dispatch(id, &mut out);
-                self.sync_plumtree(id.index());
-                self.collect_membership_events(id);
+                self.step(id, |node, out| node.on_cycle(out));
                 self.drain();
             }
         }
@@ -1078,15 +1291,16 @@ impl<M: Membership<SimId>> Sim<M> {
             self.alive -= usize::from(std::mem::take(&mut self.nodes[id.index()].alive));
         }
         for v in 0..self.nodes.len() {
-            if !self.nodes[v].alive || !self.nodes[v].memb.detects_send_failures() {
+            let membership = self.nodes[v].core.membership();
+            if !self.nodes[v].alive || !membership.detects_send_failures() {
                 continue;
             }
-            let connected = self.nodes[v].memb.connected_peers();
+            let connected = membership.connected_peers();
             for peer in connected {
                 if !self.nodes[peer.index()].alive {
-                    let latency = self.latency_of(peer, SimId::new(v));
-                    self.queue.push(
-                        self.time + latency,
+                    let latency = self.net.latency_of(peer, SimId::new(v));
+                    self.net.queue.push(
+                        self.net.time + latency,
                         peer,
                         SimId::new(v),
                         Payload::ConnectionLost { dead: peer },
@@ -1104,7 +1318,7 @@ impl<M: Membership<SimId>> Sim<M> {
         let target = ((alive.len() as f64) * fraction).round() as usize;
         // Partial Fisher–Yates: the first `target` entries are the victims.
         for i in 0..target.min(alive.len().saturating_sub(1)) {
-            let j = self.rng.gen_range(i..alive.len());
+            let j = self.net.rng.gen_range(i..alive.len());
             alive.swap(i, j);
         }
         let victims: Vec<SimId> = alive.into_iter().take(target).collect();
@@ -1118,12 +1332,12 @@ impl<M: Membership<SimId>> Sim<M> {
             .factory_seed
             .wrapping_add((id.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407))
             .wrapping_add(0x5EED);
+        let core = self.make_core(id, seed);
         let slot = &mut self.nodes[id.index()];
-        slot.memb = (self.factory)(id, seed);
+        slot.core = core;
         self.alive += usize::from(!slot.alive);
         slot.alive = true;
-        self.delivered.forget(id);
-        self.nodes[id.index()].plumtree = self.make_plumtree(id);
+        self.net.delivered.forget(id);
     }
 
     // ------------------------------------------------------------------
@@ -1162,67 +1376,28 @@ impl<M: Membership<SimId>> Sim<M> {
         let base = self.next_broadcast;
         self.next_broadcast += count as u64;
         let row = vec![0; self.nodes.len().div_ceil(64)];
-        self.delivered.rows.resize(self.next_broadcast as usize, row);
-        self.metrics.add(self.counters.broadcasts, count as u64);
-
-        let mut track = Track::tracking(
+        self.net.delivered.rows.resize(self.next_broadcast as usize, row);
+        self.net.metrics.add(self.net.counters.frames.broadcasts, count as u64);
+        self.net.track = Track::tracking(
             base,
             count as u64,
             origin.index(),
             self.alive_count(),
-            self.config.retry_failed_gossip,
+            self.net.config.retry_failed_gossip,
         );
 
-        if self.config.broadcast_mode == BroadcastMode::Plumtree {
+        self.act(origin, |core, ctx| {
             // Make sure the origin's tree links reflect its view before the
-            // first push (a node may broadcast before ever having handled a
-            // message). Once per burst: no events land mid-loop.
-            self.sync_plumtree(origin.index());
-        }
-        for id in base..base + count as u64 {
-            match self.config.broadcast_mode {
-                BroadcastMode::Flood => {
-                    // The origin delivers its own message at hop 0 and
-                    // floods.
-                    self.delivered.deliver(id, origin);
-                    self.metrics.inc(self.counters.delivered);
-                    self.record_delivery(id, origin, None, 0);
-                    let targets =
-                        self.nodes[origin.index()].memb.broadcast_targets(self.config.fanout, None);
-                    if let Some(per) = track.per_mut(id) {
-                        per.delivered += 1;
-                    }
-                    for &t in &targets {
-                        let copies = self.frame_copies(origin, t);
-                        self.metrics.add(self.counters.frames_sent, copies.max(1) as u64);
-                        self.metrics.add(self.counters.frames_payload, copies.max(1) as u64);
-                        if let Some(per) = track.per_mut(id) {
-                            per.sent += copies.max(1);
-                            if copies == 0 {
-                                per.dropped += 1;
-                            }
-                        }
-                        for _ in 0..copies {
-                            let latency = self.latency_of(origin, t);
-                            self.queue.push(
-                                self.time + latency,
-                                origin,
-                                t,
-                                Payload::Gossip { id, hops: 1 },
-                            );
-                        }
-                    }
-                    track.sent_by.record(origin.index(), id, targets);
-                }
-                BroadcastMode::Plumtree => {
-                    let mut out = std::mem::take(&mut self.plumtree_out);
-                    self.plumtree_mut(origin.index()).broadcast(id as MsgId, (), &mut out);
-                    self.apply_plumtree_out(origin, None, out, &mut track);
-                }
+            // first push (`node_mut` can have changed it since the last
+            // membership step). Once per burst: no events land mid-loop.
+            core.sync_neighbors();
+            for id in base..base + count as u64 {
+                core.broadcast(MsgId::from(id), (), ctx);
             }
-        }
-        self.drain_with_track(&mut track);
+        });
+        self.drain();
 
+        let track = std::mem::take(&mut self.net.track);
         let control_frames = track.total_control();
         let reports = track
             .per
@@ -1257,7 +1432,7 @@ impl<M: Membership<SimId>> Sim<M> {
     /// Snapshot of every node's out-view (`None` for crashed nodes), for
     /// overlay graph analysis.
     pub fn out_views(&self) -> Vec<Option<Vec<SimId>>> {
-        self.nodes.iter().map(|s| s.alive.then(|| s.memb.out_view())).collect()
+        self.nodes.iter().map(|s| s.alive.then(|| s.core.membership().out_view())).collect()
     }
 
     /// View accuracy (§2.3): mean over alive nodes of the fraction of their
@@ -1266,7 +1441,7 @@ impl<M: Membership<SimId>> Sim<M> {
         let mut total = 0.0;
         let mut counted = 0usize;
         for slot in self.nodes.iter().filter(|s| s.alive) {
-            let view = slot.memb.out_view();
+            let view = slot.core.membership().out_view();
             if view.is_empty() {
                 continue;
             }
@@ -1285,434 +1460,128 @@ impl<M: Membership<SimId>> Sim<M> {
     // Internals
     // ------------------------------------------------------------------
 
-    fn dispatch(&mut self, from: SimId, out: &mut Outbox<SimId, M::Message>) {
-        for (to, message) in out.drain() {
-            // Membership traffic rides TCP (HyParView's stated transport
-            // assumption): exempt from loss and duplication, severed only
-            // by a partition. A cut frame was still *sent* — it left the
-            // sender before the network ate it.
-            let cut = self.partition_cut(from, to);
-            self.metrics.inc(self.counters.frames_sent);
-            if !cut {
-                let latency = self.latency_of(from, to);
-                self.queue.push(self.time + latency, from, to, Payload::Membership(message));
-            }
-        }
-    }
-
-    /// Drains all pending events (no broadcast in flight) until the
-    /// simulation [is quiescent](Sim::is_quiescent) — the event *queue* is
-    /// empty, which under variable latency is strictly stronger than any
-    /// notion of a completed round.
+    /// Drains all pending events until the simulation
+    /// [is quiescent](Sim::is_quiescent) — the event *queue* is empty,
+    /// which under variable latency is strictly stronger than any notion
+    /// of a completed round.
     pub fn drain(&mut self) {
-        let mut no_track = Track::none();
-        self.drain_with_track(&mut no_track);
-    }
-
-    fn drain_with_track(&mut self, track: &mut Track) {
         // Timed fault ops whose `at` has already passed apply up front, so
         // a partition scheduled "now" governs this drain's first sends.
         self.apply_due_fault_ops();
         let mut processed: u64 = 0;
-        while let Some(event) = self.queue.pop() {
+        while let Some(event) = self.net.queue.pop() {
             processed += 1;
             assert!(
-                processed <= self.config.max_drain_events,
+                processed <= self.net.config.max_drain_events,
                 "drain exceeded {} events — protocol livelock?",
-                self.config.max_drain_events
+                self.net.config.max_drain_events
             );
-            self.time = self.time.max(event.time);
-            self.clock.advance_to(self.time);
-            if self.next_fault_op < self.fault_ops.len() {
+            self.net.time = self.net.time.max(event.time);
+            if self.net.next_fault_op < self.net.fault_ops.len() {
                 self.apply_due_fault_ops();
             }
-            match event.payload {
-                Payload::Membership(message) => {
-                    self.deliver_membership(event.from, event.to, message);
-                }
-                Payload::Gossip { id, hops } => {
-                    self.deliver_gossip(event.from, event.to, id, hops, track);
-                }
-                Payload::ConnectionLost { dead } => {
-                    if self.nodes[event.to.index()].alive {
-                        self.metrics.inc(self.counters.failure_notifications);
-                        let mut out = Outbox::new();
-                        self.nodes[event.to.index()].memb.on_send_failed(dead, &mut out);
-                        let to = event.to;
-                        self.dispatch(to, &mut out);
-                        self.sync_plumtree(to.index());
-                        self.collect_membership_events(to);
-                    }
-                }
-                Payload::Plumtree(message) => {
-                    self.deliver_plumtree(event.from, event.to, message, track);
-                }
-                Payload::PlumtreeTimer { timer } => {
-                    if self.nodes[event.to.index()].alive {
-                        let mut out = std::mem::take(&mut self.plumtree_out);
-                        self.trace_event(
-                            event.to,
-                            TraceKind::TimerFired {
-                                timer: match timer {
-                                    PlumtreeTimer::Missing(_) => TimerKind::MissingMsg,
-                                    PlumtreeTimer::LazyFlush => TimerKind::LazyFlush,
-                                },
-                            },
-                        );
-                        self.plumtree_mut(event.to.index()).on_timer(timer, &mut out);
-                        self.apply_plumtree_out(event.to, None, out, track);
-                    }
-                }
-            }
-        }
-        self.metrics.add(self.counters.events_processed, processed);
-    }
-
-    fn deliver_membership(&mut self, from: SimId, to: SimId, message: M::Message) {
-        if !self.nodes[to.index()].alive {
-            self.metrics.inc(self.counters.membership_to_dead);
-            self.notify_send_failure(from, to);
-            return;
-        }
-        self.metrics.inc(self.counters.membership_delivered);
-        let mut out = Outbox::new();
-        self.nodes[to.index()].memb.handle_message(from, message, &mut out);
-        self.dispatch(to, &mut out);
-        self.sync_plumtree(to.index());
-        self.collect_membership_events(to);
-    }
-
-    /// Delivers one Plumtree message, with per-broadcast accounting for the
-    /// tracked id: payload receipts land in the delivered/redundant/to_dead
-    /// buckets exactly like flood transmissions; `IHave`/`Graft`/`Prune`
-    /// count as control traffic.
-    fn deliver_plumtree(
-        &mut self,
-        from: SimId,
-        to: SimId,
-        message: PlumtreeMessage<()>,
-        track: &mut Track,
-    ) {
-        let is_payload = message.carries_payload();
-        if !self.nodes[to.index()].alive {
-            if is_payload {
-                self.metrics.inc(self.counters.gossip_to_dead);
-                if let Some(per) = message.id().and_then(|id| track.per_mut(id as u64)) {
-                    per.to_dead += 1;
-                }
+            if self.nodes[event.to.index()].alive {
+                self.deliver(event.from, event.to, event.payload);
             } else {
-                self.metrics.inc(self.counters.membership_to_dead);
-            }
-            self.notify_send_failure(from, to);
-            return;
-        }
-        if is_payload {
-            self.metrics.inc(self.counters.gossip_delivered);
-            if let Some(id) = message.id() {
-                if self.plumtree_mut(to.index()).has_seen(id) {
-                    self.metrics.inc(self.counters.duplicates);
-                    if track.matches(id) {
-                        if let Some(per) = track.per_mut(id as u64) {
-                            per.redundant += 1;
-                        }
-                    }
-                }
-            }
-        } else {
-            self.metrics.inc(self.counters.membership_delivered);
-            // An incoming graft promotes the sender to the eager set; an
-            // incoming prune demotes it to lazy. Trace the receiver-side
-            // decision (the sender side traced `GraftSent`/`PruneSent`).
-            match &message {
-                PlumtreeMessage::Graft { .. } => {
-                    self.trace_event(to, TraceKind::EagerPromote { peer: from.index() as u64 });
-                }
-                PlumtreeMessage::Prune => {
-                    self.trace_event(to, TraceKind::LazyDemote { peer: from.index() as u64 });
-                }
-                _ => {}
+                self.lose(event.from, event.to, event.payload);
             }
         }
-        let mut out = std::mem::take(&mut self.plumtree_out);
-        self.plumtree_mut(to.index()).handle_message(from, message, &mut out);
-        self.apply_plumtree_out(to, Some(from), out, track);
+        self.net.metrics.add(self.net.counters.events_processed, processed);
     }
 
-    /// The node's Plumtree state; only reachable in Plumtree mode (the
-    /// events and call sites that lead here exist only in that mode).
-    fn plumtree_mut(&mut self, node: usize) -> &mut PlumtreeState<SimId, ()> {
-        self.nodes[node].plumtree.as_mut().expect("Plumtree event outside Plumtree mode")
+    /// Hands one event to the alive node `to`.
+    fn deliver(&mut self, from: SimId, to: SimId, payload: Payload<M::Message>) {
+        let counters = self.net.counters;
+        match payload {
+            Payload::Membership(message) => {
+                self.net.metrics.inc(counters.membership_delivered);
+                self.step(to, |node, out| node.handle_message(from, message, out));
+            }
+            Payload::Gossip { id, hops } => {
+                self.net.metrics.inc(counters.gossip_delivered);
+                self.act(to, |core, ctx| core.on_flood(Some(from), MsgId::from(id), hops, (), ctx));
+            }
+            Payload::ConnectionLost { dead } => {
+                self.net.metrics.inc(counters.failure_notifications);
+                self.step(to, |node, out| node.on_send_failed(dead, out));
+            }
+            // Plumtree payload receipts are counted like flood
+            // transmissions, `IHave`/`Graft`/`Prune` as control traffic
+            // beside the membership messages.
+            Payload::Plumtree(message) => {
+                self.net.metrics.inc(if message.carries_payload() {
+                    counters.gossip_delivered
+                } else {
+                    counters.membership_delivered
+                });
+                self.act(to, |core, ctx| core.on_plumtree(from, message, ctx));
+            }
+            Payload::PlumtreeTimer { timer } => {
+                self.act(to, |core, ctx| core.on_timer(timer, ctx));
+            }
+        }
     }
 
-    /// Ships the effects of one Plumtree state-machine step: sends become
-    /// latency-delayed events, timer requests become self-addressed events,
-    /// deliveries feed the gossip bookkeeping and the broadcast accounting.
-    /// The drained buffer goes back to `self.plumtree_out` for the next step.
-    fn apply_plumtree_out(
-        &mut self,
-        node: SimId,
-        via: Option<SimId>,
-        mut out: PlumtreeOut<SimId, ()>,
-        track: &mut Track,
-    ) {
-        for (to, message) in out.outbox.drain() {
-            let copies = self.frame_copies(node, to);
-            let sent = copies.max(1) as u64;
-            self.metrics.add(self.counters.frames_sent, sent);
-            match &message {
-                PlumtreeMessage::Gossip { id, .. } => {
-                    self.metrics.add(self.counters.frames_payload, sent);
-                    if let Some(per) = track.per_mut(*id as u64) {
-                        per.sent += sent as usize;
-                        if copies == 0 {
-                            per.dropped += 1;
-                        }
-                    }
-                }
-                PlumtreeMessage::IHave { id, .. } => {
-                    self.metrics.add(self.counters.frames_ihave, sent);
-                    if let Some(per) = track.per_mut(*id as u64) {
-                        per.control += sent as usize;
-                    }
-                }
-                PlumtreeMessage::IHaveBatch { anns } => {
-                    self.metrics.add(self.counters.frames_ihave_batch, sent);
-                    self.metrics
-                        .add(self.counters.frames_ihave_batch_anns, sent * anns.len() as u64);
-                    // Batch-aware accounting: however many announcements it
-                    // carries, a batch is *one* control frame — that is the
-                    // entire point of lazy-link batching. It can span
-                    // several tracked messages, so it lands in the burst's
-                    // shared bucket.
-                    if anns.iter().any(|a| track.matches(a.id)) {
-                        track.shared_control += sent as usize;
-                    }
-                }
-                PlumtreeMessage::Graft { id: Some(id), .. } => {
-                    let msg = *id as u64;
-                    self.trace_event(node, TraceKind::GraftSent { peer: to.index() as u64, msg });
-                    if let Some(per) = track.per_mut(msg) {
-                        per.control += sent as usize;
-                    }
-                }
-                PlumtreeMessage::Graft { id: None, .. } => {
-                    self.trace_event(
-                        node,
-                        TraceKind::GraftSent { peer: to.index() as u64, msg: 0 },
-                    );
-                    // Optimization grafts and prunes carry no id; attribute
-                    // them to the burst whose dissemination provoked them
-                    // (bursts are disseminated one at a time).
-                    if track.active() {
-                        track.shared_control += sent as usize;
-                    }
-                }
-                PlumtreeMessage::Prune => {
-                    self.trace_event(node, TraceKind::PruneSent { peer: to.index() as u64 });
-                    if track.active() {
-                        track.shared_control += sent as usize;
-                    }
-                }
+    /// An event for the crashed node `to`: messages are lost, and a sender
+    /// that detects send failures finds out.
+    fn lose(&mut self, from: SimId, to: SimId, payload: Payload<M::Message>) {
+        match payload {
+            Payload::Gossip { id, hops } => {
+                self.lost_payload(MsgId::from(id));
+                self.notify_send_failure(from, to);
+                self.retry_gossip(from, to, id, hops);
             }
-            for _ in 0..copies {
-                let latency = self.latency_of(node, to);
-                self.queue.push(self.time + latency, node, to, Payload::Plumtree(message.clone()));
+            Payload::Plumtree(PlumtreeMessage::Gossip { id, .. }) => {
+                self.lost_payload(id);
+                self.notify_send_failure(from, to);
             }
+            Payload::Membership(_) | Payload::Plumtree(_) => {
+                self.net.metrics.inc(self.net.counters.membership_to_dead);
+                self.notify_send_failure(from, to);
+            }
+            Payload::ConnectionLost { .. } | Payload::PlumtreeTimer { .. } => {}
         }
-        for delivery in out.deliveries.drain(..) {
-            let first = self.delivered.deliver(delivery.id as u64, node);
-            if first {
-                self.metrics.inc(self.counters.delivered);
-                self.record_delivery(delivery.id as u64, node, via, delivery.round);
-            } else {
-                self.metrics.inc(self.counters.duplicates);
-            }
-            if first && track.matches(delivery.id) {
-                let round = delivery.round;
-                if let Some(per) = track.per_mut(delivery.id as u64) {
-                    per.delivered += 1;
-                    per.max_hops = per.max_hops.max(round);
-                }
-            }
-        }
-        for request in out.timers.drain(..) {
-            self.queue.push(
-                self.time + request.delay,
-                node,
-                node,
-                Payload::PlumtreeTimer { timer: request.timer },
-            );
-        }
-        self.plumtree_out = out;
     }
 
-    /// Reconciles a node's Plumtree eager/lazy sets with its membership
-    /// out-view (no-op in flood mode). HyParView's `NeighborUp` /
-    /// `NeighborDown` transitions surface here as view diffs, which also
-    /// covers protocols without neighbor callbacks.
-    fn sync_plumtree(&mut self, node: usize) {
-        if self.config.broadcast_mode != BroadcastMode::Plumtree {
-            return;
-        }
-        let view = self.nodes[node].memb.out_view();
-        self.plumtree_mut(node).sync_neighbors(&view);
-    }
-
-    fn deliver_gossip(&mut self, from: SimId, to: SimId, id: u64, hops: u32, track: &mut Track) {
-        if !self.nodes[to.index()].alive {
-            self.metrics.inc(self.counters.gossip_to_dead);
-            if let Some(per) = track.per_mut(id) {
-                per.to_dead += 1;
-            }
-            self.notify_send_failure(from, to);
-            self.retry_gossip(from, to, id, hops, track);
-            return;
-        }
-        self.metrics.inc(self.counters.gossip_delivered);
-        let first_time = self.delivered.deliver(id, to);
-        if !first_time {
-            self.metrics.inc(self.counters.duplicates);
-            if let Some(per) = track.per_mut(id) {
-                per.redundant += 1;
-            }
-            return;
-        }
-        self.metrics.inc(self.counters.delivered);
-        self.record_delivery(id, to, Some(from), hops);
-        // Forward to this node's gossip targets, excluding the sender.
-        let targets = self.nodes[to.index()].memb.broadcast_targets(self.config.fanout, Some(from));
-        if let Some(per) = track.per_mut(id) {
-            per.delivered += 1;
-            per.max_hops = per.max_hops.max(hops);
-        }
-        for &t in &targets {
-            let copies = self.frame_copies(to, t);
-            self.metrics.add(self.counters.frames_sent, copies.max(1) as u64);
-            self.metrics.add(self.counters.frames_payload, copies.max(1) as u64);
-            if let Some(per) = track.per_mut(id) {
-                per.sent += copies.max(1);
-                if copies == 0 {
-                    per.dropped += 1;
-                }
-            }
-            for _ in 0..copies {
-                let latency = self.latency_of(to, t);
-                self.queue.push(self.time + latency, to, t, Payload::Gossip { id, hops: hops + 1 });
-            }
-        }
-        if track.matches(id as MsgId) {
-            track.sent_by.record(to.index(), id, targets);
+    /// Counts one payload transmission addressed to a crashed node.
+    fn lost_payload(&mut self, id: MsgId) {
+        self.net.metrics.inc(self.net.counters.gossip_to_dead);
+        if let Some(per) = self.net.track.per_mut(id) {
+            per.to_dead += 1;
         }
     }
 
     /// TCP-as-failure-detector: a send to a dead node synchronously informs
     /// detecting protocols.
-    /// Tags one *first* delivery with its hop provenance (when path
-    /// tracing is on) and mirrors it into the decision trace (when that
-    /// is on). `parent` is the node the payload arrived from — `None`
-    /// for the broadcast origin's self-delivery.
-    fn record_delivery(&mut self, id: u64, node: SimId, parent: Option<SimId>, depth: u32) {
-        if let Some(tracer) = &mut self.path {
-            tracer.record(HopRecord {
-                msg: id,
-                node: node.index() as u64,
-                parent: parent.map(|p| p.index() as u64),
-                depth,
-                time: self.time,
-            });
-        }
-        self.trace_event(node, TraceKind::Delivered { msg: id, hops: depth });
-    }
-
-    /// Appends one decision-trace event (no-op unless tracing is on).
-    fn trace_event(&mut self, node: SimId, kind: TraceKind) {
-        if let Some(ring) = &mut self.trace {
-            ring.record(TraceEvent { time: self.time, node: node.index() as u64, kind });
-        }
-    }
-
-    /// Drains membership events (defense decisions, attacker actions)
-    /// buffered at `id` into the `attack.*` counters and the decision
-    /// trace. Called after every membership interaction; for protocols
-    /// without events the default [`Membership::take_events`] returns an
-    /// empty (non-allocating) vector, so the quiet path costs nothing.
-    fn collect_membership_events(&mut self, id: SimId) {
-        for event in self.nodes[id.index()].memb.take_events() {
-            match event {
-                MembershipEvent::JoinDamped { peer } => {
-                    self.metrics.inc(self.counters.attack_joins_damped);
-                    self.trace_event(id, TraceKind::AdmissionDamped { peer: peer.index() as u64 });
-                }
-                MembershipEvent::NeighborDamped { peer } => {
-                    self.metrics.inc(self.counters.attack_neighbors_damped);
-                    self.trace_event(id, TraceKind::AdmissionDamped { peer: peer.index() as u64 });
-                }
-                MembershipEvent::TenureSwapped { peer } => {
-                    self.metrics.inc(self.counters.attack_tenure_swaps);
-                    self.trace_event(id, TraceKind::TenureSwap { peer: peer.index() as u64 });
-                }
-                MembershipEvent::ShuffleBoosted => {
-                    self.metrics.inc(self.counters.attack_shuffle_boosts);
-                }
-                MembershipEvent::NeighborFlood { .. } => {
-                    self.metrics.inc(self.counters.attack_neighbor_floods);
-                }
-                MembershipEvent::AttackerRejoin { .. } => {
-                    self.metrics.inc(self.counters.attack_rejoins);
-                }
-                MembershipEvent::ShuffleBiased => {
-                    self.metrics.inc(self.counters.attack_shuffles_biased);
-                }
-            }
-        }
-    }
-
     fn notify_send_failure(&mut self, sender: SimId, dead: SimId) {
-        if !self.nodes[sender.index()].alive {
+        let slot = &self.nodes[sender.index()];
+        if !slot.alive || !slot.core.membership().detects_send_failures() {
             return;
         }
-        if !self.nodes[sender.index()].memb.detects_send_failures() {
-            return;
-        }
-        self.metrics.inc(self.counters.failure_notifications);
-        let mut out = Outbox::new();
-        self.nodes[sender.index()].memb.on_send_failed(dead, &mut out);
-        self.dispatch(sender, &mut out);
-        self.sync_plumtree(sender.index());
-        self.collect_membership_events(sender);
+        self.net.metrics.inc(self.net.counters.failure_notifications);
+        self.step(sender, |node, out| node.on_send_failed(dead, out));
     }
 
     /// Ack-based gossip retry (ablation, off by default): the failed
     /// transmission is retried towards a fresh target so the effective
     /// fanout is preserved.
-    fn retry_gossip(&mut self, sender: SimId, dead: SimId, id: u64, hops: u32, track: &mut Track) {
-        if !self.config.retry_failed_gossip {
+    fn retry_gossip(&mut self, sender: SimId, dead: SimId, id: u64, hops: u32) {
+        if !self.net.config.retry_failed_gossip {
             return;
         }
-        if track.per_mut(id).is_none() || !self.nodes[sender.index()].alive {
+        let slot = &mut self.nodes[sender.index()];
+        if self.net.track.per_mut(MsgId::from(id)).is_none() || !slot.alive {
             return;
         }
-        if !self.nodes[sender.index()].memb.detects_send_failures() {
+        if !slot.core.membership().detects_send_failures() {
             return;
         }
-        let exclude = track.sent_by.exclusions(sender.index(), id, dead);
-        let Some(replacement) = self.nodes[sender.index()].memb.retry_target(&exclude) else {
+        let exclude = self.net.track.sent_by.exclusions(sender.index(), id, dead);
+        let Some(replacement) = slot.core.membership_mut().retry_target(&exclude) else {
             return;
         };
-        track.sent_by.record_one(sender.index(), id, replacement);
-        let copies = self.frame_copies(sender, replacement);
-        if let Some(per) = track.per_mut(id) {
-            per.sent += copies.max(1);
-            if copies == 0 {
-                per.dropped += 1;
-            }
-        }
-        self.metrics.add(self.counters.frames_sent, copies.max(1) as u64);
-        self.metrics.add(self.counters.frames_payload, copies.max(1) as u64);
-        for _ in 0..copies {
-            let latency = self.latency_of(sender, replacement);
-            self.queue.push(self.time + latency, sender, replacement, Payload::Gossip { id, hops });
-        }
+        self.net.track.sent_by.record_one(sender.index(), id, replacement);
+        Actor::<M> { net: &mut self.net, node: sender }.send_gossip(replacement, id, hops);
     }
 }
 
@@ -1736,7 +1605,7 @@ impl<M: Membership<SimId>> std::fmt::Debug for Sim<M> {
         f.debug_struct("Sim")
             .field("nodes", &self.nodes.len())
             .field("alive", &self.alive_count())
-            .field("time", &self.time)
+            .field("time", &self.net.time)
             .field("stats", &self.stats())
             .finish()
     }
@@ -1899,7 +1768,7 @@ mod tests {
             count: usize,
         ) -> BurstReport {
             let payload_frames =
-                |sim: &Sim<_>| sim.metrics.counter_value(sim.counters.frames_payload);
+                |sim: &Sim<_>| sim.net.metrics.counter_value(sim.net.counters.frames.payload);
             let (stats, payload, base) =
                 (sim.stats(), payload_frames(sim), sim.next_broadcast_id());
             let burst = sim.broadcast_burst_from(origin, count);
@@ -1978,7 +1847,7 @@ mod tests {
                         Payload::Plumtree(PlumtreeMessage::Gossip { id: 0, round: 1, payload: () })
                     }
                 };
-                sim.queue.push(sim.time + 1, survivor, node, payload);
+                sim.net.queue.push(sim.net.time + 1, survivor, node, payload);
                 sim.drain();
                 let records = model.absorb(&mut sim);
                 assert!(records.iter().any(|r| (r.msg, r.node) == (0, node.index() as u64)));

@@ -342,3 +342,178 @@ proptest! {
         prop_assert_eq!(healed.dropped, 0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Composition drift
+// ---------------------------------------------------------------------------
+
+/// Checks what one fixed run left behind against recorded values: the
+/// event-loop counters, the whole metric snapshot, and an FNV-1a hash (the
+/// std hasher makes no promise across toolchains) of the overlay: every
+/// out-view, then every eager and lazy set in Plumtree mode.
+fn assert_drift_free<M: hyparview_gossip::Membership<hyparview_core::SimId>>(
+    sim: &Sim<M>,
+    stats: hyparview_sim::SimStats,
+    counters: &[(&str, u64)],
+    overlay_hash: u64,
+) {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let plumtree = sim.plumtree_stats_total().is_some();
+    for (index, view) in sim.out_views().into_iter().enumerate() {
+        let Some(view) = view else {
+            mix(u64::MAX);
+            continue;
+        };
+        let mut sets = vec![view];
+        if plumtree {
+            let node = sim.plumtree_node(hyparview_core::SimId::new(index));
+            sets.push(node.eager_peers());
+            sets.push(node.lazy_peers());
+        }
+        for set in sets {
+            mix(set.len() as u64);
+            set.iter().for_each(|peer| mix(peer.index() as u64));
+        }
+    }
+    assert_eq!(sim.stats(), stats, "SimStats moved");
+    let snapshot = sim.metrics_snapshot();
+    assert_eq!(snapshot.counters().collect::<Vec<_>>(), counters, "metric snapshot moved");
+    assert_eq!(hash, overlay_hash, "overlay (views, eager/lazy sets) moved: {hash}");
+}
+
+/// The scenario both drift tests run: stabilise, broadcast, crash 30%,
+/// broadcast through the repair in bursts, heal, broadcast again (20 in
+/// all).
+fn drift_run<M: hyparview_gossip::Membership<hyparview_core::SimId>>(sim: &mut Sim<M>) {
+    sim.run_cycles(10);
+    for _ in 0..5 {
+        sim.broadcast_random();
+    }
+    sim.fail_fraction(0.3);
+    for _ in 0..5 {
+        // Bursts of two, so lazy-link batching has something to fold.
+        let origin = sim.random_alive();
+        sim.broadcast_burst_from(origin, 2);
+    }
+    sim.run_cycles(3);
+    for _ in 0..5 {
+        sim.broadcast_random();
+    }
+}
+
+/// The node composition must not drift: these constants were recorded at
+/// the commit before the simulator and the live stack started sharing one
+/// `NodeCore`, and pin RNG draws, fault nonces and queue order end to end.
+#[test]
+fn adaptive_plumtree_over_hyparview_has_not_drifted() {
+    use hyparview_sim::{BroadcastMode, FaultPlan, PlumtreeConfig};
+    let latency = Latency::log_normal(2, 600).per_link();
+    let plumtree = PlumtreeConfig::default()
+        .with_optimization_threshold(Some(2))
+        .with_lazy_flush_interval(2)
+        .with_timeouts_for_max_latency(latency.max_hop());
+    let scenario = Scenario::new(300, 0xD21F7)
+        .with_broadcast_mode(BroadcastMode::Plumtree)
+        .with_plumtree(plumtree)
+        .with_latency(latency)
+        .with_faults(FaultPlan::default().with_loss(0.05).with_duplication(0.02));
+    let mut sim = build_hyparview(&scenario, Config::default());
+    drift_run(&mut sim);
+    let stats = hyparview_sim::SimStats {
+        membership_delivered: 66_721,
+        membership_to_dead: 275,
+        gossip_delivered: 7_208,
+        gossip_to_dead: 2,
+        failure_notifications: 591,
+        broadcasts: 20,
+        events_processed: 81_102,
+    };
+    let counters = [
+        ("sim.membership_delivered", 66_721),
+        ("sim.membership_to_dead", 275),
+        ("sim.gossip_delivered", 7_208),
+        ("sim.gossip_to_dead", 2),
+        ("sim.failure_notifications", 591),
+        ("broadcast.sent", 20),
+        ("sim.events_processed", 81_102),
+        ("frames.sent", 75_397),
+        ("frames.payload_sent", 7_556),
+        ("frames.ihave_sent", 8_359),
+        ("frames.ihave_batch_sent", 1_892),
+        ("frames.ihave_batch_anns_sent", 3_784),
+        ("broadcast.delivered", 4_649),
+        ("broadcast.duplicates", 2_579),
+        ("faults.dropped", 1_191),
+        ("faults.partition_dropped", 0),
+        ("faults.duplicated", 463),
+        ("attack.joins_damped", 0),
+        ("attack.neighbors_damped", 0),
+        ("attack.tenure_swaps", 0),
+        ("attack.shuffle_boosts", 0),
+        ("attack.neighbor_floods", 0),
+        ("attack.rejoins", 0),
+        ("attack.shuffles_biased", 0),
+        ("plumtree.gossip_sent", 7_423),
+        ("plumtree.ihave_sent", 11_891),
+        ("plumtree.ihave_batches_sent", 1_846),
+        ("plumtree.grafts_sent", 945),
+        ("plumtree.prunes_sent", 4_036),
+        ("plumtree.optimizations", 1_457),
+        ("plumtree.late_optimizations", 607),
+        ("plumtree.graft_dead_letters", 0),
+        ("plumtree.delivered", 4_649),
+        ("plumtree.redundant", 2_579),
+    ];
+    assert_drift_free(&sim, stats, &counters, 8_444_521_903_879_780_901);
+}
+
+/// The same pin for the thin `Membership` path: flood over Cyclon.
+#[test]
+fn flood_over_cyclon_has_not_drifted() {
+    use hyparview_baselines::CyclonConfig;
+    use hyparview_sim::protocols::build_cyclon;
+    let scenario = Scenario::new(300, 0xD21F7).with_fanout(4);
+    let mut sim = build_cyclon(&scenario, CyclonConfig::paper());
+    drift_run(&mut sim);
+    let stats = hyparview_sim::SimStats {
+        membership_delivered: 78_016,
+        membership_to_dead: 168,
+        gossip_delivered: 13_996,
+        gossip_to_dead: 3_564,
+        failure_notifications: 0,
+        broadcasts: 20,
+        events_processed: 95_744,
+    };
+    let counters = [
+        ("sim.membership_delivered", 78_016),
+        ("sim.membership_to_dead", 168),
+        ("sim.gossip_delivered", 13_996),
+        ("sim.gossip_to_dead", 3_564),
+        ("sim.failure_notifications", 0),
+        ("broadcast.sent", 20),
+        ("sim.events_processed", 95_744),
+        ("frames.sent", 95_744),
+        ("frames.payload_sent", 17_560),
+        ("frames.ihave_sent", 0),
+        ("frames.ihave_batch_sent", 0),
+        ("frames.ihave_batch_anns_sent", 0),
+        ("broadcast.delivered", 4_390),
+        ("broadcast.duplicates", 9_626),
+        ("faults.dropped", 0),
+        ("faults.partition_dropped", 0),
+        ("faults.duplicated", 0),
+        ("attack.joins_damped", 0),
+        ("attack.neighbors_damped", 0),
+        ("attack.tenure_swaps", 0),
+        ("attack.shuffle_boosts", 0),
+        ("attack.neighbor_floods", 0),
+        ("attack.rejoins", 0),
+        ("attack.shuffles_biased", 0),
+    ];
+    assert_drift_free(&sim, stats, &counters, 16_735_690_967_291_719_681);
+}
