@@ -207,6 +207,8 @@ impl<I: Copy + Eq> IntoIterator for RandomSet<I> {
 /// value each, in one `HashMap` plus one `VecDeque` of keys in insertion
 /// order. A new key entering a full map evicts the oldest key *and its
 /// value*; re-inserting a present key neither refreshes nor overwrites it.
+/// A caller with a second bound of its own (an age, say) reads the old end
+/// with [`RecentMap::oldest`] and trims it with [`RecentMap::pop_oldest`].
 /// Storage grows on demand: a huge capacity costs nothing up front.
 ///
 /// ```
@@ -263,6 +265,19 @@ impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
     /// Mutable access to the value remembered for `key`.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.map.get_mut(key)
+    }
+
+    /// The key inserted longest ago among those remembered, with its value.
+    pub fn oldest(&self) -> Option<(&K, &V)> {
+        let key = self.order.front()?;
+        Some((key, self.map.get(key)?))
+    }
+
+    /// Forgets the oldest key and hands it back with its value.
+    pub fn pop_oldest(&mut self) -> Option<(K, V)> {
+        let key = self.order.pop_front()?;
+        let value = self.map.remove(&key)?;
+        Some((key, value))
     }
 
     /// Number of remembered keys.
@@ -441,6 +456,17 @@ mod tests {
             self.values.insert(key, value);
             (true, evicted)
         }
+
+        fn oldest(&self) -> Option<(&u128, &u32)> {
+            let key = self.order.front()?;
+            Some((key, &self.values[key]))
+        }
+
+        fn pop_oldest(&mut self) -> Option<(u128, u32)> {
+            let key = self.order.pop_front()?;
+            self.set.remove(&key);
+            Some((key, self.values.remove(&key).expect("a value per remembered key")))
+        }
     }
 
     #[test]
@@ -455,17 +481,19 @@ mod tests {
                 capacity,
             };
             // Keys from a universe 3x the capacity: a steady mix of first
-            // sights, re-inserts of live keys and returns of evicted ones.
+            // sights, re-inserts of live keys and returns of evicted ones,
+            // with the old end trimmed by hand in between.
             let universe = 3 * capacity as u128 + 1;
             for step in 0..4_000u32 {
                 let key = r.gen_range(0..universe);
-                match r.gen_range(0..4) {
-                    0 | 1 => assert_eq!(
+                match r.gen_range(0..6) {
+                    0..=2 => assert_eq!(
                         map.insert(key, step),
                         model.insert(key, step),
                         "insert {key} at step {step}, capacity {capacity}"
                     ),
-                    2 => {
+                    3 => assert_eq!(map.pop_oldest(), model.pop_oldest(), "pop at step {step}"),
+                    4 => {
                         let update = |v: &mut u32| {
                             *v = v.wrapping_mul(31) ^ step;
                             *v
@@ -480,6 +508,7 @@ mod tests {
                 }
                 assert_eq!(map.len(), model.set.len());
                 assert!(map.len() <= capacity && map.capacity() == capacity);
+                assert_eq!(map.oldest(), model.oldest(), "oldest at step {step}");
                 for k in 0..universe {
                     assert_eq!(map.contains_key(&k), model.set.contains(&k), "membership of {k}");
                     assert_eq!(map.get(&k), model.values.get(&k), "value of {k}");
@@ -487,6 +516,7 @@ mod tests {
             }
             map.clear();
             assert!(map.is_empty() && !map.contains_key(&0));
+            assert!(map.oldest().is_none() && map.pop_oldest().is_none());
             assert_eq!(map.insert(0, 1), (true, None), "a cleared map evicts nothing");
         }
     }

@@ -27,7 +27,7 @@ use hyparview_plumtree::{
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A gossip message delivered to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +99,10 @@ pub(crate) trait FrameSink {
     fn disconnect(&mut self, peer: SocketAddr);
     /// Arms `timer` to fire after `delay` (wall clock).
     fn schedule(&mut self, timer: PlumtreeTimer, delay: Duration);
+    /// The transport's reading of the clock for the event being handled
+    /// (the reactor takes one per loop turn), so that handling a frame
+    /// costs no clock read of its own.
+    fn now(&self) -> Instant;
 }
 
 type LiveMembership = HyParViewMembership<SocketAddr>;
@@ -147,6 +151,13 @@ impl LiveCtx<'_> {
 impl NodeCtx<SocketAddr, LiveMembership, Bytes> for LiveCtx<'_> {
     fn scratch(&mut self) -> &mut Scratch<SocketAddr, Message<SocketAddr>, Bytes> {
         &mut self.surface.scratch
+    }
+
+    /// The transport's clock in whole timer units since this node started
+    /// (a zero-length unit never ages anything).
+    fn now(&self) -> u64 {
+        let unit_us = self.surface.timer_unit.as_micros() as u64;
+        self.surface.clock.at(self.sink.now()).checked_div(unit_us).unwrap_or(0)
     }
 
     fn send_membership(
@@ -479,13 +490,20 @@ fn plumtree_frame(message: PlumtreeMessage<Bytes>) -> Frame {
 mod tests {
     use super::*;
     use crate::wire::FrameReader;
-    use crossbeam::channel::bounded;
+    use crossbeam::channel::{bounded, Receiver};
     use hyparview_plumtree::PlumtreeConfig;
 
-    /// A [`FrameSink`] that keeps what the node hands it.
-    #[derive(Default)]
+    /// A [`FrameSink`] that keeps what the node hands it and tells the
+    /// time it is set to.
     struct Recorder {
         sent: Vec<(SocketAddr, Bytes)>,
+        now: Instant,
+    }
+
+    impl Default for Recorder {
+        fn default() -> Self {
+            Recorder { sent: Vec::new(), now: Instant::now() }
+        }
     }
 
     impl FrameSink for Recorder {
@@ -494,6 +512,9 @@ mod tests {
         }
         fn disconnect(&mut self, _peer: SocketAddr) {}
         fn schedule(&mut self, _timer: PlumtreeTimer, _delay: Duration) {}
+        fn now(&self) -> Instant {
+            self.now
+        }
     }
 
     fn addr(port: u16) -> SocketAddr {
@@ -502,14 +523,20 @@ mod tests {
 
     /// A core whose active view holds peers 1 to 5 (the paper's fanout).
     fn core_with_five_neighbors(config: NetConfig) -> LiveNode {
-        let (delivery_tx, _) = bounded(16);
+        core_and_deliveries(config, 16).0
+    }
+
+    /// The same with the application's end of a delivery channel that
+    /// holds `deliveries`.
+    fn core_and_deliveries(config: NetConfig, deliveries: usize) -> (LiveNode, Receiver<Delivery>) {
+        let (delivery_tx, delivery_rx) = bounded(deliveries);
         let config = NetConfig { seed: Some(1), ..config };
         let mut core = LiveNode::new(addr(9), &config, Arc::default(), delivery_tx).unwrap();
         for port in 1..=5 {
             core.on_frame(addr(port), Frame::Membership(Message::Join), &mut Recorder::default());
         }
         assert_eq!(core.core.membership().protocol().active_view().len(), 5);
-        core
+        (core, delivery_rx)
     }
 
     fn decoded(bytes: &Bytes) -> Frame {
@@ -577,5 +604,32 @@ mod tests {
         assert_eq!(after.payload_frames_sent - before.payload_frames_sent, 3);
         assert_eq!(after.ihave_frames_sent - before.ihave_frames_sent, 1);
         assert_eq!(after.ihave_batch_frames_sent, 0);
+    }
+
+    #[test]
+    fn plumtree_store_ages_out_by_the_sinks_clock() {
+        // The shipped configuration: room for 8,192 messages, a horizon of
+        // 640 timer units of 20 ms. One frame every 100 ms is 5 units, so
+        // 128 ids are younger than the horizon at any time and the 30 s
+        // of traffic below never comes near the count cap.
+        let config = NetConfig::default().with_broadcast_mode(BroadcastMode::Plumtree);
+        assert_eq!(config.dedup_capacity, 8_192);
+        let unit = config.plumtree_timer_unit;
+        let window = (config.plumtree.retention() / 5) as usize;
+        let (mut core, deliveries) = core_and_deliveries(config, 512);
+        let mut sink = Recorder::default();
+        let payload = Bytes::from(vec![7u8; 64]);
+        for id in 0..300u32 {
+            sink.now += unit * 5;
+            let push = Frame::PlumtreeGossip { id: id.into(), round: 1, payload: payload.clone() };
+            core.on_frame(addr(1), push, &mut sink);
+            let held = core.core.plumtree_state().expect("Plumtree mode").cached_len();
+            assert_eq!(held, window.min(id as usize + 1), "after id {id}");
+        }
+        let state = core.core.plumtree_state().expect("Plumtree mode");
+        assert!(state.has_seen(299) && !state.has_seen(299 - window as u128));
+        let delivered: Vec<u128> = deliveries.try_iter().map(|delivery| delivery.id).collect();
+        assert_eq!(delivered, (0..300).collect::<Vec<u128>>(), "each id once, in order");
+        assert_eq!((core.stats_snapshot().deliveries, core.stats_snapshot().duplicates), (300, 0));
     }
 }

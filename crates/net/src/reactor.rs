@@ -537,6 +537,8 @@ struct ReactorCtx<'a> {
     writer_queue: usize,
     timers: &'a mut BinaryHeap<std::cmp::Reverse<(Instant, u64, TimerEntry)>>,
     timer_seq: &'a mut u64,
+    /// [`Reactor::now`].
+    now: Instant,
     failures: VecDeque<SocketAddr>,
 }
 
@@ -552,10 +554,14 @@ impl FrameSink for ReactorCtx<'_> {
     fn schedule(&mut self, timer: PlumtreeTimer, delay: Duration) {
         *self.timer_seq += 1;
         self.timers.push(std::cmp::Reverse((
-            Instant::now() + delay,
+            self.now + delay,
             *self.timer_seq,
             TimerEntry::Plumtree(self.node, timer),
         )));
+    }
+
+    fn now(&self) -> Instant {
+        self.now
     }
 }
 
@@ -587,6 +593,11 @@ struct Reactor {
     nodes: Vec<Option<NodeSlot>>,
     timers: BinaryHeap<std::cmp::Reverse<(Instant, u64, TimerEntry)>>,
     timer_seq: u64,
+    /// The clock as read when the poller wait last returned (the reading
+    /// that closes `epoll_wait_us`). Everything a loop turn then does, the
+    /// deadlines it arms, the timers it finds due and their lag, the time
+    /// it tells the nodes' cores, uses this instead of a read each.
+    now: Instant,
     control_rx: Receiver<ReactorControl>,
     /// Nodes whose shared snapshot is stale; published once per loop
     /// iteration instead of once per event.
@@ -618,6 +629,7 @@ impl Reactor {
             nodes: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
+            now: Instant::now(),
             control_rx,
             dirty: HashSet::new(),
             stats: LoopStats::default(),
@@ -645,7 +657,7 @@ impl Reactor {
     /// because re-failing a peer already outside the active view is a
     /// protocol no-op).
     fn with_core(&mut self, node: usize, f: impl FnOnce(&mut LiveNode, &mut ReactorCtx)) {
-        let Reactor { io, nodes, timers, timer_seq, dirty, .. } = self;
+        let Reactor { io, nodes, timers, timer_seq, now, dirty, .. } = self;
         let Some(slot) = nodes.get_mut(node).and_then(|slot| slot.as_mut()) else { return };
         let mut ctx = ReactorCtx {
             io,
@@ -654,6 +666,7 @@ impl Reactor {
             writer_queue: slot.writer_queue,
             timers,
             timer_seq,
+            now: *now,
             failures: VecDeque::new(),
         };
         f(&mut slot.core, &mut ctx);
@@ -666,7 +679,7 @@ impl Reactor {
     fn arm_shuffle(&mut self, node: usize, interval: Duration) {
         self.timer_seq += 1;
         self.timers.push(std::cmp::Reverse((
-            Instant::now() + interval,
+            self.now + interval,
             self.timer_seq,
             TimerEntry::Shuffle(node),
         )));
@@ -741,9 +754,11 @@ impl Reactor {
         self.dirty.remove(&node);
     }
 
+    /// Fires every timer due at [`Reactor::now`]; one that comes due while
+    /// these run waits for the next turn (whose wait it cuts to zero).
     fn fire_due_timers(&mut self) {
+        let now = self.now;
         loop {
-            let now = Instant::now();
             match self.timers.peek() {
                 Some(std::cmp::Reverse((deadline, _, _))) if *deadline <= now => {}
                 _ => return,
@@ -895,14 +910,15 @@ impl Reactor {
             self.fire_due_timers();
             self.publish_dirty();
             self.publish_gauges();
-            let timeout =
-                self.timers.peek().map(|next| (next.0).0.saturating_duration_since(Instant::now()));
             let wait_start = Instant::now();
+            let timeout =
+                self.timers.peek().map(|next| (next.0).0.saturating_duration_since(wait_start));
             if self.io.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
+            self.now = Instant::now();
             self.stats.epoll_waits += 1;
-            self.stats.epoll_wait_us += wait_start.elapsed().as_micros() as u64;
+            self.stats.epoll_wait_us += (self.now - wait_start).as_micros() as u64;
             // `events` snapshots keys; a handler may free (and the slab
             // reuse) a key within the batch. handle_event re-checks the
             // slot kind, and a misdirected read/flush on a reused slot is

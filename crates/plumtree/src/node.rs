@@ -8,7 +8,11 @@
 //! clock, channel or buffer: every effect of an event leaves through the
 //! [`NodeCtx`] the caller passes in, as *typed* messages, so the simulator
 //! moves them with `P = ()` and pays no encode while the TCP runtime
-//! encodes `P = Bytes` in its sink. Both shells drive the same code, which
+//! encodes `P = Bytes` in its sink. The one thing that comes *in* through
+//! the context is the time ([`NodeCtx::now`]: virtual in the simulator, the
+//! reactor's loop time in the TCP runtime), which the core passes to the
+//! Plumtree state before a step that can store a broadcast, so the message
+//! store ages by the shell's clock. Both shells drive the same code, which
 //! is what lets a checker or a schedule explorer drive "a node" once.
 //!
 //! Effects leave in a fixed order, which the simulator's determinism
@@ -49,6 +53,10 @@ pub trait NodeCtx<I: Identity, M: Membership<I>, P> {
     /// The buffers steps run through; taken for the duration of a step
     /// and handed back drained.
     fn scratch(&mut self) -> &mut Scratch<I, M::Message, P>;
+
+    /// The time of this step on the shell's clock, in the timer units of
+    /// [`NodeCtx::schedule`]; never decreases from one step to the next.
+    fn now(&self) -> u64;
 
     /// Ships one membership message. `membership` is the sender's state
     /// *after* the step that produced the message, for transports that
@@ -201,6 +209,7 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
             Broadcast::Flood { .. } => self.on_flood(None, id, 0, payload, ctx),
             Broadcast::Plumtree(state) => {
                 let mut out = std::mem::take(&mut ctx.scratch().plumtree);
+                state.advance(ctx.now());
                 state.broadcast(id, payload, &mut out);
                 Self::apply(out, None, ctx);
             }
@@ -253,6 +262,7 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
             _ => {}
         }
         let mut out = std::mem::take(&mut ctx.scratch().plumtree);
+        state.advance(ctx.now());
         state.handle_message(from, message, &mut out);
         Self::apply(out, Some(from), ctx);
     }

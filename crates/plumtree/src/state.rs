@@ -1,4 +1,9 @@
 //! The sans-io Plumtree state machine.
+//!
+//! It owns no clock and arms no timer of its own. The runtime arms what a
+//! [`TimerRequest`] asks for, and it tells the state the time
+//! ([`PlumtreeState::advance`], in the same timer units) before a step that
+//! can store a broadcast; the message store ages out by that reading.
 
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
@@ -169,6 +174,12 @@ impl std::ops::AddAssign for PlumtreeStats {
 #[derive(Debug, Clone)]
 struct Cached<I, P> {
     round: u32,
+    /// [`PlumtreeState::advance`]'s reading at the first receipt, truncated
+    /// to 32 bits: it sits in the padding a `u128`-keyed map slot has
+    /// anyway, where a `u64` would add 16 bytes to every remembered
+    /// message. Ages are taken with `wrapping_sub`, so a wrap can only make
+    /// an entry look *younger* than it is: kept longer, never dropped early.
+    stamp: u32,
     /// The eager peer that delivered the payload (`None` for own
     /// broadcasts) — the node's parent in this message's tree, and the
     /// link tree optimization prunes when a shorter lazy path shows up.
@@ -195,9 +206,19 @@ impl<I> Default for MissingEntry<I> {
 /// missing-message bookkeeping.
 ///
 /// The message store is the node's whole memory of past broadcasts: id to
-/// delivery round, tree parent and payload of the
-/// [`PlumtreeConfig::cache_capacity`] most recent first receipts. Duplicate
-/// detection, graft replies and tree optimization forget an evicted id at once.
+/// delivery round, tree parent and payload of every first receipt younger
+/// than [`PlumtreeConfig::retention`] by the runtime's clock
+/// ([`PlumtreeState::advance`]), and of at most
+/// [`PlumtreeConfig::cache_capacity`] of them; whichever bound is reached
+/// first evicts, oldest id first, when a new id is stored. Duplicate
+/// detection, graft replies and tree optimization forget an evicted id at
+/// once, so a copy that turns up after its id left the store, be it older
+/// than the retention window or more than `cache_capacity` ids back, is
+/// taken for a new broadcast: delivered and pushed on. The window is a
+/// multiple of the longest time a neighbour can go on asking for a payload,
+/// so only a copy the protocol no longer has a use for arrives that late. A
+/// state whose clock is never advanced ages nothing and is bounded by the
+/// count alone.
 ///
 /// Neighbor maintenance is driven by the membership layer: feed active-view
 /// changes through [`PlumtreeState::on_neighbor_up`] /
@@ -224,6 +245,8 @@ pub struct PlumtreeState<I: Identity, P: Clone> {
     lazy_queue: Vec<(I, Vec<Announcement>)>,
     /// Whether a [`PlumtreeTimer::LazyFlush`] is in flight.
     flush_armed: bool,
+    /// The runtime's last reading ([`PlumtreeState::advance`]).
+    now: u64,
     stats: PlumtreeStats,
 }
 
@@ -241,8 +264,16 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             timer_armed: HashSet::new(),
             lazy_queue: Vec::new(),
             flush_armed: false,
+            now: 0,
             stats: PlumtreeStats::default(),
         }
+    }
+
+    /// Tells the state the time, in timer units on the runtime's clock: the
+    /// reading for the step that follows. First receipts are stamped with
+    /// it and age against it. Monotone: a smaller reading is ignored.
+    pub fn advance(&mut self, now: u64) {
+        self.now = self.now.max(now);
     }
 
     /// This node's identifier.
@@ -575,10 +606,23 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         out.timers.push(TimerRequest { timer: PlumtreeTimer::Missing(id), delay });
     }
 
-    /// Stores `id` with its payload, returning `true` on first sight (a
-    /// full store then forgets its oldest id, payload included).
+    /// Stores `id` with its payload, returning `true` on first sight. Only
+    /// then does the store forget anything, payloads included: its oldest
+    /// id if it was full, and every id [`PlumtreeConfig::retention`] old.
     fn remember(&mut self, id: MsgId, round: u32, parent: Option<I>, payload: P) -> bool {
-        self.cache.insert(id, Cached { round, parent, payload }).0
+        let stamp = self.now as u32;
+        if !self.cache.insert(id, Cached { round, stamp, parent, payload }).0 {
+            return false;
+        }
+        // At least 1, so the loop stops at the entry just stored (age 0).
+        let retention = self.config.retention().max(1);
+        while let Some((_, oldest)) = self.cache.oldest() {
+            if u64::from(stamp.wrapping_sub(oldest.stamp)) < retention {
+                break;
+            }
+            self.cache.pop_oldest();
+        }
+        true
     }
 
     fn eager_push(
@@ -1016,6 +1060,144 @@ mod tests {
             out = PlumtreeOut::new();
         }
         assert!(evictions > 100, "the stream must keep the store full: {evictions}");
+    }
+
+    // ------------------------------------------------------------------
+    // Retention: the store ages out by the runtime's clock
+    // ------------------------------------------------------------------
+
+    /// Node 0 with tree link 1 and lazy link 2, tree optimization on.
+    fn aging_node(capacity: usize) -> State {
+        let config = PlumtreeConfig::default()
+            .with_cache_capacity(capacity)
+            .with_optimization_threshold(Some(3));
+        let mut s = node_with_config(&[1, 2], config);
+        s.on_prune(2);
+        s
+    }
+
+    fn first_receipt(s: &mut State, id: MsgId) {
+        let before = s.stats().delivered;
+        let gossip = PlumtreeMessage::Gossip { id, round: 8, payload: "m" };
+        s.handle_message(1, gossip, &mut PlumtreeOut::new());
+        assert_eq!(s.stats().delivered, before + 1, "id {id} must be new to the store");
+    }
+
+    #[test]
+    fn an_id_younger_than_retention_is_answered_as_by_a_store_that_never_ages() {
+        let retention = PlumtreeConfig::default().retention();
+        // `aged` runs on a clock that stops one unit short of id 5's
+        // horizon; `frozen` is never told the time at all.
+        let (mut aged, mut frozen) = (aging_node(1 << 16), aging_node(1 << 16));
+        aged.advance(1_000);
+        for s in [&mut aged, &mut frozen] {
+            first_receipt(s, 5);
+        }
+        for newer in 0..300u64 {
+            aged.advance(1_000 + (retention - 1) * newer / 299);
+            for s in [&mut aged, &mut frozen] {
+                first_receipt(s, 100 + MsgId::from(newer));
+            }
+        }
+        assert_eq!((aged.cached_len(), frozen.cached_len()), (301, 301));
+        for message in [
+            PlumtreeMessage::Gossip { id: 5, round: 9, payload: "m" },
+            PlumtreeMessage::IHave { id: 5, round: 2 },
+            PlumtreeMessage::Graft { id: Some(5), round: 2 },
+        ] {
+            let (mut out, mut expected) = (PlumtreeOut::new(), PlumtreeOut::new());
+            aged.handle_message(2, message.clone(), &mut out);
+            frozen.handle_message(2, message.clone(), &mut expected);
+            assert!(!expected.outbox.is_empty(), "{message:?} must be answered");
+            assert_eq!(sends(&mut out), sends(&mut expected), "{message:?}");
+            assert_eq!((out.deliveries, out.timers), (expected.deliveries, expected.timers));
+        }
+        assert_eq!(aged.stats(), frozen.stats());
+        assert_eq!(aged.stats().optimizations, 1, "the IHave found id 5's round and parent");
+    }
+
+    #[test]
+    fn an_id_retention_old_goes_with_the_next_new_id_and_not_before() {
+        let mut s = aging_node(1 << 16);
+        let retention = s.config().retention();
+        s.advance(7);
+        first_receipt(&mut s, 5);
+        s.advance(7 + retention - 1);
+        first_receipt(&mut s, 6);
+        assert!(s.has_seen(5), "one unit short of the horizon");
+
+        // Past the horizon, but nothing new is stored: no step evicts.
+        s.advance(7 + retention);
+        let mut out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::Gossip { id: 6, round: 9, payload: "m" }, &mut out);
+        s.handle_message(2, PlumtreeMessage::IHave { id: 9, round: 1 }, &mut out);
+        s.on_timer(PlumtreeTimer::Missing(9), &mut out);
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+        out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::Graft { id: Some(5), round: 1 }, &mut out);
+        assert_eq!(sends(&mut out).len(), 1, "still there to answer a graft with");
+        assert_eq!(s.cached_len(), 2);
+
+        first_receipt(&mut s, 7);
+        assert!(!s.has_seen(5) && s.has_seen(6) && s.has_seen(7), "6 is only one unit old");
+        out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::Graft { id: Some(5), round: 1 }, &mut out);
+        assert!(out.is_empty(), "the payload went with the id");
+    }
+
+    #[test]
+    fn the_count_cap_evicts_whether_the_clock_stands_still_or_was_never_read() {
+        for reading in [None, Some(50)] {
+            let mut s = aging_node(64);
+            if let Some(now) = reading {
+                s.advance(now);
+            }
+            for id in 0..200 {
+                first_receipt(&mut s, id);
+            }
+            assert_eq!(s.cached_len(), 64, "clock at {reading:?}");
+            assert!(!s.has_seen(135) && (136..200).all(|id| s.has_seen(id)));
+        }
+    }
+
+    #[test]
+    fn advance_ignores_a_smaller_reading() {
+        let mut s = aging_node(1 << 16);
+        let retention = s.config().retention();
+        s.advance(2 * retention);
+        first_receipt(&mut s, 5);
+        // Taken at face value, this would stamp id 6 in id 5's distant past.
+        s.advance(3);
+        first_receipt(&mut s, 6);
+        assert!(s.has_seen(5), "id 6 carries the reading id 5 does");
+        s.advance(3 * retention);
+        first_receipt(&mut s, 7);
+        assert!(!s.has_seen(5) && !s.has_seen(6), "both were stamped at 2 x retention");
+    }
+
+    #[test]
+    fn stamps_straddling_the_u32_wrap_never_evict_early() {
+        let mut s = aging_node(1 << 16);
+        let retention = s.config().retention();
+        let start = u64::from(u32::MAX) - 10;
+        s.advance(start);
+        first_receipt(&mut s, 5);
+        s.advance(start + 20);
+        first_receipt(&mut s, 6);
+        assert!(s.has_seen(5), "20 units old across the wrap");
+        s.advance(start + retention - 1);
+        first_receipt(&mut s, 7);
+        assert!(s.has_seen(5));
+        s.advance(start + retention);
+        first_receipt(&mut s, 8);
+        assert!(!s.has_seen(5) && s.has_seen(6), "and no later than without the wrap");
+
+        // A whole wrap later an entry reads 2^32 units younger than it is:
+        // the error keeps it, it never drops one early.
+        s.advance(start + retention + (1 << 32) + 25);
+        first_receipt(&mut s, 9);
+        assert!(!s.has_seen(6), "looks 5 units past the horizon");
+        assert!(s.has_seen(7) && s.has_seen(8), "look 26 and 25 units old");
     }
 
     #[test]

@@ -84,19 +84,30 @@ enum Effect {
 
 struct Recorder<P> {
     scratch: Scratch<u32, Script, P>,
+    /// What `now()` answers; the test sets it between steps.
+    now: u64,
     delivered: HashSet<MsgId>,
     effects: Vec<Effect>,
 }
 
 impl<P> Default for Recorder<P> {
     fn default() -> Self {
-        Recorder { scratch: Scratch::default(), delivered: HashSet::new(), effects: Vec::new() }
+        Recorder {
+            scratch: Scratch::default(),
+            now: 0,
+            delivered: HashSet::new(),
+            effects: Vec::new(),
+        }
     }
 }
 
 impl<P> NodeCtx<u32, Scripted, P> for Recorder<P> {
     fn scratch(&mut self) -> &mut Scratch<u32, Script, P> {
         &mut self.scratch
+    }
+
+    fn now(&self) -> u64 {
+        self.now
     }
 
     fn send_membership(&mut self, membership: &Scripted, to: u32, message: Script) {
@@ -288,6 +299,40 @@ fn membership_step_emits_sends_then_neighbour_sync_then_events() {
     assert!(node.plumtree_state().expect("Plumtree mode").is_neighbor(&9));
 }
 
+#[test]
+fn the_store_is_told_the_time_before_a_broadcast_and_before_a_message() {
+    let mut node = plumtree_node::<()>(&[1, 2]);
+    let retention = PlumtreeConfig::default().retention();
+    let seen = |node: &NodeCore<u32, Scripted, ()>| {
+        let state = node.plumtree_state().expect("Plumtree mode");
+        (1..=4).filter(|id| state.has_seen(*id)).collect::<Vec<MsgId>>()
+    };
+    let mut ctx = Recorder::default();
+    node.broadcast(1, (), &mut ctx);
+    // One unit short of the horizon: the new receipt evicts nothing.
+    ctx.now = retention - 1;
+    node.on_plumtree(1, PlumtreeMessage::Gossip { id: 2, round: 1, payload: () }, &mut ctx);
+    assert_eq!(seen(&node), [1, 2]);
+    // Had the state been told the time after the step, id 3 would carry
+    // the previous reading and id 1 would look `retention - 1` old.
+    ctx.now = retention;
+    node.on_plumtree(1, PlumtreeMessage::Gossip { id: 3, round: 1, payload: () }, &mut ctx);
+    assert_eq!(seen(&node), [2, 3], "id 1 is `retention` old when id 3 is stored");
+    ctx.now = 2 * retention - 1;
+    node.broadcast(4, (), &mut ctx);
+    assert_eq!(seen(&node), [3, 4], "a broadcast stamps and evicts by the same reading");
+
+    // A copy of the forgotten id is a first receipt again, not a duplicate.
+    ctx.effects.clear();
+    node.on_plumtree(2, PlumtreeMessage::Gossip { id: 1, round: 3, payload: () }, &mut ctx);
+    assert!(
+        ctx.effects.contains(&Effect::Deliver { id: 1, hops: 3, from: Some(2) }),
+        "{:?}",
+        ctx.effects
+    );
+    assert!(!ctx.effects.contains(&Effect::Duplicate(1)));
+}
+
 /// One script through a flood node and a Plumtree node carrying `payload`.
 fn run_script<P: Clone>(payload: P) -> Vec<Effect> {
     let mut effects = Vec::new();
@@ -305,11 +350,25 @@ fn run_script<P: Clone>(payload: P) -> Vec<Effect> {
     let mut ctx = Recorder::default();
     tree.broadcast(1, payload.clone(), &mut ctx);
     tree.on_plumtree(2, PlumtreeMessage::Prune, &mut ctx);
-    tree.on_plumtree(1, PlumtreeMessage::Gossip { id: 2, round: 1, payload }, &mut ctx);
+    tree.on_plumtree(
+        1,
+        PlumtreeMessage::Gossip { id: 2, round: 1, payload: payload.clone() },
+        &mut ctx,
+    );
     tree.on_plumtree(2, PlumtreeMessage::IHave { id: 3, round: 2 }, &mut ctx);
     tree.on_timer(PlumtreeTimer::Missing(3), &mut ctx);
     tree.on_plumtree(2, PlumtreeMessage::Graft { id: Some(1), round: 1 }, &mut ctx);
     tree.step(&mut ctx, |m, out| m.handle_message(3, Script::Admit { evict: 1 }, out));
+    // Past the horizon: id 4 pushes ids 1 and 2 out, so the graft for 1
+    // goes unanswered and the copy of 2 is delivered a second time.
+    ctx.now = PlumtreeConfig::default().retention();
+    tree.on_plumtree(
+        3,
+        PlumtreeMessage::Gossip { id: 4, round: 1, payload: payload.clone() },
+        &mut ctx,
+    );
+    tree.on_plumtree(2, PlumtreeMessage::Graft { id: Some(1), round: 1 }, &mut ctx);
+    tree.on_plumtree(2, PlumtreeMessage::Gossip { id: 2, round: 4, payload }, &mut ctx);
     effects.append(&mut ctx.effects);
     effects
 }
@@ -322,4 +381,6 @@ fn unit_and_byte_payloads_yield_the_same_effect_sequence() {
     let unit = run_script(());
     assert_eq!(unit, run_script(bytes));
     assert!(unit.len() > 20, "the script must exercise the core: {unit:?}");
+    let again = Effect::Deliver { id: 2, hops: 4, from: Some(2) };
+    assert_eq!(unit.last(), Some(&again), "the script must cross the horizon: {unit:?}");
 }

@@ -406,23 +406,29 @@ fn drift_run<M: hyparview_gossip::Membership<hyparview_core::SimId>>(sim: &mut S
     }
 }
 
-/// The node composition must not drift: these constants were recorded at
-/// the commit before the simulator and the live stack started sharing one
-/// `NodeCore`, and pin RNG draws, fault nonces and queue order end to end.
-#[test]
-fn adaptive_plumtree_over_hyparview_has_not_drifted() {
+/// 300 nodes of adaptive Plumtree over heavy-tailed per-link latency with
+/// timeouts to match, 5% loss and 2% duplication: `sim_plumtree_wan_churn`
+/// in small.
+fn wan_plumtree_scenario(seed: u64) -> Scenario {
     use hyparview_sim::{BroadcastMode, FaultPlan, PlumtreeConfig};
     let latency = Latency::log_normal(2, 600).per_link();
     let plumtree = PlumtreeConfig::default()
         .with_optimization_threshold(Some(2))
         .with_lazy_flush_interval(2)
         .with_timeouts_for_max_latency(latency.max_hop());
-    let scenario = Scenario::new(300, 0xD21F7)
+    Scenario::new(300, seed)
         .with_broadcast_mode(BroadcastMode::Plumtree)
         .with_plumtree(plumtree)
         .with_latency(latency)
-        .with_faults(FaultPlan::default().with_loss(0.05).with_duplication(0.02));
-    let mut sim = build_hyparview(&scenario, Config::default());
+        .with_faults(FaultPlan::default().with_loss(0.05).with_duplication(0.02))
+}
+
+/// The node composition must not drift: these constants were recorded at
+/// the commit before the simulator and the live stack started sharing one
+/// `NodeCore`, and pin RNG draws, fault nonces and queue order end to end.
+#[test]
+fn adaptive_plumtree_over_hyparview_has_not_drifted() {
+    let mut sim = build_hyparview(&wan_plumtree_scenario(0xD21F7), Config::default());
     drift_run(&mut sim);
     let stats = hyparview_sim::SimStats {
         membership_delivered: 66_721,
@@ -470,6 +476,70 @@ fn adaptive_plumtree_over_hyparview_has_not_drifted() {
         ("plumtree.redundant", 2_579),
     ];
     assert_drift_free(&sim, stats, &counters, 8_444_521_903_879_780_901);
+}
+
+/// Sixteen ids in flight at once, three times, through a crash: a message
+/// store that forgot an id while a neighbour could still announce, push or
+/// graft it would re-deliver or leave a graft unanswered, and move these
+/// counts (the snapshot's `plumtree.*` rows are `plumtree_stats_total()`).
+/// Recorded at the commit before the store began to age out by the clock.
+#[test]
+fn plumtree_bursts_in_flight_have_not_drifted() {
+    let mut sim = build_hyparview(&wan_plumtree_scenario(0xB0257), Config::default());
+    sim.run_cycles(10);
+    for burst in 0..3 {
+        if burst == 1 {
+            sim.fail_fraction(0.2);
+        }
+        let origin = sim.random_alive();
+        sim.broadcast_burst_from(origin, 16);
+    }
+    let stats = hyparview_sim::SimStats {
+        membership_delivered: 74_420,
+        membership_to_dead: 166,
+        gossip_delivered: 30_974,
+        gossip_to_dead: 0,
+        failure_notifications: 398,
+        broadcasts: 48,
+        events_processed: 117_617,
+    };
+    let counters = [
+        ("sim.membership_delivered", 74_420),
+        ("sim.membership_to_dead", 166),
+        ("sim.gossip_delivered", 30_974),
+        ("sim.gossip_to_dead", 0),
+        ("sim.failure_notifications", 398),
+        ("broadcast.sent", 48),
+        ("sim.events_processed", 117_617),
+        ("frames.sent", 108_637),
+        ("frames.payload_sent", 32_558),
+        ("frames.ihave_sent", 2_411),
+        ("frames.ihave_batch_sent", 2_785),
+        ("frames.ihave_batch_anns_sent", 20_040),
+        ("broadcast.delivered", 12_480),
+        ("broadcast.duplicates", 18_542),
+        ("faults.dropped", 3_077),
+        ("faults.partition_dropped", 0),
+        ("faults.duplicated", 1_181),
+        ("attack.joins_damped", 0),
+        ("attack.neighbors_damped", 0),
+        ("attack.tenure_swaps", 0),
+        ("attack.shuffle_boosts", 0),
+        ("attack.neighbor_floods", 0),
+        ("attack.rejoins", 0),
+        ("attack.shuffles_biased", 0),
+        ("plumtree.gossip_sent", 31_957),
+        ("plumtree.ihave_sent", 21_960),
+        ("plumtree.ihave_batches_sent", 2_728),
+        ("plumtree.grafts_sent", 4_384),
+        ("plumtree.prunes_sent", 19_350),
+        ("plumtree.optimizations", 808),
+        ("plumtree.late_optimizations", 210),
+        ("plumtree.graft_dead_letters", 0),
+        ("plumtree.delivered", 12_480),
+        ("plumtree.redundant", 18_542),
+    ];
+    assert_drift_free(&sim, stats, &counters, 6_451_288_433_820_444_365);
 }
 
 /// The same pin for the thin `Membership` path: flood over Cyclon.
