@@ -4,6 +4,12 @@
 //! [`TimerRequest`] asks for, and it tells the state the time
 //! ([`PlumtreeState::advance`], in the same timer units) before a step that
 //! can store a broadcast; the message store ages out by that reading.
+//!
+//! An id is never announced to a peer known to hold it: one whose `IHave`
+//! was waiting when the payload arrived is skipped, and one whose `IHave` or
+//! payload lands before the flush has its queued announcement taken back
+//! ([`PlumtreeStats::ihave_suppressed`] counts both). The knowledge is what
+//! the node kept anyway: pending announcers and the per-peer flush queue.
 
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
@@ -91,6 +97,10 @@ pub struct PlumtreeStats {
     /// `IHave` announcements sent (batched announcements count
     /// individually; see [`PlumtreeStats::ihave_batches_sent`] for frames).
     pub ihave_sent: u64,
+    /// Announcements not sent because the peer was known to hold the id: it
+    /// had announced it before the payload arrived here, or it announced or
+    /// pushed it while this node's announcement was still queued.
+    pub ihave_suppressed: u64,
     /// `IHaveBatch` frames sent (each carrying ≥ 2 announcements).
     pub ihave_batches_sent: u64,
     /// `Graft` repairs sent (payload-pulling grafts only).
@@ -117,9 +127,10 @@ pub struct PlumtreeStats {
 }
 
 /// The `plumtree.*` registry names, field order of [`PlumtreeStats`].
-pub const METRIC_NAMES: [&str; 10] = [
+pub const METRIC_NAMES: [&str; 11] = [
     "plumtree.gossip_sent",
     "plumtree.ihave_sent",
+    "plumtree.ihave_suppressed",
     "plumtree.ihave_batches_sent",
     "plumtree.grafts_sent",
     "plumtree.prunes_sent",
@@ -140,6 +151,7 @@ impl PlumtreeStats {
         let values = [
             self.gossip_sent,
             self.ihave_sent,
+            self.ihave_suppressed,
             self.ihave_batches_sent,
             self.grafts_sent,
             self.prunes_sent,
@@ -160,6 +172,7 @@ impl std::ops::AddAssign for PlumtreeStats {
     fn add_assign(&mut self, rhs: PlumtreeStats) {
         self.gossip_sent += rhs.gossip_sent;
         self.ihave_sent += rhs.ihave_sent;
+        self.ihave_suppressed += rhs.ihave_suppressed;
         self.ihave_batches_sent += rhs.ihave_batches_sent;
         self.grafts_sent += rhs.grafts_sent;
         self.prunes_sent += rhs.prunes_sent;
@@ -390,7 +403,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         self.stats.delivered += 1;
         out.deliveries.push(PlumtreeDelivery { id, round: 0, payload: payload.clone() });
         self.eager_push(id, 1, payload, None, out);
-        self.lazy_push(id, 1, None, out);
+        self.lazy_push(id, 1, &[], out);
     }
 
     /// Handles one Plumtree message received from `from`.
@@ -461,14 +474,27 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             if !self.is_neighbor(&peer) {
                 continue;
             }
-            for chunk in anns.chunks(MAX_IHAVE_BATCH) {
-                self.stats.ihave_sent += chunk.len() as u64;
-                if let [ann] = chunk {
-                    out.outbox.send(peer, PlumtreeMessage::IHave { id: ann.id, round: ann.round });
-                } else {
-                    self.stats.ihave_batches_sent += 1;
-                    out.outbox.send(peer, PlumtreeMessage::IHaveBatch { anns: chunk.to_vec() });
+            if anns.len() <= MAX_IHAVE_BATCH {
+                self.announce(peer, anns, out);
+            } else {
+                for chunk in anns.chunks(MAX_IHAVE_BATCH) {
+                    self.announce(peer, chunk.to_vec(), out);
                 }
+            }
+        }
+    }
+
+    /// One frame for one peer: nothing for an empty list (every queued id
+    /// was withdrawn, see [`PlumtreeState::withdraw`]), a plain `IHave` for
+    /// one announcement, the list itself as an `IHaveBatch` otherwise.
+    fn announce(&mut self, peer: I, anns: Vec<Announcement>, out: &mut PlumtreeOut<I, P>) {
+        self.stats.ihave_sent += anns.len() as u64;
+        match anns[..] {
+            [] => {}
+            [ann] => out.outbox.send(peer, PlumtreeMessage::IHave { id: ann.id, round: ann.round }),
+            _ => {
+                self.stats.ihave_batches_sent += 1;
+                out.outbox.send(peer, PlumtreeMessage::IHaveBatch { anns });
             }
         }
     }
@@ -488,7 +514,8 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             // The sender is our parent in the tree for this message.
             self.promote_eager(from);
             self.eager_push(id, round + 1, payload, Some(from), out);
-            self.lazy_push(id, round + 1, Some(from), out);
+            let holders = pending.as_ref().map_or(&[][..], |entry| &entry.announcers);
+            self.lazy_push(id, round + 1, holders, out);
             // Over unit-latency links payloads and announcements arrive in
             // strict round order, so the announcement of a shorter lazy
             // path always *precedes* the eager delivery — it is waiting in
@@ -507,8 +534,15 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
                 }
             }
         } else {
-            // Redundant payload: demote the link and tell the sender.
             self.stats.redundant += 1;
+            self.withdraw(from, id);
+            if self.cache.get(&id).is_some_and(|cached| cached.parent == Some(from)) {
+                // The tree parent's own payload a second time is the
+                // transport repeating a frame (or a second reply to a
+                // retried graft), not a cycle: the link stays in the tree.
+                return;
+            }
+            // Redundant payload: demote the link and tell the sender.
             self.demote_lazy(from);
             self.stats.prunes_sent += 1;
             out.outbox.send(from, PlumtreeMessage::Prune);
@@ -517,6 +551,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
 
     fn on_ihave(&mut self, from: I, id: MsgId, round: u32, out: &mut PlumtreeOut<I, P>) {
         if self.has_seen(id) {
+            self.withdraw(from, id);
             let swaps_before = self.stats.optimizations;
             self.maybe_optimize(from, id, round, out);
             if self.stats.optimizations > swaps_before {
@@ -526,7 +561,13 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             }
             return;
         }
-        self.missing.entry(id).or_default().announcers.push((from, round));
+        // A peer is listed once, at its lowest round: a repeated `IHave`
+        // must not make the timer graft it twice before the next announcer.
+        let announcers = &mut self.missing.entry(id).or_default().announcers;
+        match announcers.iter_mut().find(|(peer, _)| *peer == from) {
+            Some((_, listed)) => *listed = round.min(*listed),
+            None => announcers.push((from, round)),
+        }
         if !self.timer_armed.contains(&id) {
             self.arm_missing_timer(id, self.config.ihave_timeout, out);
         }
@@ -642,28 +683,29 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         }
     }
 
+    /// Announces `id` to every lazy peer except `holders`, the peers whose own
+    /// announcement of it was waiting when the payload arrived: an announcement
+    /// exists so that a peer can ask for the payload, and one that announced
+    /// the id never will. (The payload's sender is a tree link by now.) A
+    /// holder that shows itself before the flush: [`PlumtreeState::withdraw`].
     fn lazy_push(
         &mut self,
         id: MsgId,
         round: u32,
-        exclude: Option<I>,
+        holders: &[(I, u32)],
         out: &mut PlumtreeOut<I, P>,
     ) {
-        if self.config.lazy_flush_interval == 0 {
-            // Batching disabled: one IHave frame per message per lazy peer.
-            for &peer in &self.lazy {
-                if Some(peer) == exclude {
-                    continue;
-                }
-                self.stats.ihave_sent += 1;
-                out.outbox.send(peer, PlumtreeMessage::IHave { id, round });
-            }
-            return;
-        }
         let ann = Announcement { id, round };
         let mut queued = false;
         for &peer in &self.lazy {
-            if Some(peer) == exclude {
+            if holders.iter().any(|(holder, _)| *holder == peer) {
+                self.stats.ihave_suppressed += 1;
+                continue;
+            }
+            if self.config.lazy_flush_interval == 0 {
+                // Batching disabled: one IHave frame per message per peer.
+                self.stats.ihave_sent += 1;
+                out.outbox.send(peer, PlumtreeMessage::IHave { id, round });
                 continue;
             }
             match self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) {
@@ -678,6 +720,18 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
                 timer: PlumtreeTimer::LazyFlush,
                 delay: self.config.lazy_flush_interval,
             });
+        }
+    }
+
+    /// `peer` has just shown (an `IHave` or a payload) that it holds the
+    /// delivered `id`: drop the announcement still queued for it, if any.
+    fn withdraw(&mut self, peer: I, id: MsgId) {
+        let Some((_, anns)) = self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) else {
+            return;
+        };
+        if let Some(at) = anns.iter().position(|ann| ann.id == id) {
+            anns.remove(at);
+            self.stats.ihave_suppressed += 1;
         }
     }
 
@@ -868,13 +922,14 @@ mod tests {
 
     #[test]
     fn graft_retries_cap_at_the_limit_and_count_dead_letters() {
-        let mut s = node_with_config(&[1, 2], PlumtreeConfig::default().with_graft_retry_limit(2));
-        s.on_prune(1);
+        let config = PlumtreeConfig::default().with_graft_retry_limit(2);
+        let mut s = node_with_config(&[1, 2, 3, 4], config);
         let mut out = PlumtreeOut::new();
-        // An endless stream of announcements for a message that never
-        // arrives (the announcer is partitioned away).
+        // More announcers than retries for a message that never arrives
+        // (they are all partitioned away); a repeat does not add one.
         for round in 0..8 {
-            s.handle_message(1, PlumtreeMessage::IHave { id: 6, round }, &mut out);
+            let from = 1 + round % 4;
+            s.handle_message(from, PlumtreeMessage::IHave { id: 6, round }, &mut out);
         }
         out = PlumtreeOut::new();
         s.on_timer(PlumtreeTimer::Missing(6), &mut out);
@@ -1440,11 +1495,179 @@ mod tests {
         assert_eq!(msgs[1].1.announcements().len(), 5);
     }
 
+    // ------------------------------------------------------------------
+    // No announcement to a peer known to hold the id
+    // ------------------------------------------------------------------
+
+    /// Node 0 with tree link 1 and lazy links 2, 3 and 4.
+    fn node_with_three_lazy_links(lazy_flush_interval: u64) -> State {
+        let config = PlumtreeConfig::default().with_lazy_flush_interval(lazy_flush_interval);
+        let mut s = node_with_config(&[1, 2, 3, 4], config);
+        for peer in [2, 3, 4] {
+            s.on_prune(peer);
+        }
+        s
+    }
+
+    /// The ids announced to `peer` in `msgs`, in order.
+    fn announced_to(msgs: &[(u32, PlumtreeMessage<&'static str>)], peer: u32) -> Vec<MsgId> {
+        let mut ids = Vec::new();
+        for (to, message) in msgs {
+            match message {
+                PlumtreeMessage::IHave { id, .. } if *to == peer => ids.push(*id),
+                PlumtreeMessage::IHaveBatch { anns } if *to == peer => {
+                    ids.extend(anns.iter().map(|ann| ann.id))
+                }
+                _ => {}
+            }
+        }
+        ids
+    }
+
+    #[test]
+    fn an_announcer_is_not_announced_to_and_every_other_lazy_peer_is_once() {
+        for flush in [0, 4] {
+            let mut s = node_with_three_lazy_links(flush);
+            let mut out = PlumtreeOut::new();
+            s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 3 }, &mut out);
+            s.handle_message(
+                1,
+                PlumtreeMessage::Gossip { id: 6, round: 2, payload: "m" },
+                &mut out,
+            );
+            s.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+            let msgs = sends(&mut out);
+            assert_eq!(announced_to(&msgs, 2), [], "flush {flush}: 2 announced id 6 itself");
+            assert_eq!(announced_to(&msgs, 3), [6], "flush {flush}");
+            assert_eq!(announced_to(&msgs, 4), [6], "flush {flush}");
+            assert_eq!((s.stats().ihave_sent, s.stats().ihave_suppressed), (2, 1));
+        }
+    }
+
+    #[test]
+    fn an_ihave_before_the_flush_withdraws_that_peers_announcement_of_that_id_only() {
+        let mut s = node_with_three_lazy_links(4);
+        let mut out = PlumtreeOut::new();
+        for id in [10, 11] {
+            s.handle_message(1, PlumtreeMessage::Gossip { id, round: 2, payload: "m" }, &mut out);
+        }
+        assert_eq!(s.queued_announcements(), 6, "2 ids x 3 lazy peers");
+        // 2 turns out to hold id 10, 3 to hold both (one by a late payload).
+        s.handle_message(2, PlumtreeMessage::IHave { id: 10, round: 5 }, &mut out);
+        s.handle_message(3, PlumtreeMessage::IHave { id: 10, round: 5 }, &mut out);
+        s.handle_message(3, PlumtreeMessage::Gossip { id: 11, round: 5, payload: "m" }, &mut out);
+        // An id nobody queued, and a repeat, withdraw nothing.
+        s.handle_message(2, PlumtreeMessage::IHave { id: 10, round: 5 }, &mut out);
+        assert_eq!(s.queued_announcements(), 3);
+        assert_eq!(s.stats().ihave_suppressed, 3);
+
+        out = PlumtreeOut::new();
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+        assert!(out.timers.is_empty());
+        assert_eq!(
+            sends(&mut out),
+            vec![
+                (2, PlumtreeMessage::IHave { id: 11, round: 3 }),
+                (
+                    4,
+                    PlumtreeMessage::IHaveBatch {
+                        anns: vec![
+                            Announcement { id: 10, round: 3 },
+                            Announcement { id: 11, round: 3 }
+                        ]
+                    }
+                ),
+            ],
+            "a queue of one goes out as a plain IHave, an emptied queue as no frame"
+        );
+        assert_eq!((s.stats().ihave_sent, s.stats().ihave_batches_sent), (3, 1));
+
+        // The withdrawn queue entry is no obstacle to the next round.
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 12, round: 2, payload: "m" }, &mut out);
+        assert_eq!(out.timers.len(), 1, "the next announcement arms a fresh flush");
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+        assert_eq!(announced_to(&sends(&mut out), 3), [12]);
+    }
+
+    #[test]
+    fn a_peer_that_left_and_came_back_is_announced_to_again() {
+        let mut s = node_with_three_lazy_links(0);
+        let mut out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 3 }, &mut out);
+        // The link breaks and a new one to the same peer comes up: what the
+        // old one announced is forgotten with it.
+        s.on_neighbor_down(2);
+        s.on_neighbor_up(2);
+        s.on_prune(2);
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 6, round: 2, payload: "m" }, &mut out);
+        assert_eq!(announced_to(&sends(&mut out), 2), [6]);
+        assert_eq!(s.stats().ihave_suppressed, 0);
+    }
+
+    #[test]
+    fn the_origin_announces_to_every_lazy_peer() {
+        let mut s = node_with_three_lazy_links(0);
+        let mut out = PlumtreeOut::new();
+        // Announcements of other ids are no reason to skip anyone.
+        s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 3 }, &mut out);
+        s.broadcast(7, "m", &mut out);
+        let msgs = sends(&mut out);
+        for peer in [2, 3, 4] {
+            assert_eq!(announced_to(&msgs, peer), [7]);
+        }
+        assert_eq!(s.stats().ihave_suppressed, 0);
+    }
+
+    #[test]
+    fn a_duplicate_from_the_tree_parent_keeps_the_link_and_any_other_still_prunes() {
+        let mut s = node_with_neighbors(&[1, 2]);
+        let mut out = PlumtreeOut::new();
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 5, round: 1, payload: "m" }, &mut out);
+        let eager = s.eager_peers();
+        out = PlumtreeOut::new();
+        // The transport repeats the parent's frame.
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 5, round: 1, payload: "m" }, &mut out);
+        assert!(out.is_empty(), "no Prune, no delivery, no timer: {out:?}");
+        assert_eq!(s.eager_peers(), eager);
+        assert_eq!((s.stats().redundant, s.stats().prunes_sent), (1, 0));
+        // The same payload over a second path is a cycle.
+        s.handle_message(2, PlumtreeMessage::Gossip { id: 5, round: 2, payload: "m" }, &mut out);
+        assert_eq!(sends(&mut out), vec![(2, PlumtreeMessage::Prune)]);
+        assert_eq!(s.eager_peers(), [1]);
+        assert_eq!((s.stats().redundant, s.stats().prunes_sent), (2, 1));
+    }
+
+    #[test]
+    fn a_repeated_ihave_lists_its_sender_once_at_the_lowest_round() {
+        let mut s = node_with_three_lazy_links(0);
+        let mut out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 5 }, &mut out);
+        s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 3 }, &mut out);
+        s.handle_message(3, PlumtreeMessage::IHave { id: 6, round: 4 }, &mut out);
+        s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 7 }, &mut out);
+        let mut grafts = Vec::new();
+        for _ in 0..3 {
+            out = PlumtreeOut::new();
+            s.on_timer(PlumtreeTimer::Missing(6), &mut out);
+            grafts.extend(sends(&mut out));
+        }
+        assert_eq!(
+            grafts,
+            vec![
+                (2, PlumtreeMessage::Graft { id: Some(6), round: 3 }),
+                (3, PlumtreeMessage::Graft { id: Some(6), round: 4 }),
+            ],
+            "one attempt per announcer, then the timer stops quietly"
+        );
+        assert_eq!(s.stats().graft_dead_letters, 0);
+    }
+
     #[test]
     fn stats_add_assign_sums_every_field() {
         let mut a = PlumtreeStats {
             gossip_sent: 1,
             ihave_sent: 2,
+            ihave_suppressed: 11,
             ihave_batches_sent: 3,
             grafts_sent: 4,
             prunes_sent: 5,
@@ -1460,6 +1683,7 @@ mod tests {
             PlumtreeStats {
                 gossip_sent: 2,
                 ihave_sent: 4,
+                ihave_suppressed: 22,
                 ihave_batches_sent: 6,
                 grafts_sent: 8,
                 prunes_sent: 10,

@@ -333,6 +333,42 @@ fn the_store_is_told_the_time_before_a_broadcast_and_before_a_message() {
     assert!(!ctx.effects.contains(&Effect::Duplicate(1)));
 }
 
+#[test]
+fn a_peer_that_announced_or_shows_it_holds_an_id_gets_no_announcement_of_it() {
+    // The wire's payload (a reference-counted byte buffer) and its batching.
+    let config = PlumtreeConfig::default().with_lazy_flush_interval(2);
+    let mut node: NodeCore<u32, Scripted, Arc<[u8]>> =
+        NodeCore::plumtree(scripted(&[1, 2, 3, 4, 5]), PlumtreeState::new(0, config));
+    node.sync_neighbors();
+    let mut ctx = Recorder::default();
+    for peer in [3, 4, 5] {
+        node.on_plumtree(peer, PlumtreeMessage::Prune, &mut ctx);
+    }
+    let payload: Arc<[u8]> = Arc::from(vec![7u8; 64]);
+    // 3 announces id 7 before the payload arrives; 4 after, before the flush.
+    node.on_plumtree(3, PlumtreeMessage::IHave { id: 7, round: 4 }, &mut ctx);
+    ctx.effects.clear();
+    node.on_plumtree(1, PlumtreeMessage::Gossip { id: 7, round: 2, payload }, &mut ctx);
+    node.on_plumtree(4, PlumtreeMessage::IHave { id: 7, round: 4 }, &mut ctx);
+    node.on_timer(PlumtreeTimer::LazyFlush, &mut ctx);
+    assert_eq!(
+        ctx.effects,
+        [
+            Effect::Plumtree {
+                to: 2,
+                message: PlumtreeMessage::Gossip { id: 7, round: 3, payload: () }
+            },
+            Effect::Deliver { id: 7, hops: 2, from: Some(1) },
+            Effect::Timer(PlumtreeTimer::LazyFlush, 2),
+            Effect::Trace(TraceKind::TimerFired { timer: TimerKind::LazyFlush }),
+            Effect::Plumtree { to: 5, message: PlumtreeMessage::IHave { id: 7, round: 3 } },
+        ],
+        "of the three lazy links only 5 is told"
+    );
+    let stats = node.plumtree_state().expect("Plumtree mode").stats();
+    assert_eq!((stats.ihave_sent, stats.ihave_suppressed), (1, 2));
+}
+
 /// One script through a flood node and a Plumtree node carrying `payload`.
 fn run_script<P: Clone>(payload: P) -> Vec<Effect> {
     let mut effects = Vec::new();

@@ -2,14 +2,16 @@
 //!
 //! * eager and lazy sets stay disjoint and within the active view under
 //!   arbitrary interleavings of messages, timers and neighbor churn;
+//! * no announcement goes to a peer known to hold the id, and every other
+//!   lazy peer gets exactly one;
 //! * a full in-memory overlay delivers every broadcast to every node (the
 //!   tree spans the network), with and without pruning warm-up.
 
 use hyparview_plumtree::{
-    PlumtreeConfig, PlumtreeMessage, PlumtreeOut, PlumtreeState, PlumtreeTimer,
+    Announcement, MsgId, PlumtreeConfig, PlumtreeMessage, PlumtreeOut, PlumtreeState, PlumtreeTimer,
 };
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A tiny synchronous network of Plumtree nodes over a fixed overlay:
 /// messages are exchanged in FIFO order, timers fire after all traffic
@@ -180,5 +182,98 @@ proptest! {
             net.nodes[b].sync_neighbors(&view_b);
         }
         net.check_invariants();
+    }
+
+    /// Over a random stream of messages and timers at one node: once an
+    /// `IHave` or a payload of an id from a peer has been handled, no
+    /// announcement of that id is ever emitted to that peer, and a first
+    /// receipt owes exactly one announcement to every lazy peer that had
+    /// shown neither, paid by the last flush unless the peer shows one
+    /// first. One thing un-tells the node: a `Graft` spends the announcement
+    /// it answers (the peer becomes a tree link and is pushed the payload;
+    /// should it prune first, it is announced to like anybody else). The
+    /// retry limit is out of reach, since a dead letter drops an id's
+    /// announcers by design, and nothing is evicted (the clock stands still).
+    #[test]
+    fn a_peer_known_to_hold_an_id_is_never_announced_it(
+        flush in 0u64..4,
+        threshold in proptest::option::of(1u32..4),
+        steps in proptest::collection::vec((0u8..9, 1u32..7, 0u128..24, 0u32..9), 200..600),
+    ) {
+        let config = PlumtreeConfig::default()
+            .with_lazy_flush_interval(flush)
+            .with_optimization_threshold(threshold)
+            .with_graft_retry_limit(u32::MAX);
+        let mut node: PlumtreeState<u32, u64> = PlumtreeState::new(0, config);
+        node.sync_neighbors(&[1, 2, 3, 4, 5, 6]);
+        let mut holds: HashSet<(u32, MsgId)> = HashSet::new();
+        let mut owed: HashSet<(u32, MsgId)> = HashSet::new();
+        let mut announced: HashMap<(u32, MsgId), u32> = HashMap::new();
+        let mut out = PlumtreeOut::new();
+        let last_flush = (0u8, 0, 0, 0);
+        for (step, (kind, from, id, round)) in steps.into_iter().chain([last_flush]).enumerate() {
+            let message = match kind {
+                0 => {
+                    node.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+                    None
+                }
+                1 => {
+                    node.on_timer(PlumtreeTimer::Missing(id), &mut out);
+                    None
+                }
+                2 | 3 => Some(PlumtreeMessage::Gossip { id, round, payload: 0 }),
+                4 | 5 => Some(PlumtreeMessage::IHave { id, round }),
+                6 => {
+                    let anns = vec![Announcement { id, round }, Announcement { id: id ^ 1, round }];
+                    Some(PlumtreeMessage::IHaveBatch { anns })
+                }
+                7 => Some(PlumtreeMessage::Graft { id: (round > 0).then_some(id), round }),
+                _ => Some(PlumtreeMessage::Prune),
+            };
+            if let Some(message) = message {
+                let shown: Vec<MsgId> = match &message {
+                    PlumtreeMessage::Gossip { id, .. } | PlumtreeMessage::IHave { id, .. } => {
+                        vec![*id]
+                    }
+                    other => other.announcements().iter().map(|ann| ann.id).collect(),
+                };
+                node.handle_message(from, message, &mut out);
+                for id in shown {
+                    holds.insert((from, id));
+                    if !announced.contains_key(&(from, id)) {
+                        owed.remove(&(from, id));
+                    }
+                }
+            }
+            for delivery in out.deliveries.drain(..) {
+                for &peer in node.lazy() {
+                    if !holds.contains(&(peer, delivery.id)) {
+                        owed.insert((peer, delivery.id));
+                    }
+                }
+            }
+            out.timers.clear();
+            for (to, message) in out.outbox.drain() {
+                let ids: Vec<MsgId> = match &message {
+                    PlumtreeMessage::IHave { id, .. } => vec![*id],
+                    PlumtreeMessage::Graft { id: Some(id), .. } => {
+                        holds.remove(&(to, *id));
+                        continue;
+                    }
+                    other => other.announcements().iter().map(|ann| ann.id).collect(),
+                };
+                for id in ids {
+                    prop_assert!(!holds.contains(&(to, id)), "step {}: {} holds {}", step, to, id);
+                    prop_assert!(owed.contains(&(to, id)), "step {}: {} not owed {}", step, to, id);
+                    *announced.entry((to, id)).or_default() += 1;
+                }
+            }
+        }
+        prop_assert!(owed.len() > 20, "the stream must make announcements due: {}", owed.len());
+        for key in &owed {
+            prop_assert_eq!(announced.get(key), Some(&1), "(peer, id) {:?}", key);
+        }
+        prop_assert_eq!(announced.len(), owed.len());
+        prop_assert_eq!(node.stats().ihave_sent, owed.len() as u64);
     }
 }

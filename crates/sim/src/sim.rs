@@ -294,7 +294,10 @@ impl SimConfig {
 /// the view; [`Sim::metrics`] exposes the registry itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Membership messages delivered.
+    /// Control messages delivered: the membership protocol's, and in
+    /// Plumtree mode every `IHave`, `IHaveBatch`, `Graft` and `Prune` as
+    /// well (which is why `core.msgs_per_bcast` reads in the ten thousands
+    /// on the benchmark's Plumtree workload).
     pub membership_delivered: u64,
     /// Membership messages addressed to dead nodes (lost).
     pub membership_to_dead: u64,

@@ -423,40 +423,48 @@ fn wan_plumtree_scenario(seed: u64) -> Scenario {
         .with_faults(FaultPlan::default().with_loss(0.05).with_duplication(0.02))
 }
 
-/// The node composition must not drift: these constants were recorded at
-/// the commit before the simulator and the live stack started sharing one
-/// `NodeCore`, and pin RNG draws, fault nonces and queue order end to end.
+/// The node composition must not drift: these constants pin RNG draws,
+/// fault nonces and queue order end to end. Recorded at PR 24, the commit
+/// on top of `be299b3` at which Plumtree stopped announcing an id to a peer
+/// known to hold it (and stopped pruning a parent over a repeated frame):
+/// `frames.ihave_sent` 8,359 -> 5,979, `plumtree.prunes_sent` 4,036 ->
+/// 3,533, `plumtree.grafts_sent` 945 -> 848. They had stood unchanged since
+/// the commit before the simulator and the live stack began sharing one
+/// `NodeCore`.
 #[test]
 fn adaptive_plumtree_over_hyparview_has_not_drifted() {
     let mut sim = build_hyparview(&wan_plumtree_scenario(0xD21F7), Config::default());
     drift_run(&mut sim);
+    // Nothing the change left unsent was needed: 5 x 300 + 15 x 210, every
+    // live node and every broadcast (4,649 at the parent, one node missed).
+    assert_eq!(sim.metrics().value_by_name("broadcast.delivered"), Some(4_650));
     let stats = hyparview_sim::SimStats {
-        membership_delivered: 66_721,
+        membership_delivered: 62_823,
         membership_to_dead: 275,
-        gossip_delivered: 7_208,
+        gossip_delivered: 7_163,
         gossip_to_dead: 2,
         failure_notifications: 591,
         broadcasts: 20,
-        events_processed: 81_102,
+        events_processed: 76_686,
     };
     let counters = [
-        ("sim.membership_delivered", 66_721),
+        ("sim.membership_delivered", 62_823),
         ("sim.membership_to_dead", 275),
-        ("sim.gossip_delivered", 7_208),
+        ("sim.gossip_delivered", 7_163),
         ("sim.gossip_to_dead", 2),
         ("sim.failure_notifications", 591),
         ("broadcast.sent", 20),
-        ("sim.events_processed", 81_102),
-        ("frames.sent", 75_397),
-        ("frames.payload_sent", 7_556),
-        ("frames.ihave_sent", 8_359),
-        ("frames.ihave_batch_sent", 1_892),
-        ("frames.ihave_batch_anns_sent", 3_784),
-        ("broadcast.delivered", 4_649),
-        ("broadcast.duplicates", 2_579),
-        ("faults.dropped", 1_191),
+        ("sim.events_processed", 76_686),
+        ("frames.sent", 71_252),
+        ("frames.payload_sent", 7_546),
+        ("frames.ihave_sent", 5_979),
+        ("frames.ihave_batch_sent", 1_126),
+        ("frames.ihave_batch_anns_sent", 2_252),
+        ("broadcast.delivered", 4_650),
+        ("broadcast.duplicates", 2_533),
+        ("faults.dropped", 989),
         ("faults.partition_dropped", 0),
-        ("faults.duplicated", 463),
+        ("faults.duplicated", 369),
         ("attack.joins_damped", 0),
         ("attack.neighbors_damped", 0),
         ("attack.tenure_swaps", 0),
@@ -464,25 +472,30 @@ fn adaptive_plumtree_over_hyparview_has_not_drifted() {
         ("attack.neighbor_floods", 0),
         ("attack.rejoins", 0),
         ("attack.shuffles_biased", 0),
-        ("plumtree.gossip_sent", 7_423),
-        ("plumtree.ihave_sent", 11_891),
-        ("plumtree.ihave_batches_sent", 1_846),
-        ("plumtree.grafts_sent", 945),
-        ("plumtree.prunes_sent", 4_036),
-        ("plumtree.optimizations", 1_457),
-        ("plumtree.late_optimizations", 607),
+        ("plumtree.gossip_sent", 7_401),
+        ("plumtree.ihave_sent", 8_085),
+        ("plumtree.ihave_suppressed", 3_832),
+        ("plumtree.ihave_batches_sent", 1_101),
+        ("plumtree.grafts_sent", 848),
+        ("plumtree.prunes_sent", 3_533),
+        ("plumtree.optimizations", 1_089),
+        ("plumtree.late_optimizations", 230),
         ("plumtree.graft_dead_letters", 0),
-        ("plumtree.delivered", 4_649),
-        ("plumtree.redundant", 2_579),
+        ("plumtree.delivered", 4_650),
+        ("plumtree.redundant", 2_533),
     ];
-    assert_drift_free(&sim, stats, &counters, 8_444_521_903_879_780_901);
+    assert_drift_free(&sim, stats, &counters, 16_708_003_444_784_576_617);
 }
 
 /// Sixteen ids in flight at once, three times, through a crash: a message
 /// store that forgot an id while a neighbour could still announce, push or
 /// graft it would re-deliver or leave a graft unanswered, and move these
 /// counts (the snapshot's `plumtree.*` rows are `plumtree_stats_total()`).
-/// Recorded at the commit before the store began to age out by the clock.
+/// Recorded at PR 24, the commit on top of `be299b3` (see the test above):
+/// `frames.ihave_sent` 2,411 -> 1,814 with `frames.ihave_batch_anns_sent`
+/// 20,040 -> 14,194, `plumtree.prunes_sent` 19,350 -> 19,004,
+/// `plumtree.grafts_sent` 4,384 -> 3,690; before that they had stood since
+/// the commit before the store began to age out by the clock.
 #[test]
 fn plumtree_bursts_in_flight_have_not_drifted() {
     let mut sim = build_hyparview(&wan_plumtree_scenario(0xB0257), Config::default());
@@ -494,33 +507,35 @@ fn plumtree_bursts_in_flight_have_not_drifted() {
         let origin = sim.random_alive();
         sim.broadcast_burst_from(origin, 16);
     }
+    // 16 x 300 + 32 x 240, as at the parent: every live node, every id.
+    assert_eq!(sim.metrics().value_by_name("broadcast.delivered"), Some(12_480));
     let stats = hyparview_sim::SimStats {
-        membership_delivered: 74_420,
-        membership_to_dead: 166,
-        gossip_delivered: 30_974,
+        membership_delivered: 72_069,
+        membership_to_dead: 165,
+        gossip_delivered: 30_890,
         gossip_to_dead: 0,
-        failure_notifications: 398,
+        failure_notifications: 397,
         broadcasts: 48,
-        events_processed: 117_617,
+        events_processed: 114_042,
     };
     let counters = [
-        ("sim.membership_delivered", 74_420),
-        ("sim.membership_to_dead", 166),
-        ("sim.gossip_delivered", 30_974),
+        ("sim.membership_delivered", 72_069),
+        ("sim.membership_to_dead", 165),
+        ("sim.gossip_delivered", 30_890),
         ("sim.gossip_to_dead", 0),
-        ("sim.failure_notifications", 398),
+        ("sim.failure_notifications", 397),
         ("broadcast.sent", 48),
-        ("sim.events_processed", 117_617),
-        ("frames.sent", 108_637),
-        ("frames.payload_sent", 32_558),
-        ("frames.ihave_sent", 2_411),
-        ("frames.ihave_batch_sent", 2_785),
-        ("frames.ihave_batch_anns_sent", 20_040),
+        ("sim.events_processed", 114_042),
+        ("frames.sent", 106_071),
+        ("frames.payload_sent", 32_456),
+        ("frames.ihave_sent", 1_814),
+        ("frames.ihave_batch_sent", 1_959),
+        ("frames.ihave_batch_anns_sent", 14_194),
         ("broadcast.delivered", 12_480),
-        ("broadcast.duplicates", 18_542),
-        ("faults.dropped", 3_077),
+        ("broadcast.duplicates", 18_458),
+        ("faults.dropped", 2_947),
         ("faults.partition_dropped", 0),
-        ("faults.duplicated", 1_181),
+        ("faults.duplicated", 1_129),
         ("attack.joins_damped", 0),
         ("attack.neighbors_damped", 0),
         ("attack.tenure_swaps", 0),
@@ -528,18 +543,19 @@ fn plumtree_bursts_in_flight_have_not_drifted() {
         ("attack.neighbor_floods", 0),
         ("attack.rejoins", 0),
         ("attack.shuffles_biased", 0),
-        ("plumtree.gossip_sent", 31_957),
-        ("plumtree.ihave_sent", 21_960),
-        ("plumtree.ihave_batches_sent", 2_728),
-        ("plumtree.grafts_sent", 4_384),
-        ("plumtree.prunes_sent", 19_350),
-        ("plumtree.optimizations", 808),
-        ("plumtree.late_optimizations", 210),
+        ("plumtree.gossip_sent", 31_826),
+        ("plumtree.ihave_sent", 15_704),
+        ("plumtree.ihave_suppressed", 5_720),
+        ("plumtree.ihave_batches_sent", 1_920),
+        ("plumtree.grafts_sent", 3_690),
+        ("plumtree.prunes_sent", 19_004),
+        ("plumtree.optimizations", 838),
+        ("plumtree.late_optimizations", 110),
         ("plumtree.graft_dead_letters", 0),
         ("plumtree.delivered", 12_480),
-        ("plumtree.redundant", 18_542),
+        ("plumtree.redundant", 18_458),
     ];
-    assert_drift_free(&sim, stats, &counters, 6_451_288_433_820_444_365);
+    assert_drift_free(&sim, stats, &counters, 3_234_883_730_706_206_347);
 }
 
 /// The same pin for the thin `Membership` path: flood over Cyclon.
