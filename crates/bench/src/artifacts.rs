@@ -1,13 +1,12 @@
-//! Result-artifact serialization shared between the experiment binaries
-//! and the tests.
+//! Result-artifact serialization shared between the experiments and the
+//! tests.
 //!
 //! Each builder renders one experiment's *results* artifact — a pure
 //! function of the experiment data, so two sweeps that computed the same
 //! results (e.g. `--jobs 1` vs `--jobs 4`) serialize to byte-identical
-//! documents. That property is asserted by the `jobs_identical` test
-//! suite, which is why these builders live here instead of inline in the
-//! bins. Wall-clock numbers never belong in these documents — they go in
-//! the perf sidecar ([`crate::measure::perf_artifact`]).
+//! documents. That property is asserted by the `perf_harness` test suite,
+//! and `hpv-bench`'s own test checks that `--json` writes exactly what
+//! these builders return. No clock reading belongs in these documents.
 
 use crate::experiments::adaptive::{AdaptiveCell, PathSummary, PhaseMetrics};
 use crate::experiments::attack::AttackCell;

@@ -1,19 +1,33 @@
-//! Cross-run bench trend: diff two bench JSON artifacts into a markdown
-//! table (ROADMAP "cross-run perf trajectory").
+//! Cross-run bench trend: `hpv-bench diff` diffs two bench JSON artifacts
+//! (or directories of them) into a markdown table.
+//!
+//! ```text
+//! hpv-bench diff <baseline> <current> [--threshold 0.10]
+//! ```
 //!
 //! The CI `bench-smoke` job uploads one JSON artifact per experiment and
-//! run. `bench_diff` downloads the latest `main` artifact, flattens both
-//! documents into dotted metric paths (array elements are labeled by their
-//! string fields, so `cells[uniform.optimized].healed.mean_last_hop` stays
-//! stable across runs), and renders the deltas. Metrics with a known
-//! direction — reliability / time-to-eclipse up, RMR / last-hop / control
-//! traffic / dead letters / capture down — gate the build: a relative
-//! worsening beyond the threshold is a *regression* and yields a nonzero
-//! exit code. The raw `attack.*` counters stay informational, like the
-//! `faults.*` family: how often a defense fired is a property of the
-//! attack plan, not a quality signal.
+//! run, then diffs against the artifacts of the last few `main` runs. Both
+//! documents flatten into dotted metric paths (array elements are labeled
+//! by their string fields, so `cells[uniform.optimized].healed.mean_last_hop`
+//! stays stable across runs), and the deltas render as a table (stdout; CI
+//! appends it to `$GITHUB_STEP_SUMMARY`). Metrics with a known direction —
+//! reliability / time-to-eclipse up, RMR / last-hop / control traffic /
+//! dead letters / capture down — gate the build: a relative worsening
+//! beyond the threshold is a *regression*. The raw `attack.*` counters stay
+//! informational, like the `faults.*` family: how often a defense fired is
+//! a property of the attack plan, not a quality signal.
+//!
+//! `baseline` and `current` are two JSON files or two directories paired by
+//! file name. The baseline may also be a **rolling window**: `run-<id>/`
+//! subdirectories, one artifact set each. The newest run gates; the older
+//! runs feed a *window* column per metric, so a slow drift that never trips
+//! the single-run threshold is still visible. Exit codes: `0` clean
+//! (including when the baseline does not exist, e.g. the first run on a
+//! fork), `1` if a directed metric regressed beyond the threshold, `2` on
+//! usage or parse errors.
 
-use crate::json::JsonValue;
+use crate::json::{parse, JsonValue};
+use std::path::{Path, PathBuf};
 
 /// Whether a metric has a "better" direction, and which way it points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +52,7 @@ fn metric_name(path: &str) -> String {
 /// families the experiments emit.
 pub fn direction(path: &str) -> Direction {
     let name = metric_name(path);
-    if name.contains("reliability")
-        || name.contains("accuracy")
-        || name.contains("events_per_sec")
-        || name.contains("time_to_eclipse")
+    if name.contains("reliability") || name.contains("accuracy") || name.contains("time_to_eclipse")
     {
         Direction::HigherIsBetter
     } else if name.contains("rmr")
@@ -50,7 +61,6 @@ pub fn direction(path: &str) -> Direction {
         || name.contains("dead_letter")
         || name.contains("time_to_heal")
         || name.contains("capture")
-        || name.contains("wall_ms")
     {
         Direction::LowerIsBetter
     } else if name.ends_with("_p50") || name.ends_with("_p99") {
@@ -65,22 +75,6 @@ pub fn direction(path: &str) -> Direction {
     } else {
         Direction::Info
     }
-}
-
-/// Whether a worsening of this metric fails the build. Simulation-quality
-/// metrics gate; *throughput* metrics (`wall_ms` down, `events_per_sec`
-/// up — the perf sidecars) have a direction so the trend table can flag
-/// them, but stay warn-only: their values carry CI-runner noise, and a
-/// slow runner must not turn the gate red.
-pub fn gates(path: &str) -> bool {
-    // Reactor introspection gauges (epoll wait time, batch sizes, queue
-    // high-water marks) are wall-clock and load dependent: direction-aware
-    // for the trend table, warn-only for the gate.
-    if path.to_ascii_lowercase().contains("reactor.") {
-        return false;
-    }
-    let name = metric_name(path);
-    !(name.contains("wall_ms") || name.contains("events_per_sec"))
 }
 
 /// One metric present in either artifact.
@@ -225,9 +219,7 @@ pub type Trend = std::collections::HashMap<String, Vec<Option<f64>>>;
 /// Renders the rows as a markdown trend table. Unchanged metrics collapse
 /// into a footer count so the table stays readable in a job summary; every
 /// changed metric is listed, regressions flagged against `threshold`.
-/// Worsened metrics whose path does not [`gates`] (throughput: `wall_ms`,
-/// `events_per_sec`) are flagged as warnings but never counted. Returns
-/// `(markdown, gating regression count)`.
+/// Returns `(markdown, regression count)`.
 pub fn markdown_table(rows: &[DiffRow], threshold: f64) -> (String, usize) {
     markdown_table_with_trend(rows, threshold, &Trend::new())
 }
@@ -262,9 +254,8 @@ pub fn markdown_table_with_trend(
             unchanged += 1;
             continue;
         }
-        let worsened = row.regressed(threshold);
-        let regressed = worsened && gates(&row.path);
-        let improved = !worsened
+        let regressed = row.regressed(threshold);
+        let improved = !regressed
             && direction(&row.path) != Direction::Info
             && DiffRow { path: row.path.clone(), base: row.current, current: row.base }
                 .regressed(threshold);
@@ -273,8 +264,6 @@ pub fn markdown_table_with_trend(
         }
         let flag = if regressed {
             "**regression**"
-        } else if worsened {
-            "⚠ slower (warn-only)"
         } else if improved {
             "improved"
         } else {
@@ -327,10 +316,217 @@ pub fn markdown_table_with_trend(
     (table, regressions)
 }
 
+/// `hpv-bench diff <baseline> <current> [--threshold 0.10]`; returns the
+/// exit code.
+pub fn main(args: &[String]) -> i32 {
+    let mut paths: Vec<&str> = Vec::new();
+    let mut threshold = 0.10;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threshold" => match args.next().map(|v| v.parse()) {
+                Some(Ok(value)) => threshold = value,
+                _ => return usage("--threshold expects a fraction, e.g. 0.10"),
+            },
+            other if other.starts_with("--") => return usage(&format!("unknown flag {other}")),
+            other => paths.push(other),
+        }
+    }
+    let [baseline, current] = paths.as_slice() else {
+        return usage("expected exactly two paths: <baseline> <current>");
+    };
+    let (baseline, current) = (Path::new(baseline), Path::new(current));
+
+    if !baseline.exists() {
+        // First run on a branch or fork: there is no prior artifact to
+        // compare against. That is not an error — say so and succeed.
+        println!(
+            "_No baseline bench artifact at `{}` — skipping the trend table (first run?)._",
+            baseline.display()
+        );
+        return 0;
+    }
+    if !current.exists() {
+        eprintln!("current artifact {} does not exist", current.display());
+        return 2;
+    }
+
+    // A baseline of run-<id>/ subdirectories is a rolling window: gate
+    // against the newest run, feed the older ones into the trend column.
+    let (gate, window) = resolve_window(baseline);
+    let (pairs, notices, current_only) = pair_artifacts(&gate, current);
+    println!("### Bench trend vs baseline (threshold {:.0}%)\n", threshold * 100.0);
+    if !window.is_empty() {
+        println!(
+            "_Rolling window: {} prior run(s), gating against `{}`._\n",
+            window.len() + 1,
+            gate.file_name().unwrap_or_default().to_string_lossy()
+        );
+    }
+    for notice in &notices {
+        println!("{notice}\n");
+    }
+    // Artifacts with no baseline (a new experiment, or one the older main
+    // runs never uploaded) are recorded informationally — their values
+    // become the baseline of the next run — and never gate.
+    for name in &current_only {
+        match load(&current.join(name)) {
+            Some(value) => {
+                let table = new_artifact_table(&flatten(&value));
+                println!(
+                    "<details><summary><b>{name}</b> — new in this run, informational</summary>\n"
+                );
+                println!("{table}</details>\n");
+            }
+            None => {
+                println!("_`{name}` is new in this run but failed to load — see the step log._\n")
+            }
+        }
+    }
+    if pairs.is_empty() {
+        println!("_Baseline and current artifacts share no JSON files — nothing to compare._");
+        return 0;
+    }
+
+    let mut regressions = 0usize;
+    let mut broken = 0usize;
+    for (name, base_path, current_path) in &pairs {
+        match (load(base_path), load(current_path)) {
+            (Some(base), Some(current)) => {
+                let rows = diff(&base, &current);
+                let trend = window_trend(&window, name);
+                let (table, regressed) = markdown_table_with_trend(&rows, threshold, &trend);
+                regressions += regressed;
+                let badge = if regressed > 0 {
+                    format!(" — ⚠ {regressed} regression(s)")
+                } else {
+                    String::new()
+                };
+                println!("<details><summary><b>{name}</b>{badge}</summary>\n");
+                println!("{table}</details>\n");
+            }
+            _ => {
+                // An artifact that exists but cannot be read is a broken
+                // pipeline, not a clean comparison — it must not turn the
+                // gate green.
+                broken += 1;
+                println!("_`{name}` failed to load on one side — see the step log._\n");
+            }
+        }
+    }
+    if broken > 0 {
+        println!("**{broken} artifact(s) failed to load.**");
+        return 2;
+    }
+    if regressions > 0 {
+        println!("**{regressions} regression(s) detected.**");
+        return 1;
+    }
+    println!("No regressions detected.");
+    0
+}
+
+fn usage(message: &str) -> i32 {
+    eprintln!("hpv-bench diff: {message}");
+    eprintln!("usage: hpv-bench diff <baseline> <current> [--threshold 0.10]");
+    2
+}
+
+/// Splits a baseline into `(gate, older runs oldest → newest)`. A
+/// directory whose entries are `run-*` subdirectories is a rolling window:
+/// the numerically newest run gates (GitHub run IDs grow monotonically),
+/// the rest feed the trend column. Anything else gates as-is, windowless.
+fn resolve_window(baseline: &Path) -> (PathBuf, Vec<PathBuf>) {
+    let mut runs: Vec<(u64, PathBuf)> = std::fs::read_dir(baseline)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .filter(|e| e.path().is_dir())
+                .filter_map(|e| {
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    let id = name.strip_prefix("run-")?.parse().ok()?;
+                    Some((id, e.path()))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    runs.sort();
+    match runs.pop() {
+        Some((_, newest)) => (newest, runs.into_iter().map(|(_, path)| path).collect()),
+        None => (baseline.to_owned(), Vec::new()),
+    }
+}
+
+/// Collects `name`'s metric values across the window runs (oldest →
+/// newest): `path -> [value per run]`, `None` where a run lacks the
+/// artifact or the metric.
+fn window_trend(window: &[PathBuf], name: &str) -> Trend {
+    let mut trend = Trend::new();
+    let flattened: Vec<Option<Vec<(String, f64)>>> =
+        window.iter().map(|run| load(&run.join(name)).map(|v| flatten(&v))).collect();
+    for (index, metrics) in flattened.iter().enumerate() {
+        let Some(metrics) = metrics else { continue };
+        for (path, value) in metrics {
+            let values = trend.entry(path.clone()).or_insert_with(|| vec![None; window.len()]);
+            values[index] = Some(*value);
+        }
+    }
+    trend
+}
+
+fn load(path: &Path) -> Option<JsonValue> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| eprintln!("read {}: {e}", path.display()))
+        .ok()?;
+    parse(&text).map_err(|e| eprintln!("parse {}: {e}", path.display())).ok()
+}
+
+/// `(name, baseline path, current path)` for each artifact present on
+/// both sides.
+type ArtifactPairs = Vec<(String, PathBuf, PathBuf)>;
+
+/// Pairs the artifacts to compare: two files compare directly, two
+/// directories pair by file name. Files present on only one side are not
+/// regressions (new or retired experiments); retired ones come back as
+/// markdown notices, current-only ones additionally as a name list so the
+/// caller can render their values informationally.
+fn pair_artifacts(baseline: &Path, current: &Path) -> (ArtifactPairs, Vec<String>, Vec<String>) {
+    if baseline.is_file() {
+        let name = baseline.file_name().unwrap_or_default().to_string_lossy().into_owned();
+        return (vec![(name, baseline.to_owned(), current.to_owned())], Vec::new(), Vec::new());
+    }
+    let json_files = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .filter_map(|e| e.ok())
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|n| n.ends_with(".json"))
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    };
+    let base_names = json_files(baseline);
+    let current_names = json_files(current);
+    let mut notices = Vec::new();
+    let current_only: Vec<String> =
+        current_names.iter().filter(|n| !base_names.contains(n)).cloned().collect();
+    for name in base_names.iter().filter(|n| !current_names.contains(n)) {
+        notices.push(format!("_`{name}` exists only in the baseline (experiment removed?)._"));
+    }
+    let pairs = base_names
+        .into_iter()
+        .filter(|n| current_names.contains(n))
+        .map(|n| (n.clone(), baseline.join(&n), current.join(&n)))
+        .collect();
+    (pairs, notices, current_only)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     fn artifact(reliability: f64, last_hop: f64) -> JsonValue {
         parse(&format!(
@@ -387,7 +583,6 @@ mod tests {
             Direction::HigherIsBetter
         );
         assert_eq!(direction("cells[adaptive.loss10].time_to_heal"), Direction::LowerIsBetter);
-        assert!(gates("cells[adaptive.loss10].time_to_heal"));
         assert_eq!(direction("cells[flood.loss5].dropped"), Direction::Info);
         assert_eq!(direction("cells[flood.loss5].partition_dropped"), Direction::Info);
         assert_eq!(direction("cells[flood.loss5].duplicated"), Direction::Info);
@@ -404,7 +599,6 @@ mod tests {
             direction("cells[eclipse.frac20.hardened].time_to_eclipse"),
             Direction::HigherIsBetter
         );
-        assert!(gates("cells[eclipse.frac20.hardened].time_to_eclipse"));
         assert_eq!(
             direction("cells[infiltration.frac20.open].capture_fraction"),
             Direction::LowerIsBetter
@@ -413,7 +607,6 @@ mod tests {
             direction("cells[infiltration.frac20.open].indegree_capture"),
             Direction::LowerIsBetter
         );
-        assert!(gates("cells[infiltration.frac20.open].capture_fraction"));
         assert_eq!(
             direction("cells[eclipse.frac10.open].honest_reliability"),
             Direction::HigherIsBetter
@@ -435,13 +628,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_are_direction_aware_and_reactor_gauges_warn_only() {
+    fn histogram_percentiles_are_direction_aware() {
         assert_eq!(direction("cells[x].stable_paths.hop_latency_p99"), Direction::LowerIsBetter);
         assert_eq!(direction("cells[x].healed_paths.depth_p50"), Direction::LowerIsBetter);
         assert_eq!(direction("cells[x].stable_paths.branching_p50"), Direction::Info);
-        assert!(gates("cells[x].stable_paths.hop_latency_p99"));
-        assert!(!gates("gauges.reactor.epoll_wait_us"), "reactor gauges stay warn-only");
-        assert!(!gates("reactor.timer_lag_us_max"));
     }
 
     #[test]
@@ -461,26 +651,6 @@ mod tests {
         // Within threshold: no regression.
         let rows = diff(&artifact(1.0, 6.0), &artifact(1.0, 6.3));
         assert_eq!(markdown_table(&rows, 0.10).1, 0);
-    }
-
-    #[test]
-    fn throughput_metrics_have_directions_but_never_gate() {
-        assert_eq!(direction("wall_ms"), Direction::LowerIsBetter);
-        assert_eq!(direction("events_per_sec"), Direction::HigherIsBetter);
-        assert!(!gates("wall_ms"));
-        assert!(!gates("events_per_sec"));
-        assert!(gates("cells[x].healed.mean_reliability"));
-        assert!(gates("cells[x].stable.mean_rmr"));
-        // A 3x wall-clock blowup renders as a warning, not a red build.
-        let base = parse(r#"{"wall_ms":1000,"events_per_sec":500000}"#).unwrap();
-        let current = parse(r#"{"wall_ms":3000,"events_per_sec":170000}"#).unwrap();
-        let (table, regressions) = markdown_table(&diff(&base, &current), 0.10);
-        assert_eq!(regressions, 0, "{table}");
-        assert!(table.contains("warn-only"), "{table}");
-        // Improvements still render as improvements.
-        let (table, regressions) = markdown_table(&diff(&current, &base), 0.10);
-        assert_eq!(regressions, 0);
-        assert!(table.contains("improved"), "{table}");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! evaluation (§5), plus the ablations suggested by §5.5/§6.
 //!
 //! Every function here is deterministic given its [`Params`](crate::Params)
-//! and returns structured data; the `src/bin/*` binaries are thin wrappers
-//! that print the tables.
+//! and returns structured data; `report.rs` prints the tables, builds
+//! the artifacts and checks the headlines, one function per `hpv-bench`
+//! experiment.
 
 pub mod ablations;
 pub mod adaptive;

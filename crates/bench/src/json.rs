@@ -2,8 +2,8 @@
 //!
 //! The offline build environment vendors no serialization framework, and
 //! the artifacts are flat tables of numbers — a tiny hand-rolled builder
-//! keeps the bins dependency-free and the output `jq`-friendly. The
-//! matching recursive-descent [`parse`] exists for `bench_diff`, which
+//! keeps the harness dependency-free and the output `jq`-friendly. The
+//! matching recursive-descent [`parse`] exists for `hpv-bench diff`, which
 //! reads two artifacts back and renders their trend.
 
 /// Builder for one JSON object, fields in insertion order.

@@ -2,15 +2,14 @@
 //!
 //! Every figure in the paper is an average over independent seeded runs,
 //! and every run is a *pure function of its seed* — so the sweep is
-//! embarrassingly parallel. [`sweep`] fans the work items out over scoped
-//! worker threads (one `Sim` per item, nothing shared but the closure's
-//! borrows) and merges the results **in item order**, so the output is
-//! byte-identical to a sequential sweep no matter how many jobs ran or
-//! how the OS scheduled them. Experiments fold their per-run partials in
-//! that same order on both paths, which is what the `--jobs N` flag (and
-//! its property test) relies on.
+//! embarrassingly parallel. [`sweep`] fans the work items out over
+//! `std::thread::scope` workers (one `Sim` per item, nothing shared but the
+//! closure's borrows) and merges the results **in item order**, so the
+//! output is byte-identical to a sequential sweep no matter how many jobs
+//! ran or how the OS scheduled them. Experiments fold their per-run
+//! partials in that same order on both paths, which is what `--jobs N` (and
+//! the `perf_harness` tests) rely on.
 
-use crossbeam::thread;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f(0..count)` over `jobs` worker threads and returns the results
@@ -37,10 +36,10 @@ where
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let mut produced = Vec::new();
                     loop {
                         let item = next.fetch_add(1, Ordering::Relaxed);
@@ -53,16 +52,12 @@ where
             })
             .collect();
         for handle in handles {
-            let produced = match handle.join() {
-                Ok(produced) => produced,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
+            let produced = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             for (item, value) in produced {
                 slots[item] = Some(value);
             }
         }
-    })
-    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    });
     slots.into_iter().map(|slot| slot.expect("every item produced")).collect()
 }
 

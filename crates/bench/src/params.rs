@@ -2,11 +2,14 @@
 //!
 //! The paper's setting (§5.1) is a 10,000-node network, 50 stabilization
 //! cycles, gossip fanout 4 and 1,000 measured broadcasts. That takes a
-//! while on one laptop core, so every experiment binary also supports a
-//! scaled-down preset whose *shape* matches the paper; the scale is always
-//! printed with the results.
+//! while on one laptop core, so every experiment also runs at scaled-down
+//! presets whose *shape* matches the paper (`--quick`, the default, and
+//! `--smoke`); the scale is printed with the results and embedded in every
+//! artifact. [`Params::apply_args`] is the one parser of these flags for
+//! every `hpv-bench` experiment.
 
 use hyparview_sim::{protocols::ProtocolKind, ProtocolConfigs, Scenario};
+use std::str::FromStr;
 
 /// Shared knobs for all experiments.
 #[derive(Debug, Clone)]
@@ -118,61 +121,45 @@ impl Params {
 
     /// Parses CLI arguments of the form `--n 2000 --messages 100 --seed 7
     /// --runs 3 --jobs 4 --fanout 4 --stabilization 50 --paper --quick`,
-    /// applied on top of `self`.
+    /// applied on top of `self`. Counts go through the `with_*` setters, so
+    /// `--runs 0` and `--jobs 0` clamp to 1 exactly as in code.
     ///
-    /// Unknown arguments are returned for the caller to interpret.
-    pub fn apply_args<It: Iterator<Item = String>>(mut self, args: It) -> (Self, Vec<String>) {
+    /// Arguments that are not one of these flags come back, in order, for
+    /// the caller to interpret.
+    ///
+    /// # Errors
+    ///
+    /// A flag given as the last argument with no value, or a value that is
+    /// not a non-negative integer.
+    pub fn apply_args(
+        mut self,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), String> {
         let mut rest = Vec::new();
-        let mut args = args.peekable();
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let take_value = |args: &mut std::iter::Peekable<It>| -> Option<String> { args.next() };
-            match arg.as_str() {
+            let args = &mut args;
+            self = match arg.as_str() {
                 // Presets reset the scale knobs but keep configs and the
-                // execution knobs (jobs, queue): `--jobs 4 --smoke` and
+                // execution knobs (jobs): `--jobs 4 --smoke` and
                 // `--smoke --jobs 4` must agree.
-                "--paper" => self = self.preset(Params::paper()),
-                "--quick" => self = self.preset(Params::quick()),
-                "--smoke" => self = self.preset(Params::smoke()),
-                "--n" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.n = v.parse().expect("--n expects an integer");
-                    }
+                "--paper" => self.preset(Params::paper()),
+                "--quick" => self.preset(Params::quick()),
+                "--smoke" => self.preset(Params::smoke()),
+                "--n" => self.with_n(flag_value(args, &arg)?),
+                "--messages" => self.with_messages(flag_value(args, &arg)?),
+                "--seed" => self.with_seed(flag_value(args, &arg)?),
+                "--runs" => self.with_runs(flag_value(args, &arg)?),
+                "--jobs" => self.with_jobs(flag_value(args, &arg)?),
+                "--fanout" => self.with_fanout(flag_value(args, &arg)?),
+                "--stabilization" => self.with_stabilization(flag_value(args, &arg)?),
+                _ => {
+                    rest.push(arg);
+                    self
                 }
-                "--messages" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.messages = v.parse().expect("--messages expects an integer");
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.seed = v.parse().expect("--seed expects an integer");
-                    }
-                }
-                "--runs" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.runs = v.parse().expect("--runs expects an integer");
-                    }
-                }
-                "--jobs" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.jobs = v.parse::<usize>().expect("--jobs expects an integer").max(1);
-                    }
-                }
-                "--fanout" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.fanout = v.parse().expect("--fanout expects an integer");
-                    }
-                }
-                "--stabilization" => {
-                    if let Some(v) = take_value(&mut args) {
-                        self.stabilization_cycles =
-                            v.parse().expect("--stabilization expects an integer");
-                    }
-                }
-                other => rest.push(other.to_owned()),
-            }
+            };
         }
-        (self, rest)
+        Ok((self, rest))
     }
 
     /// One-line description of the scale, printed with every experiment.
@@ -182,6 +169,19 @@ impl Params {
             self.n, self.fanout, self.stabilization_cycles, self.messages, self.runs, self.seed
         )
     }
+}
+
+/// The value after `flag`, parsed.
+///
+/// # Errors
+///
+/// `flag` was the last argument, or its value does not parse as `T`.
+pub(crate) fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| format!("{flag} expects a number, got {value:?}"))
 }
 
 impl Default for Params {
@@ -216,35 +216,67 @@ mod tests {
         assert_eq!(p.messages, 1_000);
     }
 
+    fn apply(args: &[&str]) -> Result<(Params, Vec<String>), String> {
+        Params::quick().apply_args(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn apply_args_parses_known_flags() {
-        let args = ["--n", "500", "--messages", "10", "--seed", "9", "--extra"]
-            .iter()
-            .map(|s| s.to_string());
-        let (p, rest) = Params::quick().apply_args(args);
-        assert_eq!(p.n, 500);
-        assert_eq!(p.messages, 10);
-        assert_eq!(p.seed, 9);
+        let args = ["--n", "500", "--messages", "10", "--seed", "9", "--extra", "--fanout", "5"];
+        let (p, rest) = apply(&args).unwrap();
+        assert_eq!((p.n, p.messages, p.seed, p.fanout), (500, 10, 9, 5));
         assert_eq!(rest, vec!["--extra".to_string()]);
+        let (p, _) = apply(&["--stabilization", "7", "--runs", "3"]).unwrap();
+        assert_eq!((p.stabilization_cycles, p.runs), (7, 3));
     }
 
     #[test]
     fn apply_args_presets() {
-        let (p, _) = Params::quick().apply_args(["--paper".to_string()].into_iter());
+        let (p, _) = apply(&["--paper"]).unwrap();
         assert_eq!(p.n, 10_000);
-        let (p, _) = p.apply_args(["--smoke".to_string()].into_iter());
+        let (p, _) = p.apply_args(["--smoke".to_string()]).unwrap();
         assert_eq!(p.n, 200);
     }
 
     #[test]
     fn jobs_survive_presets_in_either_order() {
         let flags = |args: &[&str]| {
-            let (p, _) = Params::quick().apply_args(args.iter().map(|s| s.to_string()));
+            let (p, _) = apply(args).unwrap();
             (p.n, p.jobs)
         };
         assert_eq!(flags(&["--jobs", "4", "--smoke"]), (200, 4));
         assert_eq!(flags(&["--smoke", "--jobs", "4"]), (200, 4));
         assert_eq!(flags(&["--jobs", "0"]).1, 1, "--jobs 0 clamps to 1");
+    }
+
+    #[test]
+    fn runs_zero_clamps_like_with_runs() {
+        // A zero run count would divide every per-cell mean by zero.
+        assert_eq!(apply(&["--runs", "0"]).unwrap().0.runs, 1);
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error() {
+        for flag in
+            ["--n", "--messages", "--seed", "--runs", "--jobs", "--fanout", "--stabilization"]
+        {
+            let err = apply(&["--smoke", flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn a_value_that_is_not_an_integer_is_an_error() {
+        assert_eq!(apply(&["--n", "lots"]).unwrap_err(), r#"--n expects a number, got "lots""#);
+        assert!(apply(&["--seed", "-1"]).is_err());
+        assert!(apply(&["--runs", "1.5"]).is_err());
+    }
+
+    #[test]
+    fn unknown_arguments_come_back_in_order() {
+        let (p, rest) = apply(&["--smok", "--n", "50", "fig2", "--json", "x.json"]).unwrap();
+        assert_eq!(p.n, 50, "an unknown flag does not swallow the next one");
+        assert_eq!(rest, ["--smok", "fig2", "--json", "x.json"]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every experiment binary prints aligned text tables (and optionally CSV)
-//! so results can be diffed against `EXPERIMENTS.md` and against the
-//! paper's figures.
+//! Every experiment prints aligned text tables so results can be read
+//! against the paper's figures.
 
 /// Renders an aligned text table with a header row.
 ///
@@ -46,18 +45,6 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as CSV with a header line.
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats a reliability value as a percentage with one decimal.
 pub fn pct(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
@@ -70,7 +57,7 @@ pub fn num(value: f64, digits: usize) -> String {
 
 /// A crude textual sparkline for a reliability series (one char per bucket).
 ///
-/// Used by the Figure 3 binary to show recovery at a glance.
+/// Used by Figures 1c and 3 to show recovery at a glance.
 pub fn sparkline(series: &[f64], buckets: usize) -> String {
     const LEVELS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     if series.is_empty() || buckets == 0 {
@@ -101,12 +88,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         // All data lines equal width.
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let out = render_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(out, "a,b\n1,2\n");
     }
 
     #[test]

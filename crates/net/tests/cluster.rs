@@ -302,22 +302,38 @@ fn default_netconfig_enables_adaptive_plumtree() {
 #[test]
 fn adaptive_default_plumtree_broadcast_reaches_every_node() {
     // The stock NetConfig now ships tree optimization + lazy batching on:
-    // broadcasts must still deliver everywhere, with IHaveBatch frames on
-    // the lazy links.
-    let nodes = spawn_cluster_with(6, || config().with_broadcast_mode(BroadcastMode::Plumtree));
+    // every broadcast must still deliver everywhere, and once one broadcast
+    // has carved the tree, a burst from the same origin must reach the lazy
+    // links as IHaveBatch frames. Twelve nodes with active views of 5 keep
+    // the overlay from being a complete graph, where every node hears each
+    // payload from the origin first and has nothing to announce.
+    let nodes = spawn_cluster_with(12, || config().with_broadcast_mode(BroadcastMode::Plumtree));
     wait_for_overlay(&nodes);
-    for round in 0..4 {
-        let payload = format!("adaptive-{round}").into_bytes();
-        let id = nodes[round % nodes.len()].broadcast(payload.clone());
+    for (round, burst) in [1, 8].into_iter().enumerate() {
+        let mut sent: Vec<(u128, Vec<u8>)> = (0..burst)
+            .map(|m| format!("adaptive-{round}-{m}").into_bytes())
+            .map(|payload| (nodes[0].broadcast(payload.clone()), payload))
+            .collect();
+        sent.sort_unstable();
         for (i, node) in nodes.iter().enumerate() {
-            let delivery = node
-                .deliveries()
-                .recv_timeout(Duration::from_secs(5))
-                .unwrap_or_else(|_| panic!("node {i} missed adaptive broadcast {round}"));
-            assert_eq!(delivery.id, id);
-            assert_eq!(delivery.payload.as_ref(), payload.as_slice());
+            let mut got: Vec<(u128, Vec<u8>)> = (0..burst)
+                .map(|_| {
+                    let delivery = node
+                        .deliveries()
+                        .recv_timeout(Duration::from_secs(5))
+                        .unwrap_or_else(|_| panic!("node {i} missed adaptive round {round}"));
+                    (delivery.id, delivery.payload.to_vec())
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, sent, "node {i}, round {round}");
         }
     }
+    let batches = || nodes.iter().map(|n| n.stats().ihave_batch_frames_sent).sum::<u64>();
+    assert!(
+        wait_until(Duration::from_secs(5), || batches() > 0),
+        "a burst of broadcasts over a carved tree sent no IHaveBatch frame"
+    );
 }
 
 #[test]

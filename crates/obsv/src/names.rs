@@ -3,7 +3,7 @@
 //! The simulator and the TCP runtime must register the *same names* for
 //! the same phenomena — that is what lets differential tests assert that
 //! one snapshot's counters line up with the other's, and what keeps
-//! `bench_diff`'s path heuristics stable. Prefixes:
+//! `hpv-bench diff`'s path heuristics stable. Prefixes:
 //!
 //! | prefix       | producer                                   |
 //! |--------------|--------------------------------------------|
@@ -16,8 +16,8 @@
 //! | `faults.`    | injected network faults (simulator only)   |
 //! | `attack.`    | adversarial membership: defense decisions  |
 //! |              | and attacker actions (simulator only)      |
-//! | `reactor.`   | epoll loop introspection gauges (warn-only |
-//! |              | in `bench_diff`: wall-clock noise)         |
+//! | `reactor.`   | epoll loop introspection gauges            |
+//! |              | (wall-clock: live nodes only)              |
 
 /// Every frame handed to the transport (membership + broadcast).
 pub const FRAMES_SENT: &str = "frames.sent";

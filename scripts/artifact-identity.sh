@@ -7,15 +7,16 @@
 # target directory, so the working tree and its index are left alone and a
 # second run reuses the build) and of the working tree, runs the six
 # fixed-seed smoke experiments on both at every given --jobs count, and
-# `cmp`s each results and *.metrics.json artifact. The *.perf.json sidecars
-# are wall-clock and never compared. Prints one line per artifact; exits 1
-# when any moved.
+# `cmp`s each results and *.metrics.json artifact the working tree writes
+# against the base's file of the same name. Either tree may have the one
+# `hpv-bench <experiment>` binary or the older one-binary-per-experiment
+# layout. Prints one line per artifact; exits 1 when any moved.
 set -euo pipefail
 
 rev="${1:?usage: scripts/artifact-identity.sh <rev> [jobs ...]}"
 shift
 jobs=("${@:-2}")
-bins=(fig2_reliability plumtree_vs_flood plumtree_adaptive plumtree_latency plumtree_wan hyparview_attack)
+experiments=(fig2_reliability plumtree_vs_flood plumtree_adaptive plumtree_latency plumtree_wan hyparview_attack)
 
 root="$(git rev-parse --show-toplevel)"
 sha="$(git -C "$root" rev-parse --verify "${rev}^{commit}")"
@@ -36,8 +37,12 @@ build "$root" "$target"
 
 run() { # <bin dir> <out dir> <jobs>
   mkdir -p "$2"
-  for bin in "${bins[@]}"; do
-    "$1/$bin" --smoke --jobs "$3" --json "$2/$bin.json" > /dev/null
+  for name in "${experiments[@]}"; do
+    if [ -x "$1/hpv-bench" ]; then
+      "$1/hpv-bench" "$name" --smoke --jobs "$3" --json "$2/$name.json" > /dev/null
+    else
+      "$1/$name" --smoke --jobs "$3" --json "$2/$name.json" > /dev/null
+    fi
   done
 }
 
@@ -46,10 +51,9 @@ for j in "${jobs[@]}"; do
   rm -rf "$work/out"
   run "$base/target/release" "$work/out/base-j$j" "$j"
   run "$target/release" "$work/out/change-j$j" "$j"
-  for artifact in "$work/out/base-j$j"/*.json; do
+  for artifact in "$work/out/change-j$j"/*.json; do
     name="$(basename "$artifact")"
-    case "$name" in *.perf.json) continue ;; esac
-    if cmp -s "$artifact" "$work/out/change-j$j/$name"; then
+    if cmp -s "$artifact" "$work/out/base-j$j/$name"; then
       echo "identical  --jobs $j  $name"
     else
       echo "MOVED      --jobs $j  $name"
