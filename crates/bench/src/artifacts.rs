@@ -4,9 +4,11 @@
 //! Each builder renders one experiment's *results* artifact — a pure
 //! function of the experiment data, so two sweeps that computed the same
 //! results (e.g. `--jobs 1` vs `--jobs 4`) serialize to byte-identical
-//! documents. That property is asserted by the `perf_harness` test suite,
-//! and `hpv-bench`'s own test checks that `--json` writes exactly what
-//! these builders return. No clock reading belongs in these documents.
+//! documents. The golden test (`tests/golden.rs`) holds the six smoke
+//! experiments' documents to the files committed under `results/smoke/` at
+//! both job counts, and `hpv-bench`'s own test checks that `--json` writes
+//! exactly what these builders return. No clock reading belongs in these
+//! documents.
 
 use crate::experiments::adaptive::{AdaptiveCell, PathSummary, PhaseMetrics};
 use crate::experiments::attack::AttackCell;

@@ -1,30 +1,27 @@
-//! Cross-run bench trend: `hpv-bench diff` diffs two bench JSON artifacts
-//! (or directories of them) into a markdown table.
+//! `hpv-bench diff` diffs two directories of results artifacts into a
+//! markdown table: in CI, the smoke goldens committed under `results/smoke/`
+//! against the PR base's.
 //!
 //! ```text
 //! hpv-bench diff <baseline> <current> [--threshold 0.10]
 //! ```
 //!
-//! The CI `bench-smoke` job uploads one JSON artifact per experiment and
-//! run, then diffs against the artifacts of the last few `main` runs. Both
-//! documents flatten into dotted metric paths (array elements are labeled
-//! by their string fields, so `cells[uniform.optimized].healed.mean_last_hop`
-//! stays stable across runs), and the deltas render as a table (stdout; CI
-//! appends it to `$GITHUB_STEP_SUMMARY`). Metrics with a known direction —
-//! reliability / time-to-eclipse up, RMR / last-hop / control traffic /
-//! dead letters / capture down — gate the build: a relative worsening
-//! beyond the threshold is a *regression*. The raw `attack.*` counters stay
-//! informational, like the `faults.*` family: how often a defense fired is
-//! a property of the attack plan, not a quality signal.
+//! Both documents flatten into dotted metric paths (array elements are
+//! labeled by their string fields, so
+//! `cells[uniform.optimized].healed.mean_last_hop` stays stable across
+//! runs), and the deltas render as a table (stdout; CI appends it to
+//! `$GITHUB_STEP_SUMMARY`). Metrics with a known direction — reliability /
+//! time-to-eclipse up, RMR / last-hop / control traffic / dead letters /
+//! capture down — gate: a relative worsening beyond the threshold is a
+//! *regression*. The raw `attack.*` counters stay informational, like the
+//! `faults.*` family: how often a defense fired is a property of the attack
+//! plan, not a quality signal. The golden test (`tests/golden.rs`) prints
+//! the same table when a run moves a committed artifact.
 //!
 //! `baseline` and `current` are two JSON files or two directories paired by
-//! file name. The baseline may also be a **rolling window**: `run-<id>/`
-//! subdirectories, one artifact set each. The newest run gates; the older
-//! runs feed a *window* column per metric, so a slow drift that never trips
-//! the single-run threshold is still visible. Exit codes: `0` clean
-//! (including when the baseline does not exist, e.g. the first run on a
-//! fork), `1` if a directed metric regressed beyond the threshold, `2` on
-//! usage or parse errors.
+//! file name. Exit codes: `0` clean (including when the baseline does not
+//! exist, e.g. a base commit from before the goldens), `1` if a directed
+//! metric regressed beyond the threshold, `2` on usage or parse errors.
 
 use crate::json::{parse, JsonValue};
 use std::path::{Path, PathBuf};
@@ -166,23 +163,6 @@ fn walk(value: &JsonValue, path: String, out: &mut Vec<(String, f64)>) {
     }
 }
 
-/// Renders an artifact that has **no baseline** (a new experiment, or a
-/// metric set the older runs never uploaded) as an informational markdown
-/// table of its current values. Never gates: with nothing to compare
-/// against there is no regression to detect — the values are recorded so
-/// the *next* run has its baseline.
-pub fn new_artifact_table(metrics: &[(String, f64)]) -> String {
-    let mut table = String::from("| metric | current |\n|---|---:|\n");
-    for (path, value) in metrics {
-        table.push_str(&format!("| `{path}` | {} |\n", fmt(Some(*value))));
-    }
-    table.push_str(&format!(
-        "\n{} metric(s) recorded, none gated (no baseline to compare against).\n",
-        metrics.len()
-    ));
-    table
-}
-
 /// Diffs two parsed artifacts into per-metric rows: the union of both
 /// flattenings, baseline order first, current-only metrics appended.
 pub fn diff(base: &JsonValue, current: &JsonValue) -> Vec<DiffRow> {
@@ -212,37 +192,13 @@ fn fmt(value: Option<f64>) -> String {
     }
 }
 
-/// Values of each metric across a rolling window of *prior* runs, oldest
-/// first (`None` where a run lacks the metric). Keyed by dotted path.
-pub type Trend = std::collections::HashMap<String, Vec<Option<f64>>>;
-
-/// Renders the rows as a markdown trend table. Unchanged metrics collapse
-/// into a footer count so the table stays readable in a job summary; every
-/// changed metric is listed, regressions flagged against `threshold`.
-/// Returns `(markdown, regression count)`.
+/// Renders the rows as a markdown table. Unchanged metrics collapse into a
+/// footer count so the table stays readable in a job summary; every changed
+/// metric is listed, regressions flagged against `threshold`. Returns
+/// `(markdown, regression count)`.
 pub fn markdown_table(rows: &[DiffRow], threshold: f64) -> (String, usize) {
-    markdown_table_with_trend(rows, threshold, &Trend::new())
-}
-
-/// [`markdown_table`] plus a *window* column: each changed metric's values
-/// across the rolling window of prior runs (oldest → newest), so a slow
-/// drift that never trips the single-run threshold is still visible. The
-/// column only appears when `trend` is non-empty.
-pub fn markdown_table_with_trend(
-    rows: &[DiffRow],
-    threshold: f64,
-    trend: &Trend,
-) -> (String, usize) {
-    let windowed = !trend.is_empty();
-    let mut table = if windowed {
-        let mut t = String::from("| metric | window | baseline | current | Δ | Δ% | |\n");
-        t.push_str("|---|---:|---:|---:|---:|---:|---|\n");
-        t
-    } else {
-        let mut t = String::from("| metric | baseline | current | Δ | Δ% | |\n");
-        t.push_str("|---|---:|---:|---:|---:|---|\n");
-        t
-    };
+    let mut table = String::from("| metric | baseline | current | Δ | Δ% | |\n");
+    table.push_str("|---|---:|---:|---:|---:|---|\n");
     let mut unchanged = 0usize;
     let mut regressions = 0usize;
     for row in rows {
@@ -272,39 +228,18 @@ pub fn markdown_table_with_trend(
         let delta = row.delta().map(|d| format!("{d:+.4}")).unwrap_or_else(|| "—".to_owned());
         let relative =
             row.relative().map(|r| format!("{:+.1}%", r * 100.0)).unwrap_or_else(|| "—".to_owned());
-        if windowed {
-            let window = trend
-                .get(&row.path)
-                .map(|values| values.iter().map(|v| fmt(*v)).collect::<Vec<_>>().join(" → "))
-                .unwrap_or_else(|| "—".to_owned());
-            table.push_str(&format!(
-                "| `{}` | {} | {} | {} | {} | {} | {} |\n",
-                row.path,
-                window,
-                fmt(row.base),
-                fmt(row.current),
-                delta,
-                relative,
-                flag
-            ));
-        } else {
-            table.push_str(&format!(
-                "| `{}` | {} | {} | {} | {} | {} |\n",
-                row.path,
-                fmt(row.base),
-                fmt(row.current),
-                delta,
-                relative,
-                flag
-            ));
-        }
+        table.push_str(&format!(
+            "| `{}` | {} | {} | {} | {} | {} |\n",
+            row.path,
+            fmt(row.base),
+            fmt(row.current),
+            delta,
+            relative,
+            flag
+        ));
     }
     if rows.len() == unchanged {
-        if windowed {
-            table.push_str("| _all metrics unchanged_ | | | | | | |\n");
-        } else {
-            table.push_str("| _all metrics unchanged_ | | | | | |\n");
-        }
+        table.push_str("| _all metrics unchanged_ | | | | | |\n");
     }
     table.push_str(&format!(
         "\n{} metrics compared, {} unchanged, {} regression(s) at threshold {:.0}%.\n",
@@ -338,12 +273,9 @@ pub fn main(args: &[String]) -> i32 {
     let (baseline, current) = (Path::new(baseline), Path::new(current));
 
     if !baseline.exists() {
-        // First run on a branch or fork: there is no prior artifact to
-        // compare against. That is not an error — say so and succeed.
-        println!(
-            "_No baseline bench artifact at `{}` — skipping the trend table (first run?)._",
-            baseline.display()
-        );
+        // A base commit from before the goldens has nothing to compare
+        // against. That is not an error — say so and succeed.
+        println!("_No baseline artifacts at `{}` — nothing to compare._", baseline.display());
         return 0;
     }
     if !current.exists() {
@@ -351,37 +283,10 @@ pub fn main(args: &[String]) -> i32 {
         return 2;
     }
 
-    // A baseline of run-<id>/ subdirectories is a rolling window: gate
-    // against the newest run, feed the older ones into the trend column.
-    let (gate, window) = resolve_window(baseline);
-    let (pairs, notices, current_only) = pair_artifacts(&gate, current);
-    println!("### Bench trend vs baseline (threshold {:.0}%)\n", threshold * 100.0);
-    if !window.is_empty() {
-        println!(
-            "_Rolling window: {} prior run(s), gating against `{}`._\n",
-            window.len() + 1,
-            gate.file_name().unwrap_or_default().to_string_lossy()
-        );
-    }
+    let (pairs, notices) = pair_artifacts(baseline, current);
+    println!("### Bench artifacts vs baseline (threshold {:.0}%)\n", threshold * 100.0);
     for notice in &notices {
         println!("{notice}\n");
-    }
-    // Artifacts with no baseline (a new experiment, or one the older main
-    // runs never uploaded) are recorded informationally — their values
-    // become the baseline of the next run — and never gate.
-    for name in &current_only {
-        match load(&current.join(name)) {
-            Some(value) => {
-                let table = new_artifact_table(&flatten(&value));
-                println!(
-                    "<details><summary><b>{name}</b> — new in this run, informational</summary>\n"
-                );
-                println!("{table}</details>\n");
-            }
-            None => {
-                println!("_`{name}` is new in this run but failed to load — see the step log._\n")
-            }
-        }
     }
     if pairs.is_empty() {
         println!("_Baseline and current artifacts share no JSON files — nothing to compare._");
@@ -393,9 +298,7 @@ pub fn main(args: &[String]) -> i32 {
     for (name, base_path, current_path) in &pairs {
         match (load(base_path), load(current_path)) {
             (Some(base), Some(current)) => {
-                let rows = diff(&base, &current);
-                let trend = window_trend(&window, name);
-                let (table, regressed) = markdown_table_with_trend(&rows, threshold, &trend);
+                let (table, regressed) = markdown_table(&diff(&base, &current), threshold);
                 regressions += regressed;
                 let badge = if regressed > 0 {
                     format!(" — ⚠ {regressed} regression(s)")
@@ -432,48 +335,6 @@ fn usage(message: &str) -> i32 {
     2
 }
 
-/// Splits a baseline into `(gate, older runs oldest → newest)`. A
-/// directory whose entries are `run-*` subdirectories is a rolling window:
-/// the numerically newest run gates (GitHub run IDs grow monotonically),
-/// the rest feed the trend column. Anything else gates as-is, windowless.
-fn resolve_window(baseline: &Path) -> (PathBuf, Vec<PathBuf>) {
-    let mut runs: Vec<(u64, PathBuf)> = std::fs::read_dir(baseline)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().is_dir())
-                .filter_map(|e| {
-                    let name = e.file_name().to_string_lossy().into_owned();
-                    let id = name.strip_prefix("run-")?.parse().ok()?;
-                    Some((id, e.path()))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    runs.sort();
-    match runs.pop() {
-        Some((_, newest)) => (newest, runs.into_iter().map(|(_, path)| path).collect()),
-        None => (baseline.to_owned(), Vec::new()),
-    }
-}
-
-/// Collects `name`'s metric values across the window runs (oldest →
-/// newest): `path -> [value per run]`, `None` where a run lacks the
-/// artifact or the metric.
-fn window_trend(window: &[PathBuf], name: &str) -> Trend {
-    let mut trend = Trend::new();
-    let flattened: Vec<Option<Vec<(String, f64)>>> =
-        window.iter().map(|run| load(&run.join(name)).map(|v| flatten(&v))).collect();
-    for (index, metrics) in flattened.iter().enumerate() {
-        let Some(metrics) = metrics else { continue };
-        for (path, value) in metrics {
-            let values = trend.entry(path.clone()).or_insert_with(|| vec![None; window.len()]);
-            values[index] = Some(*value);
-        }
-    }
-    trend
-}
-
 fn load(path: &Path) -> Option<JsonValue> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| eprintln!("read {}: {e}", path.display()))
@@ -487,13 +348,12 @@ type ArtifactPairs = Vec<(String, PathBuf, PathBuf)>;
 
 /// Pairs the artifacts to compare: two files compare directly, two
 /// directories pair by file name. Files present on only one side are not
-/// regressions (new or retired experiments); retired ones come back as
-/// markdown notices, current-only ones additionally as a name list so the
-/// caller can render their values informationally.
-fn pair_artifacts(baseline: &Path, current: &Path) -> (ArtifactPairs, Vec<String>, Vec<String>) {
+/// regressions (new or retired experiments); they come back as markdown
+/// notices.
+fn pair_artifacts(baseline: &Path, current: &Path) -> (ArtifactPairs, Vec<String>) {
     if baseline.is_file() {
         let name = baseline.file_name().unwrap_or_default().to_string_lossy().into_owned();
-        return (vec![(name, baseline.to_owned(), current.to_owned())], Vec::new(), Vec::new());
+        return (vec![(name, baseline.to_owned(), current.to_owned())], Vec::new());
     }
     let json_files = |dir: &Path| -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -511,17 +371,18 @@ fn pair_artifacts(baseline: &Path, current: &Path) -> (ArtifactPairs, Vec<String
     let base_names = json_files(baseline);
     let current_names = json_files(current);
     let mut notices = Vec::new();
-    let current_only: Vec<String> =
-        current_names.iter().filter(|n| !base_names.contains(n)).cloned().collect();
     for name in base_names.iter().filter(|n| !current_names.contains(n)) {
         notices.push(format!("_`{name}` exists only in the baseline (experiment removed?)._"));
+    }
+    for name in current_names.iter().filter(|n| !base_names.contains(n)) {
+        notices.push(format!("_`{name}` is new: no baseline to compare against._"));
     }
     let pairs = base_names
         .into_iter()
         .filter(|n| current_names.contains(n))
         .map(|n| (n.clone(), baseline.join(&n), current.join(&n)))
         .collect();
-    (pairs, notices, current_only)
+    (pairs, notices)
 }
 
 #[cfg(test)]
@@ -618,16 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn new_artifact_table_reports_without_gating() {
-        let metrics = flatten(&artifact(0.5, 6.0));
-        let table = new_artifact_table(&metrics);
-        assert!(table.contains("| `cells[uniform.optimized].healed.mean_reliability` | 0.5000 |"));
-        assert!(table.contains("3 metric(s) recorded, none gated"), "{table}");
-        let empty = new_artifact_table(&[]);
-        assert!(empty.contains("0 metric(s) recorded"), "{empty}");
-    }
-
-    #[test]
     fn histogram_percentiles_are_direction_aware() {
         assert_eq!(direction("cells[x].stable_paths.hop_latency_p99"), Direction::LowerIsBetter);
         assert_eq!(direction("cells[x].healed_paths.depth_p50"), Direction::LowerIsBetter);
@@ -667,28 +518,6 @@ mod tests {
         assert_eq!(regressions, 0);
         assert!(table.contains("all metrics unchanged"), "{table}");
         assert!(table.contains("3 metrics compared, 3 unchanged"), "{table}");
-    }
-
-    #[test]
-    fn trend_column_shows_the_rolling_window() {
-        let rows = diff(&artifact(1.0, 6.0), &artifact(0.8, 6.0));
-        let mut trend = Trend::new();
-        trend.insert(
-            "cells[uniform.optimized].healed.mean_reliability".to_owned(),
-            vec![Some(1.0), None, Some(0.98)],
-        );
-        let (table, regressions) = markdown_table_with_trend(&rows, 0.10, &trend);
-        assert_eq!(regressions, 1);
-        assert!(table.contains("| window |"), "{table}");
-        assert!(table.contains("1 → — → 0.9800"), "{table}");
-        // A changed metric with no history renders an empty window cell,
-        // not a broken row.
-        let rows = diff(&artifact(1.0, 6.0), &artifact(1.0, 7.0));
-        let (table, _) = markdown_table_with_trend(&rows, 0.10, &trend);
-        assert!(table.contains("| — |"), "{table}");
-        // Without a window the column disappears entirely.
-        let (table, _) = markdown_table(&rows, 0.10);
-        assert!(!table.contains("window"), "{table}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   colluders vs overlay defenses, headline time-to-eclipse.
 //! * `all` — the seven paper experiments above in order.
 //! * `diff` — not an experiment: diffs two sets of results artifacts into
-//!   a markdown trend table ([`diff`]).
+//!   a markdown table ([`diff`]).
 //!
 //! Every experiment accepts `--n`, `--messages`, `--seed`, `--runs`,
 //! `--jobs`, `--fanout`, `--stabilization` and the `--paper` / `--quick`

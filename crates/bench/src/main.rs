@@ -49,7 +49,7 @@ fn main() {
 }
 
 /// The metric-snapshot path for a results artifact: `x.json` →
-/// `x.metrics.json`, so the snapshot uploads and pairs by name with it.
+/// `x.metrics.json`, so the snapshot pairs by name with it.
 fn metrics_path(json_path: &str) -> String {
     format!("{}.metrics.json", json_path.strip_suffix(".json").unwrap_or(json_path))
 }

@@ -8,7 +8,7 @@
 //! output is byte-identical to a sequential sweep no matter how many jobs
 //! ran or how the OS scheduled them. Experiments fold their per-run
 //! partials in that same order on both paths, which is what `--jobs N` (and
-//! the `perf_harness` tests) rely on.
+//! the golden test, `tests/golden.rs`) rely on.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
