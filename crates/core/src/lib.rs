@@ -18,15 +18,18 @@
 //! ## Design
 //!
 //! [`HyParView`] is a pure state machine: event handlers consume inputs
-//! (messages, timer ticks, transport failure notifications) and emit
-//! [`Action`]s. Wall clocks, sockets and threads live in the embedding
-//! runtime — see the `hyparview-sim` crate for a discrete-event simulator
-//! and `hyparview-net` for a real TCP runtime.
+//! (messages, timer ticks, transport failure notifications), append the
+//! messages to send to the caller's [`Outbox`] (HyParView's is named
+//! [`Actions`]) and buffer defense decisions as [`MembershipEvent`]s. The
+//! baseline protocols and the broadcast layers fill the same [`Outbox`].
+//! Wall clocks, sockets and threads live in the embedding runtime — see the
+//! `hyparview-sim` crate for a discrete-event simulator and `hyparview-net`
+//! for a real TCP runtime.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use hyparview_core::{Actions, Action, Config, HyParView, Message};
+//! use hyparview_core::{Actions, Config, HyParView};
 //!
 //! # fn main() -> Result<(), hyparview_core::ConfigError> {
 //! // Two nodes; node 1 joins through contact node 0.
@@ -37,11 +40,10 @@
 //! joiner.join(0, &mut actions);
 //!
 //! // A runtime would now ship the JOIN message; do it by hand here.
-//! for action in actions.into_vec() {
-//!     if let Action::Send { to: 0, message } = action {
-//!         let mut replies = Actions::new();
-//!         contact.handle_message(1, message, &mut replies);
-//!     }
+//! let mut replies = Actions::new();
+//! for (to, message) in actions.drain() {
+//!     assert_eq!(to, 0);
+//!     contact.handle_message(1, message, &mut replies);
 //! }
 //! assert!(contact.active_view().contains(&1));
 //! assert!(joiner.active_view().contains(&0));
@@ -52,19 +54,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod action;
 pub mod collections;
 pub mod config;
 pub mod id;
 pub mod message;
+pub mod outbox;
 pub mod protocol;
 pub mod stats;
 pub mod view;
 
-pub use action::{Action, Actions};
 pub use collections::RecentSet;
 pub use config::{Config, ConfigError};
 pub use id::{Identity, SimId};
 pub use message::{Message, MessageKind, Priority};
-pub use protocol::{DefenseEvent, HyParView};
+pub use outbox::{MembershipEvent, Outbox};
+pub use protocol::{Actions, HyParView};
 pub use stats::Stats;

@@ -1,18 +1,21 @@
 //! The HyParView state machine (Algorithm 1 + §4.2–§4.5).
 //!
 //! [`HyParView`] is a *sans-io* protocol core: each event handler mutates
-//! local state and appends the effects (messages to send, overlay
-//! notifications) to an [`Actions`] buffer supplied by the caller. The same
-//! state machine therefore drives the discrete-event simulator, the TCP
-//! runtime and the unit/property tests, and is deterministic given its RNG
-//! seed and input sequence.
+//! local state and appends the messages to send to the caller's
+//! [`Actions`], the membership layer's [`Outbox`]. Link changes are not
+//! reported: the active view *is* the overlay, so a caller diffs
+//! [`HyParView::active_view`] when it needs them. Defense decisions are
+//! buffered as [`MembershipEvent`]s for [`HyParView::take_events`]. The
+//! same state machine therefore drives the discrete-event simulator, the
+//! TCP runtime and the unit/property tests, and is deterministic given its
+//! RNG seed and input sequence.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::action::Actions;
 use crate::config::{Config, ConfigError};
 use crate::message::{Message, Priority};
+use crate::outbox::{MembershipEvent, Outbox};
 use crate::stats::Stats;
 use crate::view::{ActiveView, PassiveView};
 use crate::Identity;
@@ -37,37 +40,9 @@ impl<I> Default for Repair<I> {
     }
 }
 
-/// A decision taken by one of the optional overlay-defense mechanisms
-/// (admission damping, eviction budget, bounded tenure, churn-triggered
-/// shuffle boost — none of which appear in the paper).
-///
-/// Events are buffered on the instance and drained by the embedding
-/// runtime via [`HyParView::take_defense_events`]. With every defense
-/// disabled (the default configuration) the buffer stays empty and the
-/// protocol behaves bit-for-bit like the undefended state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefenseEvent<I> {
-    /// A `JOIN` from `peer` was rejected because the same identifier was
-    /// admitted within the last [`Config::admission_cooldown`] cycles.
-    JoinDamped {
-        /// The damped joiner.
-        peer: I,
-    },
-    /// A high-priority `NEIGHBOR` from `peer` was rejected by admission
-    /// damping or by the per-cycle eviction budget.
-    NeighborDamped {
-        /// The damped requester.
-        peer: I,
-    },
-    /// `peer` was forcibly rotated out of the active view after exceeding
-    /// [`Config::max_active_tenure`] cycles of membership.
-    TenureSwapped {
-        /// The rotated-out member.
-        peer: I,
-    },
-    /// A churn-heavy previous cycle triggered an extra shuffle.
-    ShuffleBoosted,
-}
+/// HyParView's outbox: the messages one event handler asks the runtime to
+/// send.
+pub type Actions<I> = Outbox<I, Message<I>>;
 
 /// A HyParView protocol instance for one node.
 ///
@@ -82,7 +57,7 @@ pub enum DefenseEvent<I> {
 ///    cycle);
 /// 4. call [`HyParView::on_peer_failed`] whenever the transport fails to
 ///    reach a peer — this is the "TCP as failure detector" input (§4.1.iii);
-/// 5. execute all [`Actions`] produced by each call.
+/// 5. send every message queued in the [`Actions`] passed to each call.
 ///
 /// # Examples
 ///
@@ -93,8 +68,8 @@ pub enum DefenseEvent<I> {
 /// let mut node = HyParView::new(1u32, Config::default(), 42)?;
 /// let mut actions = Actions::new();
 /// node.join(0, &mut actions);
-/// // The runtime now delivers `Message::Join` to node 0 and executes
-/// // whatever actions that produces.
+/// assert_eq!(actions.as_slice(), &[(0, Message::Join)]);
+/// // The runtime now delivers it to node 0 and sends whatever that queues.
 /// assert!(node.active_view().contains(&0));
 /// # Ok(())
 /// # }
@@ -128,8 +103,10 @@ pub struct HyParView<I> {
     /// Active-view churn (evictions + transport failures) since the last
     /// tick; a non-zero value arms the shuffle boost.
     churn_events: u32,
-    /// Buffered defense decisions awaiting [`HyParView::take_defense_events`].
-    defense_events: Vec<DefenseEvent<I>>,
+    /// Defense decisions awaiting [`HyParView::take_events`]: only the
+    /// `JoinDamped`, `NeighborDamped`, `TenureSwapped` and `ShuffleBoosted`
+    /// kinds of [`MembershipEvent`].
+    events: Vec<MembershipEvent<I>>,
 }
 
 impl<I: Identity> HyParView<I> {
@@ -149,7 +126,7 @@ impl<I: Identity> HyParView<I> {
             active: ActiveView::new(config.active_capacity),
             passive: PassiveView::new(config.passive_capacity),
             rng: StdRng::seed_from_u64(seed),
-            stats: Stats::new(),
+            stats: Stats::default(),
             repair: Repair::default(),
             last_shuffle_sent: Vec::new(),
             cycle: 0,
@@ -157,7 +134,7 @@ impl<I: Identity> HyParView<I> {
             active_since: Vec::new(),
             evict_admissions: 0,
             churn_events: 0,
-            defense_events: Vec::new(),
+            events: Vec::new(),
             config,
         })
     }
@@ -187,11 +164,6 @@ impl<I: Identity> HyParView<I> {
         &self.stats
     }
 
-    /// Mutable access to the counters (e.g. to [`Stats::take`] an interval).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     /// `true` when the active view is empty — the node cannot currently
     /// receive broadcasts and will issue high-priority `NEIGHBOR` requests.
     pub fn is_isolated(&self) -> bool {
@@ -206,8 +178,8 @@ impl<I: Identity> HyParView<I> {
 
     /// Drains the buffered overlay-defense decisions. Always empty unless
     /// a defense knob in [`Config`] is enabled.
-    pub fn take_defense_events(&mut self) -> Vec<DefenseEvent<I>> {
-        std::mem::take(&mut self.defense_events)
+    pub fn take_events(&mut self) -> Vec<MembershipEvent<I>> {
+        std::mem::take(&mut self.events)
     }
 
     /// The peers a broadcast layer should flood a message to: the entire
@@ -242,7 +214,6 @@ impl<I: Identity> HyParView<I> {
         for peer in self.active.to_vec() {
             actions.send(peer, Message::Disconnect);
             self.active.remove(&peer);
-            actions.neighbor_down(peer);
         }
     }
 
@@ -267,7 +238,7 @@ impl<I: Identity> HyParView<I> {
             Message::Shuffle { origin, ttl, nodes } => {
                 self.on_shuffle(from, origin, ttl, nodes, actions)
             }
-            Message::ShuffleReply { nodes } => self.on_shuffle_reply(nodes, actions),
+            Message::ShuffleReply { nodes } => self.on_shuffle_reply(nodes),
         }
     }
 
@@ -296,7 +267,7 @@ impl<I: Identity> HyParView<I> {
         if churned && self.config.churn_shuffle_boost > 0 {
             for _ in 0..self.config.churn_shuffle_boost {
                 if self.send_shuffle(actions) {
-                    self.defense_events.push(DefenseEvent::ShuffleBoosted);
+                    self.events.push(MembershipEvent::ShuffleBoosted);
                 }
             }
         }
@@ -343,9 +314,8 @@ impl<I: Identity> HyParView<I> {
             self.active_since.retain(|(p, _)| *p != peer);
             self.stats.active_evictions += 1;
             actions.send(peer, Message::Disconnect);
-            actions.neighbor_down(peer);
             self.passive.insert(peer, &mut self.rng);
-            self.defense_events.push(DefenseEvent::TenureSwapped { peer });
+            self.events.push(MembershipEvent::TenureSwapped { peer });
         }
     }
 
@@ -402,7 +372,6 @@ impl<I: Identity> HyParView<I> {
         if self.active.remove(&peer) {
             self.stats.peer_failures += 1;
             self.churn_events = self.churn_events.saturating_add(1);
-            actions.neighbor_down(peer);
         }
         self.try_promote(actions);
     }
@@ -418,7 +387,7 @@ impl<I: Identity> HyParView<I> {
     fn on_join(&mut self, new_node: I, actions: &mut Actions<I>) {
         self.stats.joins_handled += 1;
         if self.is_damped(&new_node) {
-            self.defense_events.push(DefenseEvent::JoinDamped { peer: new_node });
+            self.events.push(MembershipEvent::JoinDamped { peer: new_node });
             return;
         }
         self.record_admission(new_node);
@@ -483,7 +452,7 @@ impl<I: Identity> HyParView<I> {
                 if self.is_damped(&sender)
                     || (budget > 0 && self.would_evict(&sender) && self.evict_admissions >= budget)
                 {
-                    self.defense_events.push(DefenseEvent::NeighborDamped { peer: sender });
+                    self.events.push(MembershipEvent::NeighborDamped { peer: sender });
                     false
                 } else {
                     if self.would_evict(&sender) {
@@ -540,7 +509,6 @@ impl<I: Identity> HyParView<I> {
     fn on_disconnect(&mut self, peer: I, actions: &mut Actions<I>) {
         self.stats.disconnects_received += 1;
         if self.active.remove(&peer) {
-            actions.neighbor_down(peer);
             self.add_to_passive(peer);
             self.try_promote(actions);
         }
@@ -579,7 +547,7 @@ impl<I: Identity> HyParView<I> {
         self.integrate_shuffle(origin, &nodes, &mut sent);
     }
 
-    fn on_shuffle_reply(&mut self, nodes: Vec<I>, _actions: &mut Actions<I>) {
+    fn on_shuffle_reply(&mut self, nodes: Vec<I>) {
         let mut sent = std::mem::take(&mut self.last_shuffle_sent);
         for node in nodes {
             self.add_to_passive_preferring(node, &mut sent);
@@ -601,7 +569,6 @@ impl<I: Identity> HyParView<I> {
                 self.stats.active_evictions += 1;
                 self.churn_events = self.churn_events.saturating_add(1);
                 actions.send(dropped, Message::Disconnect);
-                actions.neighbor_down(dropped);
                 self.passive.insert(dropped, &mut self.rng);
             }
         }
@@ -611,7 +578,6 @@ impl<I: Identity> HyParView<I> {
         }
         let inserted = self.active.insert(peer);
         if inserted {
-            actions.neighbor_up(peer);
             self.record_tenure(peer);
         }
         inserted
@@ -670,21 +636,13 @@ impl<I: Identity> HyParView<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Action;
 
     fn node(id: u32) -> HyParView<u32> {
         HyParView::new(id, Config::default(), u64::from(id) + 1).unwrap()
     }
 
     fn sends(actions: &Actions<u32>) -> Vec<(u32, Message<u32>)> {
-        actions
-            .as_slice()
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, message } => Some((*to, message.clone())),
-                _ => None,
-            })
-            .collect()
+        actions.as_slice().to_vec()
     }
 
     #[test]
@@ -1030,7 +988,6 @@ mod tests {
 
     #[test]
     fn shuffle_reply_integration_prefers_evicting_sent_ids() {
-        let mut p = node(3);
         let mut cfg_small = Config::default().with_passive_capacity(4);
         cfg_small.shuffle_passive = 4;
         let mut p_small = HyParView::new(3u32, cfg_small, 7).unwrap();
@@ -1043,7 +1000,9 @@ mod tests {
         );
         assert_eq!(p_small.passive_view().len(), 4);
         actions.drain().count();
+        let before = *p_small.stats();
         p_small.shuffle_tick(&mut actions);
+        assert_eq!(p_small.stats().shuffles_started, before.shuffles_started + 1);
         actions.drain().count();
         // The reply brings fresh ids; the sent ones should be evicted first.
         p_small.handle_message(
@@ -1055,8 +1014,6 @@ mod tests {
         for id in [300, 301, 302, 303] {
             assert!(p_small.passive_view().contains(&id));
         }
-        // Suppress unused warning on the default-config instance.
-        let _ = p.stats_mut().take();
     }
 
     #[test]
@@ -1207,11 +1164,11 @@ mod tests {
         }
         assert_eq!(c.stats().joins_handled, 6);
         assert_eq!(c.stats().active_evictions, 1, "sixth join evicted someone");
+        let before = *c.stats();
         c.handle_message(1, Message::ForwardJoin { new_node: 50, ttl: 0 }, &mut actions);
-        assert_eq!(c.stats().forward_joins_received, 1);
-        let taken = c.stats_mut().take();
-        assert!(taken.total_events() > 0);
-        assert_eq!(c.stats().total_events(), 0);
+        let after = *c.stats();
+        assert_eq!(after.forward_joins_received, before.forward_joins_received + 1);
+        assert_eq!(after.joins_handled, before.joins_handled, "only the walk was counted");
     }
 
     // ------------------------------------------------------------------
@@ -1232,7 +1189,7 @@ mod tests {
             n.handle_message(peer, Message::Neighbor { priority: Priority::High }, &mut actions);
         }
         n.shuffle_tick(&mut actions);
-        assert!(n.take_defense_events().is_empty());
+        assert!(n.take_events().is_empty());
         assert_eq!(n.cycle(), 1);
     }
 
@@ -1246,11 +1203,11 @@ mod tests {
         // The attacker churns and re-joins within the window.
         n.handle_message(1, Message::Join, &mut actions);
         assert!(actions.is_empty(), "damped JOIN produces no fan-out");
-        assert_eq!(n.take_defense_events(), vec![DefenseEvent::JoinDamped { peer: 1 }]);
+        assert_eq!(n.take_events(), vec![MembershipEvent::JoinDamped { peer: 1 }]);
         // A different first-time joiner is unaffected.
         n.handle_message(2, Message::Join, &mut actions);
         assert!(n.active_view().contains(&2));
-        assert!(n.take_defense_events().is_empty());
+        assert!(n.take_events().is_empty());
     }
 
     #[test]
@@ -1264,7 +1221,7 @@ mod tests {
         }
         actions.drain().count();
         n.handle_message(1, Message::Join, &mut actions);
-        assert!(n.take_defense_events().is_empty(), "cooldown expired: JOIN admitted again");
+        assert!(n.take_events().is_empty(), "cooldown expired: JOIN admitted again");
     }
 
     #[test]
@@ -1279,7 +1236,7 @@ mod tests {
         n.handle_message(1, Message::Neighbor { priority: Priority::High }, &mut actions);
         assert!(!n.active_view().contains(&1), "re-admission inside the window rejected");
         assert!(sends(&actions).contains(&(1, Message::NeighborReply { accepted: false })));
-        assert_eq!(n.take_defense_events(), vec![DefenseEvent::NeighborDamped { peer: 1 }]);
+        assert_eq!(n.take_events(), vec![MembershipEvent::NeighborDamped { peer: 1 }]);
     }
 
     #[test]
@@ -1299,7 +1256,7 @@ mod tests {
         n.handle_message(51, Message::Neighbor { priority: Priority::High }, &mut actions);
         assert!(!n.active_view().contains(&51));
         assert!(sends(&actions).contains(&(51, Message::NeighborReply { accepted: false })));
-        assert_eq!(n.take_defense_events(), vec![DefenseEvent::NeighborDamped { peer: 51 }]);
+        assert_eq!(n.take_events(), vec![MembershipEvent::NeighborDamped { peer: 51 }]);
         n.shuffle_tick(&mut actions);
         actions.drain().count();
         n.handle_message(51, Message::Neighbor { priority: Priority::High }, &mut actions);
@@ -1318,7 +1275,7 @@ mod tests {
         }
         // Re-confirming an existing member spends nothing either.
         n.handle_message(1, Message::Neighbor { priority: Priority::High }, &mut actions);
-        assert!(n.take_defense_events().is_empty());
+        assert!(n.take_events().is_empty());
     }
 
     #[test]
@@ -1338,7 +1295,7 @@ mod tests {
         assert!(!n.active_view().contains(&1), "longest-tenured member rotated out");
         assert!(n.passive_view().contains(&1), "swapped member lands in passive view");
         assert!(sends(&actions).iter().any(|(to, m)| *to == 1 && *m == Message::Disconnect));
-        assert!(n.take_defense_events().contains(&DefenseEvent::TenureSwapped { peer: 1 }));
+        assert!(n.take_events().contains(&MembershipEvent::TenureSwapped { peer: 1 }));
     }
 
     #[test]
@@ -1350,7 +1307,7 @@ mod tests {
             n.shuffle_tick(&mut actions);
         }
         assert!(n.active_view().contains(&1), "no passive candidate: no swap-out");
-        assert!(n.take_defense_events().is_empty());
+        assert!(n.take_events().is_empty());
     }
 
     #[test]
@@ -1367,11 +1324,8 @@ mod tests {
         let shuffles =
             sends(&actions).iter().filter(|(_, m)| matches!(m, Message::Shuffle { .. })).count();
         assert_eq!(shuffles, 3, "base shuffle plus two boost shuffles");
-        let boosts = n
-            .take_defense_events()
-            .iter()
-            .filter(|e| matches!(e, DefenseEvent::ShuffleBoosted))
-            .count();
+        let boosts =
+            n.take_events().iter().filter(|e| matches!(e, MembershipEvent::ShuffleBoosted)).count();
         assert_eq!(boosts, 2);
         actions.drain().count();
         // A calm cycle reverts to the base rate.

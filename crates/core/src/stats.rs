@@ -30,8 +30,8 @@ pub const METRIC_NAMES: [&str; 13] = [
 /// Counters of protocol activity since the node started.
 ///
 /// All counters are cumulative. They are updated by the
-/// [`HyParView`](crate::HyParView) event handlers and never reset by the
-/// protocol itself; use [`Stats::take`] for interval measurements.
+/// [`HyParView`](crate::HyParView) event handlers and never reset; an
+/// interval is the difference of two snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// `JOIN` requests handled as the contact node.
@@ -64,33 +64,6 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Stats::default()
-    }
-
-    /// Returns the current values and resets all counters to zero.
-    pub fn take(&mut self) -> Stats {
-        std::mem::take(self)
-    }
-
-    /// Sum of every counter — a crude measure of total protocol activity.
-    pub fn total_events(&self) -> u64 {
-        self.joins_handled
-            + self.forward_joins_received
-            + self.forward_joins_accepted
-            + self.neighbor_requests_received
-            + self.neighbor_requests_accepted
-            + self.neighbor_requests_sent
-            + self.shuffles_started
-            + self.shuffles_accepted
-            + self.shuffles_forwarded
-            + self.disconnects_received
-            + self.active_evictions
-            + self.peer_failures
-            + self.promotions
-    }
-
     /// The counters in [`METRIC_NAMES`] order.
     fn values(&self) -> [u64; 13] {
         [
@@ -120,29 +93,6 @@ impl Stats {
             registry.set_counter(id, value);
         }
     }
-
-    /// Reads a snapshot back from the canonical `hyparview.*` counters
-    /// (absent names read as zero) — the inverse of
-    /// [`Stats::fill_registry`], which is what keeps the legacy struct a
-    /// pure *view* of the registry.
-    pub fn from_registry(registry: &Registry) -> Stats {
-        let get = |name: &str| registry.value_by_name(name).unwrap_or(0);
-        Stats {
-            joins_handled: get(METRIC_NAMES[0]),
-            forward_joins_received: get(METRIC_NAMES[1]),
-            forward_joins_accepted: get(METRIC_NAMES[2]),
-            neighbor_requests_received: get(METRIC_NAMES[3]),
-            neighbor_requests_accepted: get(METRIC_NAMES[4]),
-            neighbor_requests_sent: get(METRIC_NAMES[5]),
-            shuffles_started: get(METRIC_NAMES[6]),
-            shuffles_accepted: get(METRIC_NAMES[7]),
-            shuffles_forwarded: get(METRIC_NAMES[8]),
-            disconnects_received: get(METRIC_NAMES[9]),
-            active_evictions: get(METRIC_NAMES[10]),
-            peer_failures: get(METRIC_NAMES[11]),
-            promotions: get(METRIC_NAMES[12]),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,56 +100,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_is_zeroed() {
-        let s = Stats::new();
-        assert_eq!(s.total_events(), 0);
-    }
-
-    #[test]
-    fn take_resets() {
-        let mut s = Stats::new();
-        s.joins_handled = 3;
-        s.promotions = 2;
-        let taken = s.take();
-        assert_eq!(taken.joins_handled, 3);
-        assert_eq!(taken.total_events(), 5);
-        assert_eq!(s.total_events(), 0);
-    }
-
-    #[test]
-    fn total_events_sums_all_fields() {
-        let s = Stats {
-            joins_handled: 1,
-            forward_joins_received: 1,
-            forward_joins_accepted: 1,
-            neighbor_requests_received: 1,
-            neighbor_requests_accepted: 1,
-            neighbor_requests_sent: 1,
-            shuffles_started: 1,
-            shuffles_accepted: 1,
-            shuffles_forwarded: 1,
-            disconnects_received: 1,
-            active_evictions: 1,
-            peer_failures: 1,
-            promotions: 1,
-        };
-        assert_eq!(s.total_events(), 13);
-    }
-
-    #[test]
     fn registry_round_trip_preserves_every_counter() {
-        let mut s = Stats::new();
-        s.joins_handled = 3;
-        s.shuffles_forwarded = 7;
-        s.promotions = 1;
+        let mut s =
+            Stats { joins_handled: 3, shuffles_forwarded: 7, promotions: 1, ..Stats::default() };
         let mut registry = Registry::new();
         s.fill_registry(&mut registry);
         assert_eq!(registry.value_by_name("hyparview.joins_handled"), Some(3));
-        assert_eq!(Stats::from_registry(&registry), s);
+        for (name, value) in METRIC_NAMES.iter().zip(s.values()) {
+            assert_eq!(registry.value_by_name(name), Some(value), "{name}");
+        }
         // Refreshing overwrites rather than double-counting.
         s.promotions = 9;
         s.fill_registry(&mut registry);
-        assert_eq!(Stats::from_registry(&registry).promotions, 9);
-        assert_eq!(Stats::from_registry(&Registry::new()), Stats::new());
+        assert_eq!(registry.value_by_name("hyparview.promotions"), Some(9));
     }
 }

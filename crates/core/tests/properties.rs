@@ -4,7 +4,7 @@
 //! and check the structural invariants that Algorithm 1 must preserve no
 //! matter what the network throws at the node.
 
-use hyparview_core::{Actions, Config, HyParView, Message, Priority};
+use hyparview_core::{Actions, Config, HyParView, MembershipEvent, Message, Priority};
 use proptest::prelude::*;
 
 type Node = HyParView<u32>;
@@ -77,13 +77,38 @@ fn check_invariants(node: &Node) {
     }
 }
 
+/// The paper's configuration, or the same with every overlay defense on.
+fn config(hardened: bool) -> Config {
+    if hardened {
+        Config::hardened()
+    } else {
+        Config::default()
+    }
+}
+
+/// No defense decision drained from `node` names the node itself.
+fn check_events(node: &mut Node) {
+    for event in node.take_events() {
+        if let MembershipEvent::JoinDamped { peer }
+        | MembershipEvent::NeighborDamped { peer }
+        | MembershipEvent::TenureSwapped { peer } = event
+        {
+            assert_ne!(peer, ME, "defense decision about the node itself: {event:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The view invariants hold after any sequence of inputs.
     #[test]
-    fn views_stay_well_formed(inputs in proptest::collection::vec(arb_input(), 0..120), seed in any::<u64>()) {
-        let mut node = Node::new(ME, Config::default(), seed).unwrap();
+    fn views_stay_well_formed(
+        inputs in proptest::collection::vec(arb_input(), 0..120),
+        seed in any::<u64>(),
+        hardened in any::<bool>(),
+    ) {
+        let mut node = Node::new(ME, config(hardened), seed).unwrap();
         let mut actions = Actions::new();
         for input in inputs {
             match input {
@@ -92,14 +117,19 @@ proptest! {
                 Input::PeerFailed(p) => node.on_peer_failed(p, &mut actions),
             }
             check_invariants(&node);
+            check_events(&mut node);
             actions.drain().count();
         }
     }
 
     /// The protocol never emits a message addressed to the node itself.
     #[test]
-    fn never_sends_to_self(inputs in proptest::collection::vec(arb_input(), 0..120), seed in any::<u64>()) {
-        let mut node = Node::new(ME, Config::default(), seed).unwrap();
+    fn never_sends_to_self(
+        inputs in proptest::collection::vec(arb_input(), 0..120),
+        seed in any::<u64>(),
+        hardened in any::<bool>(),
+    ) {
+        let mut node = Node::new(ME, config(hardened), seed).unwrap();
         let mut actions = Actions::new();
         for input in inputs {
             match input {
@@ -107,10 +137,9 @@ proptest! {
                 Input::Tick => node.shuffle_tick(&mut actions),
                 Input::PeerFailed(p) => node.on_peer_failed(p, &mut actions),
             }
-            for action in actions.drain() {
-                if let hyparview_core::Action::Send { to, .. } = action {
-                    prop_assert_ne!(to, ME, "protocol sent a message to itself");
-                }
+            check_events(&mut node);
+            for (to, _) in actions.drain() {
+                prop_assert_ne!(to, ME, "protocol sent a message to itself");
             }
         }
     }
@@ -167,8 +196,8 @@ proptest! {
         actions.drain().count();
         let request_len = nodes.len();
         node.handle_message(2, Message::Shuffle { origin: 99, ttl: 1, nodes }, &mut actions);
-        for action in actions.drain() {
-            if let hyparview_core::Action::Send { to, message: Message::ShuffleReply { nodes } } = action {
+        for (to, message) in actions.drain() {
+            if let Message::ShuffleReply { nodes } = message {
                 prop_assert_eq!(to, 99);
                 prop_assert!(nodes.len() <= request_len + 1);
             }

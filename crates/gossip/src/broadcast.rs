@@ -35,9 +35,6 @@ pub type BroadcastId = u64;
 pub struct GossipState {
     seen: RecentSet<BroadcastId>,
     delivered: usize,
-    /// Hop count at which each message was first delivered (for the paper's
-    /// "maximum hops to delivery" metric, Table 1).
-    last_hops: Option<u32>,
 }
 
 impl Default for GossipState {
@@ -60,19 +57,19 @@ impl GossipState {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        GossipState { seen: RecentSet::new(capacity), delivered: 0, last_hops: None }
+        GossipState { seen: RecentSet::new(capacity), delivered: 0 }
     }
 
-    /// Records the receipt of broadcast `id` after `hops` forwarding steps.
+    /// Records the receipt of broadcast `id` after `hops` forwarding steps
+    /// (the hop count is not kept).
     ///
     /// Returns `true` exactly once per remembered id — the *delivery* — in
     /// which case the caller must forward the message to its gossip targets.
     /// (With a bounded capacity, a duplicate arriving after its id was
     /// evicted re-delivers; size the bound to cover several round-trips.)
-    pub fn deliver(&mut self, id: BroadcastId, hops: u32) -> bool {
+    pub fn deliver(&mut self, id: BroadcastId, _hops: u32) -> bool {
         if self.seen.insert(id) {
             self.delivered += 1;
-            self.last_hops = Some(hops);
             true
         } else {
             false
@@ -87,18 +84,6 @@ impl GossipState {
     /// Number of deliveries performed (distinct ids, up to eviction).
     pub fn delivered_count(&self) -> usize {
         self.delivered
-    }
-
-    /// Hop count of the most recent first-delivery, if any.
-    pub fn last_delivery_hops(&self) -> Option<u32> {
-        self.last_hops
-    }
-
-    /// Forgets everything (used between experiment phases).
-    pub fn reset(&mut self) {
-        self.seen.clear();
-        self.delivered = 0;
-        self.last_hops = None;
     }
 }
 
@@ -281,32 +266,6 @@ impl ReliabilitySummary {
     pub fn series(&self) -> &[f64] {
         &self.reliabilities
     }
-
-    /// Distribution of the per-broadcast maximum hop counts — the paper's
-    /// "maximum hops to delivery" (Table 1) generalized from a mean to a
-    /// full fixed-bucket histogram, so tails survive aggregation.
-    pub fn max_hops_histogram(&self) -> hyparview_obsv::Histogram {
-        let mut hist = hyparview_obsv::Histogram::new();
-        for &hops in &self.max_hops {
-            hist.record(u64::from(hops));
-        }
-        hist
-    }
-
-    /// Writes the summary's totals into `registry` under the canonical
-    /// `broadcast.*` names (absolute values; re-filling overwrites).
-    pub fn fill_registry(&self, registry: &mut hyparview_obsv::Registry) {
-        let totals = [
-            ("broadcast.sent", self.count() as u64),
-            ("broadcast.transmissions", self.sent),
-            ("broadcast.redundant", self.redundant),
-            ("broadcast.control", self.control),
-        ];
-        for (name, value) in totals {
-            let id = registry.counter(name);
-            registry.set_counter(id, value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -337,24 +296,6 @@ mod tests {
         assert_eq!(s.delivered_count(), 2);
         assert!(s.has_delivered(1));
         assert!(!s.has_delivered(3));
-    }
-
-    #[test]
-    fn deliver_records_first_hop_count() {
-        let mut s = GossipState::new();
-        s.deliver(1, 4);
-        assert_eq!(s.last_delivery_hops(), Some(4));
-        s.deliver(1, 9); // redundant, ignored
-        assert_eq!(s.last_delivery_hops(), Some(4));
-    }
-
-    #[test]
-    fn reset_forgets() {
-        let mut s = GossipState::new();
-        s.deliver(1, 0);
-        s.reset();
-        assert_eq!(s.delivered_count(), 0);
-        assert!(s.deliver(1, 0));
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! [`Membership`] implementation for HyParView.
 //!
-//! Thin adapter translating the sans-io [`HyParView`] action stream into the
-//! protocol-agnostic [`Outbox`] the simulator consumes. HyParView is the
-//! only protocol in the evaluation whose gossip target selection is
-//! *deterministic*: it floods its entire (symmetric) active view.
+//! Thin adapter: the sans-io [`HyParView`] already fills the caller's
+//! [`Outbox`] and buffers [`MembershipEvent`]s, so each method is a direct
+//! call, plus the optional attacker role. HyParView is the only protocol in
+//! the evaluation whose gossip target selection is *deterministic*: it
+//! floods its entire (symmetric) active view.
 
 use crate::adversary::{AttackerModel, AttackerRole};
 use crate::membership::{Membership, MembershipEvent, Outbox};
-use hyparview_core::{
-    Action, Actions, Config, DefenseEvent, HyParView, Identity, Message, Priority,
-};
+use hyparview_core::{Config, HyParView, Identity, Message, Priority};
 
 /// HyParView wired up as a [`Membership`] protocol.
 ///
@@ -28,14 +27,14 @@ use hyparview_core::{
 #[derive(Debug, Clone)]
 pub struct HyParViewMembership<I> {
     inner: HyParView<I>,
-    actions: Actions<I>,
     /// `None` = the paper's deterministic flood; `Some(rng)` = sample
     /// `fanout` random targets from the active view instead (the ablation
     /// §5.5 argues against).
     random_fanout: Option<rand::rngs::StdRng>,
     /// `Some` makes this node a colluder running the configured attack.
     attacker: Option<AttackerRole<I>>,
-    /// Defense/attack events buffered for [`Membership::take_events`].
+    /// Attack events buffered for [`Membership::take_events`], which lists
+    /// them after the protocol's own.
     events: Vec<MembershipEvent<I>>,
 }
 
@@ -48,7 +47,6 @@ impl<I: Identity> HyParViewMembership<I> {
     pub fn new(me: I, config: Config, seed: u64) -> Result<Self, hyparview_core::ConfigError> {
         Ok(HyParViewMembership {
             inner: HyParView::new(me, config, seed)?,
-            actions: Actions::new(),
             random_fanout: None,
             attacker: None,
             events: Vec::new(),
@@ -92,29 +90,23 @@ impl<I: Identity> HyParViewMembership<I> {
     /// Gracefully leaves the overlay: `Disconnect` to every active peer
     /// ([`HyParView::leave`]).
     pub fn leave(&mut self, out: &mut Outbox<I, Message<I>>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.inner.leave(&mut actions);
-        self.actions = actions;
-        self.flush(out);
+        self.inner.leave(out);
     }
 
-    fn flush(&mut self, out: &mut Outbox<I, Message<I>>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        for action in actions.drain() {
-            if let Action::Send { to, mut message } = action {
-                if let Message::Shuffle { nodes, .. } | Message::ShuffleReply { nodes } =
-                    &mut message
-                {
-                    if self.bias_shuffle_payload(to, nodes) {
-                        self.events.push(MembershipEvent::ShuffleBiased);
-                    }
-                }
-                out.send(to, message);
-            }
-            // NeighborUp/NeighborDown are connection-management hints; the
-            // simulator derives the overlay from `out_view()` directly.
+    /// Rewrites the shuffle payloads of the messages a step appended to
+    /// `out` from index `start` on, in queue order. A no-op for honest
+    /// nodes, which leave the payloads and the attacker stream untouched.
+    fn bias_appended(&mut self, out: &mut Outbox<I, Message<I>>, start: usize) {
+        if self.attacker.is_none() {
+            return;
         }
-        self.actions = actions;
+        for (to, message) in &mut out.as_mut_slice()[start..] {
+            if let Message::Shuffle { nodes, .. } | Message::ShuffleReply { nodes } = message {
+                if self.bias_shuffle_payload(*to, nodes) {
+                    self.events.push(MembershipEvent::ShuffleBiased);
+                }
+            }
+        }
     }
 
     /// Infiltration: rewrite an outgoing shuffle payload so every advertised
@@ -154,10 +146,8 @@ impl<I: Identity> HyParViewMembership<I> {
             }
             AttackerModel::Infiltration => {
                 // Keep shuffling like an honest node — the payload is
-                // poisoned at flush time.
-                let mut actions = std::mem::take(&mut self.actions);
-                self.inner.shuffle_tick(&mut actions);
-                self.actions = actions;
+                // poisoned once the step is done.
+                self.inner.shuffle_tick(out);
             }
         }
         // Churn: occasionally re-join through a victim to re-roll earlier
@@ -165,14 +155,11 @@ impl<I: Identity> HyParViewMembership<I> {
         // overlay).
         if attacker.churn_now() {
             if let Some(contact) = attacker.pick_victim() {
-                let mut actions = std::mem::take(&mut self.actions);
-                self.inner.join(contact, &mut actions);
-                self.actions = actions;
+                self.inner.join(contact, out);
                 self.events.push(MembershipEvent::AttackerRejoin { contact });
             }
         }
         self.attacker = Some(attacker);
-        self.flush(out);
     }
 }
 
@@ -188,10 +175,9 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
     }
 
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.inner.join(contact, &mut actions);
-        self.actions = actions;
-        self.flush(out);
+        let start = out.len();
+        self.inner.join(contact, out);
+        self.bias_appended(out, start);
     }
 
     fn handle_message(
@@ -211,21 +197,19 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
                 }
             }
         }
-        let mut actions = std::mem::take(&mut self.actions);
-        self.inner.handle_message(from, message, &mut actions);
-        self.actions = actions;
-        self.flush(out);
+        let start = out.len();
+        self.inner.handle_message(from, message, out);
+        self.bias_appended(out, start);
     }
 
     fn on_cycle(&mut self, out: &mut Outbox<I, Self::Message>) {
+        let start = out.len();
         if self.attacker.is_some() {
             self.attacker_cycle(out);
-            return;
+        } else {
+            self.inner.shuffle_tick(out);
         }
-        let mut actions = std::mem::take(&mut self.actions);
-        self.inner.shuffle_tick(&mut actions);
-        self.actions = actions;
-        self.flush(out);
+        self.bias_appended(out, start);
     }
 
     fn detects_send_failures(&self) -> bool {
@@ -235,10 +219,9 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
     }
 
     fn on_send_failed(&mut self, peer: I, out: &mut Outbox<I, Self::Message>) {
-        let mut actions = std::mem::take(&mut self.actions);
-        self.inner.on_peer_failed(peer, &mut actions);
-        self.actions = actions;
-        self.flush(out);
+        let start = out.len();
+        self.inner.on_peer_failed(peer, out);
+        self.bias_appended(out, start);
     }
 
     fn connected_peers(&self) -> Vec<I> {
@@ -273,17 +256,7 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
     }
 
     fn take_events(&mut self) -> Vec<MembershipEvent<I>> {
-        let mut events: Vec<MembershipEvent<I>> = self
-            .inner
-            .take_defense_events()
-            .into_iter()
-            .map(|event| match event {
-                DefenseEvent::JoinDamped { peer } => MembershipEvent::JoinDamped { peer },
-                DefenseEvent::NeighborDamped { peer } => MembershipEvent::NeighborDamped { peer },
-                DefenseEvent::TenureSwapped { peer } => MembershipEvent::TenureSwapped { peer },
-                DefenseEvent::ShuffleBoosted => MembershipEvent::ShuffleBoosted,
-            })
-            .collect();
+        let mut events = self.inner.take_events();
         events.append(&mut self.events);
         events
     }
@@ -451,6 +424,48 @@ mod tests {
             assert_ne!(id, to, "never advertises the recipient to itself");
         }
         assert!(node.take_events().contains(&MembershipEvent::ShuffleBiased));
+    }
+
+    #[test]
+    fn boosted_colluder_cycle_biases_exactly_the_shuffles_it_queued() {
+        let mut node = HyParViewMembership::new(90u32, Config::hardened(), 7)
+            .unwrap()
+            .with_attacker(infiltration_role());
+        let mut out = Outbox::new();
+        for peer in 1..=5 {
+            node.handle_message(peer, Message::Join, &mut out);
+        }
+        node.handle_message(1, Message::ShuffleReply { nodes: (100..110).collect() }, &mut out);
+        out.drain().count();
+        // A calm cycle's biased shuffle stays queued ahead of the next steps:
+        // biasing it again would draw from the attacker stream twice.
+        node.on_cycle(&mut out);
+        node.take_events();
+        // Losing an active peer arms the churn boost for the next cycle.
+        node.on_send_failed(1, &mut out);
+        let cycle_start = out.len();
+        node.on_cycle(&mut out);
+        let shuffles: Vec<&Vec<u32>> = out.as_slice()[cycle_start..]
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Message::Shuffle { nodes, .. } => Some(nodes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shuffles.len(), 2, "base shuffle plus one boost shuffle");
+        for nodes in shuffles {
+            assert!(!nodes.is_empty());
+            assert!(nodes.iter().all(|id| [91, 92].contains(id)), "honest id in {nodes:?}");
+        }
+        assert_eq!(
+            node.take_events(),
+            vec![
+                MembershipEvent::ShuffleBoosted,
+                MembershipEvent::ShuffleBiased,
+                MembershipEvent::ShuffleBiased,
+            ],
+            "the protocol's events first, then one bias per shuffle of this cycle"
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! This crate is runtime-agnostic: [`GossipState`] and the report types do
 //! the bookkeeping, while actual message shipping is owned by
 //! `hyparview-sim` (discrete-event simulation) or `hyparview-net` (TCP).
+//! The [`Outbox`] every protocol step fills and the [`MembershipEvent`]s it
+//! reports are defined in `hyparview-core` and re-exported here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

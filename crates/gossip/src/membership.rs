@@ -6,99 +6,10 @@
 //! layer are generic over it and never know which protocol is running.
 
 use hyparview_core::Identity;
+// The seam's two data types live in `hyparview-core`, where HyParView fills
+// them directly; they stay nameable from here.
+pub use hyparview_core::{MembershipEvent, Outbox};
 use std::fmt;
-
-/// Outgoing protocol messages produced by one membership event.
-///
-/// The membership equivalent of [`hyparview_core::Actions`], but generic
-/// over the protocol's message type.
-#[derive(Debug, Clone)]
-pub struct Outbox<I, M> {
-    messages: Vec<(I, M)>,
-}
-
-impl<I: Identity, M> Default for Outbox<I, M> {
-    fn default() -> Self {
-        Outbox { messages: Vec::new() }
-    }
-}
-
-impl<I: Identity, M> Outbox<I, M> {
-    /// Creates an empty outbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queues `message` for delivery to `to`.
-    pub fn send(&mut self, to: I, message: M) {
-        self.messages.push((to, message));
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Returns `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
-    }
-
-    /// Drains the queued `(destination, message)` pairs in FIFO order.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, (I, M)> {
-        self.messages.drain(..)
-    }
-
-    /// Read-only view of the queued messages.
-    pub fn as_slice(&self) -> &[(I, M)] {
-        &self.messages
-    }
-}
-
-/// An observable membership decision, drained via
-/// [`Membership::take_events`].
-///
-/// Covers both sides of the adversarial-membership experiments: defense
-/// decisions made by honest nodes (damping, tenure swaps, shuffle boosts)
-/// and attack actions taken by colluders (floods, churn re-joins, biased
-/// shuffles). The runtime turns these into `attack.*` registry counters and
-/// trace events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MembershipEvent<I> {
-    /// A rapid re-`Join` from `peer` was rejected by admission damping.
-    JoinDamped {
-        /// The damped sender.
-        peer: I,
-    },
-    /// A high-priority `Neighbor` request from `peer` was rejected by the
-    /// admission cooldown or the per-cycle eviction budget.
-    NeighborDamped {
-        /// The damped sender.
-        peer: I,
-    },
-    /// `peer` exceeded the bounded active-view tenure and was swapped out.
-    TenureSwapped {
-        /// The rotated-out active-view member.
-        peer: I,
-    },
-    /// An extra shuffle was sent because churn was observed this cycle.
-    ShuffleBoosted,
-    /// This (colluding) node sent an unsolicited high-priority `Neighbor`
-    /// request at `victim`.
-    NeighborFlood {
-        /// The targeted node.
-        victim: I,
-    },
-    /// This (colluding) node churned: it re-`Join`ed through `contact` to
-    /// re-roll earlier rejections.
-    AttackerRejoin {
-        /// The join contact.
-        contact: I,
-    },
-    /// This (colluding) node rewrote an outgoing shuffle payload to
-    /// advertise only colluders.
-    ShuffleBiased,
-}
 
 /// A membership protocol (peer sampling service) as used by the paper's
 /// gossip broadcast protocol.

@@ -38,12 +38,14 @@ impl std::fmt::Display for TimerKind {
 /// The decision a trace event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// A peer entered the active view (HyParView `NeighborUp`).
+    /// A peer entered the out-view (HyParView's active view) during one
+    /// membership step.
     NeighborUp {
         /// The peer that came up.
         peer: u64,
     },
-    /// A peer left the active view (HyParView `NeighborDown`).
+    /// A peer left the out-view (HyParView's active view) during one
+    /// membership step.
     NeighborDown {
         /// The peer that went down.
         peer: u64,

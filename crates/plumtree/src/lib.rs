@@ -30,8 +30,8 @@
 //! Like `hyparview-core`, this crate is **sans-io**: [`PlumtreeState`] is a
 //! pure state machine that consumes events (messages, timer expirations,
 //! neighbor changes from any [`Membership`] implementation) and emits
-//! effects through a [`PlumtreeOut`] buffer — sends via the gossip crate's
-//! `Outbox` seam, local deliveries, and timer requests.
+//! effects through a [`PlumtreeOut`] buffer — sends via the same `Outbox`
+//! that HyParView fills, local deliveries, and timer requests.
 //!
 //! The crate also holds the one place where a node is put together:
 //! [`node`]'s [`NodeCore`] composes any [`Membership`] with the paper's

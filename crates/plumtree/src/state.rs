@@ -14,8 +14,7 @@
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
 use hyparview_core::collections::{RandomSet, RecentMap};
-use hyparview_core::Identity;
-use hyparview_gossip::Outbox;
+use hyparview_core::{Identity, Outbox};
 use std::collections::{HashMap, HashSet};
 
 /// Maximum number of announcements per `IHaveBatch` message. Flushes chunk
@@ -59,8 +58,8 @@ pub struct TimerRequest {
     pub delay: u64,
 }
 
-/// Effects emitted by one state-machine event — the Plumtree counterpart of
-/// `hyparview_core::Actions`, built on the gossip crate's [`Outbox`] seam.
+/// Effects emitted by one state-machine event: the same [`Outbox`] that
+/// HyParView fills (`hyparview_core::Actions`), plus deliveries and timers.
 #[derive(Debug, Clone)]
 pub struct PlumtreeOut<I: Identity, P> {
     /// Protocol messages to ship, in FIFO order.
