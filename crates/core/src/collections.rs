@@ -273,6 +273,11 @@ impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
         Some((key, self.map.get(key)?))
     }
 
+    /// The remembered values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values()
+    }
+
     /// Forgets the oldest key and hands it back with its value.
     pub fn pop_oldest(&mut self) -> Option<(K, V)> {
         let key = self.order.pop_front()?;

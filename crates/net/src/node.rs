@@ -54,8 +54,9 @@ pub struct NetConfig {
     /// overflows is treated as failed (NeEM-style slow-peer expulsion,
     /// §5.5) so TCP back-pressure cannot freeze the overlay.
     pub writer_queue: usize,
-    /// How many recent gossip ids to remember for duplicate suppression
-    /// (flood mode) / how many payloads the Plumtree cache keeps.
+    /// How many recent gossip ids to remember for duplicate suppression,
+    /// in either mode. Plumtree keeps a payload beside an id only while a
+    /// peer it announced the id to may graft it.
     pub dedup_capacity: usize,
     /// How broadcast payloads are disseminated.
     pub broadcast_mode: BroadcastMode,

@@ -44,9 +44,11 @@ pub struct PlumtreeConfig {
     /// Delay between successive `Graft` attempts while a message is still
     /// missing (the second, shorter timer of the Plumtree paper §3.8).
     pub graft_timeout: u64,
-    /// Hard cap on the number of broadcasts the message store holds at
-    /// once, payloads included: what a node's memory is sized by. It is not
-    /// the retention rule: a broadcast is dropped once it is
+    /// Hard cap on the number of broadcast ids the message store remembers
+    /// at once: the duplicate-detection window. A remembered id keeps its
+    /// payload only while a peer it was announced to may graft it, so far
+    /// fewer payloads are held (none at a node without lazy links). It is
+    /// not the retention rule: a broadcast is dropped once it is
     /// [`PlumtreeConfig::retention`] old, and this cap evicts (oldest id
     /// first) only when more than `cache_capacity` broadcasts arrive within
     /// that window. An evicted message can no longer repair the tree.
@@ -98,7 +100,7 @@ impl PlumtreeConfig {
         self
     }
 
-    /// Sets the payload cache capacity.
+    /// Sets the message store capacity ([`PlumtreeConfig::cache_capacity`]).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self

@@ -10,6 +10,14 @@
 //! payload lands before the flush has its queued announcement taken back
 //! ([`PlumtreeStats::ihave_suppressed`] counts both). The knowledge is what
 //! the node kept anyway: pending announcers and the per-peer flush queue.
+//!
+//! A payload is kept only while a peer may still graft it from this node. A
+//! `Graft` goes to an announcer of the id (the missing-message timer pulls
+//! from nobody else), so a first receipt that announces the id to no one
+//! (every lazy peer holds it, or there is none) keeps no payload, and one
+//! whose queued announcements are all taken back before the flush, or whose
+//! queued peers all leave, lets it go then. The id itself is remembered as
+//! long as ever: duplicate detection and tree optimization do not change.
 
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
@@ -192,12 +200,21 @@ struct Cached<I, P> {
     /// message. Ages are taken with `wrapping_sub`, so a wrap can only make
     /// an entry look *younger* than it is: kept longer, never dropped early.
     stamp: u32,
-    /// The eager peer that delivered the payload (`None` for own
-    /// broadcasts) — the node's parent in this message's tree, and the
-    /// link tree optimization prunes when a shorter lazy path shows up.
-    parent: Option<I>,
-    payload: P,
+    /// The eager peer that delivered the payload — the node's parent in
+    /// this message's tree, and the link tree optimization prunes when a
+    /// shorter lazy path shows up — or the node itself for its own
+    /// broadcasts. A node is never its own neighbour, so no sender matches
+    /// that, and a plain `I` leaves room for `payload`'s tag in the padding.
+    parent: I,
+    /// The payload while a peer this node announced the id to may graft it,
+    /// `None` once none can (see the module docs).
+    payload: Option<P>,
 }
+
+// The simulator's store slot (`P = ()`) stays two `u128`s wide: an
+// `Option<I>` parent next to the `Option<P>` payload would make it 48 bytes,
+// and `tests/footprint.rs` measures what one remembered message costs.
+const _: () = assert!(std::mem::size_of::<(MsgId, Cached<u32, ()>)>() == 32);
 
 /// Announcers and graft attempts of one undelivered message.
 #[derive(Debug, Clone)]
@@ -218,7 +235,7 @@ impl<I> Default for MissingEntry<I> {
 /// missing-message bookkeeping.
 ///
 /// The message store is the node's whole memory of past broadcasts: id to
-/// delivery round, tree parent and payload of every first receipt younger
+/// delivery round and tree parent of every first receipt younger
 /// than [`PlumtreeConfig::retention`] by the runtime's clock
 /// ([`PlumtreeState::advance`]), and of at most
 /// [`PlumtreeConfig::cache_capacity`] of them; whichever bound is reached
@@ -230,7 +247,10 @@ impl<I> Default for MissingEntry<I> {
 /// multiple of the longest time a neighbour can go on asking for a payload,
 /// so only a copy the protocol no longer has a use for arrives that late. A
 /// state whose clock is never advanced ages nothing and is bounded by the
-/// count alone.
+/// count alone. An entry also holds the payload, but only for as long as a
+/// peer this node announced the id to may graft it
+/// ([`PlumtreeState::held_payloads`]): the count bounds the ids, and
+/// announcements bound the payloads.
 ///
 /// Neighbor maintenance is driven by the membership layer: feed active-view
 /// changes through [`PlumtreeState::on_neighbor_up`] /
@@ -329,9 +349,17 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         self.cache.contains_key(&id)
     }
 
-    /// Number of payloads currently cached for graft replies.
+    /// Number of ids the message store remembers: the duplicate-detection
+    /// window, bounded by [`PlumtreeConfig::cache_capacity`] and
+    /// [`PlumtreeConfig::retention`].
     pub fn cached_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Number of remembered ids whose payload is still held for a `Graft`:
+    /// those announced to a peer, or queued for one.
+    pub fn held_payloads(&self) -> usize {
+        self.cache.values().filter(|cached| cached.payload.is_some()).count()
     }
 
     /// Number of lazy announcements queued for the next flush (0 when
@@ -366,7 +394,12 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         for entry in self.missing.values_mut() {
             entry.announcers.retain(|(p, _)| *p != peer);
         }
-        self.lazy_queue.retain(|(p, _)| *p != peer);
+        if let Some(at) = self.lazy_queue.iter().position(|(p, _)| *p == peer) {
+            let (_, anns) = self.lazy_queue.remove(at);
+            for ann in anns {
+                self.release_unless_queued(ann.id);
+            }
+        }
     }
 
     /// Reconciles the eager/lazy sets against a fresh active-view snapshot:
@@ -396,13 +429,15 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     /// Starts a broadcast at this node: delivers locally, eager-pushes the
     /// payload and lazily announces it.
     pub fn broadcast(&mut self, id: MsgId, payload: P, out: &mut PlumtreeOut<I, P>) {
-        if !self.remember(id, 0, None, payload.clone()) {
+        if !self.remember(id, 0, self.me) {
             return; // id collision with a cached broadcast: drop
         }
         self.stats.delivered += 1;
-        out.deliveries.push(PlumtreeDelivery { id, round: 0, payload: payload.clone() });
-        self.eager_push(id, 1, payload, None, out);
-        self.lazy_push(id, 1, &[], out);
+        self.eager_push(id, 1, &payload, None, out);
+        if self.lazy_push(id, 1, &[], out) {
+            self.hold(id, payload.clone());
+        }
+        out.deliveries.push(PlumtreeDelivery { id, round: 0, payload });
     }
 
     /// Handles one Plumtree message received from `from`.
@@ -506,15 +541,17 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         payload: P,
         out: &mut PlumtreeOut<I, P>,
     ) {
-        if self.remember(id, round, Some(from), payload.clone()) {
+        if self.remember(id, round, from) {
             self.stats.delivered += 1;
-            out.deliveries.push(PlumtreeDelivery { id, round, payload: payload.clone() });
             let pending = self.missing.remove(&id);
             // The sender is our parent in the tree for this message.
             self.promote_eager(from);
-            self.eager_push(id, round + 1, payload, Some(from), out);
+            self.eager_push(id, round + 1, &payload, Some(from), out);
             let holders = pending.as_ref().map_or(&[][..], |entry| &entry.announcers);
-            self.lazy_push(id, round + 1, holders, out);
+            if self.lazy_push(id, round + 1, holders, out) {
+                self.hold(id, payload.clone());
+            }
+            out.deliveries.push(PlumtreeDelivery { id, round, payload });
             // Over unit-latency links payloads and announcements arrive in
             // strict round order, so the announcement of a shorter lazy
             // path always *precedes* the eager delivery — it is waiting in
@@ -535,7 +572,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         } else {
             self.stats.redundant += 1;
             self.withdraw(from, id);
-            if self.cache.get(&id).is_some_and(|cached| cached.parent == Some(from)) {
+            if self.cache.get(&id).is_some_and(|cached| cached.parent == from) {
                 // The tree parent's own payload a second time is the
                 // transport repeating a frame (or a second reply to a
                 // retried graft), not a cycle: the link stays in the tree.
@@ -589,9 +626,9 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             return;
         };
         let (eager_round, parent) = (cached.round, cached.parent);
-        let Some(parent) = parent else {
+        if parent == self.me {
             return; // own broadcast: this node is the root
-        };
+        }
         if parent == from || !self.eager.contains(&parent) {
             return;
         }
@@ -607,7 +644,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             // The swap makes `from` the expected parent at *its* announced
             // round: later announcements must beat the new path, not the
             // original delivery, or a worse announcer could undo the swap.
-            cached.parent = Some(from);
+            cached.parent = from;
             cached.round = round;
         }
         self.stats.optimizations += 1;
@@ -618,15 +655,13 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         let Some(id) = id else {
             return; // optimization graft: promotion only, no payload pull
         };
-        if let Some(cached) = self.cache.get(&id) {
+        // A released payload was announced to nobody, so only a peer off
+        // the protocol asks for it: answered like an evicted id.
+        if let Some(Cached { round, payload: Some(payload), .. }) = self.cache.get(&id) {
             self.stats.gossip_sent += 1;
             out.outbox.send(
                 from,
-                PlumtreeMessage::Gossip {
-                    id,
-                    round: cached.round + 1,
-                    payload: cached.payload.clone(),
-                },
+                PlumtreeMessage::Gossip { id, round: round + 1, payload: payload.clone() },
             );
         }
     }
@@ -646,12 +681,13 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         out.timers.push(TimerRequest { timer: PlumtreeTimer::Missing(id), delay });
     }
 
-    /// Stores `id` with its payload, returning `true` on first sight. Only
-    /// then does the store forget anything, payloads included: its oldest
-    /// id if it was full, and every id [`PlumtreeConfig::retention`] old.
-    fn remember(&mut self, id: MsgId, round: u32, parent: Option<I>, payload: P) -> bool {
+    /// Stores `id` without a payload ([`PlumtreeState::hold`] adds it),
+    /// returning `true` on first sight. Only then does the store forget
+    /// anything: its oldest id if it was full, and every id
+    /// [`PlumtreeConfig::retention`] old.
+    fn remember(&mut self, id: MsgId, round: u32, parent: I) -> bool {
         let stamp = self.now as u32;
-        if !self.cache.insert(id, Cached { round, stamp, parent, payload }).0 {
+        if !self.cache.insert(id, Cached { round, stamp, parent, payload: None }).0 {
             return false;
         }
         // At least 1, so the loop stops at the entry just stored (age 0).
@@ -665,11 +701,31 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         true
     }
 
+    /// Keeps the payload of the just-remembered `id`: it was announced.
+    fn hold(&mut self, id: MsgId, payload: P) {
+        if let Some(cached) = self.cache.get_mut(&id) {
+            cached.payload = Some(payload);
+        }
+    }
+
+    /// Drops `id`'s payload unless an announcement of it is still queued.
+    /// One [`PlumtreeState::lazy_push`] queues all of an id's announcements
+    /// and one flush sends them, so an id queued for nobody was and will be
+    /// announced to nobody, and no peer can graft it here.
+    fn release_unless_queued(&mut self, id: MsgId) {
+        if self.lazy_queue.iter().any(|(_, anns)| anns.iter().any(|ann| ann.id == id)) {
+            return;
+        }
+        if let Some(cached) = self.cache.get_mut(&id) {
+            cached.payload = None;
+        }
+    }
+
     fn eager_push(
         &mut self,
         id: MsgId,
         round: u32,
-        payload: P,
+        payload: &P,
         exclude: Option<I>,
         out: &mut PlumtreeOut<I, P>,
     ) {
@@ -687,15 +743,16 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     /// exists so that a peer can ask for the payload, and one that announced
     /// the id never will. (The payload's sender is a tree link by now.) A
     /// holder that shows itself before the flush: [`PlumtreeState::withdraw`].
+    /// Returns whether any peer was announced to or queued for.
     fn lazy_push(
         &mut self,
         id: MsgId,
         round: u32,
         holders: &[(I, u32)],
         out: &mut PlumtreeOut<I, P>,
-    ) {
+    ) -> bool {
         let ann = Announcement { id, round };
-        let mut queued = false;
+        let (mut queued, mut sent) = (false, false);
         for &peer in &self.lazy {
             if holders.iter().any(|(holder, _)| *holder == peer) {
                 self.stats.ihave_suppressed += 1;
@@ -705,6 +762,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
                 // Batching disabled: one IHave frame per message per peer.
                 self.stats.ihave_sent += 1;
                 out.outbox.send(peer, PlumtreeMessage::IHave { id, round });
+                sent = true;
                 continue;
             }
             match self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) {
@@ -720,10 +778,12 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
                 delay: self.config.lazy_flush_interval,
             });
         }
+        queued || sent
     }
 
     /// `peer` has just shown (an `IHave` or a payload) that it holds the
-    /// delivered `id`: drop the announcement still queued for it, if any.
+    /// delivered `id`: drop the announcement still queued for it, if any,
+    /// and the payload with the last one.
     fn withdraw(&mut self, peer: I, id: MsgId) {
         let Some((_, anns)) = self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) else {
             return;
@@ -731,6 +791,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         if let Some(at) = anns.iter().position(|ann| ann.id == id) {
             anns.remove(at);
             self.stats.ihave_suppressed += 1;
+            self.release_unless_queued(id);
         }
     }
 
@@ -1659,6 +1720,144 @@ mod tests {
             "one attempt per announcer, then the timer stops quietly"
         );
         assert_eq!(s.stats().graft_dead_letters, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // A payload is held only while a peer may graft it
+    // ------------------------------------------------------------------
+
+    /// A shared buffer like `Bytes`: the store's clone shows in the count.
+    type Page = std::rc::Rc<str>;
+
+    /// Node 0 with tree link 1 and lazy links `lazy`, threshold-3
+    /// optimization, announcements batched over `flush` units.
+    fn paging_node(lazy: &[u32], flush: u64) -> PlumtreeState<u32, Page> {
+        let config = PlumtreeConfig::default()
+            .with_lazy_flush_interval(flush)
+            .with_optimization_threshold(Some(3));
+        let mut s = PlumtreeState::new(0, config);
+        s.on_neighbor_up(1);
+        for &peer in lazy {
+            s.on_neighbor_up(peer);
+            s.on_prune(peer);
+        }
+        s
+    }
+
+    /// The first receipt of `id` from tree parent 1 at round 8; the
+    /// handler's own copies are dropped with `out`.
+    fn page_in(s: &mut PlumtreeState<u32, Page>, id: MsgId, page: &Page) {
+        let mut out = PlumtreeOut::new();
+        let gossip = PlumtreeMessage::Gossip { id, round: 8, payload: page.clone() };
+        s.handle_message(1, gossip, &mut out);
+        assert_eq!(out.deliveries.len(), 1, "id {id} must be new to the store");
+    }
+
+    /// What a `Graft` for `id` from `peer` is answered with.
+    fn graft(s: &mut PlumtreeState<u32, Page>, peer: u32, id: MsgId) -> Vec<(u32, MsgId)> {
+        let mut out = PlumtreeOut::new();
+        s.handle_message(peer, PlumtreeMessage::Graft { id: Some(id), round: 1 }, &mut out);
+        out.outbox
+            .drain()
+            .filter_map(|(to, message)| match message {
+                PlumtreeMessage::Gossip { id, .. } => Some((to, id)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A second copy of `id` from `peer`: redundant, never delivered.
+    fn duplicate_is_caught(s: &mut PlumtreeState<u32, Page>, peer: u32, id: MsgId, page: &Page) {
+        let redundant = s.stats().redundant;
+        let mut out = PlumtreeOut::new();
+        let gossip = PlumtreeMessage::Gossip { id, round: 9, payload: page.clone() };
+        s.handle_message(peer, gossip, &mut out);
+        assert!(out.deliveries.is_empty() && s.has_seen(id));
+        assert_eq!(s.stats().redundant, redundant + 1);
+    }
+
+    #[test]
+    fn a_node_with_no_lazy_peer_or_only_holders_keeps_no_payload() {
+        let page: Page = "8 KiB".into();
+        let mut s = paging_node(&[], 0);
+        s.on_neighbor_up(2); // a second tree link
+        page_in(&mut s, 5, &page);
+        assert_eq!((s.cached_len(), s.held_payloads()), (1, 0));
+        assert_eq!(std::rc::Rc::strong_count(&page), 1, "the store dropped its copy");
+        duplicate_is_caught(&mut s, 1, 5, &page);
+        // Only a peer off the protocol asks: promoted, sent nothing.
+        s.on_prune(2);
+        assert_eq!(graft(&mut s, 2, 5), []);
+        assert!(s.eager_peers().contains(&2));
+
+        // The one lazy peer announced the id first, at a round short
+        // enough to swap it into the tree: the swap still happens.
+        let mut s = paging_node(&[2], 0);
+        let mut out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::IHave { id: 6, round: 2 }, &mut out);
+        page_in(&mut s, 6, &page);
+        assert_eq!((s.cached_len(), s.held_payloads()), (1, 0));
+        assert_eq!(std::rc::Rc::strong_count(&page), 1);
+        assert_eq!(s.stats().optimizations, 1, "the pending announcer took the parent's place");
+        assert_eq!((s.eager_peers(), s.lazy_peers()), (vec![2], vec![1]));
+        duplicate_is_caught(&mut s, 2, 6, &page);
+    }
+
+    #[test]
+    fn an_announced_id_answers_the_announcees_graft_with_its_payload() {
+        let page: Page = "8 KiB".into();
+        for flush in [0, 4] {
+            let mut s = paging_node(&[2], flush);
+            page_in(&mut s, 5, &page);
+            assert_eq!(s.held_payloads(), 1, "flush {flush}");
+            assert_eq!(std::rc::Rc::strong_count(&page), 2, "flush {flush}");
+            s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
+            assert_eq!(graft(&mut s, 2, 5), [(2, 5)], "flush {flush}");
+            duplicate_is_caught(&mut s, 1, 5, &page);
+            assert_eq!(s.held_payloads(), 1, "an announced payload stays while the id does");
+        }
+        // A late, shorter announcement still swaps a held id into the tree.
+        let mut s = paging_node(&[2, 3], 0);
+        page_in(&mut s, 7, &page);
+        s.handle_message(3, PlumtreeMessage::IHave { id: 7, round: 2 }, &mut PlumtreeOut::new());
+        assert_eq!(s.stats().late_optimizations, 1);
+    }
+
+    #[test]
+    fn withdrawing_every_queued_announcement_releases_the_payload_by_the_flush() {
+        let page: Page = "8 KiB".into();
+        let mut s = paging_node(&[2, 3, 4], 4);
+        page_in(&mut s, 10, &page);
+        page_in(&mut s, 11, &page);
+        assert_eq!((s.queued_announcements(), s.held_payloads()), (6, 2));
+        let mut out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::IHave { id: 10, round: 5 }, &mut out);
+        s.handle_message(3, PlumtreeMessage::IHave { id: 10, round: 5 }, &mut out);
+        assert_eq!(s.held_payloads(), 2, "4 is still owed id 10");
+        duplicate_is_caught(&mut s, 4, 10, &page);
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+        assert_eq!((s.cached_len(), s.held_payloads()), (2, 1), "id 11 went out to all three");
+        assert_eq!(graft(&mut s, 2, 10), [], "announced to nobody");
+        assert_eq!(graft(&mut s, 3, 11), [(3, 11)]);
+        drop(out);
+        assert_eq!(std::rc::Rc::strong_count(&page), 2, "the store keeps one copy, of id 11");
+    }
+
+    #[test]
+    fn the_last_queued_peer_going_down_releases_the_payload() {
+        let page: Page = "8 KiB".into();
+        let mut s = paging_node(&[2, 3], 4);
+        page_in(&mut s, 10, &page);
+        s.on_neighbor_down(2);
+        assert_eq!(s.held_payloads(), 1, "3 is still owed id 10");
+        s.on_neighbor_down(3);
+        assert_eq!((s.cached_len(), s.held_payloads(), s.queued_announcements()), (1, 0, 0));
+        assert_eq!(std::rc::Rc::strong_count(&page), 1);
+        let mut out = PlumtreeOut::new();
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut out);
+        assert!(out.is_empty());
+        duplicate_is_caught(&mut s, 1, 10, &page);
+        assert!(s.eager_peers() == [1] && s.lazy_peers().is_empty());
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! number of nodes, so a second index over the message store (the layout
 //! before the single `RecentMap`: a hash set, a FIFO and a hash map, all
 //! keyed by the same id, 91 B per message) must not come back unnoticed.
+//! Nor may a payload the node can no longer be asked for: a broadcast it
+//! announced to nobody is remembered without one. (The store slot's own size
+//! is a compile-time assertion in `src/state.rs`: 32 bytes with `P = ()`.)
 //!
 //! A test binary of its own, counting per thread: libtest runs each test
 //! on a thread of its own and keeps books on the main one, and none of
@@ -63,14 +66,18 @@ static ALLOCATOR: Counting = Counting;
 /// `sim_plumtree_wan_churn`'s 740 broadcasts (20 warm-up + 24 epochs of 30).
 const MESSAGES: u128 = 740;
 
-/// `sim_plumtree_wan_churn`'s configuration on a node with two tree links
-/// and three lazy ones, the shape a node settles into.
-fn settled_node() -> PlumtreeState<u32, ()> {
-    let config = PlumtreeConfig::default()
+/// `sim_plumtree_wan_churn`'s Plumtree configuration.
+fn wan_config() -> PlumtreeConfig {
+    PlumtreeConfig::default()
         .with_optimization_threshold(Some(2))
         .with_lazy_flush_interval(2)
-        .with_timeouts_for_max_latency(600);
-    let mut state = PlumtreeState::new(0, config);
+        .with_timeouts_for_max_latency(600)
+}
+
+/// That configuration on a node with two tree links and three lazy ones,
+/// the shape a node settles into.
+fn settled_node() -> PlumtreeState<u32, ()> {
+    let mut state = PlumtreeState::new(0, wan_config());
     state.sync_neighbors(&[1, 2, 3, 4, 5]);
     for peer in [3, 4, 5] {
         state.handle_message(peer, PlumtreeMessage::Prune, &mut PlumtreeOut::new());
@@ -132,5 +139,34 @@ fn state_stops_growing_once_the_clock_runs_past_the_horizon() {
         one_run <= LIMIT && two_runs <= one_run,
         "{one_run} B live after {MESSAGES} messages, {two_runs} B after twice as many \
          (limit {LIMIT}; the count-bound store holds 50,000 B)"
+    );
+}
+
+/// A node with tree links only: every receipt is pushed on and announced to
+/// nobody, so none of the 740 payloads of 8 KiB stays. What is left is the
+/// id store: the 72 B per message of the simulator's `()` payload, plus the
+/// 16 bytes an 8-byte payload handle widens each of the map's 1,024 slots by
+/// (a `u128`-keyed slot grows in steps of 16). One kept payload would be
+/// 8,192 B more.
+#[test]
+fn payloads_announced_to_nobody_are_not_kept() {
+    type Page = std::rc::Rc<[u8; 8 * 1024]>;
+    let before = live();
+    let mut state: PlumtreeState<u32, Page> = PlumtreeState::new(0, wan_config());
+    state.sync_neighbors(&[1, 2, 3, 4, 5]);
+    for id in 0..MESSAGES {
+        let mut out = PlumtreeOut::new();
+        let payload = Page::new([0; 8 * 1024]);
+        state.handle_message(1, PlumtreeMessage::Gossip { id, round: 3, payload }, &mut out);
+        assert_eq!(out.deliveries.len(), 1);
+    }
+    let owned = live() - before;
+
+    assert_eq!((state.cached_len(), state.held_payloads()), (MESSAGES as usize, 0));
+    let per_message = owned as f64 / MESSAGES as f64;
+    let limit = 72.0 + 16.0 * 1024.0 / MESSAGES as f64;
+    assert!(
+        per_message <= limit,
+        "{owned} B live for {MESSAGES} messages = {per_message:.1} B each (limit {limit:.1})"
     );
 }

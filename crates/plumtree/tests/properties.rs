@@ -5,7 +5,9 @@
 //! * no announcement goes to a peer known to hold the id, and every other
 //!   lazy peer gets exactly one;
 //! * a full in-memory overlay delivers every broadcast to every node (the
-//!   tree spans the network), with and without pruning warm-up.
+//!   tree spans the network), with and without pruning warm-up;
+//! * under drops, duplicates and reordering, a node answers every `Graft`
+//!   of an id it announced to the grafting peer while it remembers the id.
 
 use hyparview_plumtree::{
     Announcement, MsgId, PlumtreeConfig, PlumtreeMessage, PlumtreeOut, PlumtreeState, PlumtreeTimer,
@@ -276,4 +278,145 @@ proptest! {
         prop_assert_eq!(announced.len(), owed.len());
         prop_assert_eq!(node.stats().ihave_sent, owed.len() as u64);
     }
+}
+
+/// SplitMix64: a seeded stream with no dev-dependency on `rand`.
+struct Stream(u64);
+
+impl Stream {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    }
+}
+
+/// What one seeded schedule exercised.
+#[derive(Default)]
+struct GraftTally {
+    /// `Graft`s for a remembered id from a peer the node had announced it to.
+    checked: usize,
+    /// Steps after which some remembered id held no payload.
+    released: usize,
+}
+
+/// One schedule on a 3 to 6 node overlay (a ring plus seeded chords), with
+/// lazy batching and tree optimization on: broadcasts from random origins,
+/// frames delivered in random order, each dropped or duplicated with a
+/// seeded chance, timers fired at random. Every `Graft { id: Some(id) }` a
+/// node gets from a peer it announced `id` to, while `id` is in its store,
+/// must be answered with the payload.
+fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
+    let mut rng = Stream(seed);
+    let n = 3 + rng.below(4) as usize;
+    let mut adjacency = vec![Vec::new(); n];
+    for v in 0..n {
+        let mut link = |a: usize, b: usize| {
+            if a != b && !adjacency[a].contains(&(b as u32)) {
+                adjacency[a].push(b as u32);
+                adjacency[b].push(a as u32);
+            }
+        };
+        link(v, (v + 1) % n);
+        if rng.below(2) == 0 {
+            link(v, rng.below(n as u64) as usize);
+        }
+    }
+    let config = PlumtreeConfig::default()
+        .with_lazy_flush_interval(1 + rng.below(3))
+        .with_optimization_threshold(Some(1 + rng.below(3) as u32));
+    let mut nodes: Vec<PlumtreeState<u32, u64>> = (0..n)
+        .map(|v| {
+            let mut node = PlumtreeState::new(v as u32, config.clone());
+            node.sync_neighbors(&adjacency[v]);
+            node
+        })
+        .collect();
+    // (node, peer, id): `node` sent `peer` an announcement of `id`.
+    let mut announced: HashSet<(u32, u32, MsgId)> = HashSet::new();
+    let mut wire: Vec<(u32, u32, PlumtreeMessage<u64>)> = Vec::new();
+    let mut timers: Vec<(u32, PlumtreeTimer)> = Vec::new();
+    let mut tally = GraftTally::default();
+    let (mut next_id, mut steps) = (0u64, 0);
+    while steps < 400 || !wire.is_empty() || !timers.is_empty() {
+        steps += 1;
+        let mut out = PlumtreeOut::new();
+        let node = match rng.below(10) {
+            0 if steps < 400 => {
+                let origin = rng.below(n as u64) as u32;
+                nodes[origin as usize].broadcast(next_id.into(), next_id, &mut out);
+                next_id += 1;
+                origin
+            }
+            1 | 2 if !timers.is_empty() => {
+                let (node, timer) = timers.swap_remove(rng.below(timers.len() as u64) as usize);
+                nodes[node as usize].on_timer(timer, &mut out);
+                node
+            }
+            _ if !wire.is_empty() => {
+                let at = rng.below(wire.len() as u64) as usize;
+                let (from, to, message) = match rng.below(10) {
+                    0 => {
+                        wire.swap_remove(at);
+                        continue;
+                    }
+                    1 => wire[at].clone(),
+                    _ => wire.swap_remove(at),
+                };
+                let asked = match message {
+                    PlumtreeMessage::Graft { id: Some(id), .. }
+                        if announced.contains(&(to, from, id))
+                            && nodes[to as usize].has_seen(id) =>
+                    {
+                        Some(id)
+                    }
+                    _ => None,
+                };
+                nodes[to as usize].handle_message(from, message, &mut out);
+                if let Some(id) = asked {
+                    let answered = out.outbox.as_slice().iter().any(|(peer, reply)| {
+                        *peer == from && matches!(reply, PlumtreeMessage::Gossip { id: got, .. } if *got == id)
+                    });
+                    assert!(
+                        answered,
+                        "seed {seed}: node {to} left {from}'s graft of {id} unanswered"
+                    );
+                    tally.checked += 1;
+                }
+                to
+            }
+            _ => continue,
+        };
+        for (to, message) in out.outbox.drain() {
+            let ids: Vec<MsgId> = match &message {
+                PlumtreeMessage::IHave { id, .. } => vec![*id],
+                other => other.announcements().iter().map(|ann| ann.id).collect(),
+            };
+            for id in ids {
+                announced.insert((node, to, id));
+            }
+            wire.push((node, to, message));
+        }
+        timers.extend(out.timers.iter().map(|request| (node, request.timer)));
+        tally.released +=
+            usize::from(nodes.iter().any(|node| node.held_payloads() < node.cached_len()));
+    }
+    tally
+}
+
+/// The sweep behind [`grafts_of_announced_ids_are_answered`]: a payload is
+/// released only when no peer was announced the id, so no in-protocol
+/// `Graft` ever finds it gone.
+#[test]
+fn a_graft_for_an_announced_id_is_answered_under_drops_duplicates_and_reordering() {
+    let mut total = GraftTally::default();
+    for seed in 0..200 {
+        let tally = grafts_of_announced_ids_are_answered(seed);
+        total.checked += tally.checked;
+        total.released += tally.released;
+    }
+    assert!(total.checked > 1_000, "the schedules must graft announced ids: {}", total.checked);
+    assert!(total.released > 10_000, "and release payloads: {}", total.released);
 }
