@@ -12,9 +12,11 @@
 //!
 //! * `Io` owns the fd table: a slab of `Slot`s (listener or connection
 //!   state machine) keyed by slab index, registered with the shared
-//!   [`Poller`]. Connections are nonblocking with per-connection
-//!   [`FrameReader`]s (partial-frame resumption) and bounded outbound
-//!   queues (`VecDeque<Bytes>` + partial-write cursor).
+//!   [`Poller`]. Connections are nonblocking. Frames decode straight out
+//!   of the reactor's one read buffer; a connection's [`FrameReader`]
+//!   holds bytes only for a frame a read cut in two, reserved for exactly
+//!   that frame. Outbound queues are bounded (`VecDeque<Bytes>` +
+//!   partial-write cursor).
 //! * `Reactor` owns the nodes: each a sans-runtime `LiveNode` plus its
 //!   listener key, driven through a `ReactorCtx` frame sink. A single
 //!   timer heap carries both
@@ -47,7 +49,9 @@ use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Read buffer size per readiness event (shared scratch, not per-conn).
+/// Size of the one read buffer every connection reads into. Frames are
+/// decoded where they land in it, so its size bounds the bytes one `read`
+/// returns and nothing a connection keeps.
 const READ_BUF: usize = 16 * 1024;
 
 /// A shared reactor runtime hosting any number of nodes on one thread.
@@ -232,7 +236,7 @@ struct Conn {
     /// The peer announced a graceful close (`DISCONNECT` frame): treat the
     /// following EOF as cleanup, not as a peer failure.
     goodbye: bool,
-    /// Incremental frame decoder (partial-frame resumption across reads).
+    /// The frame a read cut in two, if any (resumed by the next read).
     reader: FrameReader,
     /// Outbound frame queue; `front_pos` is the partial-write cursor into
     /// the front element.
@@ -248,7 +252,8 @@ enum ReadOutcome {
     Open,
     /// Orderly EOF or fatal read/decode error.
     Broken,
-    /// Frames before `Hello`: protocol violation, close silently.
+    /// A frame before an inbound connection's `Hello`, or a `Hello` once
+    /// the peer is known: protocol violation, close silently.
     Violation,
 }
 
@@ -468,9 +473,9 @@ impl Io {
         }
     }
 
-    /// Drains the socket and decodes complete frames, tagging each with the
-    /// connection's identity as of that point in the stream (`Hello`
-    /// updates it mid-buffer).
+    /// Drains the socket and decodes complete frames straight out of `buf`,
+    /// tagging each with the connection's peer. Only an inbound
+    /// connection's first frame, its `Hello`, names the peer.
     fn read_conn(
         &mut self,
         key: usize,
@@ -482,10 +487,15 @@ impl Io {
             match conn.stream.read(buf) {
                 Ok(0) => return ReadOutcome::Broken, // EOF: peer closed or crashed
                 Ok(n) => {
-                    conn.reader.extend(&buf[..n]);
+                    let mut input = &buf[..n];
                     loop {
-                        match conn.reader.next_frame() {
-                            Ok(Some(Frame::Hello { sender })) => conn.peer = Some(sender),
+                        match conn.reader.next_frame_from(&mut input) {
+                            Ok(Some(Frame::Hello { sender })) if conn.peer.is_none() => {
+                                conn.peer = Some(sender)
+                            }
+                            // Renaming a known peer would strand its
+                            // outbound-index entry.
+                            Ok(Some(Frame::Hello { .. })) => return ReadOutcome::Violation,
                             Ok(Some(frame)) => match conn.peer {
                                 Some(from) => {
                                     // A DISCONNECT announces a graceful
@@ -893,8 +903,9 @@ impl Reactor {
         match outcome {
             ReadOutcome::Open => {}
             ReadOutcome::Broken => self.fail_conn(key),
-            // Data before Hello: drop the connection without a failure
-            // report (we never learned who it was).
+            // Data before Hello, or a second Hello: drop the connection
+            // without a failure report. An outbound peer stays in the
+            // view, and the next send to it opens a fresh connection.
             ReadOutcome::Violation => self.io.close(key),
         }
     }

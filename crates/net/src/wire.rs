@@ -446,7 +446,20 @@ pub fn decode(mut payload: Bytes) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
-/// Incremental frame reader: feed bytes, pull complete frames.
+/// Incremental frame reader: decodes frames where the bytes of a read
+/// already are, and keeps only a frame the read cut in two.
+///
+/// [`next_frame_from`](FrameReader::next_frame_from) is the one decode
+/// step. It takes a frame's length prefix inline, then its body into a
+/// `Vec` reserved for exactly the declared length once the prefix is
+/// whole (after the [`MAX_FRAME_LEN`] check, so a refused frame reserves
+/// nothing), and the completed `Vec` becomes the frame's [`Bytes`]
+/// without a further copy. A frame that lies whole in the input is thus
+/// copied once and leaves the reader holding no buffer; only a frame the
+/// input ends inside stays, at exactly its size. An idle connection
+/// costs nothing. [`extend`](FrameReader::extend) and
+/// [`next_frame`](FrameReader::next_frame) run the same step over bytes
+/// the reader keeps, for a caller that cannot lend its buffer.
 ///
 /// # Examples
 ///
@@ -456,15 +469,27 @@ pub fn decode(mut payload: Bytes) -> Result<Frame, WireError> {
 /// let frame = Frame::Hello { sender: "127.0.0.1:4000".parse().unwrap() };
 /// let bytes = encode(&frame);
 /// let mut reader = FrameReader::new();
-/// reader.extend(&bytes[..3]); // partial delivery
-/// assert!(reader.next_frame().unwrap().is_none());
-/// reader.extend(&bytes[3..]);
+/// let mut read = &bytes[..3]; // partial delivery
+/// assert!(reader.next_frame_from(&mut read).unwrap().is_none());
+/// let mut read = &bytes[3..];
+/// assert_eq!(reader.next_frame_from(&mut read).unwrap(), Some(frame.clone()));
+/// assert!(read.is_empty());
+///
+/// reader.extend(&bytes); // the same, on bytes the reader keeps
 /// assert_eq!(reader.next_frame().unwrap(), Some(frame));
+/// assert_eq!(reader.capacity(), 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buf: Vec<u8>,
-    /// Start of the unread bytes in `buf`; 0 whenever nothing is unread.
+    /// Length prefix of the frame in progress, `head_len` bytes of it.
+    head: [u8; PREFIX_LEN],
+    head_len: usize,
+    /// Its body so far, reserved for the declared length once the prefix
+    /// is whole; unallocated between frames.
+    body: Vec<u8>,
+    /// Bytes [`extend`](FrameReader::extend) handed over that `next_frame`
+    /// has not taken yet, from `pos` on; unallocated once taken.
+    owned: Vec<u8>,
     pos: usize,
 }
 
@@ -474,57 +499,78 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Appends raw bytes received from the socket.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            // The tail of a partial frame: move it to the front, so the
-            // buffer holds at most one partial frame plus one read.
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        // Exact growth: a connection keeps this buffer for life, and
-        // doubling would round every burst's high-water mark up.
-        self.buf.reserve_exact(bytes.len());
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extracts the next complete frame, if any.
+    /// Takes the next complete frame out of `input`, completing a frame an
+    /// earlier input cut first, and advances `input` past what it used.
+    /// `Ok(None)` means `input` is used up, its trailing partial frame
+    /// stashed.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] when the stream is corrupt; the connection
-    /// should be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let unread = &self.buf[self.pos..];
-        let Some((prefix, rest)) = unread.split_first_chunk::<PREFIX_LEN>() else {
-            return Ok(None);
-        };
-        let len = u32::from_be_bytes(*prefix) as usize;
+    /// should be dropped. An oversized length prefix is refused as soon as
+    /// its last byte arrives, and again on every later call.
+    pub fn next_frame_from(&mut self, input: &mut &[u8]) -> Result<Option<Frame>, WireError> {
+        if self.head_len < PREFIX_LEN {
+            let take = (PREFIX_LEN - self.head_len).min(input.len());
+            self.head[self.head_len..self.head_len + take].copy_from_slice(&input[..take]);
+            self.head_len += take;
+            *input = &input[take..];
+            if self.head_len < PREFIX_LEN {
+                return Ok(None);
+            }
+        }
+        let len = u32::from_be_bytes(self.head) as usize;
         if len > MAX_FRAME_LEN {
             return Err(WireError::FrameTooLarge { len });
         }
-        let Some(body) = rest.get(..len) else { return Ok(None) };
-        let body = Bytes::copy_from_slice(body);
-        self.pos += PREFIX_LEN + len;
-        if self.pos == self.buf.len() {
-            // Drained: start over at the front and keep the allocation, so
-            // that an idle connection costs its largest burst and a busy
-            // one does not allocate on every read.
-            self.buf.clear();
-            self.pos = 0;
+        self.body.reserve_exact(len - self.body.len());
+        let take = (len - self.body.len()).min(input.len());
+        self.body.extend_from_slice(&input[..take]);
+        *input = &input[take..];
+        if self.body.len() < len {
+            return Ok(None);
         }
-        decode(body).map(Some)
+        self.head_len = 0;
+        decode(Bytes::from(std::mem::take(&mut self.body))).map(Some)
     }
 
-    /// Bytes currently buffered (diagnostics).
+    /// Appends bytes for [`next_frame`](FrameReader::next_frame) to decode.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.owned.drain(..self.pos);
+        self.pos = 0;
+        self.owned.extend_from_slice(bytes);
+    }
+
+    /// [`next_frame_from`](FrameReader::next_frame_from) over the bytes
+    /// given to [`extend`](FrameReader::extend); they are released once
+    /// used up.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_frame_from`](FrameReader::next_frame_from).
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        let owned = std::mem::take(&mut self.owned);
+        let mut input = &owned[self.pos..];
+        let frame = self.next_frame_from(&mut input);
+        if input.is_empty() {
+            self.pos = 0;
+        } else {
+            self.pos = owned.len() - input.len();
+            self.owned = owned;
+        }
+        frame
+    }
+
+    /// Bytes received and not yet decoded (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.owned.len() - self.pos + self.head_len + self.body.len()
     }
 
-    /// Bytes of buffer the reader holds on to, read or not (diagnostics):
-    /// the largest backlog it ever held at once.
+    /// Bytes of buffer the reader holds on to (diagnostics): the cut
+    /// frame's declared body, plus what `extend` handed over and
+    /// `next_frame` has not used up.
     pub fn capacity(&self) -> usize {
-        self.buf.capacity()
+        self.body.capacity() + self.owned.capacity()
     }
 }
 

@@ -1,11 +1,18 @@
-//! Memory one connection's [`FrameReader`] holds on to between bursts.
+//! Memory one connection's [`FrameReader`] holds on to between reads.
 //!
 //! The live stack keeps one reader per connection, eight per node at the
 //! paper's view sizes, so whatever an idle reader retains is multiplied by
-//! sixteen thousand on the 2,000-node workload. A reader that compacts only
-//! past a threshold (the layout before the plain `Vec` + cursor: 8 KiB of
-//! already decoded frames per connection, half of `live_flood_small`'s
-//! 96 MB) must not come back unnoticed.
+//! sixteen thousand on the 2,000-node workload. The history of that cost:
+//! a reader that compacted only past a threshold kept 8 KiB of already
+//! decoded frames per connection, half of `live_flood_small`'s 96 MB; the
+//! plain `Vec` + cursor after it kept each connection's largest unread
+//! burst, some 11 MB of the next 48 MB. Frames now decode where a read put
+//! them, and a reader keeps bytes only for a frame a read cut in two,
+//! reserved for exactly that frame: an idle reader holds nothing.
+//!
+//! Each case runs the reactor's path (`next_frame_from` over a borrowed
+//! read) and the owned one (`extend` + `next_frame`), which must hold the
+//! same once a read is used up.
 
 use bytes::Bytes;
 use hyparview_net::wire::{encode, Frame, FrameReader};
@@ -21,19 +28,32 @@ fn gossip(id: u128, wire_len: usize) -> Bytes {
     encoded
 }
 
-fn drain(reader: &mut FrameReader) -> u128 {
-    let mut frames = 0;
-    while let Some(frame) = reader.next_frame().expect("own encoding decodes") {
+/// Feeds one read to both readers and returns how many frames it
+/// completed, checking that both paths decode the same frames.
+fn read(borrowed: &mut FrameReader, owned: &mut FrameReader, bytes: &[u8]) -> u128 {
+    let mut input = bytes;
+    let mut frames = Vec::new();
+    while let Some(frame) = borrowed.next_frame_from(&mut input).expect("own encoding decodes") {
         assert!(matches!(frame, Frame::Gossip { .. }));
-        frames += 1;
+        frames.push(frame);
     }
-    frames
+    assert!(input.is_empty(), "Ok(None) only once the read is used up");
+    owned.extend(bytes);
+    for frame in &frames {
+        assert_eq!(owned.next_frame().expect("own encoding decodes").as_ref(), Some(frame));
+    }
+    assert_eq!(owned.next_frame(), Ok(None));
+    for reader in [&*borrowed, &*owned] {
+        assert_eq!(reader.buffered(), borrowed.buffered());
+        assert_eq!(reader.capacity(), borrowed.capacity());
+    }
+    frames.len() as u128
 }
 
 #[test]
-fn idle_reader_keeps_its_largest_burst_not_its_history() {
-    // `live_flood_small`'s traffic: 100-byte frames, a few per read.
-    let mut reader = FrameReader::new();
+fn reader_with_no_cut_frame_holds_nothing() {
+    // `live_flood_small`'s traffic: 100-byte frames, one to five per read.
+    let (mut borrowed, mut owned) = (FrameReader::new(), FrameReader::new());
     let (mut fed, mut bursts, mut sent, mut received) = (0, 0, 0u128, 0u128);
     let mut burst = Vec::new();
     while fed < 1 << 20 {
@@ -42,40 +62,33 @@ fn idle_reader_keeps_its_largest_burst_not_its_history() {
             burst.extend_from_slice(&gossip(sent, 100));
             sent += 1;
         }
-        reader.extend(&burst);
+        received += read(&mut borrowed, &mut owned, &burst);
         fed += burst.len();
         bursts += 1;
-        received += drain(&mut reader);
-        assert_eq!(reader.buffered(), 0);
+        assert_eq!(borrowed.buffered(), 0);
+        assert_eq!(borrowed.capacity(), 0, "an idle reader holds no buffer");
     }
     assert_eq!(received, sent);
-    assert!(
-        reader.capacity() <= 2048,
-        "an idle reader holds {} B after bursts of at most 500 B",
-        reader.capacity()
-    );
 }
 
 #[test]
-fn reader_holds_at_most_one_read_plus_one_frame() {
+fn a_cut_frame_is_held_at_exactly_its_size() {
     // `live_plumtree_large`'s traffic: 8 KiB payloads arriving in the
     // reactor's 16 KiB reads, so most reads end inside a frame.
     const READ: usize = 16 * 1024;
     const FRAME: usize = 8 * 1024 + GOSSIP_OVERHEAD;
     let stream: Vec<u8> = (0..64).flat_map(|id| gossip(id, FRAME).to_vec()).collect();
-    let mut reader = FrameReader::new();
-    let mut received = 0;
+    let (mut borrowed, mut owned) = (FrameReader::new(), FrameReader::new());
+    let (mut received, mut offset) = (0, 0);
     for slice in stream.chunks(READ) {
-        reader.extend(slice);
-        received += drain(&mut reader);
-        assert!(reader.buffered() < FRAME, "only a partial frame stays unread");
+        received += read(&mut borrowed, &mut owned, slice);
+        offset += slice.len();
+        let cut = offset % FRAME;
+        assert_eq!(borrowed.buffered(), cut, "only the cut frame's bytes stay");
+        let held = if cut >= 4 { FRAME - 4 } else { 0 };
+        assert_eq!(borrowed.capacity(), held, "the stash is the cut frame's body, {cut} B in");
     }
     assert_eq!(received, 64);
-    assert_eq!(reader.buffered(), 0);
-    assert!(
-        reader.capacity() <= READ + FRAME,
-        "the reader holds {} B; one read plus one frame is {} B",
-        reader.capacity(),
-        READ + FRAME
-    );
+    assert_eq!(borrowed.buffered(), 0);
+    assert_eq!(borrowed.capacity(), 0);
 }

@@ -2,10 +2,11 @@
 //! and protocol violations on raw connections, exact delivery sets on a
 //! small overlay, and many nodes sharing one reactor thread.
 
+use bytes::Bytes;
 use hyparview_core::Message;
-use hyparview_net::wire::{encode, Frame};
+use hyparview_net::wire::{decode, encode, Frame};
 use hyparview_net::{Cluster, NetConfig, Node};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -124,6 +125,66 @@ fn pre_hello_garbage_is_dropped_on_reactor() {
         wait_until(Duration::from_secs(5), || node.active_view().contains(&peer.addr())),
         "node wedged by garbage connection"
     );
+}
+
+/// Reads one length-prefixed frame off a blocking raw connection; `None`
+/// at EOF.
+fn read_frame(stream: &mut TcpStream) -> Option<Frame> {
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix).ok()?;
+    let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+    stream.read_exact(&mut body).ok()?;
+    Some(decode(Bytes::from(body)).expect("the node sends well-formed frames"))
+}
+
+/// Accepts one connection within `timeout`.
+fn accept_within(listener: &TcpListener, timeout: Duration) -> Option<TcpStream> {
+    listener.set_nonblocking(true).unwrap();
+    let mut accepted = None;
+    wait_until(timeout, || {
+        accepted = listener.accept().ok().map(|(stream, _)| stream);
+        accepted.is_some()
+    });
+    let stream = accepted?;
+    stream.set_nonblocking(false).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    Some(stream)
+}
+
+/// A `Hello` on a connection whose peer is known is a protocol violation.
+/// Answering a node's outbound connection with `Hello { other }` used to
+/// rename that connection, so closing it missed its outbound-index entry
+/// and later sends to the real peer went to whatever reused the slot.
+/// Now the node drops the connection, and its next frame to the peer comes
+/// on a fresh one that opens with the node's own `Hello`.
+#[test]
+fn hello_on_an_outbound_connection_gets_a_fresh_connection() {
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config()).unwrap();
+    let fake_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake: SocketAddr = fake_listener.local_addr().unwrap();
+    let other: SocketAddr = "127.0.0.1:9".parse().unwrap();
+
+    // `fake` joins; kept open, this connection keeps it in the view, and
+    // the node's shuffles then go to it on a connection of the node's own.
+    let mut join = TcpStream::connect(node.addr()).unwrap();
+    join.write_all(&encode(&Frame::Hello { sender: fake })).unwrap();
+    join.write_all(&encode(&Frame::Membership(Message::Join))).unwrap();
+
+    let mut first = accept_within(&fake_listener, Duration::from_secs(5)).expect("no connection");
+    assert_eq!(read_frame(&mut first), Some(Frame::Hello { sender: node.addr() }));
+    first.write_all(&encode(&Frame::Hello { sender: other })).unwrap();
+    // The node closes the connection (after what it had already queued).
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while read_frame(&mut first).is_some() {
+        assert!(Instant::now() < deadline, "the renamed connection is still in use");
+    }
+
+    let mut second =
+        accept_within(&fake_listener, Duration::from_secs(5)).expect("no fresh connection");
+    assert_eq!(read_frame(&mut second), Some(Frame::Hello { sender: node.addr() }));
+    assert!(read_frame(&mut second).is_some(), "the next frame to the peer comes here");
+    assert!(node.active_view().contains(&fake), "a silent close keeps the peer");
+    drop(join);
 }
 
 /// The smoke scenario (5 nodes, 10 round-robin broadcasts) is 100%

@@ -1,5 +1,6 @@
 //! Property-based tests of the wire codec: round-trips for arbitrary
-//! messages, arbitrary fragmentation, and no panics on arbitrary garbage.
+//! messages, arbitrary fragmentation, no panics on arbitrary garbage, and
+//! hostile streams cut at random read boundaries.
 
 use bytes::{Buf, Bytes};
 use hyparview_core::{Message, Priority};
@@ -144,6 +145,207 @@ fn largest_frame_is_accepted_and_one_byte_more_refused() {
     assert_eq!(reader.next_frame(), Err(WireError::FrameTooLarge { len: MAX_FRAME_LEN + 1 }));
 }
 
+/// One structure-aware corruption of a well-formed frame stream. `at`
+/// picks a frame modulo the frame count.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Intact,
+    /// The stream ends after `keep` bytes (modulo its length + 1): EOF
+    /// anywhere, mid-frame included.
+    Truncate {
+        keep: usize,
+    },
+    /// Frame `at` declares a body above `MAX_FRAME_LEN`.
+    OversizedPrefix {
+        at: usize,
+        len: u32,
+    },
+    /// Frame `at` carries a tag no frame has.
+    WrongTag {
+        at: usize,
+        tag: u8,
+    },
+    /// Inserted before frame `at`: a `Shuffle` (`ShuffleReply` when
+    /// `reply`) declaring `count` addresses and carrying `carried`.
+    HugeAddrList {
+        at: usize,
+        reply: bool,
+        count: u16,
+        carried: usize,
+    },
+    /// Inserted before frame `at`: an `IHaveBatch` declaring `count`
+    /// announcements and carrying `carried`.
+    HugeIHaveBatch {
+        at: usize,
+        count: u16,
+        carried: usize,
+    },
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        Just(Mutation::Intact),
+        any::<usize>().prop_map(|keep| Mutation::Truncate { keep }),
+        (any::<usize>(), (MAX_FRAME_LEN as u32 + 1)..=u32::MAX)
+            .prop_map(|(at, len)| Mutation::OversizedPrefix { at, len }),
+        (any::<usize>(), 15u8..=255).prop_map(|(at, tag)| Mutation::WrongTag { at, tag }),
+        (any::<usize>(), any::<bool>(), 64u16..=u16::MAX, 0usize..8).prop_map(
+            |(at, reply, count, carried)| Mutation::HugeAddrList { at, reply, count, carried }
+        ),
+        (any::<usize>(), 64u16..=u16::MAX, 0usize..8)
+            .prop_map(|(at, count, carried)| Mutation::HugeIHaveBatch { at, count, carried }),
+    ]
+}
+
+/// `frames` encoded back to back, with `mutation` applied.
+fn mutate(frames: &[Frame], mutation: &Mutation) -> Vec<u8> {
+    fn prefixed(body: Vec<u8>) -> Vec<u8> {
+        [(body.len() as u32).to_be_bytes().to_vec(), body].concat()
+    }
+    const V4_ADDR: [u8; 7] = [4, 10, 0, 0, 1, 0x1F, 0x90];
+    let mut encoded: Vec<Vec<u8>> = frames.iter().map(|f| encode(f).to_vec()).collect();
+    let n = encoded.len();
+    match *mutation {
+        Mutation::Intact | Mutation::Truncate { .. } => {}
+        Mutation::OversizedPrefix { at, len } => {
+            encoded[at % n][..4].copy_from_slice(&len.to_be_bytes())
+        }
+        Mutation::WrongTag { at, tag } => encoded[at % n][4] = tag,
+        Mutation::HugeAddrList { at, reply, count, carried } => {
+            let mut body = vec![if reply { 8 } else { 7 }];
+            if !reply {
+                body.extend_from_slice(&V4_ADDR); // origin
+                body.push(6); // ttl
+            }
+            body.extend_from_slice(&count.to_be_bytes());
+            body.extend(V4_ADDR.repeat(carried));
+            encoded.insert(at % (n + 1), prefixed(body));
+        }
+        Mutation::HugeIHaveBatch { at, count, carried } => {
+            let mut body = vec![14];
+            body.extend_from_slice(&count.to_be_bytes());
+            body.extend(std::iter::repeat_n(7, carried * (16 + 4)));
+            encoded.insert(at % (n + 1), prefixed(body));
+        }
+    }
+    let mut stream = encoded.concat();
+    if let Mutation::Truncate { keep } = *mutation {
+        stream.truncate(keep % (stream.len() + 1));
+    }
+    stream
+}
+
+/// A whole stream decoded at once: `decode` over each body its length
+/// prefixes delimit.
+struct OneShot {
+    /// The frames before the first error.
+    frames: Vec<Frame>,
+    /// The first error, and the stream offset from which a reader has the
+    /// bytes to see it: the end of an oversized prefix, else the frame's.
+    error: Option<(WireError, usize)>,
+    /// Where each frame up to the error starts, a trailing partial one
+    /// included.
+    starts: Vec<usize>,
+}
+
+fn one_shot(stream: &[u8]) -> OneShot {
+    let mut out = OneShot { frames: Vec::new(), error: None, starts: Vec::new() };
+    let mut pos = 0;
+    while pos < stream.len() {
+        out.starts.push(pos);
+        let Some(prefix) = stream.get(pos..pos + 4) else { break };
+        let len = u32::from_be_bytes(prefix.try_into().unwrap()) as usize;
+        if len > MAX_FRAME_LEN {
+            out.error = Some((WireError::FrameTooLarge { len }, pos + 4));
+            break;
+        }
+        let Some(body) = stream.get(pos + 4..pos + 4 + len) else { break };
+        pos += 4 + len;
+        match decode(Bytes::copy_from_slice(body)) {
+            Ok(frame) => out.frames.push(frame),
+            Err(error) => {
+                out.error = Some((error, pos));
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// What a reader must hold once it has taken in `stream[..offset]` without
+/// an error: the bytes of the frame `offset` cuts, and its declared body
+/// once its prefix is whole.
+fn cut_at(stream: &[u8], starts: &[usize], offset: usize) -> (usize, usize) {
+    let Some(&start) = starts.iter().rev().find(|&&s| s <= offset) else { return (0, 0) };
+    let arrived = offset - start;
+    if arrived < 4 {
+        return (arrived, 0);
+    }
+    let len = u32::from_be_bytes(stream[start..start + 4].try_into().unwrap()) as usize;
+    if arrived >= 4 + len {
+        (0, 0)
+    } else {
+        (arrived, len)
+    }
+}
+
+/// Feeds `stream` in reads of the sizes `reads` cycles through, to the
+/// reactor's path (`next_frame_from` over each read) and to the owned one
+/// (`extend` + `next_frame`). Nothing may panic; both paths must return the
+/// same thing at every step; the frames before the first error, and the
+/// error, must be a one-shot decode's; the error must come in the read
+/// that completes its evidence, `FrameTooLarge` with nothing reserved; and
+/// between reads the reader must hold exactly the frame the read cut, at
+/// its declared size, also when the stream ends there (EOF mid-frame).
+fn check_hostile_stream(stream: &[u8], reads: &[usize]) {
+    let reference = one_shot(stream);
+    let (mut borrowed, mut owned) = (FrameReader::new(), FrameReader::new());
+    let mut frames = Vec::new();
+    let mut reads = reads.iter().cycle();
+    let mut offset = 0;
+    while offset < stream.len() {
+        let start = offset;
+        offset = (offset + reads.next().unwrap()).min(stream.len());
+        let mut input = &stream[start..offset];
+        owned.extend(input);
+        let outcome = loop {
+            let result = borrowed.next_frame_from(&mut input);
+            assert_eq!(
+                owned.next_frame(),
+                result,
+                "the owned path disagrees, read {start}..{offset}"
+            );
+            match result {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => break None,
+                Err(error) => break Some(error),
+            }
+        };
+        let Some(error) = outcome else {
+            assert!(input.is_empty(), "Ok(None) leaves nothing of the read");
+            let (buffered, held) = cut_at(stream, &reference.starts, offset);
+            for reader in [&borrowed, &owned] {
+                assert_eq!(reader.buffered(), buffered, "after byte {offset}");
+                assert_eq!(reader.capacity(), held, "the stash after byte {offset}");
+            }
+            continue;
+        };
+        let (expected, seen_at) = reference.error.clone().expect("the one-shot decode fails too");
+        assert_eq!(error, expected);
+        assert!(
+            start < seen_at && seen_at <= offset,
+            "{error:?} at {seen_at}, read {start}..{offset}"
+        );
+        if matches!(error, WireError::FrameTooLarge { .. }) {
+            assert_eq!(borrowed.capacity(), 0, "a refused frame reserves nothing");
+        }
+        assert_eq!(frames, reference.frames);
+        return;
+    }
+    assert_eq!(reference.error, None);
+    assert_eq!(frames, reference.frames);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -268,6 +470,18 @@ proptest! {
                 Ok(None) | Err(_) => break,
             }
         }
+    }
+
+    /// A hostile stream, cut at random read boundaries, through the
+    /// reactor's path and the owned one: see [`check_hostile_stream`].
+    #[test]
+    fn hostile_streams_fail_where_a_one_shot_decode_does(
+        frames in proptest::collection::vec(arb_frame(), 1..8),
+        mutation in arb_mutation(),
+        // Tiny reads too, so that prefixes are cut as often as bodies.
+        reads in proptest::collection::vec(prop_oneof![1usize..6, 1usize..700], 1..16),
+    ) {
+        check_hostile_stream(&mutate(&frames, &mutation), &reads);
     }
 
     /// A truncated valid frame never decodes successfully to a *different*
