@@ -1,26 +1,40 @@
 //! Configuration of the baseline protocols, defaulting to the values of the
 //! paper's experimental setting (§5.1).
 
+/// Entries exchanged per Cyclon shuffle (paper: 14).
+pub(crate) const CYCLON_SHUFFLE_LEN: usize = 14;
+
+/// TTL of Cyclon's join random walks (paper: 5). The introducer starts one
+/// walk per view slot, so a joiner can fill its view.
+pub(crate) const CYCLON_JOIN_WALK_TTL: u8 = 5;
+
+/// Scamp's fault-tolerance parameter `c`: extra subscription copies the
+/// contact node forwards (paper: 4).
+pub(crate) const SCAMP_C: usize = 4;
+
+/// Hops a forwarded Scamp subscription travels before it is force-kept;
+/// prevents endless forwarding in pathological topologies.
+pub(crate) const SCAMP_MAX_FORWARD_HOPS: u32 = 64;
+
+/// Cycles without any heartbeat before a Scamp node considers itself
+/// isolated and re-subscribes.
+pub(crate) const SCAMP_ISOLATION_THRESHOLD: u32 = 5;
+
 /// Cyclon configuration.
 ///
 /// Paper values: partial view of 35 entries (the sum of HyParView's active
-/// and passive view sizes), shuffle length 14, join random-walk TTL 5.
+/// and passive view sizes), shuffle length 14, join random-walk TTL 5,
+/// one join walk per view slot. Only the view size is configurable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CyclonConfig {
-    /// Fixed partial view size (paper: 35).
+    /// Fixed partial view size (paper: 35), and the number of join walks
+    /// the introducer starts.
     pub view_capacity: usize,
-    /// Number of entries exchanged per shuffle (paper: 14).
-    pub shuffle_len: usize,
-    /// TTL of join random walks (paper: 5).
-    pub join_walk_ttl: u8,
-    /// Number of join walks started by the introducer — one per view slot
-    /// so a joiner can fill its view (defaults to `view_capacity`).
-    pub join_walks: usize,
 }
 
 impl Default for CyclonConfig {
     fn default() -> Self {
-        CyclonConfig { view_capacity: 35, shuffle_len: 14, join_walk_ttl: 5, join_walks: 35 }
+        CyclonConfig { view_capacity: 35 }
     }
 }
 
@@ -30,53 +44,25 @@ impl CyclonConfig {
         Self::default()
     }
 
-    /// Sets the view capacity, keeping `join_walks` in sync.
+    /// Sets the view capacity (and with it the number of join walks).
     pub fn with_view_capacity(mut self, capacity: usize) -> Self {
         self.view_capacity = capacity;
-        self.join_walks = capacity;
-        self
-    }
-
-    /// Sets the shuffle exchange length.
-    pub fn with_shuffle_len(mut self, len: usize) -> Self {
-        self.shuffle_len = len;
-        self
-    }
-
-    /// Sets the join random-walk TTL.
-    pub fn with_join_walk_ttl(mut self, ttl: u8) -> Self {
-        self.join_walk_ttl = ttl;
-        self
-    }
-
-    /// Sets the number of join walks explicitly.
-    pub fn with_join_walks(mut self, walks: usize) -> Self {
-        self.join_walks = walks;
         self
     }
 }
 
 /// Scamp configuration.
 ///
-/// Paper value: `c = 4`, which at n = 10,000 produces partial views
-/// distributed around 34 entries — "as near as we could be from the value
-/// used in other protocols".
+/// Paper value: `c = 4` (a constant here), which at n = 10,000 produces
+/// partial views distributed around 34 entries — "as near as we could be
+/// from the value used in other protocols".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScampConfig {
-    /// Fault-tolerance parameter `c`: number of extra subscription copies
-    /// the contact node forwards (paper: 4).
-    pub c: usize,
-    /// Hop budget for a forwarded subscription before it is force-kept;
-    /// prevents endless forwarding in pathological topologies.
-    pub max_forward_hops: u32,
     /// Number of cycles after which a node re-subscribes (the lease
     /// mechanism). `None` disables leases — the paper notes the lease time
     /// "is typically high to preserve stability", so experiments that only
     /// span a few cycles run without it.
     pub lease_cycles: Option<u32>,
-    /// Cycles without receiving any heartbeat before a node considers
-    /// itself isolated and re-subscribes.
-    pub isolation_threshold: u32,
     /// Whether heartbeats are sent each cycle (they are cheap but dominate
     /// message counts in large simulations; disable when not needed).
     pub heartbeats: bool,
@@ -84,13 +70,7 @@ pub struct ScampConfig {
 
 impl Default for ScampConfig {
     fn default() -> Self {
-        ScampConfig {
-            c: 4,
-            max_forward_hops: 64,
-            lease_cycles: None,
-            isolation_threshold: 5,
-            heartbeats: true,
-        }
+        ScampConfig { lease_cycles: None, heartbeats: true }
     }
 }
 
@@ -100,21 +80,9 @@ impl ScampConfig {
         Self::default()
     }
 
-    /// Sets the fault-tolerance parameter `c`.
-    pub fn with_c(mut self, c: usize) -> Self {
-        self.c = c;
-        self
-    }
-
     /// Sets the lease length in cycles (`None` disables re-subscription).
     pub fn with_lease_cycles(mut self, cycles: Option<u32>) -> Self {
         self.lease_cycles = cycles;
-        self
-    }
-
-    /// Sets the isolation threshold in cycles.
-    pub fn with_isolation_threshold(mut self, cycles: u32) -> Self {
-        self.isolation_threshold = cycles;
         self
     }
 
@@ -128,43 +96,45 @@ impl ScampConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cyclon::{Cyclon, CyclonMessage};
+    use hyparview_gossip::{Membership, Outbox};
+
+    /// Join walks one fresh Cyclon node starts through `contact` 0.
+    fn join_walks(config: CyclonConfig) -> usize {
+        let mut node = Cyclon::new(1u32, config, 7);
+        let mut out = Outbox::new();
+        node.join(0, &mut out);
+        out.drain().filter(|(_, m)| matches!(m, CyclonMessage::JoinWalk { .. })).count()
+    }
 
     #[test]
     fn cyclon_defaults_match_paper() {
         let c = CyclonConfig::default();
         assert_eq!(c.view_capacity, 35);
-        assert_eq!(c.shuffle_len, 14);
-        assert_eq!(c.join_walk_ttl, 5);
-        assert_eq!(c.join_walks, 35);
+        assert_eq!(CYCLON_SHUFFLE_LEN, 14);
+        assert_eq!(CYCLON_JOIN_WALK_TTL, 5);
+        assert_eq!(join_walks(c), 35, "one join walk per view slot");
     }
 
     #[test]
     fn cyclon_with_view_capacity_syncs_walks() {
         let c = CyclonConfig::default().with_view_capacity(10);
         assert_eq!(c.view_capacity, 10);
-        assert_eq!(c.join_walks, 10);
-        let c = c.with_join_walks(3);
-        assert_eq!(c.join_walks, 3);
+        assert_eq!(join_walks(c), 10);
     }
 
     #[test]
     fn scamp_defaults_match_paper() {
         let s = ScampConfig::default();
-        assert_eq!(s.c, 4);
+        assert_eq!(SCAMP_C, 4);
         assert_eq!(s.lease_cycles, None);
         assert!(s.heartbeats);
     }
 
     #[test]
     fn scamp_builders_apply() {
-        let s = ScampConfig::default()
-            .with_c(2)
-            .with_lease_cycles(Some(100))
-            .with_isolation_threshold(3)
-            .with_heartbeats(false);
-        assert_eq!(s.c, 2);
+        let s = ScampConfig::default().with_lease_cycles(Some(100)).with_heartbeats(false);
         assert_eq!(s.lease_cycles, Some(100));
-        assert_eq!(s.isolation_threshold, 3);
         assert!(!s.heartbeats);
     }
 }

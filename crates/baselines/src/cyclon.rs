@@ -11,8 +11,7 @@
 //! The paper's configuration (§5.1): view size 35, shuffle length 14, join
 //! random-walk TTL 5.
 
-use crate::config::CyclonConfig;
-use hyparview_core::collections::RandomSet;
+use crate::config::{CyclonConfig, CYCLON_JOIN_WALK_TTL, CYCLON_SHUFFLE_LEN};
 use hyparview_core::Identity;
 use hyparview_gossip::{Membership, Outbox};
 use rand::rngs::StdRng;
@@ -124,11 +123,6 @@ impl<I: Identity> Cyclon<I> {
     /// Number of shuffles this node has initiated.
     pub fn shuffles_started(&self) -> u64 {
         self.shuffles_started
-    }
-
-    /// Crate-internal access to the RNG (CyclonAcked retry sampling).
-    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// Removes `peer` from the view (used by CyclonAcked's failure
@@ -245,11 +239,7 @@ impl<I: Identity> Membership<I> for Cyclon<I> {
         self.me
     }
 
-    fn protocol_name(&self) -> &'static str {
-        "Cyclon"
-    }
-
-    /// Join via `config.join_walk_ttl`-hop random walks started at the
+    /// Join via 5-hop random walks (the paper's TTL) started at the
     /// introducer — one walk per view slot, so a fully-joined node ends up
     /// with a full view without inflating anyone's in-degree.
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {
@@ -259,10 +249,10 @@ impl<I: Identity> Membership<I> for Cyclon<I> {
         if !self.contains(contact) && self.view.len() < self.config.view_capacity {
             self.view.push(Entry::fresh(contact));
         }
-        for _ in 0..self.config.join_walks {
+        for _ in 0..self.config.view_capacity {
             out.send(
                 contact,
-                CyclonMessage::JoinWalk { joiner: self.me, ttl: self.config.join_walk_ttl },
+                CyclonMessage::JoinWalk { joiner: self.me, ttl: CYCLON_JOIN_WALK_TTL },
             );
         }
     }
@@ -300,7 +290,7 @@ impl<I: Identity> Membership<I> for Cyclon<I> {
         // Removing the oldest entry up front is Cyclon's self-healing: if q
         // is dead and never answers, it is already gone from the view.
         self.view.retain(|e| e.id != oldest.id);
-        let mut entries = self.sample_entries(self.config.shuffle_len.saturating_sub(1), None);
+        let mut entries = self.sample_entries(CYCLON_SHUFFLE_LEN - 1, None);
         entries.insert(0, Entry::fresh(self.me));
         self.pending_sent = entries.iter().map(|e| e.id).collect();
         out.send(oldest.id, CyclonMessage::ShuffleRequest { entries });
@@ -317,17 +307,6 @@ impl<I: Identity> Membership<I> for Cyclon<I> {
     fn out_view(&self) -> Vec<I> {
         self.view_ids()
     }
-}
-
-/// Shared helper for CyclonAcked: sample a replacement gossip target.
-pub(crate) fn sample_replacement<I: Identity>(
-    view: &[Entry<I>],
-    rng: &mut StdRng,
-    exclude: &[I],
-) -> Option<I> {
-    let candidates: RandomSet<I> =
-        view.iter().map(|e| e.id).filter(|id| !exclude.contains(id)).collect();
-    candidates.choose(rng).copied()
 }
 
 #[cfg(test)]
@@ -349,7 +328,7 @@ mod tests {
         n.join(0, &mut out);
         assert!(n.view_ids().contains(&0));
         let msgs: Vec<_> = out.drain().collect();
-        assert_eq!(msgs.len(), CyclonConfig::default().join_walks);
+        assert_eq!(msgs.len(), CyclonConfig::default().view_capacity);
         for (to, m) in msgs {
             assert_eq!(to, 0);
             assert_eq!(m, CyclonMessage::JoinWalk { joiner: 1, ttl: 5 });
@@ -428,7 +407,7 @@ mod tests {
         assert!(!n.view_ids().contains(to), "shuffle target was removed from the view");
         match m {
             CyclonMessage::ShuffleRequest { entries } => {
-                assert!(entries.len() <= CyclonConfig::default().shuffle_len);
+                assert!(entries.len() <= CYCLON_SHUFFLE_LEN);
                 assert_eq!(entries[0], Entry::fresh(5), "own fresh entry heads the sample");
             }
             other => panic!("unexpected {other:?}"),
@@ -541,7 +520,6 @@ mod tests {
     fn plain_cyclon_does_not_detect_failures() {
         let n = node(5);
         assert!(!n.detects_send_failures());
-        assert_eq!(n.protocol_name(), "Cyclon");
     }
 
     #[test]

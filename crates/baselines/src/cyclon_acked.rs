@@ -8,12 +8,12 @@
 //! — the symmetric active view is needed beyond that.
 
 use crate::config::CyclonConfig;
-use crate::cyclon::{sample_replacement, Cyclon, CyclonMessage};
+use crate::cyclon::{Cyclon, CyclonMessage};
 use hyparview_core::Identity;
 use hyparview_gossip::{Membership, Outbox};
 
-/// Cyclon with acknowledged gossip: failed sends evict the dead peer from
-/// the view and the transmission is retried towards another member.
+/// Cyclon with acknowledged gossip: a failed send evicts the dead peer from
+/// the view. The transmission is not retried, as in the paper.
 ///
 /// # Examples
 ///
@@ -39,11 +39,6 @@ impl<I: Identity> CyclonAcked<I> {
     pub fn inner(&self) -> &Cyclon<I> {
         &self.inner
     }
-
-    /// Mutable access to the wrapped Cyclon instance.
-    pub fn inner_mut(&mut self) -> &mut Cyclon<I> {
-        &mut self.inner
-    }
 }
 
 impl<I: Identity> Membership<I> for CyclonAcked<I> {
@@ -51,10 +46,6 @@ impl<I: Identity> Membership<I> for CyclonAcked<I> {
 
     fn me(&self) -> I {
         self.inner.me()
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        "CyclonAcked"
     }
 
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {
@@ -89,13 +80,6 @@ impl<I: Identity> Membership<I> for CyclonAcked<I> {
         self.inner.broadcast_targets(fanout, exclude)
     }
 
-    /// Re-select a gossip target after a failed transmission, keeping the
-    /// effective fanout intact.
-    fn retry_target(&mut self, exclude: &[I]) -> Option<I> {
-        let view: Vec<_> = self.inner.view().to_vec();
-        sample_replacement(&view, self.inner.rng_mut(), exclude)
-    }
-
     fn out_view(&self) -> Vec<I> {
         self.inner.out_view()
     }
@@ -126,24 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn retry_target_avoids_excluded() {
-        let mut n = populated(5);
-        let exclude: Vec<u32> = (10..19).collect();
-        for _ in 0..16 {
-            assert_eq!(n.retry_target(&exclude), Some(19));
-        }
-        let all: Vec<u32> = (10..20).collect();
-        assert_eq!(n.retry_target(&all), None);
-    }
-
-    #[test]
     fn delegation_preserves_cyclon_behaviour() {
         let mut n = CyclonAcked::new(1u32, CyclonConfig::default(), 7);
         let mut out = Outbox::new();
         n.join(0, &mut out);
         assert!(n.out_view().contains(&0));
         assert!(!out.is_empty());
-        assert_eq!(n.protocol_name(), "CyclonAcked");
         assert_eq!(n.me(), 1);
     }
 

@@ -8,7 +8,7 @@
 //! forwarded through the overlay; a lease mechanism forces periodic
 //! re-subscription and heartbeats let isolated nodes recover.
 
-use crate::config::ScampConfig;
+use crate::config::{ScampConfig, SCAMP_C, SCAMP_ISOLATION_THRESHOLD, SCAMP_MAX_FORWARD_HOPS};
 use hyparview_core::collections::RandomSet;
 use hyparview_core::Identity;
 use hyparview_gossip::{Membership, Outbox};
@@ -25,7 +25,7 @@ pub enum ScampMessage<I> {
     ForwardedSubscription {
         /// The subscribing node.
         joiner: I,
-        /// Hops travelled so far (force-kept at `max_forward_hops`).
+        /// Hops travelled so far (force-kept at 64).
         hops: u32,
     },
     /// Notifies the receiver that the sender holds it in its `PartialView`
@@ -145,7 +145,7 @@ impl<I: Identity> Scamp<I> {
         for member in self.partial_view.to_vec() {
             out.send(member, ScampMessage::ForwardedSubscription { joiner, hops: 0 });
         }
-        for _ in 0..self.config.c {
+        for _ in 0..SCAMP_C {
             if let Some(member) = self.partial_view.choose(&mut self.rng).copied() {
                 out.send(member, ScampMessage::ForwardedSubscription { joiner, hops: 0 });
             }
@@ -161,7 +161,7 @@ impl<I: Identity> Scamp<I> {
         if joiner == self.me {
             return;
         }
-        let forced = hops >= self.config.max_forward_hops;
+        let forced = hops >= SCAMP_MAX_FORWARD_HOPS;
         let keep_probability = 1.0 / (1.0 + self.partial_view.len() as f64);
         if !self.partial_view.contains(&joiner) && (forced || self.rng.gen_bool(keep_probability)) {
             self.keep(joiner, out);
@@ -208,10 +208,6 @@ impl<I: Identity> Membership<I> for Scamp<I> {
 
     fn me(&self) -> I {
         self.me
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        "Scamp"
     }
 
     /// The joiner's `PartialView` initially contains only the contact; the
@@ -263,7 +259,7 @@ impl<I: Identity> Membership<I> for Scamp<I> {
                 out.send(member, ScampMessage::Heartbeat);
             }
             self.cycles_without_heartbeat = self.cycles_without_heartbeat.saturating_add(1);
-            if self.cycles_without_heartbeat > self.config.isolation_threshold {
+            if self.cycles_without_heartbeat > SCAMP_ISOLATION_THRESHOLD {
                 self.cycles_without_heartbeat = 0;
                 self.resubscribe(out);
             }
@@ -287,10 +283,6 @@ impl<I: Identity> Membership<I> for Scamp<I> {
 
     fn out_view(&self) -> Vec<I> {
         self.partial_view.to_vec()
-    }
-
-    fn backup_view(&self) -> Vec<I> {
-        self.in_view.to_vec()
     }
 }
 
@@ -338,7 +330,7 @@ mod tests {
         c.handle_message(9, ScampMessage::Subscribe, &mut out);
         let msgs: Vec<_> = out.drain().collect();
         // 3 forwards (one per member) + c = 4 extra copies.
-        assert_eq!(msgs.len(), 3 + ScampConfig::default().c);
+        assert_eq!(msgs.len(), 3 + SCAMP_C);
         for (to, m) in msgs {
             assert!([1, 2, 3].contains(&to));
             assert_eq!(m, ScampMessage::ForwardedSubscription { joiner: 9, hops: 0 });
@@ -366,7 +358,7 @@ mod tests {
     fn forwarded_subscription_force_kept_at_hop_budget() {
         let mut p = seeded(5, &[1, 2]);
         let mut out = Outbox::new();
-        let hops = ScampConfig::default().max_forward_hops;
+        let hops = SCAMP_MAX_FORWARD_HOPS;
         p.handle_message(1, ScampMessage::ForwardedSubscription { joiner: 9, hops }, &mut out);
         assert!(p.partial_view().contains(&9), "budget exhausted forces keep");
     }
@@ -402,7 +394,7 @@ mod tests {
         let mut p = seeded(5, &[1]);
         let mut out = Outbox::new();
         // Several cycles without heartbeats trigger a resubscription.
-        for _ in 0..=ScampConfig::default().isolation_threshold {
+        for _ in 0..=SCAMP_ISOLATION_THRESHOLD {
             p.on_cycle(&mut out);
         }
         let resub = out.drain().filter(|(_, m)| *m == ScampMessage::Subscribe).count();
@@ -488,6 +480,5 @@ mod tests {
     fn scamp_does_not_detect_failures() {
         let p = node(5);
         assert!(!p.detects_send_failures());
-        assert_eq!(p.protocol_name(), "Scamp");
     }
 }

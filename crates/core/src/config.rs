@@ -9,8 +9,14 @@
 //! * Passive Random Walk Length (PRWL) = 3
 //! * shuffle sends `ka = 3` active and `kp = 4` passive identifiers
 //!   (plus the sender's own identifier, for a total of 8)
+//! * the shuffle walk starts with TTL 6, ARWL's paper value (a constant,
+//!   not tied to [`Config::arwl`])
 
 use std::fmt;
+
+/// Initial TTL of the shuffle random walk. The paper propagates shuffles
+/// "just like FORWARDJOIN requests", so this is ARWL's paper value.
+pub(crate) const SHUFFLE_TTL: u8 = 6;
 
 /// Errors produced when validating a [`Config`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,14 +88,6 @@ pub struct Config {
     pub shuffle_active: usize,
     /// Number of passive-view identifiers placed in a shuffle message (paper: 4).
     pub shuffle_passive: usize,
-    /// Initial TTL of the shuffle random walk. The paper propagates shuffles
-    /// "just like FORWARDJOIN requests"; we default to ARWL.
-    pub shuffle_ttl: u8,
-    /// Whether the periodic shuffle also attempts to refill an under-full
-    /// active view from the passive view. Enabled by default — this is the
-    /// background half of the reactive repair described in §4.3 and is what
-    /// lets isolated nodes rejoin without an explicit trigger.
-    pub promote_on_shuffle: bool,
     /// Admission damping (overlay defense, not in the paper): once a peer
     /// is admitted into the active view via `JOIN` or a high-priority
     /// `NEIGHBOR`, further such admissions of the *same* identifier are
@@ -129,8 +127,6 @@ impl Default for Config {
             prwl: 3,
             shuffle_active: 3,
             shuffle_passive: 4,
-            shuffle_ttl: 6,
-            promote_on_shuffle: true,
             admission_cooldown: 0,
             neighbor_evict_budget: 0,
             max_active_tenure: 0,
@@ -181,18 +177,6 @@ impl Config {
         self
     }
 
-    /// Sets the shuffle random walk TTL.
-    pub fn with_shuffle_ttl(mut self, ttl: u8) -> Self {
-        self.shuffle_ttl = ttl;
-        self
-    }
-
-    /// Enables or disables active-view refill attempts on shuffle ticks.
-    pub fn with_promote_on_shuffle(mut self, enabled: bool) -> Self {
-        self.promote_on_shuffle = enabled;
-        self
-    }
-
     /// Sets the per-peer admission cooldown in cycles (`0` = off).
     pub fn with_admission_cooldown(mut self, cycles: u64) -> Self {
         self.admission_cooldown = cycles;
@@ -229,26 +213,6 @@ impl Config {
             .with_neighbor_evict_budget(1)
             .with_max_active_tenure(5)
             .with_churn_shuffle_boost(1)
-    }
-
-    /// Derives a configuration sized for a network of `n` nodes, following
-    /// the paper's guidance: the active view is `log10(n) + 1` sized
-    /// (fanout close to `log(n)`) and the passive view is larger than
-    /// `log(n)` by the same ×6 factor the paper uses at n = 10,000.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hyparview_core::Config;
-    ///
-    /// let config = Config::for_network_size(10_000);
-    /// assert_eq!(config.active_capacity, 5);
-    /// assert_eq!(config.passive_capacity, 30);
-    /// ```
-    pub fn for_network_size(n: usize) -> Self {
-        let log = (n.max(2) as f64).log10().ceil() as usize;
-        let active = (log + 1).max(2);
-        Config::default().with_active_capacity(active).with_passive_capacity(active * 6)
     }
 
     /// The gossip fanout implied by this configuration: the active view holds
@@ -302,6 +266,7 @@ mod tests {
         assert_eq!(c.shuffle_passive, 4);
         assert_eq!(c.shuffle_payload_len(), 8);
         assert_eq!(c.fanout(), 4);
+        assert_eq!(SHUFFLE_TTL, 6);
         c.validate().expect("paper config must validate");
     }
 
@@ -313,17 +278,13 @@ mod tests {
             .with_arwl(8)
             .with_prwl(4)
             .with_shuffle_active(2)
-            .with_shuffle_passive(5)
-            .with_shuffle_ttl(3)
-            .with_promote_on_shuffle(false);
+            .with_shuffle_passive(5);
         assert_eq!(c.active_capacity, 7);
         assert_eq!(c.passive_capacity, 42);
         assert_eq!(c.arwl, 8);
         assert_eq!(c.prwl, 4);
         assert_eq!(c.shuffle_active, 2);
         assert_eq!(c.shuffle_passive, 5);
-        assert_eq!(c.shuffle_ttl, 3);
-        assert!(!c.promote_on_shuffle);
     }
 
     #[test]
@@ -384,20 +345,6 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, ConfigError::EmptyShuffle);
-    }
-
-    #[test]
-    fn for_network_size_matches_paper_at_10k() {
-        let c = Config::for_network_size(10_000);
-        assert_eq!(c.active_capacity, 5);
-        assert_eq!(c.passive_capacity, 30);
-    }
-
-    #[test]
-    fn for_network_size_small_networks_stay_sane() {
-        let c = Config::for_network_size(10);
-        assert!(c.active_capacity >= 2);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

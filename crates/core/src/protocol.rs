@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{Config, ConfigError};
+use crate::config::{Config, ConfigError, SHUFFLE_TTL};
 use crate::message::{Message, Priority};
 use crate::outbox::{MembershipEvent, Outbox};
 use crate::stats::Stats;
@@ -258,7 +258,9 @@ impl<I: Identity> HyParView<I> {
         if self.config.max_active_tenure > 0 {
             self.tenure_swap(actions);
         }
-        if self.config.promote_on_shuffle && !self.active.is_full() {
+        // The background half of §4.3's repair: an isolated node rejoins
+        // without an explicit trigger.
+        if !self.active.is_full() {
             self.try_promote(actions);
         }
         if !self.send_shuffle(actions) {
@@ -285,10 +287,7 @@ impl<I: Identity> HyParView<I> {
             self.active.sample_excluding(&mut self.rng, self.config.shuffle_active, &target);
         nodes.extend(self.passive.sample(&mut self.rng, self.config.shuffle_passive));
         self.last_shuffle_sent = nodes.clone();
-        actions.send(
-            target,
-            Message::Shuffle { origin: self.me, ttl: self.config.shuffle_ttl, nodes },
-        );
+        actions.send(target, Message::Shuffle { origin: self.me, ttl: SHUFFLE_TTL, nodes });
         true
     }
 
@@ -908,7 +907,7 @@ mod tests {
         let (to, origin, ttl, nodes) = &shuffles[0];
         assert!(p.active_view().contains(to));
         assert_eq!(*origin, 3);
-        assert_eq!(*ttl, p.config().shuffle_ttl);
+        assert_eq!(*ttl, SHUFFLE_TTL);
         // ka=3 active (but one active member is the target, so <= 3) + kp=4 passive.
         assert!(nodes.len() <= 7);
         assert!(nodes.len() >= 4, "got {nodes:?}");

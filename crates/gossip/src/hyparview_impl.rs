@@ -82,11 +82,6 @@ impl<I: Identity> HyParViewMembership<I> {
         &self.inner
     }
 
-    /// Mutable access to the underlying protocol state machine.
-    pub fn protocol_mut(&mut self) -> &mut HyParView<I> {
-        &mut self.inner
-    }
-
     /// Gracefully leaves the overlay: `Disconnect` to every active peer
     /// ([`HyParView::leave`]).
     pub fn leave(&mut self, out: &mut Outbox<I, Message<I>>) {
@@ -170,10 +165,6 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
         self.inner.me()
     }
 
-    fn protocol_name(&self) -> &'static str {
-        "HyParView"
-    }
-
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {
         let start = out.len();
         self.inner.join(contact, out);
@@ -251,10 +242,6 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
         self.inner.active_view().to_vec()
     }
 
-    fn backup_view(&self) -> Vec<I> {
-        self.inner.passive_view().to_vec()
-    }
-
     fn take_events(&mut self) -> Vec<MembershipEvent<I>> {
         let mut events = self.inner.take_events();
         events.append(&mut self.events);
@@ -270,7 +257,6 @@ mod tests {
     fn adapter_reports_failure_detection() {
         let node = HyParViewMembership::new(1u32, Config::default(), 7).unwrap();
         assert!(node.detects_send_failures());
-        assert_eq!(node.protocol_name(), "HyParView");
     }
 
     #[test]
@@ -495,7 +481,7 @@ mod tests {
         let mut node = HyParViewMembership::new(0u32, Config::default(), 7).unwrap();
         let mut out = Outbox::new();
         node.handle_message(1, Message::ShuffleReply { nodes: vec![5, 6] }, &mut out);
-        let mut backup = node.backup_view();
+        let mut backup = node.protocol().passive_view().to_vec();
         backup.sort_unstable();
         assert_eq!(backup, vec![5, 6]);
     }

@@ -16,15 +16,19 @@ use std::fmt;
 ///
 /// Implementations: `HyParViewMembership` (this crate),
 /// `Cyclon`, `Scamp` and `CyclonAcked` (crate `hyparview-baselines`).
+///
+/// Besides the node's identity (`me`), the trait holds the protocol steps
+/// (`join`, `handle_message`, `on_cycle`, `on_send_failed`), what the
+/// broadcast layer reads (`broadcast_targets`, `connected_peers`) and what
+/// the simulator's failure model and metrics read (`detects_send_failures`,
+/// `out_view`, `take_events`). A failed gossip send is never retransmitted:
+/// CyclonAcked only cleans its view, as in the paper.
 pub trait Membership<I: Identity> {
     /// The protocol's wire message type.
     type Message: Clone + fmt::Debug;
 
     /// This node's identifier.
     fn me(&self) -> I;
-
-    /// Human-readable protocol name (used in experiment output).
-    fn protocol_name(&self) -> &'static str;
 
     /// Joins the overlay through `contact`.
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>);
@@ -73,24 +77,10 @@ pub trait Membership<I: Identity> {
         Vec::new()
     }
 
-    /// A replacement gossip target after a failed send, for protocols that
-    /// acknowledge gossip and re-select. Used only when the runtime enables
-    /// retry (an ablation — the paper's CyclonAcked cleans its view but does
-    /// not retransmit).
-    fn retry_target(&mut self, _exclude: &[I]) -> Option<I> {
-        None
-    }
-
     /// The node's current out-neighbors, used for overlay graph snapshots.
     /// For HyParView this is the active view (the paper's Table 1 footnote:
     /// "results for HyParView concern its active view").
     fn out_view(&self) -> Vec<I>;
-
-    /// The node's passive/backup view if the protocol keeps one (metrics
-    /// and debugging only).
-    fn backup_view(&self) -> Vec<I> {
-        Vec::new()
-    }
 
     /// Drains membership events (defense decisions, attacker actions)
     /// buffered since the last call. Metrics/tracing only — consuming or

@@ -29,6 +29,10 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Wall-clock length of one Plumtree timer unit: every Plumtree timeout and
+/// the message store's age are counted in these.
+pub(crate) const PLUMTREE_TIMER_UNIT: Duration = Duration::from_millis(20);
+
 /// A gossip message delivered to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
@@ -113,8 +117,6 @@ struct Surface {
     /// Bounded duplicate suppression of the flood (Plumtree's message
     /// store is its own).
     seen: Option<RecentSet<u128>>,
-    /// Wall-clock length of one Plumtree timer unit.
-    timer_unit: Duration,
     scratch: Scratch<SocketAddr, Message<SocketAddr>, Bytes>,
     delivery_tx: Sender<Delivery>,
     metrics: Registry,
@@ -153,11 +155,9 @@ impl NodeCtx<SocketAddr, LiveMembership, Bytes> for LiveCtx<'_> {
         &mut self.surface.scratch
     }
 
-    /// The transport's clock in whole timer units since this node started
-    /// (a zero-length unit never ages anything).
+    /// The transport's clock in whole timer units since this node started.
     fn now(&self) -> u64 {
-        let unit_us = self.surface.timer_unit.as_micros() as u64;
-        self.surface.clock.at(self.sink.now()).checked_div(unit_us).unwrap_or(0)
+        self.surface.clock.at(self.sink.now()) / PLUMTREE_TIMER_UNIT.as_micros() as u64
     }
 
     fn send_membership(
@@ -241,7 +241,7 @@ impl NodeCtx<SocketAddr, LiveMembership, Bytes> for LiveCtx<'_> {
     }
 
     fn schedule(&mut self, timer: PlumtreeTimer, delay: u64) {
-        let delay = self.surface.timer_unit.saturating_mul(delay.min(u32::MAX as u64) as u32);
+        let delay = PLUMTREE_TIMER_UNIT.saturating_mul(delay.min(u32::MAX as u64) as u32);
         self.sink.schedule(timer, delay);
     }
 
@@ -298,7 +298,6 @@ impl LiveNode {
         let surface = Surface {
             local,
             seen,
-            timer_unit: config.plumtree_timer_unit,
             scratch: Scratch::default(),
             delivery_tx,
             metrics,
@@ -614,7 +613,7 @@ mod tests {
         // of traffic below never comes near the count cap.
         let config = NetConfig::default().with_broadcast_mode(BroadcastMode::Plumtree);
         assert_eq!(config.dedup_capacity, 8_192);
-        let unit = config.plumtree_timer_unit;
+        let unit = PLUMTREE_TIMER_UNIT;
         let window = (config.plumtree.retention() / 5) as usize;
         let (mut core, deliveries) = core_and_deliveries(config, 512);
         let mut sink = Recorder::default();

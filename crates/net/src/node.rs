@@ -36,7 +36,7 @@ pub use crate::core::{Delivery, NodeStats};
 pub const DEFAULT_OPTIMIZATION_THRESHOLD: u32 = 2;
 
 /// Default lazy-announcement flush interval, in Plumtree timer units
-/// (× [`NetConfig::plumtree_timer_unit`] ⇒ 40 ms at the default unit).
+/// (× the runtime's 20 ms timer unit ⇒ 40 ms).
 /// Folds concurrent broadcasts' announcements into `IHaveBatch` frames
 /// while keeping the worst-case repair delay small.
 pub const DEFAULT_LAZY_FLUSH_INTERVAL: u64 = 2;
@@ -50,19 +50,15 @@ pub struct NetConfig {
     pub shuffle_interval: Duration,
     /// RNG seed for the protocol instance (`None` = from entropy).
     pub seed: Option<u64>,
-    /// Outbound queue capacity per peer, in frames; a peer whose queue
-    /// overflows is treated as failed (NeEM-style slow-peer expulsion,
-    /// §5.5) so TCP back-pressure cannot freeze the overlay.
-    pub writer_queue: usize,
     /// How many recent gossip ids to remember for duplicate suppression,
     /// in either mode. Plumtree keeps a payload beside an id only while a
     /// peer it announced the id to may graft it.
     pub dedup_capacity: usize,
     /// How broadcast payloads are disseminated.
     pub broadcast_mode: BroadcastMode,
-    /// Plumtree tuning (timeouts in abstract units, see
-    /// [`NetConfig::plumtree_timer_unit`]). The cache capacity is
-    /// overridden by `dedup_capacity` so both engines share one knob.
+    /// Plumtree tuning (timeouts in timer units of 20 ms wall clock). The
+    /// cache capacity is overridden by `dedup_capacity` so both engines
+    /// share one knob.
     ///
     /// Unlike the simulator (which keeps the paper-fidelity static tree by
     /// default), the runtime defaults to the *adaptive* §3.8 behavior:
@@ -73,8 +69,6 @@ pub struct NetConfig {
     /// reliability there. Restore the paper's static behavior with
     /// `.with_plumtree(PlumtreeConfig::default())`.
     pub plumtree: PlumtreeConfig,
-    /// Wall-clock duration of one Plumtree timer unit.
-    pub plumtree_timer_unit: Duration,
     /// Capacity of the node's decision-trace ring (see
     /// [`hyparview_obsv::TraceRing`]); `0` disables tracing.
     pub trace_capacity: usize,
@@ -86,13 +80,11 @@ impl Default for NetConfig {
             protocol: Config::default(),
             shuffle_interval: Duration::from_millis(500),
             seed: None,
-            writer_queue: 1024,
             dedup_capacity: 8192,
             broadcast_mode: BroadcastMode::Flood,
             plumtree: PlumtreeConfig::default()
                 .with_optimization_threshold(Some(DEFAULT_OPTIMIZATION_THRESHOLD))
                 .with_lazy_flush_interval(DEFAULT_LAZY_FLUSH_INTERVAL),
-            plumtree_timer_unit: Duration::from_millis(20),
             trace_capacity: 0,
         }
     }

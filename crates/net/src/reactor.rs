@@ -54,6 +54,11 @@ use std::time::{Duration, Instant};
 /// returns and nothing a connection keeps.
 const READ_BUF: usize = 16 * 1024;
 
+/// Outbound queue capacity per peer, in frames. A peer whose queue
+/// overflows is treated as failed (NeEM-style slow-peer expulsion, §5.5),
+/// so TCP back-pressure cannot freeze the overlay.
+const WRITER_QUEUE: usize = 1024;
+
 /// A shared reactor runtime hosting any number of nodes on one thread.
 ///
 /// Clones are cheap handles to the same reactor. The reactor thread shuts
@@ -172,7 +177,6 @@ impl Cluster {
             listener: Box::new(listener),
             core: Box::new(core),
             shuffle_interval: config.shuffle_interval,
-            writer_queue: config.writer_queue,
             reply: reply_tx,
         });
         let index = reply_rx.recv_timeout(Duration::from_secs(10)).map_err(|_| {
@@ -199,7 +203,6 @@ enum ReactorControl {
         listener: Box<TcpListener>,
         core: Box<LiveNode>,
         shuffle_interval: Duration,
-        writer_queue: usize,
         reply: Sender<usize>,
     },
     Node(usize, Control),
@@ -378,7 +381,6 @@ impl Io {
         local: SocketAddr,
         to: SocketAddr,
         bytes: Bytes,
-        queue_cap: usize,
         failures: &mut VecDeque<SocketAddr>,
     ) {
         let key = match self.outbound.get(&(node, to)) {
@@ -394,7 +396,7 @@ impl Io {
         let Slot::Conn(conn) = &mut self.slots[key] else { return };
         conn.outq.push_back(bytes);
         self.outq_high_water = self.outq_high_water.max(conn.outq.len() as u64);
-        if conn.outq.len() > queue_cap {
+        if conn.outq.len() > WRITER_QUEUE {
             // NeEM-style slow-node expulsion (§5.5): the peer is not
             // draining; cutting it loose beats back-pressuring the overlay.
             self.close(key);
@@ -533,7 +535,6 @@ enum TimerEntry {
 struct NodeSlot {
     core: LiveNode,
     listener_key: usize,
-    writer_queue: usize,
     shuffle_interval: Duration,
 }
 
@@ -544,7 +545,6 @@ struct ReactorCtx<'a> {
     io: &'a mut Io,
     node: usize,
     local: SocketAddr,
-    writer_queue: usize,
     timers: &'a mut BinaryHeap<std::cmp::Reverse<(Instant, u64, TimerEntry)>>,
     timer_seq: &'a mut u64,
     /// [`Reactor::now`].
@@ -554,7 +554,7 @@ struct ReactorCtx<'a> {
 
 impl FrameSink for ReactorCtx<'_> {
     fn send_frame(&mut self, to: SocketAddr, frame: Bytes) {
-        self.io.send(self.node, self.local, to, frame, self.writer_queue, &mut self.failures);
+        self.io.send(self.node, self.local, to, frame, &mut self.failures);
     }
 
     fn disconnect(&mut self, peer: SocketAddr) {
@@ -673,7 +673,6 @@ impl Reactor {
             io,
             node,
             local: slot.core.local(),
-            writer_queue: slot.writer_queue,
             timers,
             timer_seq,
             now: *now,
@@ -699,13 +698,7 @@ impl Reactor {
     fn drain_control(&mut self) -> bool {
         loop {
             match self.control_rx.try_recv() {
-                Ok(ReactorControl::AddNode {
-                    listener,
-                    core,
-                    shuffle_interval,
-                    writer_queue,
-                    reply,
-                }) => {
+                Ok(ReactorControl::AddNode { listener, core, shuffle_interval, reply }) => {
                     let key = self.io.alloc_key();
                     let node = self.nodes.len();
                     if self.io.poller.add(listener.as_raw_fd(), key, true, false).is_err() {
@@ -718,7 +711,6 @@ impl Reactor {
                     self.nodes.push(Some(NodeSlot {
                         core: *core,
                         listener_key: key,
-                        writer_queue,
                         shuffle_interval,
                     }));
                     self.arm_shuffle(node, shuffle_interval);

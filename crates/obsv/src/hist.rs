@@ -81,22 +81,6 @@ impl Histogram {
         self.sum += value;
     }
 
-    /// Records `n` occurrences of `value` at once.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let index = bucket_index(value);
-        if self.buckets.len() <= index {
-            self.buckets.resize(index + 1, 0);
-        }
-        self.buckets[index] += n;
-        self.min = if self.count == 0 { value } else { self.min.min(value) };
-        self.max = self.max.max(value);
-        self.count += n;
-        self.sum += value * n;
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -181,14 +165,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
         self.count += other.count;
         self.sum += other.sum;
-    }
-
-    /// Non-empty buckets as `(lower, upper, count)` triples, low to high.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(index, &n)| {
-            let (lower, upper) = bucket_bounds(index);
-            (lower, upper, n)
-        })
     }
 }
 

@@ -109,11 +109,6 @@ impl Registry {
         self.histograms[id.0].1.record(value);
     }
 
-    /// Read access to a registered histogram.
-    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
     /// Looks a metric value up by name, whatever its kind: counters and
     /// gauges yield their value, histograms their sample count. `None`
     /// when nothing of that name is registered — the lookup tests use

@@ -88,18 +88,6 @@ impl Default for PlumtreeConfig {
 }
 
 impl PlumtreeConfig {
-    /// Sets the first missing-message timeout.
-    pub fn with_ihave_timeout(mut self, units: u64) -> Self {
-        self.ihave_timeout = units;
-        self
-    }
-
-    /// Sets the follow-up graft timeout.
-    pub fn with_graft_timeout(mut self, units: u64) -> Self {
-        self.graft_timeout = units;
-        self
-    }
-
     /// Sets the message store capacity ([`PlumtreeConfig::cache_capacity`]).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
@@ -178,13 +166,11 @@ mod tests {
     #[test]
     fn builders_chain() {
         let c = PlumtreeConfig::default()
-            .with_ihave_timeout(9)
-            .with_graft_timeout(3)
             .with_cache_capacity(128)
             .with_optimization_threshold(Some(2))
             .with_lazy_flush_interval(5)
             .with_graft_retry_limit(4);
-        assert_eq!((c.ihave_timeout, c.graft_timeout, c.cache_capacity), (9, 3, 128));
+        assert_eq!(c.cache_capacity, 128);
         assert_eq!(c.optimization_threshold, Some(2));
         assert_eq!(c.lazy_flush_interval, 5);
         assert_eq!(c.graft_retry_limit, 4);
@@ -208,7 +194,7 @@ mod tests {
         assert_eq!(wan.retention(), 192_000);
         let no_retries = PlumtreeConfig::default().with_graft_retry_limit(0);
         assert_eq!(no_retries.retention(), 8 * 16);
-        let huge = PlumtreeConfig::default().with_ihave_timeout(u64::MAX);
+        let huge = PlumtreeConfig { ihave_timeout: u64::MAX, ..Default::default() };
         assert_eq!(huge.retention(), u64::MAX, "saturates instead of wrapping");
     }
 

@@ -35,10 +35,6 @@ impl Membership<u32> for Scripted {
         0
     }
 
-    fn protocol_name(&self) -> &'static str {
-        "Scripted"
-    }
-
     fn join(&mut self, contact: u32, out: &mut Outbox<u32, Script>) {
         self.view.push(contact);
         out.send(contact, Script::Welcome);

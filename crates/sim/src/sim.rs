@@ -191,6 +191,10 @@ impl Latency {
     }
 }
 
+/// Safety valve: the most events a single drain processes before the
+/// simulator declares a protocol livelock and panics.
+const MAX_DRAIN_EVENTS: u64 = 200_000_000;
+
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -198,14 +202,6 @@ pub struct SimConfig {
     pub fanout: usize,
     /// Message latency model.
     pub latency: Latency,
-    /// Safety valve: maximum events processed by a single drain before the
-    /// simulator declares a protocol livelock and panics.
-    pub max_drain_events: u64,
-    /// Whether a failed gossip transmission is retried towards a fresh
-    /// target ([`Membership::retry_target`]). Off by default: the paper's
-    /// CyclonAcked cleans its view on a failed send but does not
-    /// retransmit. Enabling this is the "acked retry" ablation.
-    pub retry_failed_gossip: bool,
     /// How broadcast payloads are disseminated: the paper's eager flood
     /// (default) or Plumtree's epidemic broadcast tree.
     pub broadcast_mode: BroadcastMode,
@@ -231,8 +227,6 @@ impl Default for SimConfig {
         SimConfig {
             fanout: 4,
             latency: Latency::fixed(1),
-            max_drain_events: 200_000_000,
-            retry_failed_gossip: false,
             broadcast_mode: BroadcastMode::Flood,
             plumtree: PlumtreeConfig::default(),
             faults: FaultPlan::default(),
@@ -251,12 +245,6 @@ impl SimConfig {
     /// Sets the latency model.
     pub fn with_latency(mut self, latency: Latency) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Enables retrying failed gossip transmissions (ablation).
-    pub fn with_retry_failed_gossip(mut self, enabled: bool) -> Self {
-        self.retry_failed_gossip = enabled;
         self
     }
 
@@ -470,68 +458,17 @@ struct Track {
     /// optimization `Graft`s carry no id, and one `IHaveBatch` frame can
     /// announce several tracked messages at once.
     shared_control: usize,
-    /// Gossip targets already used per `(sender, id)`, so that retry
-    /// selection (CyclonAcked) does not repeat a target. Populated only
-    /// when the retry ablation is on: the default hot path spends nothing
-    /// here, and first-send target lists are *interned* (moved into the
-    /// log) rather than cloned per tracked message.
-    sent_by: SentLog,
-}
-
-/// Per-`(sender, message)` log of gossip targets, for retry exclusion.
-#[derive(Debug, Default)]
-struct SentLog {
-    /// Whether sends are recorded at all ([`SimConfig::retry_failed_gossip`]).
-    enabled: bool,
-    sent: HashMap<(usize, u64), Vec<SimId>>,
-}
-
-impl SentLog {
-    /// Interns the first-send target list by move — no per-message clone.
-    fn record(&mut self, sender: usize, id: u64, targets: Vec<SimId>) {
-        if self.enabled {
-            use std::collections::hash_map::Entry;
-            match self.sent.entry((sender, id)) {
-                Entry::Vacant(slot) => {
-                    slot.insert(targets);
-                }
-                Entry::Occupied(mut slot) => slot.get_mut().extend(targets),
-            }
-        }
-    }
-
-    /// Appends one retry target.
-    fn record_one(&mut self, sender: usize, id: u64, target: SimId) {
-        if self.enabled {
-            self.sent.entry((sender, id)).or_default().push(target);
-        }
-    }
-
-    /// The targets already used for `(sender, id)`, plus `dead` — the
-    /// exclusion list handed to [`Membership::retry_target`].
-    fn exclusions(&self, sender: usize, id: u64, dead: SimId) -> Vec<SimId> {
-        let mut exclude = self.sent.get(&(sender, id)).cloned().unwrap_or_default();
-        exclude.push(dead);
-        exclude
-    }
 }
 
 impl Track {
-    fn tracking(
-        base: u64,
-        count: u64,
-        origin: usize,
-        alive_at_start: usize,
-        log_sends: bool,
-    ) -> Track {
+    fn tracking(base: u64, count: u64, origin: usize, alive_at_start: usize) -> Track {
         Track {
             base,
             count,
             origin,
             alive_at_start,
             per: vec![PerMsg::default(); count as usize],
-            sent_by: SentLog { enabled: log_sends, sent: HashMap::new() },
-            ..Track::default()
+            shared_control: 0,
         }
     }
 
@@ -809,11 +746,8 @@ impl<M: Membership<SimId>> NodeCtx<SimId, M, ()> for Actor<'_, M> {
     }
 
     fn send_flood(&mut self, id: MsgId, hops: u32, _payload: (), targets: Vec<SimId>) {
-        for &to in &targets {
+        for to in targets {
             self.send_gossip(to, id as u64, hops);
-        }
-        if self.net.track.matches(id) {
-            self.net.track.sent_by.record(self.node.index(), id as u64, targets);
         }
     }
 
@@ -1385,13 +1319,7 @@ impl<M: Membership<SimId>> Sim<M> {
         let row = vec![0; self.nodes.len().div_ceil(64)];
         self.net.delivered.rows.resize(self.next_broadcast as usize, row);
         self.net.metrics.add(self.net.counters.frames.broadcasts, count as u64);
-        self.net.track = Track::tracking(
-            base,
-            count as u64,
-            origin.index(),
-            self.alive_count(),
-            self.net.config.retry_failed_gossip,
-        );
+        self.net.track = Track::tracking(base, count as u64, origin.index(), self.alive_count());
 
         self.act(origin, |core, ctx| {
             // Make sure the origin's tree links reflect its view before the
@@ -1479,9 +1407,8 @@ impl<M: Membership<SimId>> Sim<M> {
         while let Some(event) = self.net.queue.pop() {
             processed += 1;
             assert!(
-                processed <= self.net.config.max_drain_events,
-                "drain exceeded {} events — protocol livelock?",
-                self.net.config.max_drain_events
+                processed <= MAX_DRAIN_EVENTS,
+                "drain exceeded {MAX_DRAIN_EVENTS} events — protocol livelock?"
             );
             self.net.time = self.net.time.max(event.time);
             if self.net.next_fault_op < self.net.fault_ops.len() {
@@ -1533,10 +1460,9 @@ impl<M: Membership<SimId>> Sim<M> {
     /// that detects send failures finds out.
     fn lose(&mut self, from: SimId, to: SimId, payload: Payload<M::Message>) {
         match payload {
-            Payload::Gossip { id, hops } => {
+            Payload::Gossip { id, .. } => {
                 self.lost_payload(MsgId::from(id));
                 self.notify_send_failure(from, to);
-                self.retry_gossip(from, to, id, hops);
             }
             Payload::Plumtree(PlumtreeMessage::Gossip { id, .. }) => {
                 self.lost_payload(id);
@@ -1567,28 +1493,6 @@ impl<M: Membership<SimId>> Sim<M> {
         }
         self.net.metrics.inc(self.net.counters.failure_notifications);
         self.step(sender, |node, out| node.on_send_failed(dead, out));
-    }
-
-    /// Ack-based gossip retry (ablation, off by default): the failed
-    /// transmission is retried towards a fresh target so the effective
-    /// fanout is preserved.
-    fn retry_gossip(&mut self, sender: SimId, dead: SimId, id: u64, hops: u32) {
-        if !self.net.config.retry_failed_gossip {
-            return;
-        }
-        let slot = &mut self.nodes[sender.index()];
-        if self.net.track.per_mut(MsgId::from(id)).is_none() || !slot.alive {
-            return;
-        }
-        if !slot.core.membership().detects_send_failures() {
-            return;
-        }
-        let exclude = self.net.track.sent_by.exclusions(sender.index(), id, dead);
-        let Some(replacement) = slot.core.membership_mut().retry_target(&exclude) else {
-            return;
-        };
-        self.net.track.sent_by.record_one(sender.index(), id, replacement);
-        Actor::<M> { net: &mut self.net, node: sender }.send_gossip(replacement, id, hops);
     }
 }
 
