@@ -235,10 +235,6 @@ impl<I: Identity> Cyclon<I> {
 impl<I: Identity> Membership<I> for Cyclon<I> {
     type Message = CyclonMessage<I>;
 
-    fn me(&self) -> I {
-        self.me
-    }
-
     /// Join via 5-hop random walks (the paper's TTL) started at the
     /// introducer — one walk per view slot, so a fully-joined node ends up
     /// with a full view without inflating anyone's in-degree.

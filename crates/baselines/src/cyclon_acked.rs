@@ -44,10 +44,6 @@ impl<I: Identity> CyclonAcked<I> {
 impl<I: Identity> Membership<I> for CyclonAcked<I> {
     type Message = CyclonMessage<I>;
 
-    fn me(&self) -> I {
-        self.inner.me()
-    }
-
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {
         self.inner.join(contact, out);
     }
@@ -116,7 +112,6 @@ mod tests {
         n.join(0, &mut out);
         assert!(n.out_view().contains(&0));
         assert!(!out.is_empty());
-        assert_eq!(n.me(), 1);
     }
 
     #[test]

@@ -206,10 +206,6 @@ impl<I: Identity> Scamp<I> {
 impl<I: Identity> Membership<I> for Scamp<I> {
     type Message = ScampMessage<I>;
 
-    fn me(&self) -> I {
-        self.me
-    }
-
     /// The joiner's `PartialView` initially contains only the contact; the
     /// contact disseminates the new subscription through the overlay.
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {

@@ -4,18 +4,17 @@
 //! Each builder renders one experiment's *results* artifact — a pure
 //! function of the experiment data, so two sweeps that computed the same
 //! results (e.g. `--jobs 1` vs `--jobs 4`) serialize to byte-identical
-//! documents. The golden test (`tests/golden.rs`) holds the six smoke
+//! documents. The golden test (`tests/golden.rs`) holds the three smoke
 //! experiments' documents to the files committed under `results/smoke/` at
 //! both job counts, and `hpv-bench`'s own test checks that `--json` writes
 //! exactly what these builders return. No clock reading belongs in these
 //! documents.
 
-use crate::experiments::adaptive::{AdaptiveCell, PathSummary, PhaseMetrics};
 use crate::experiments::attack::AttackCell;
 use crate::experiments::fig2::Fig2Row;
-use crate::experiments::latency::LatencyCell;
-use crate::experiments::plumtree::BroadcastCostRow;
-use crate::experiments::wan::WanCell;
+use crate::experiments::plumtree::{
+    Cell, PathSummary, PhaseMetrics, BURST, DISTURBED_MESSAGES, HEAL_ATTEMPTS, HEAL_CYCLES, WARMUP,
+};
 use crate::json::{array, JsonObject};
 use crate::params::Params;
 
@@ -37,42 +36,6 @@ pub fn fig2_artifact(params: &Params, rows: &[Fig2Row]) -> String {
                                 .num("mean_reliability", c.mean_reliability)
                                 .num("min_reliability", c.min_reliability)
                                 .num("accuracy_after", c.accuracy_after)
-                                .int("events", c.events)
-                                .build()
-                        })),
-                    )
-                    .build()
-            })),
-        )
-        .build()
-}
-
-/// The `plumtree_vs_flood` results artifact.
-pub fn plumtree_vs_flood_artifact(
-    params: &Params,
-    warmup: usize,
-    rows: &[BroadcastCostRow],
-) -> String {
-    JsonObject::new()
-        .str("experiment", "plumtree_vs_flood")
-        .str("params", &params.describe())
-        .int("warmup", warmup as u64)
-        .raw(
-            "rows",
-            array(rows.iter().map(|row| {
-                JsonObject::new()
-                    .num("failure", row.failure)
-                    .raw(
-                        "cells",
-                        array(row.cells.iter().map(|c| {
-                            JsonObject::new()
-                                .str("mode", &c.mode.to_string())
-                                .num("mean_reliability", c.mean_reliability)
-                                .num("min_reliability", c.min_reliability)
-                                .num("mean_rmr", c.mean_rmr)
-                                .num("mean_last_hop", c.mean_last_hop)
-                                .num("payload_per_broadcast", c.payload_per_broadcast)
-                                .num("control_per_broadcast", c.control_per_broadcast)
                                 .int("events", c.events)
                                 .build()
                         })),
@@ -105,115 +68,46 @@ fn phase_json(metrics: &PhaseMetrics) -> String {
         .num("mean_rmr", metrics.mean_rmr)
         .num("mean_last_hop", metrics.mean_last_hop)
         .num("control_per_broadcast", metrics.control_per_broadcast)
+        .num("payload_per_broadcast", metrics.payload_per_broadcast)
         .build()
 }
 
-/// The `plumtree_adaptive` results artifact.
-pub fn plumtree_adaptive_artifact(
-    params: &Params,
-    failure: f64,
-    warmup: usize,
-    heal_cycles: usize,
-    cells: &[AdaptiveCell],
-) -> String {
-    JsonObject::new()
-        .str("experiment", "plumtree_adaptive")
-        .str("params", &params.describe())
-        .num("failure", failure)
-        .int("warmup", warmup as u64)
-        .int("heal_cycles", heal_cycles as u64)
-        .raw(
-            "variants",
-            array(cells.iter().map(|cell| {
-                JsonObject::new()
-                    .str("variant", cell.variant.label)
-                    .raw("stable", phase_json(&cell.stable))
-                    .raw("healed", phase_json(&cell.healed))
-                    .int("optimizations", cell.optimizations)
-                    .int("batches", cell.batches)
-                    .int("grafts", cell.grafts)
-                    .int("dead_letters", cell.dead_letters)
-                    .int("events", cell.events)
-                    .build()
-            })),
-        )
-        .build()
-}
-
-/// The `plumtree_latency` results artifact.
-pub fn plumtree_latency_artifact(
-    params: &Params,
-    failure: f64,
-    warmup: usize,
-    heal_cycles: usize,
-    cells: &[LatencyCell],
-) -> String {
+/// The `plumtree` results artifact. Cells are labeled by strategy and
+/// coordinates (`variant` + `label`), so the diff flattener yields stable
+/// paths like `cells[adaptive.lognormal-link.loss10.partition].time_to_heal`.
+pub fn plumtree_artifact(params: &Params, cells: &[Cell]) -> String {
     // One reconstructable dissemination tree rides along so the artifact
-    // demonstrates the causal path tracing end to end: the first cell's
-    // first stable-phase broadcast, rendered deterministically.
+    // shows the causal path tracing end to end: the first cell's first
+    // stable-phase broadcast, rendered deterministically.
     let sample_tree =
         cells.first().map(|c| c.stable_paths.sample_tree.as_str()).unwrap_or_default();
     JsonObject::new()
-        .str("experiment", "plumtree_latency")
+        .str("experiment", "plumtree")
         .str("params", &params.describe())
-        .num("failure", failure)
-        .int("warmup", warmup as u64)
-        .int("heal_cycles", heal_cycles as u64)
+        .int("warmup", WARMUP as u64)
+        .int("burst", BURST as u64)
+        .int("disturbed_messages", DISTURBED_MESSAGES as u64)
+        .int("heal_cycles", HEAL_CYCLES as u64)
+        .int("heal_attempts", HEAL_ATTEMPTS as u64)
         .str("sample_tree", sample_tree)
         .raw(
             "cells",
             array(cells.iter().map(|cell| {
                 JsonObject::new()
-                    .str("latency", cell.case.label)
-                    .str("variant", cell.variant)
-                    .raw("stable", phase_json(&cell.stable))
-                    .raw("healed", phase_json(&cell.healed))
-                    .raw("stable_paths", paths_json(&cell.stable_paths))
-                    .raw("healed_paths", paths_json(&cell.healed_paths))
-                    .int("optimizations", cell.optimizations)
-                    .int("late_optimizations", cell.late_optimizations)
-                    .int("grafts", cell.grafts)
-                    .int("dead_letters", cell.dead_letters)
-                    .int("events", cell.events)
-                    .build()
-            })),
-        )
-        .build()
-}
-
-/// The `plumtree_wan` results artifact. Cells are labeled by strategy and
-/// loss rate (`variant` + `label`), so the diff flattener yields stable
-/// paths like `cells[adaptive.loss10].stable.mean_reliability`.
-pub fn plumtree_wan_artifact(
-    params: &Params,
-    warmup: usize,
-    part_messages: usize,
-    heal_attempts: usize,
-    cells: &[WanCell],
-) -> String {
-    let sample_tree =
-        cells.first().map(|c| c.stable_paths.sample_tree.as_str()).unwrap_or_default();
-    JsonObject::new()
-        .str("experiment", "plumtree_wan")
-        .str("params", &params.describe())
-        .int("warmup", warmup as u64)
-        .int("partition_messages", part_messages as u64)
-        .int("heal_attempts", heal_attempts as u64)
-        .str("sample_tree", sample_tree)
-        .raw(
-            "cells",
-            array(cells.iter().map(|cell| {
-                JsonObject::new()
-                    .str("variant", cell.mode)
-                    .str("label", &format!("loss{}", (cell.loss * 100.0).round() as u64))
-                    .num("loss", cell.loss)
+                    .str("slice", cell.at.slice)
+                    .str("variant", cell.at.strategy.label)
+                    .str("label", &cell.at.label())
                     .raw("stable", phase_json(&cell.stable))
                     .raw("stable_paths", paths_json(&cell.stable_paths))
-                    .num("partitioned_reliability", cell.partitioned_reliability)
+                    .num("disturbed_reliability", cell.disturbed_reliability)
                     .int("heal_broadcasts", cell.heal_broadcasts)
                     .int("time_to_heal", cell.time_to_heal)
                     .int("converged", cell.converged as u64)
                     .raw("healed", phase_json(&cell.healed))
+                    .raw("healed_paths", paths_json(&cell.healed_paths))
+                    .int("optimizations", cell.optimizations)
+                    .int("late_optimizations", cell.late_optimizations)
+                    .int("batches", cell.batches)
                     .int("grafts", cell.grafts)
                     .int("dead_letters", cell.dead_letters)
                     .int("dropped", cell.dropped)

@@ -3,59 +3,23 @@
 //! ```text
 //! hpv-bench <experiment> [--paper | --quick | --smoke] [--n N] [--messages N]
 //!           [--seed N] [--runs N] [--jobs N] [--fanout N] [--stabilization N]
-//!           [--json PATH] [--assert] [experiment flags]
+//!           [--json PATH] [--assert]
 //! hpv-bench diff <baseline> <current> [--threshold 0.10]
 //! ```
 //!
 //! [`parse`] resolves the experiment name against the name table in
 //! `report.rs`, the shared scale flags through [`Params::apply_args`], and
-//! the rest into `--json`, `--assert` and [`Flags`]. Every flag needs its
-//! value and every unknown name is an error, so a typo never runs a
-//! different experiment than the one asked for.
+//! the rest into `--json` and `--assert`. No experiment takes a flag of its
+//! own. Every flag needs its value and every unknown name is an error, so a
+//! typo never runs a different experiment than the one asked for.
 
 use crate::params::{flag_value, Params};
 use crate::report::EXPERIMENTS;
 use hyparview_obsv::Registry;
 
-/// An experiment: runs at `Params`, takes the [`Flags`] it reads, and hands
-/// back what `main` prints, writes and checks.
-pub type Run = fn(&Params, &mut Flags) -> Outcome;
-
-/// The flags only some experiments read. An experiment `take`s the ones it
-/// uses and supplies its own default; any still set after the run was given
-/// to an experiment that has no such flag.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct Flags {
-    /// `--warmup N`: broadcasts that shape the tree before measuring.
-    pub warmup: Option<usize>,
-    /// `--failure F`: the fraction of nodes crashed.
-    pub failure: Option<f64>,
-    /// `--heal-cycles N`: membership cycles between failure and healing.
-    pub heal_cycles: Option<usize>,
-    /// `--part-messages N`: broadcasts measured while partitioned.
-    pub part_messages: Option<usize>,
-    /// `--heal-attempts N`: broadcasts tried after the heal.
-    pub heal_attempts: Option<usize>,
-    /// `--horizon N`: membership cycles an attack is given.
-    pub horizon: Option<usize>,
-}
-
-impl Flags {
-    /// The names of the flags still set.
-    pub fn unused(&self) -> Vec<&'static str> {
-        [
-            ("--warmup", self.warmup.is_some()),
-            ("--failure", self.failure.is_some()),
-            ("--heal-cycles", self.heal_cycles.is_some()),
-            ("--part-messages", self.part_messages.is_some()),
-            ("--heal-attempts", self.heal_attempts.is_some()),
-            ("--horizon", self.horizon.is_some()),
-        ]
-        .into_iter()
-        .filter_map(|(name, set)| set.then_some(name))
-        .collect()
-    }
-}
+/// An experiment: runs at `Params` and hands back what `main` prints,
+/// writes and checks.
+pub type Run = fn(&Params) -> Outcome;
 
 /// What an experiment hands back.
 #[derive(Debug, Default)]
@@ -87,8 +51,6 @@ pub struct Invocation {
     pub run: Run,
     /// The scale it runs at.
     pub params: Params,
-    /// Its experiment flags.
-    pub flags: Flags,
     /// `--json PATH`: where the results artifact goes.
     pub json: Option<String>,
     /// `--assert`: exit 1 when a headline check fails.
@@ -108,21 +70,13 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         .find(|(known, _)| known == name)
         .ok_or_else(|| format!("unknown experiment {name:?}"))?;
     let (params, rest) = Params::default().apply_args(rest.iter().cloned())?;
-    let mut invocation =
-        Invocation { name, run, params, flags: Flags::default(), json: None, assert: false };
-    let flags = &mut invocation.flags;
+    let mut invocation = Invocation { name, run, params, json: None, assert: false };
     let mut rest = rest.into_iter();
     while let Some(flag) = rest.next() {
         let rest = &mut rest;
         match flag.as_str() {
             "--assert" => invocation.assert = true,
             "--json" => invocation.json = Some(flag_value(rest, &flag)?),
-            "--warmup" => flags.warmup = Some(flag_value(rest, &flag)?),
-            "--failure" => flags.failure = Some(flag_value(rest, &flag)?),
-            "--heal-cycles" => flags.heal_cycles = Some(flag_value(rest, &flag)?),
-            "--part-messages" => flags.part_messages = Some(flag_value(rest, &flag)?),
-            "--heal-attempts" => flags.heal_attempts = Some(flag_value(rest, &flag)?),
-            "--horizon" => flags.horizon = Some(flag_value(rest, &flag)?),
             _ => return Err(format!("unknown argument {flag:?}")),
         }
     }
@@ -135,8 +89,7 @@ pub fn usage() -> String {
     format!(
         "usage: hpv-bench <experiment> [--paper | --quick | --smoke] [--n N] [--messages N] \
          [--seed N] [--runs N] [--jobs N] [--fanout N] [--stabilization N] [--json PATH] \
-         [--assert] [--warmup N] [--failure F] [--heal-cycles N] [--part-messages N] \
-         [--heal-attempts N] [--horizon N]\n       \
+         [--assert]\n       \
          hpv-bench diff <baseline> <current> [--threshold 0.10]\n\
          experiments: {}",
         names.join(", ")
@@ -153,20 +106,17 @@ mod tests {
 
     #[test]
     fn parses_name_scale_output_and_experiment_flags() {
-        let inv = parse(&args(
-            "plumtree_adaptive --smoke --jobs 2 --json out.json --assert --failure 0.5 --warmup 3",
-        ))
-        .unwrap();
-        assert_eq!(inv.name, "plumtree_adaptive");
+        let inv = parse(&args("plumtree --smoke --jobs 2 --json out.json --assert")).unwrap();
+        assert_eq!(inv.name, "plumtree");
         assert_eq!((inv.params.n, inv.params.jobs), (200, 2));
         assert_eq!(inv.json.as_deref(), Some("out.json"));
         assert!(inv.assert);
-        assert_eq!(
-            inv.flags,
-            Flags { failure: Some(0.5), warmup: Some(3), ..Flags::default() },
-            "flags parse in any order"
-        );
-        assert_eq!(inv.flags.unused(), ["--warmup", "--failure"]);
+        // The experiments' own settings are constants: no experiment takes
+        // a flag of its own.
+        for flag in ["--warmup", "--failure", "--heal-cycles", "--horizon"] {
+            let err = parse(&args(&format!("plumtree --smoke {flag} 3"))).unwrap_err();
+            assert_eq!(err, format!("unknown argument {flag:?}"));
+        }
     }
 
     #[test]
@@ -174,7 +124,6 @@ mod tests {
         let inv = parse(&args("fig4_healing")).unwrap();
         assert_eq!(inv.params.describe(), Params::quick().describe());
         assert_eq!((inv.json, inv.assert), (None, false));
-        assert!(inv.flags.unused().is_empty());
     }
 
     #[test]
@@ -182,15 +131,14 @@ mod tests {
         assert_eq!(parse(&[]).unwrap_err(), "missing the experiment name");
         assert!(parse(&args("fig9")).unwrap_err().contains("unknown experiment"));
         assert!(parse(&args("fig4_healing --smok")).unwrap_err().contains("--smok"));
-        assert!(parse(&args("plumtree_wan --full")).unwrap_err().contains("--full"));
+        assert!(parse(&args("plumtree --full")).unwrap_err().contains("--full"));
         assert!(parse(&args("fig2_reliability --smoke 12")).is_err());
     }
 
     #[test]
     fn a_flag_without_its_value_is_an_error() {
         assert_eq!(parse(&args("fig2_reliability --json")).unwrap_err(), "--json needs a value");
-        assert_eq!(parse(&args("plumtree_wan --warmup")).unwrap_err(), "--warmup needs a value");
-        assert!(parse(&args("hyparview_attack --horizon ten")).unwrap_err().contains("number"));
+        assert!(parse(&args("plumtree --seed ten")).unwrap_err().contains("number"));
     }
 
     #[test]

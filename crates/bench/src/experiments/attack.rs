@@ -264,7 +264,7 @@ pub fn attack_cell_for<'c>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::adaptive::measure;
+    use crate::experiments::plumtree::measure;
     use hyparview_sim::protocols::build_hyparview;
 
     #[test]
@@ -321,7 +321,7 @@ mod tests {
             let config = defense_config(&params.configs.hyparview, defense);
             let mut sim = build_hyparview(&params.scenario(0), config);
             sim.run_cycles(params.stabilization_cycles);
-            measure(&mut sim, SimId::new(0), params.messages)
+            measure(&mut sim, SimId::new(0), params.messages).0
         };
         let open = phase("open");
         let hard = phase("hardened");

@@ -2,7 +2,7 @@
 //!
 //! The deterministic paper-figure harness of the HyParView reproduction:
 //! one `hpv-bench` binary runs each experiment of the paper's evaluation
-//! (§5) by name, plus the Plumtree, WAN and attack extensions.
+//! (§5) by name, plus the Plumtree and attack extensions.
 //!
 //! * `fig1_fanout` — Figure 1a/1b: fanout × reliability (Cyclon, Scamp).
 //! * `fig1c_after_failure` — Figure 1c: reliability after 50% failures.
@@ -13,16 +13,9 @@
 //! * `table1_graph_props` — Table 1: clustering / path length / hops.
 //! * `overhead`, `ablations` — §3.1's message cost; §5.5/§6's design
 //!   choices.
-//! * `plumtree_vs_flood` — beyond the paper: eager flood vs Plumtree
-//!   broadcast trees (reliability, RMR, last-delivery-hop).
-//! * `plumtree_adaptive` — adaptive Plumtree (tree optimization + lazy
-//!   batching) on vs. off across the failure-and-healing scenario.
-//! * `plumtree_latency` — the same trees under variable latency models
-//!   (uniform jitter, per-link geometry, heavy-tailed), where arrival
-//!   order and round order disagree.
-//! * `plumtree_wan` — flood vs static vs adaptive Plumtree under WAN
-//!   conditions: deterministic per-link loss, duplication, and a
-//!   partition-and-heal cycle dated by the causal path tracer.
+//! * `plumtree` — beyond the paper: eager flood vs static and adaptive
+//!   Plumtree trees over one grid of crashes, latency models, per-link
+//!   loss and a partition-and-heal cycle ([`experiments::plumtree`]).
 //! * `hyparview_attack` — adversarial membership: eclipse/infiltration
 //!   colluders vs overlay defenses, headline time-to-eclipse.
 //! * `all` — the seven paper experiments above in order.

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p hyparview-bench -- fig2_reliability --quick --jobs 4
-//! cargo run --release -p hyparview-bench -- plumtree_wan --smoke --assert --json wan.json
+//! cargo run --release -p hyparview-bench -- plumtree --smoke --assert --json plumtree.json
 //! ```
 //!
 //! Exit codes: `0` done, `1` a headline check failed under `--assert`, `2`
@@ -20,11 +20,8 @@ fn main() {
     if args.first().is_some_and(|name| name == "diff") {
         exit(diff::main(&args[1..]));
     }
-    let mut invocation = cli::parse(&args).unwrap_or_else(|error| usage(&error));
-    let outcome = (invocation.run)(&invocation.params, &mut invocation.flags);
-    if let Some(flag) = invocation.flags.unused().first() {
-        usage(&format!("{} takes no {flag}", invocation.name));
-    }
+    let invocation = cli::parse(&args).unwrap_or_else(|error| usage(&error));
+    let outcome = (invocation.run)(&invocation.params);
     println!("{}", outcome.report);
 
     if let Some(path) = &invocation.json {

@@ -3,16 +3,13 @@
 //! the paper. [`EXPERIMENTS`] is the name table `hpv-bench` dispatches on;
 //! the names are the artifacts' `experiment` fields and file stems.
 
-use crate::artifacts::{
-    fig2_artifact, hyparview_attack_artifact, plumtree_adaptive_artifact,
-    plumtree_latency_artifact, plumtree_vs_flood_artifact, plumtree_wan_artifact,
-};
-use crate::cli::{Flags, Outcome, Run};
+use crate::artifacts::{fig2_artifact, hyparview_attack_artifact, plumtree_artifact};
+use crate::cli::{Outcome, Run};
+use crate::experiments::plumtree::{self, Cell};
 use crate::experiments::{
-    adaptive, attack, fanout_sweep, flood_vs_random, graph_properties, healing_time,
-    in_degree_distribution, latency, message_overhead, passive_size_sweep, plumtree,
-    recovery_series, reliability_after_failures, shuffle_payload_sweep, walk_length_sweep, wan,
-    AblationPoint,
+    attack, fanout_sweep, flood_vs_random, graph_properties, healing_time, in_degree_distribution,
+    message_overhead, passive_size_sweep, recovery_series, reliability_after_failures,
+    shuffle_payload_sweep, walk_length_sweep, AblationPoint,
 };
 use crate::params::{Params, ALL_PROTOCOLS, FIG1_FANOUTS, FIG2_FAILURES, FIG3_FAILURES};
 use crate::table::{num, pct, render, sparkline};
@@ -20,7 +17,7 @@ use hyparview_obsv::Registry;
 use hyparview_sim::protocols::ProtocolKind;
 
 /// Every experiment by name, in the order `hpv-bench`'s usage lists them.
-pub(crate) const EXPERIMENTS: [(&str, Run); 15] = [
+pub(crate) const EXPERIMENTS: [(&str, Run); 12] = [
     ("fig1_fanout", fig1_fanout),
     ("fig1c_after_failure", fig1c_after_failure),
     ("fig2_reliability", fig2_reliability),
@@ -30,16 +27,13 @@ pub(crate) const EXPERIMENTS: [(&str, Run); 15] = [
     ("table1_graph_props", table1_graph_props),
     ("overhead", overhead),
     ("ablations", ablations),
-    ("plumtree_vs_flood", plumtree_vs_flood),
-    ("plumtree_adaptive", plumtree_adaptive),
-    ("plumtree_latency", plumtree_latency),
-    ("plumtree_wan", plumtree_wan),
+    ("plumtree", plumtree),
     ("hyparview_attack", hyparview_attack),
     ("all", all),
 ];
 
 /// The paper's evaluation in order: Figures 1 to 4, Table 1, Figure 5.
-fn all(params: &Params, flags: &mut Flags) -> Outcome {
+fn all(params: &Params) -> Outcome {
     let parts: [Run; 7] = [
         fig1_fanout,
         fig1c_after_failure,
@@ -51,7 +45,7 @@ fn all(params: &Params, flags: &mut Flags) -> Outcome {
     ];
     let mut outcome = Outcome::default();
     for run in parts {
-        let part = run(params, flags);
+        let part = run(params);
         outcome.report += &part.report;
         outcome.report += "\n\n";
         outcome.failures.extend(part.failures);
@@ -72,7 +66,7 @@ fn merged<'a>(registries: impl Iterator<Item = &'a Registry>) -> Registry {
 }
 
 /// Figure 1a/1b: fanout × reliability on a stable overlay.
-fn fig1_fanout(params: &Params, _: &mut Flags) -> Outcome {
+fn fig1_fanout(params: &Params) -> Outcome {
     // The paper measures 50 broadcasts per fanout in this experiment.
     let params = &params.clone().with_messages(params.messages.min(50));
     let mut out = header("Figure 1a/1b — fanout x reliability (stable overlay)", params, "");
@@ -109,7 +103,7 @@ fn fig1_fanout(params: &Params, _: &mut Flags) -> Outcome {
 
 /// Figure 1c: reliability of the messages sent right after 50% of the nodes
 /// crash, for Cyclon and Scamp (the motivation experiment, §3.2).
-fn fig1c_after_failure(params: &Params, _: &mut Flags) -> Outcome {
+fn fig1c_after_failure(params: &Params) -> Outcome {
     // The paper sends 100 messages in this experiment.
     let params = &params.clone().with_messages(params.messages.min(100));
     let mut out = header("Figure 1c — effect of 50% node failures (Cyclon, Scamp)", params, "");
@@ -133,7 +127,7 @@ fn fig1c_after_failure(params: &Params, _: &mut Flags) -> Outcome {
 /// Figure 2: mean reliability of the broadcasts sent right after crashing
 /// 10% to 95% of all nodes, for all four protocols. The headline: HyParView
 /// at 100% through 50% failures and at least 90% through 90%.
-fn fig2_reliability(params: &Params, _: &mut Flags) -> Outcome {
+fn fig2_reliability(params: &Params) -> Outcome {
     let title =
         format!("Figure 2 — reliability for {} messages after massive failures", params.messages);
     let mut out = header(&title, params, "");
@@ -174,7 +168,7 @@ fn fig2_reliability(params: &Params, _: &mut Flags) -> Outcome {
 }
 
 /// Figures 3a–3f: per-message reliability after failures of 20% to 95%.
-fn fig3_recovery(params: &Params, _: &mut Flags) -> Outcome {
+fn fig3_recovery(params: &Params) -> Outcome {
     let mut out = header("Figure 3 — reliability after failures, message by message", params, "");
     for &failure in &FIG3_FAILURES {
         out.push(format!("\n## {:.0}% failures", failure * 100.0));
@@ -207,7 +201,7 @@ fn fig3_recovery(params: &Params, _: &mut Flags) -> Outcome {
 /// Figure 4: membership cycles needed to regain pre-failure reliability,
 /// for HyParView, CyclonAcked and Cyclon (the paper omits Scamp: its
 /// healing is governed by the lease period).
-fn fig4_healing(params: &Params, _: &mut Flags) -> Outcome {
+fn fig4_healing(params: &Params) -> Outcome {
     const MAX_CYCLES: usize = 60;
     const FAILURES: [f64; 9] = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90];
     let title = "Figure 4 — healing time (cycles to regain pre-failure reliability)";
@@ -235,7 +229,7 @@ fn fig4_healing(params: &Params, _: &mut Flags) -> Outcome {
 }
 
 /// Figure 5: in-degree distribution after stabilization.
-fn fig5_indegree(params: &Params, _: &mut Flags) -> Outcome {
+fn fig5_indegree(params: &Params) -> Outcome {
     let mut out = header("Figure 5 — in-degree distribution after stabilization", params, "");
     let data = in_degree_distribution(params, &ALL_PROTOCOLS);
     let rows: Vec<Vec<String>> = data
@@ -268,7 +262,7 @@ fn fig5_indegree(params: &Params, _: &mut Flags) -> Outcome {
 
 /// Table 1: clustering coefficient, average shortest path and maximum hops
 /// to delivery after stabilization.
-fn table1_graph_props(params: &Params, _: &mut Flags) -> Outcome {
+fn table1_graph_props(params: &Params) -> Outcome {
     let mut out = header("Table 1 — graph properties after stabilization", params, "");
     let rows: Vec<Vec<String>> = graph_properties(params, &ALL_PROTOCOLS)
         .iter()
@@ -298,7 +292,7 @@ fn table1_graph_props(params: &Params, _: &mut Flags) -> Outcome {
 }
 
 /// Transmissions and redundancy per broadcast across fanouts (§3.1).
-fn overhead(params: &Params, _: &mut Flags) -> Outcome {
+fn overhead(params: &Params) -> Outcome {
     let params = &params.clone().with_messages(params.messages.min(100));
     let mut out = header("Message overhead per broadcast (stable overlay, §3.1)", params, "");
     let rows: Vec<Vec<String>> = message_overhead(params, &ALL_PROTOCOLS, &[4, 5, 6])
@@ -324,7 +318,7 @@ fn overhead(params: &Params, _: &mut Flags) -> Outcome {
 
 /// The design choices behind HyParView's resilience (§5.5) and §6's open
 /// question on passive view size.
-fn ablations(params: &Params, _: &mut Flags) -> Outcome {
+fn ablations(params: &Params) -> Outcome {
     let mut out = header("HyParView ablations", params, "");
     let sections: [(&str, Vec<AblationPoint>); 4] = [
         (
@@ -355,350 +349,206 @@ fn ablations(params: &Params, _: &mut Flags) -> Outcome {
     Outcome::new(out)
 }
 
-/// Flood vs Plumtree over the same HyParView overlay: reliability, RMR and
-/// last-delivery hop across failure rates. The headline: on the stable
-/// network both modes reach 100% and Plumtree's RMR stays below 0.1.
-fn plumtree_vs_flood(params: &Params, flags: &mut Flags) -> Outcome {
-    const FAILURES: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.5];
-    let warmup = flags.warmup.take().unwrap_or(30);
-    let title = "Flood vs Plumtree — broadcast cost over the same HyParView overlay";
-    let mut out = header(title, params, &format!(" (tree warm-up: {warmup} broadcasts)"));
-    let data = plumtree::flood_vs_plumtree(params, &FAILURES, warmup);
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for row in &data {
-        for cell in &row.cells {
-            rows.push(vec![
-                format!("{:.0}%", row.failure * 100.0),
-                cell.mode.to_string(),
-                pct(cell.mean_reliability),
-                pct(cell.min_reliability),
-                num(cell.mean_rmr, 3),
-                num(cell.mean_last_hop, 1),
-                num(cell.payload_per_broadcast, 0),
-                num(cell.control_per_broadcast, 0),
-            ]);
-        }
-    }
-    let headers = [
-        "failure %",
-        "mode",
-        "reliability",
-        "min rel.",
-        "RMR",
-        "last hop",
-        "payload/bcast",
-        "control/bcast",
-    ];
-    out.push(render(&headers, &rows));
-    let (flood, tree) = (&data[0].cells[0], &data[0].cells[1]);
-    out.push(format!(
-        "stable network: Plumtree RMR {} vs flood {} ({}x fewer payload transmissions) at {} / {} reliability",
-        num(tree.mean_rmr, 3),
-        num(flood.mean_rmr, 2),
-        num(flood.payload_per_broadcast / tree.payload_per_broadcast.max(1.0), 1),
-        pct(tree.mean_reliability),
-        pct(flood.mean_reliability),
-    ));
-    out.push(
-        "(expected: Plumtree RMR < 0.1 and reliability >= 99% for both modes at 0% failures;"
-            .into(),
-    );
-    out.push(
-        " flood RMR ~ fanout - 1; Plumtree pays a deeper last hop when grafts repair the tree)"
-            .into(),
-    );
-
-    let mut failures = Vec::new();
-    for (mode, cell) in [("flood", flood), ("Plumtree", tree)] {
-        if cell.mean_reliability < 0.9999 {
-            failures.push(format!(
-                "{mode} reliability {} < 100% on the stable network",
-                pct(cell.mean_reliability)
-            ));
-        }
-    }
-    if tree.mean_rmr >= 0.1 {
-        failures.push(format!(
-            "Plumtree RMR {} regressed past the 0.1 threshold",
-            num(tree.mean_rmr, 3)
-        ));
-    }
-    let json = plumtree_vs_flood_artifact(params, warmup, &data);
-    Outcome { json: Some(json), failures, ..Outcome::new(out) }
-}
-
-/// Adaptive Plumtree (tree optimization and lazy-link batching) on vs off
-/// across failure and healing. The headline: every variant at 100% on the
-/// stable network, optimization flattens the healed tree, batching cuts
-/// control frames.
-fn plumtree_adaptive(params: &Params, flags: &mut Flags) -> Outcome {
-    let failure = flags.failure.take().unwrap_or(0.3);
-    let warmup = flags.warmup.take().unwrap_or(30);
-    let heal_cycles = flags.heal_cycles.take().unwrap_or(5);
+/// Flood, the static tree and §3.8's adaptive trees over one HyParView
+/// overlay: one grid of strategy × latency × loss × disturbance, checked
+/// slice by slice. The headline: the tree matches the flood's reliability
+/// at a fraction of its payloads, optimization flattens healed trees,
+/// batching cuts control frames, and adaptive Plumtree holds 99% at 10%
+/// per-link loss.
+fn plumtree(params: &Params) -> Outcome {
     let detail = format!(
-        " (failure {:.0}%, warmup {warmup}, heal cycles {heal_cycles}, bursts of {})",
-        failure * 100.0,
-        adaptive::BURST
+        " (warmup {}, bursts of {}, {} disturbed broadcasts, heal cycles {}, heal attempts {}, \
+         duplication = loss/2)",
+        plumtree::WARMUP,
+        plumtree::BURST,
+        plumtree::DISTURBED_MESSAGES,
+        plumtree::HEAL_CYCLES,
+        plumtree::HEAL_ATTEMPTS
     );
-    let title = "Adaptive Plumtree — optimization + batching across failure and healing";
+    let title = "Plumtree vs flood — strategy x latency x loss x disturbance";
     let mut out = header(title, params, &detail);
-    let cells = adaptive::plumtree_adaptive(params, failure, warmup, heal_cycles);
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for cell in &cells {
-        for (phase, metrics) in [("stable", &cell.stable), ("healed", &cell.healed)] {
-            rows.push(vec![
-                cell.variant.label.to_owned(),
-                phase.to_owned(),
-                pct(metrics.mean_reliability),
-                num(metrics.mean_rmr, 3),
-                num(metrics.mean_last_hop, 1),
-                num(metrics.control_per_broadcast, 1),
-                cell.optimizations.to_string(),
-                cell.batches.to_string(),
-            ]);
-        }
-    }
-    let headers = [
-        "variant",
-        "phase",
-        "reliability",
-        "RMR",
-        "last hop",
-        "control/bcast",
-        "optimizations",
-        "batches",
-    ];
-    out.push(render(&headers, &rows));
-    let by_label = |label: &str| cells.iter().find(|c| c.variant.label == label).expect("variant");
-    let (static_, optimized, batched) =
-        (by_label("static"), by_label("optimized"), by_label("batched"));
-    out.push(format!(
-        "healed last hop: optimized {} vs static {}; stable control/bcast: batched {} vs static {}",
-        num(optimized.healed.mean_last_hop, 1),
-        num(static_.healed.mean_last_hop, 1),
-        num(batched.stable.control_per_broadcast, 1),
-        num(static_.stable.control_per_broadcast, 1),
-    ));
-
-    let mut failures = Vec::new();
-    for cell in cells.iter().filter(|c| c.stable.mean_reliability < 0.9999) {
-        failures.push(format!(
-            "{}: stable reliability {} < 100%",
-            cell.variant.label,
-            pct(cell.stable.mean_reliability)
-        ));
-    }
-    if optimized.healed.mean_last_hop >= static_.healed.mean_last_hop {
-        failures.push(format!(
-            "optimization did not flatten the healed tree ({} vs static {})",
-            num(optimized.healed.mean_last_hop, 1),
-            num(static_.healed.mean_last_hop, 1)
-        ));
-    }
-    if batched.stable.control_per_broadcast >= static_.stable.control_per_broadcast {
-        failures.push(format!(
-            "batching did not cut control traffic ({} vs static {})",
-            num(batched.stable.control_per_broadcast, 1),
-            num(static_.stable.control_per_broadcast, 1)
-        ));
-    }
-    let json = plumtree_adaptive_artifact(params, failure, warmup, heal_cycles, &cells);
-    Outcome { json: Some(json), failures, ..Outcome::new(out) }
-}
-
-/// Static vs optimizing Plumtree trees per latency model (uniform jitter,
-/// per-link geometry, heavy tail). The headline: 100% reliability
-/// everywhere, shallower healed trees under variable latency, late-`IHave`
-/// optimizations only when latency varies. These numbers are the evidence
-/// behind the TCP runtime's adaptive `NetConfig` defaults.
-fn plumtree_latency(params: &Params, flags: &mut Flags) -> Outcome {
-    let failure = flags.failure.take().unwrap_or(0.3);
-    let warmup = flags.warmup.take().unwrap_or(30);
-    let heal_cycles = flags.heal_cycles.take().unwrap_or(5);
-    let detail =
-        format!(" (failure {:.0}%, warmup {warmup}, heal cycles {heal_cycles})", failure * 100.0);
-    let title = "Plumtree under variable latency — static vs optimized trees per latency model";
-    let mut out = header(title, params, &detail);
-    let cells = latency::plumtree_latency(params, failure, warmup, heal_cycles);
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for cell in &cells {
-        for (phase, metrics) in [("stable", &cell.stable), ("healed", &cell.healed)] {
-            rows.push(vec![
-                cell.case.label.to_owned(),
-                cell.variant.to_owned(),
-                phase.to_owned(),
-                pct(metrics.mean_reliability),
-                num(metrics.mean_rmr, 3),
-                num(metrics.mean_last_hop, 1),
-                cell.optimizations.to_string(),
-                cell.late_optimizations.to_string(),
-                cell.grafts.to_string(),
-            ]);
-        }
-    }
-    let headers = [
-        "latency",
-        "variant",
-        "phase",
-        "reliability",
-        "RMR",
-        "last hop",
-        "optimizations",
-        "late opts",
-        "grafts",
-    ];
-    out.push(render(&headers, &rows));
-    let (uni_static, uni_optimized) = latency::pair_by_case(&cells, "uniform");
-    let (_, fixed_optimized) = latency::pair_by_case(&cells, "fixed");
-    out.push(format!(
-        "uniform healed last hop: optimized {} vs static {}; late opts: uniform {} vs fixed {}",
-        num(uni_optimized.healed.mean_last_hop, 1),
-        num(uni_static.healed.mean_last_hop, 1),
-        uni_optimized.late_optimizations,
-        fixed_optimized.late_optimizations,
-    ));
-
-    let mut failures = Vec::new();
-    for cell in &cells {
-        for (phase, metrics) in [("stable", &cell.stable), ("healed", &cell.healed)] {
-            if metrics.mean_reliability < 0.9999 {
-                failures.push(format!(
-                    "{}/{} {phase}: reliability {} < 100%",
-                    cell.case.label,
-                    cell.variant,
-                    pct(metrics.mean_reliability)
-                ));
-            }
-        }
-    }
-    for label in ["uniform", "uniform-link"] {
-        let (static_, optimized) = latency::pair_by_case(&cells, label);
-        if optimized.healed.mean_last_hop >= static_.healed.mean_last_hop {
-            failures.push(format!(
-                "{label}: optimization did not flatten the healed tree ({} vs static {})",
-                num(optimized.healed.mean_last_hop, 1),
-                num(static_.healed.mean_last_hop, 1)
-            ));
-        }
-    }
-    if fixed_optimized.late_optimizations != 0 {
-        failures.push(format!(
-            "fixed latency fired {} late optimizations (arrival order cannot disagree \
-             with round order at unit latency)",
-            fixed_optimized.late_optimizations
-        ));
-    }
-    if uni_optimized.late_optimizations == 0 {
-        failures.push("uniform latency never exercised the late-IHave path".to_owned());
-    }
-    let json = plumtree_latency_artifact(params, failure, warmup, heal_cycles, &cells);
-    let metrics = merged(cells.iter().map(|c| &c.metrics));
-    Outcome { json: Some(json), metrics: Some(metrics), failures, ..Outcome::new(out) }
-}
-
-/// Flood vs static vs adaptive Plumtree under per-link loss, duplication
-/// and a partition-and-heal cycle. The headline: adaptive Plumtree holds
-/// 99% at 10% per-link loss, and every lossless cell converges back to
-/// atomic delivery after the heal.
-fn plumtree_wan(params: &Params, flags: &mut Flags) -> Outcome {
-    let warmup = flags.warmup.take().unwrap_or(20);
-    let part_messages = flags.part_messages.take().unwrap_or(10);
-    let heal_attempts = flags.heal_attempts.take().unwrap_or(10);
-    let detail = format!(
-        " (warmup {warmup}, partition messages {part_messages}, heal attempts \
-         {heal_attempts}, lognormal-link latency, duplication = loss/2)"
-    );
-    let title = "Broadcast under WAN faults — flood vs static vs adaptive Plumtree";
-    let mut out = header(title, params, &detail);
-    let cells = wan::plumtree_wan(params, warmup, part_messages, heal_attempts);
+    let cells = plumtree::run(params);
     let rows: Vec<Vec<String>> = cells
         .iter()
-        .map(|cell| {
+        .map(|c| {
             vec![
-                cell.mode.to_owned(),
-                pct(cell.loss),
-                pct(cell.stable.mean_reliability),
-                num(cell.stable.mean_rmr, 3),
-                pct(cell.partitioned_reliability),
-                if cell.converged {
-                    format!("{} ({} bcast)", cell.time_to_heal, cell.heal_broadcasts)
+                c.at.slice.to_owned(),
+                c.at.strategy.label.to_owned(),
+                c.at.label(),
+                pct(c.stable.mean_reliability),
+                num(c.stable.mean_rmr, 3),
+                num(c.stable.payload_per_broadcast, 0),
+                num(c.stable.control_per_broadcast, 1),
+                pct(c.disturbed_reliability),
+                if c.converged {
+                    format!("{} ({} bcast)", c.time_to_heal, c.heal_broadcasts)
                 } else {
                     "did not converge".to_owned()
                 },
-                pct(cell.healed.mean_reliability),
-                cell.grafts.to_string(),
-                cell.dropped.to_string(),
-                cell.duplicated.to_string(),
+                pct(c.healed.mean_reliability),
+                num(c.healed.mean_last_hop, 1),
+                format!("{} ({})", c.optimizations, c.late_optimizations),
+                c.batches.to_string(),
+                c.dropped.to_string(),
             ]
         })
         .collect();
     let headers = [
-        "mode",
-        "loss",
+        "slice",
+        "strategy",
+        "cell",
         "stable rel",
         "RMR",
-        "part rel",
+        "payload/bcast",
+        "control/bcast",
+        "disturbed rel",
         "heal time",
         "healed rel",
-        "grafts",
+        "healed last hop",
+        "opts (late)",
+        "batches",
         "dropped",
-        "dup",
     ];
     out.push(render(&headers, &rows));
-    let flood = wan::wan_cell_for(&cells, "flood", 0.10);
-    let adaptive = wan::wan_cell_for(&cells, "adaptive", 0.10);
+    let cell = |strategy: &str, label: &str| plumtree::cell(&cells, strategy, label);
+    let (flood, tree) = (cell("flood", FIXED_CRASH30), cell("static", FIXED_CRASH30));
+    let (optimized, batched) = (cell("optimized", FIXED_CRASH30), cell("batched", FIXED_CRASH30));
+    let wan = |strategy| cell(strategy, "lognormal-link.loss10.partition");
     out.push(format!(
-        "at 10% per-link loss: adaptive {} vs flood {} stable reliability \
-         ({} frames recovered by graft)",
-        pct(adaptive.stable.mean_reliability),
-        pct(flood.stable.mean_reliability),
-        adaptive.grafts,
+        "stable: tree RMR {} vs flood {} ({}x fewer payloads); healed last hop: optimized {} vs \
+         static {}; control/bcast: batched {} vs static {}; at 10% loss: adaptive {} vs flood {}",
+        num(tree.stable.mean_rmr, 3),
+        num(flood.stable.mean_rmr, 2),
+        num(flood.stable.payload_per_broadcast / tree.stable.payload_per_broadcast.max(1.0), 1),
+        num(optimized.healed.mean_last_hop, 1),
+        num(tree.healed.mean_last_hop, 1),
+        num(batched.stable.control_per_broadcast, 1),
+        num(tree.stable.control_per_broadcast, 1),
+        pct(wan("adaptive").stable.mean_reliability),
+        pct(wan("flood").stable.mean_reliability),
     ));
-
-    let mut failures = Vec::new();
-    if adaptive.stable.mean_reliability < 0.99 {
-        failures.push(format!(
-            "adaptive at 10% loss: stable reliability {} < 99%",
-            pct(adaptive.stable.mean_reliability)
-        ));
-    }
-    for cell in &cells {
-        if cell.loss == 0.0 {
-            for (phase, reliability) in
-                [("stable", cell.stable.mean_reliability), ("healed", cell.healed.mean_reliability)]
-            {
-                if reliability < 0.9999 {
-                    failures.push(format!(
-                        "{} lossless {phase}: reliability {} < 100%",
-                        cell.mode,
-                        pct(reliability)
-                    ));
-                }
-            }
-            if !cell.converged {
-                failures.push(format!(
-                    "{} lossless: did not converge back to atomic delivery after the heal",
-                    cell.mode
-                ));
-            }
-        } else if cell.dropped == 0 {
-            failures.push(format!(
-                "{} at {} loss: the loss model never dropped a frame",
-                cell.mode,
-                pct(cell.loss)
-            ));
-        }
-        if cell.partitioned_reliability >= 1.0 {
-            failures.push(format!(
-                "{} at {} loss: a halved overlay delivered everywhere (partition inert?)",
-                cell.mode,
-                pct(cell.loss)
-            ));
-        }
-    }
-    let json = plumtree_wan_artifact(params, warmup, part_messages, heal_attempts, &cells);
+    let failures = plumtree_checks(&cells);
+    let json = plumtree_artifact(params, &cells);
     let metrics = merged(cells.iter().map(|c| &c.metrics));
     Outcome { json: Some(json), metrics: Some(metrics), failures, ..Outcome::new(out) }
+}
+
+/// The unit-latency, lossless cell after a 30% crash: the cell every slice
+/// compares against.
+const FIXED_CRASH30: &str = "fixed.loss0.crash30";
+
+/// The `plumtree` headline checks, slice by slice. A check may read a cell
+/// of another slice: the static tree at [`FIXED_CRASH30`] is every slice's
+/// baseline.
+fn plumtree_checks(cells: &[Cell]) -> Vec<String> {
+    let cell = |strategy: &str, label: &str| plumtree::cell(cells, strategy, label);
+    let slice = |name: &'static str| cells.iter().filter(move |c| c.at.slice == name);
+    let mut checks = Checks(Vec::new());
+
+    // cost: the tree carries the flood's reliability at a fraction of its
+    // payloads, and survives a 30% crash.
+    for c in slice("cost") {
+        checks.full(c, "stable", c.stable.mean_reliability);
+    }
+    for tree in slice("cost").filter(|c| c.at.strategy.label == "static") {
+        let flood = cell("flood", &tree.at.label());
+        let (tree_rmr, flood_rmr) = (tree.stable.mean_rmr, flood.stable.mean_rmr);
+        checks.that(tree, tree_rmr < 0.1, || format!("tree RMR {} >= 0.1", num(tree_rmr, 3)));
+        checks.that(flood, flood_rmr > 1.5, || format!("flood RMR {} <= 1.5", num(flood_rmr, 3)));
+        let payload = (tree.stable.payload_per_broadcast, flood.stable.payload_per_broadcast);
+        checks.that(tree, payload.0 < payload.1 / 2.0, || {
+            format!("tree payloads {} not under half the flood's {}", payload.0, payload.1)
+        });
+    }
+    let tree = cell("static", FIXED_CRASH30);
+    checks.that(tree, tree.disturbed_reliability > 0.95, || {
+        format!("reliability {} <= 95% right after the crash", pct(tree.disturbed_reliability))
+    });
+
+    // adaptive: batching cuts control frames (optimization: below).
+    for c in slice("adaptive") {
+        checks.full(c, "stable", c.stable.mean_reliability);
+    }
+    let batched = cell("batched", FIXED_CRASH30);
+    checks.that(batched, batched.batches > 0, || "no IHaveBatch was sent".to_owned());
+    let control = (batched.stable.control_per_broadcast, tree.stable.control_per_broadcast);
+    checks.that(batched, control.0 < 0.6 * control.1, || {
+        format!("stable control frames {} not below 0.6x static's {}", control.0, control.1)
+    });
+
+    // adaptive and latency: optimization flattens the healed tree at unit
+    // latency and wherever latency varies per message or per link, every
+    // model stays fully reliable, and only varying latency lets an IHave
+    // lose the race against its payload.
+    for latency in plumtree::LATENCY_CASES {
+        let label = format!("{}.loss0.crash30", latency.label);
+        let (tree, optimized) = (cell("static", &label), cell("optimized", &label));
+        for c in [tree, optimized] {
+            checks.full(c, "stable", c.stable.mean_reliability);
+            checks.full(c, "healed", c.healed.mean_reliability);
+        }
+        if latency.label == "lognormal-link" {
+            continue;
+        }
+        checks.that(optimized, optimized.optimizations > 0, || "never optimized".to_owned());
+        let last_hop = (optimized.healed.mean_last_hop, tree.healed.mean_last_hop);
+        checks.that(optimized, last_hop.0 < last_hop.1, || {
+            format!("healed last hop {} not below static's {}", last_hop.0, last_hop.1)
+        });
+    }
+    let fixed = cell("optimized", FIXED_CRASH30);
+    checks.that(fixed, fixed.late_optimizations == 0, || {
+        format!("{} late optimizations at unit latency", fixed.late_optimizations)
+    });
+    let uniform = cell("optimized", "uniform.loss0.crash30");
+    checks.that(uniform, uniform.late_optimizations > 0, || "no late optimization".to_owned());
+    for c in cells.iter().filter(|c| c.at.strategy.label == "static") {
+        checks.that(c, c.optimizations == 0, || format!("{} optimizations", c.optimizations));
+    }
+
+    // wan: lazy repair holds adaptive Plumtree at 99% under 10% loss, and
+    // every lossless cell converges back after the partition heals.
+    let adaptive = cell("adaptive", "lognormal-link.loss10.partition");
+    let reliability = adaptive.stable.mean_reliability;
+    checks.that(adaptive, reliability >= 0.99, || {
+        format!("stable reliability {} < 99%", pct(reliability))
+    });
+    checks.that(adaptive, adaptive.duplicated > 0, || "no frame duplicated".to_owned());
+    for c in slice("wan") {
+        if c.at.loss == 0.0 {
+            checks.full(c, "stable", c.stable.mean_reliability);
+            checks.full(c, "healed", c.healed.mean_reliability);
+            checks.that(c, c.converged, || "did not converge after the heal".to_owned());
+            checks.that(c, c.dropped + c.duplicated == 0, || {
+                format!("{} dropped, {} duplicated without faults", c.dropped, c.duplicated)
+            });
+            checks.that(c, c.partition_dropped > 0, || "the cut dropped no frame".to_owned());
+        } else {
+            checks.that(c, c.dropped > 0, || "the loss model dropped no frame".to_owned());
+        }
+        checks.that(c, c.disturbed_reliability < 1.0, || {
+            "a halved overlay delivered everywhere".to_owned()
+        });
+        checks.that(c, !c.converged || c.time_to_heal > 0, || "healed at time 0".to_owned());
+    }
+    checks.0
+}
+
+/// Failed headline checks, each naming its cell.
+struct Checks(Vec<String>);
+
+impl Checks {
+    fn that(&mut self, c: &Cell, holds: bool, failure: impl FnOnce() -> String) {
+        if !holds {
+            self.0.push(format!("{} {}: {}", c.at.strategy.label, c.at.label(), failure()));
+        }
+    }
+
+    fn full(&mut self, c: &Cell, phase: &str, reliability: f64) {
+        self.that(c, reliability >= 0.9999, || {
+            format!("{phase} reliability {} < 99.99%", pct(reliability))
+        });
+    }
 }
 
 /// Eclipse and infiltration colluders vs the overlay defenses. The
@@ -706,8 +556,8 @@ fn plumtree_wan(params: &Params, flags: &mut Flags) -> Outcome {
 /// at 20% colluders and past the horizon at 10%, every hardened cell fires
 /// a defense, infiltration captures less under defenses, and honest
 /// reliability stays positive.
-fn hyparview_attack(params: &Params, flags: &mut Flags) -> Outcome {
-    let horizon = flags.horizon.take().unwrap_or_else(|| attack::default_horizon(params));
+fn hyparview_attack(params: &Params) -> Outcome {
+    let horizon = attack::default_horizon(params);
     let detail = format!(" (horizon {horizon} cycles, eclipse victims 2, attacker rejoin 20%)");
     let title = "Adversarial membership — attacker fraction × overlay defenses";
     let mut out = header(title, params, &detail);

@@ -1,4 +1,4 @@
-//! The six fixed-seed smoke experiments against their committed artifacts.
+//! The three fixed-seed smoke experiments against their committed artifacts.
 //!
 //! Each experiment runs in-process exactly as `hpv-bench <name> --smoke
 //! --jobs J` runs it (`cli::parse`, then the experiment function), at
@@ -8,16 +8,22 @@
 //! are pure functions of the seed, so a refactor moves none of them; a
 //! change that moves one on purpose rewrites it with the command the
 //! failure prints, and the move shows as a value-level `git diff`.
+//!
+//! `plumtree` runs once per job count and is checked whole and slice by
+//! slice: `plumtree_vs_flood`, `plumtree_adaptive`, `plumtree_latency` and
+//! `plumtree_wan` each hold one slice of its grid to its checks and to the
+//! golden's cells.
 
 use hyparview_bench::artifacts::fig2_artifact;
-use hyparview_bench::cli;
+use hyparview_bench::cli::{self, Outcome};
 use hyparview_bench::diff::{diff, markdown_table};
 use hyparview_bench::experiments::reliability_after_failures;
-use hyparview_bench::json::parse;
+use hyparview_bench::json::{parse, JsonValue};
 use hyparview_bench::obsv_json::registry_json;
 use hyparview_bench::Params;
 use hyparview_sim::protocols::ProtocolKind;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// The relative worsening that flags a directed metric as a regression, as
 /// in CI's `hpv-bench diff` step.
@@ -48,33 +54,46 @@ fn compare(name: &str, file: &str, golden: &str, actual: &str) -> Result<(), Str
     ))
 }
 
+/// The job counts every smoke experiment runs at.
+const JOBS: [&str; 2] = ["1", "2"];
+
+/// `name` at `--smoke --jobs jobs`, as `hpv-bench` runs it.
+fn smoke(name: &str, jobs: &str) -> Outcome {
+    let args = [name, "--smoke", "--jobs", jobs].map(str::to_owned);
+    let inv = cli::parse(&args).expect("a valid hpv-bench command line");
+    (inv.run)(&inv.params)
+}
+
+/// Checks one outcome of `name` at `--jobs jobs`: its headline checks hold
+/// and its artifacts equal the goldens.
+fn check_outcome(name: &str, jobs: &str, outcome: &Outcome) {
+    let results = format!("{name}.json");
+    let metrics = format!("{name}.metrics.json");
+    assert!(
+        outcome.failures.is_empty(),
+        "{name} --jobs {jobs}: headline checks failed: {:#?}",
+        outcome.failures
+    );
+    let json = outcome.json.clone().expect("every smoke experiment writes a results artifact");
+    let snapshot = outcome.metrics.as_ref().map(registry_json);
+    for (file, actual) in [(&results, Some(json)), (&metrics, snapshot)] {
+        // A file on one side only compares against "" and fails to parse.
+        let golden = std::fs::read_to_string(golden_path(file)).ok();
+        if golden.is_none() && actual.is_none() {
+            continue;
+        }
+        let (golden, actual) = (golden.unwrap_or_default(), actual.unwrap_or_default());
+        if let Err(report) = compare(name, file, &golden, &actual) {
+            panic!("{name} --jobs {jobs}: {report}");
+        }
+    }
+}
+
 /// Runs `name` at `--smoke` and `--jobs 1` and `2`, and checks each
 /// outcome's headline and artifacts against the goldens.
 fn check(name: &str) {
-    let results = format!("{name}.json");
-    let metrics = format!("{name}.metrics.json");
-    for jobs in ["1", "2"] {
-        let args = [name, "--smoke", "--jobs", jobs].map(str::to_owned);
-        let mut inv = cli::parse(&args).expect("a valid hpv-bench command line");
-        let outcome = (inv.run)(&inv.params, &mut inv.flags);
-        assert!(
-            outcome.failures.is_empty(),
-            "{name} --jobs {jobs}: headline checks failed: {:#?}",
-            outcome.failures
-        );
-        let json = outcome.json.expect("every smoke experiment writes a results artifact");
-        let snapshot = outcome.metrics.as_ref().map(registry_json);
-        for (file, actual) in [(&results, Some(json)), (&metrics, snapshot)] {
-            // A file on one side only compares against "" and fails to parse.
-            let golden = std::fs::read_to_string(golden_path(file)).ok();
-            if golden.is_none() && actual.is_none() {
-                continue;
-            }
-            let (golden, actual) = (golden.unwrap_or_default(), actual.unwrap_or_default());
-            if let Err(report) = compare(name, file, &golden, &actual) {
-                panic!("{name} --jobs {jobs}: {report}");
-            }
-        }
+    for jobs in JOBS {
+        check_outcome(name, jobs, &smoke(name, jobs));
     }
 }
 
@@ -83,24 +102,91 @@ fn fig2_reliability() {
     check("fig2_reliability");
 }
 
+/// The `plumtree` outcomes at `--jobs 1` and `2`, run once and shared by
+/// the whole-artifact test and the four slice tests.
+fn plumtree_outcomes() -> &'static [(&'static str, Outcome)] {
+    static OUTCOMES: OnceLock<Vec<(&'static str, Outcome)>> = OnceLock::new();
+    OUTCOMES.get_or_init(|| JOBS.iter().map(|&jobs| (jobs, smoke("plumtree", jobs))).collect())
+}
+
+#[test]
+fn plumtree() {
+    for (jobs, outcome) in plumtree_outcomes() {
+        check_outcome("plumtree", jobs, outcome);
+    }
+}
+
+/// The cells of `slice` in a `plumtree` artifact, in grid order.
+fn slice_cells(artifact: &str, slice: &str) -> Vec<JsonValue> {
+    let artifact = parse(artifact).expect("a plumtree artifact parses");
+    let Some(JsonValue::Arr(cells)) = artifact.get("cells") else {
+        panic!("a plumtree artifact has a cells array");
+    };
+    let in_slice = |c: &&JsonValue| c.get("slice").and_then(JsonValue::as_str) == Some(slice);
+    cells.iter().filter(in_slice).cloned().collect()
+}
+
+/// Checks one slice of the shared `plumtree` outcomes: the headline checks
+/// that name one of its cells hold, and its cells equal the golden's by
+/// value. Each slice is the grid one of the former Plumtree experiments
+/// ran, so a move or a failed check is reported under that experiment's
+/// name as well as under `plumtree`.
+fn check_plumtree_slice(slice: &str) {
+    let golden = std::fs::read_to_string(golden_path("plumtree.json")).unwrap();
+    let golden = slice_cells(&golden, slice);
+    assert!(!golden.is_empty(), "the golden has cells in the {slice} slice");
+    // A failed check names its cell as `<variant> <label>: ...`.
+    let names: Vec<String> = golden
+        .iter()
+        .map(|c| {
+            let field = |key| c.get(key).and_then(JsonValue::as_str).unwrap_or_default();
+            format!("{} {}: ", field("variant"), field("label"))
+        })
+        .collect();
+    let as_doc =
+        |cells: Vec<JsonValue>| JsonValue::Obj(vec![("cells".into(), JsonValue::Arr(cells))]);
+    for (jobs, outcome) in plumtree_outcomes() {
+        let failures: Vec<&String> = outcome
+            .failures
+            .iter()
+            .filter(|f| names.iter().any(|name| f.starts_with(name.as_str())))
+            .collect();
+        assert!(
+            failures.is_empty(),
+            "plumtree --jobs {jobs}: {slice} checks failed: {failures:#?}"
+        );
+        let json = outcome.json.as_deref().expect("plumtree writes a results artifact");
+        let actual = slice_cells(json, slice);
+        if actual != golden {
+            let rows = diff(&as_doc(golden.clone()), &as_doc(actual));
+            let (table, _) = markdown_table(&rows, THRESHOLD);
+            panic!("plumtree --jobs {jobs}: the {slice} slice moved from its golden:\n\n{table}");
+        }
+    }
+}
+
+/// Flood vs the static tree after 10, 30 and 50% crashes.
 #[test]
 fn plumtree_vs_flood() {
-    check("plumtree_vs_flood");
+    check_plumtree_slice("cost");
 }
 
+/// §3.8's optimization, batching and both together.
 #[test]
 fn plumtree_adaptive() {
-    check("plumtree_adaptive");
+    check_plumtree_slice("adaptive");
 }
 
+/// The static and the optimized tree under variable latency.
 #[test]
 fn plumtree_latency() {
-    check("plumtree_latency");
+    check_plumtree_slice("latency");
 }
 
+/// Flood, the static and the adaptive tree under loss and a partition.
 #[test]
 fn plumtree_wan() {
-    check("plumtree_wan");
+    check_plumtree_slice("wan");
 }
 
 #[test]

@@ -3,10 +3,10 @@
 //! lands next to the results where the experiment has one, and usage errors
 //! exit 2 before anything runs.
 
-use hyparview_bench::artifacts::{plumtree_adaptive_artifact, plumtree_wan_artifact};
-use hyparview_bench::experiments::{adaptive, wan};
+use hyparview_bench::artifacts::{fig2_artifact, plumtree_artifact};
+use hyparview_bench::experiments::{plumtree, reliability_after_failures};
 use hyparview_bench::obsv_json::registry_json;
-use hyparview_bench::Params;
+use hyparview_bench::{Params, ALL_PROTOCOLS, FIG2_FAILURES};
 use hyparview_obsv::Registry;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -30,55 +30,35 @@ fn read(path: PathBuf) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-#[test]
-fn json_is_the_artifact_builders_output_and_no_metrics_where_there_are_none() {
-    let dir = out_dir("adaptive");
-    let json = dir.join("plumtree_adaptive.json");
-    let run = hpv_bench(&[
-        "plumtree_adaptive",
-        "--smoke",
-        "--n",
-        "50",
-        "--messages",
-        "4",
-        "--json",
-        json.to_str().unwrap(),
-    ]);
+/// Runs `name` at the tiny scale of [`params`], writing `<dir>/<name>.json`.
+fn run_small(name: &str, dir: &std::path::Path) -> PathBuf {
+    let json = dir.join(format!("{name}.json"));
+    let args = [name, "--smoke", "--n", "50", "--messages", "4", "--json", json.to_str().unwrap()];
+    let run = hpv_bench(&args);
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
-    let cells = adaptive::plumtree_adaptive(&params(), 0.3, 30, 5);
-    assert_eq!(read(json), plumtree_adaptive_artifact(&params(), 0.3, 30, 5, &cells));
-    assert!(!dir.join("plumtree_adaptive.metrics.json").exists());
+    json
 }
 
 #[test]
-fn experiment_flags_reach_the_artifact_and_the_metric_snapshot_is_written() {
-    let dir = out_dir("wan");
-    let json = dir.join("plumtree_wan.json");
-    let run = hpv_bench(&[
-        "plumtree_wan",
-        "--smoke",
-        "--n",
-        "50",
-        "--messages",
-        "4",
-        "--warmup",
-        "12",
-        "--part-messages",
-        "4",
-        "--heal-attempts",
-        "6",
-        "--json",
-        json.to_str().unwrap(),
-        "--assert",
-    ]);
-    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
-    let cells = wan::plumtree_wan(&params(), 12, 4, 6);
-    assert_eq!(read(json), plumtree_wan_artifact(&params(), 12, 4, 6, &cells));
+fn json_is_the_artifact_builders_output_and_no_metrics_where_there_are_none() {
+    let dir = out_dir("fig2");
+    let json = run_small("fig2_reliability", &dir);
+    let rows = reliability_after_failures(&params(), &ALL_PROTOCOLS, &FIG2_FAILURES);
+    assert_eq!(read(json), fig2_artifact(&params(), &rows));
+    assert!(!dir.join("fig2_reliability.metrics.json").exists());
+}
+
+#[test]
+fn json_is_the_artifact_builders_output_and_the_metric_snapshot_is_written() {
+    let dir = out_dir("plumtree");
+    let json = run_small("plumtree", &dir);
+    let cells = plumtree::run(&params());
+    assert_eq!(read(json), plumtree_artifact(&params(), &cells));
     let mut merged = Registry::new();
     for cell in &cells {
         merged.merge(&cell.metrics);
     }
-    assert_eq!(read(dir.join("plumtree_wan.metrics.json")), registry_json(&merged));
+    assert_eq!(read(dir.join("plumtree.metrics.json")), registry_json(&merged));
 }
 
 #[test]
@@ -89,7 +69,7 @@ fn usage_errors_exit_2_and_write_nothing() {
     for args in [
         vec!["fig9", "--json", json],
         vec!["fig4_healing", "--smok", "--json", json],
-        vec!["plumtree_wan", "--full", "--json", json],
+        vec!["plumtree", "--full", "--json", json],
         vec!["fig2_reliability", "--smoke", "--json"],
         vec!["fig2_reliability", "--json", json, "--n"],
         vec![],
@@ -101,11 +81,19 @@ fn usage_errors_exit_2_and_write_nothing() {
     }
 }
 
+/// No experiment reads a flag of its own, so the flags the Plumtree
+/// experiments and `hyparview_attack` once took are errors that name the
+/// flag, before anything runs.
 #[test]
 fn a_flag_the_experiment_does_not_read_is_an_error() {
-    let run = hpv_bench(&["plumtree_vs_flood", "--smoke", "--n", "50", "--messages", "4"]);
-    assert!(run.status.success());
-    let run = hpv_bench(&["fig1c_after_failure", "--smoke", "--n", "50", "--horizon", "3"]);
-    assert_eq!(run.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&run.stderr).contains("fig1c_after_failure takes no --horizon"));
+    let dir = out_dir("unread");
+    let json = dir.join("x.json");
+    let json = json.to_str().unwrap();
+    for (name, flag) in [("plumtree", "--warmup"), ("hyparview_attack", "--horizon")] {
+        let run = hpv_bench(&[name, "--smoke", flag, "3", "--json", json]);
+        assert_eq!(run.status.code(), Some(2), "{name} {flag}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(&format!("unknown argument \"{flag}\"")), "{stderr}");
+        assert!(!dir.join("x.json").exists(), "{name} {flag}");
+    }
 }

@@ -164,7 +164,6 @@ pub struct ReliabilitySummary {
     rmrs: Vec<f64>,
     sent: u64,
     redundant: u64,
-    control: u64,
 }
 
 impl ReliabilitySummary {
@@ -180,7 +179,6 @@ impl ReliabilitySummary {
         self.rmrs.push(report.rmr());
         self.sent += report.sent as u64;
         self.redundant += report.redundant as u64;
-        self.control += report.control as u64;
     }
 
     /// Appends every broadcast of `other` to this summary, preserving
@@ -194,7 +192,6 @@ impl ReliabilitySummary {
         self.rmrs.extend(other.rmrs);
         self.sent += other.sent;
         self.redundant += other.redundant;
-        self.control += other.control;
     }
 
     /// Number of broadcasts summarised.
@@ -254,12 +251,6 @@ impl ReliabilitySummary {
     /// Total redundant transmissions across all broadcasts.
     pub fn total_redundant(&self) -> u64 {
         self.redundant
-    }
-
-    /// Total control messages (Plumtree `IHave`/`Graft`/`Prune`) across all
-    /// broadcasts.
-    pub fn total_control(&self) -> u64 {
-        self.control
     }
 
     /// Per-message reliability series (for the Figure 3 plots).
@@ -363,7 +354,6 @@ mod tests {
         assert!((s.mean_max_hops() - 5.0).abs() < 1e-12);
         assert_eq!(s.total_sent(), 20);
         assert_eq!(s.total_redundant(), 4);
-        assert_eq!(s.total_control(), 6);
         assert_eq!(s.series().len(), 2);
     }
 
@@ -386,7 +376,6 @@ mod tests {
         assert_eq!(merged.series(), sequential.series());
         assert_eq!(merged.mean_reliability().to_bits(), sequential.mean_reliability().to_bits());
         assert_eq!(merged.total_sent(), sequential.total_sent());
-        assert_eq!(merged.total_control(), sequential.total_control());
     }
 
     #[test]

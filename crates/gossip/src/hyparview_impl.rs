@@ -161,10 +161,6 @@ impl<I: Identity> HyParViewMembership<I> {
 impl<I: Identity> Membership<I> for HyParViewMembership<I> {
     type Message = Message<I>;
 
-    fn me(&self) -> I {
-        self.inner.me()
-    }
-
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>) {
         let start = out.len();
         self.inner.join(contact, out);

@@ -17,18 +17,15 @@ use std::fmt;
 /// Implementations: `HyParViewMembership` (this crate),
 /// `Cyclon`, `Scamp` and `CyclonAcked` (crate `hyparview-baselines`).
 ///
-/// Besides the node's identity (`me`), the trait holds the protocol steps
-/// (`join`, `handle_message`, `on_cycle`, `on_send_failed`), what the
-/// broadcast layer reads (`broadcast_targets`, `connected_peers`) and what
-/// the simulator's failure model and metrics read (`detects_send_failures`,
-/// `out_view`, `take_events`). A failed gossip send is never retransmitted:
+/// The trait holds the protocol steps (`join`, `handle_message`,
+/// `on_cycle`, `on_send_failed`), what the broadcast layer reads
+/// (`broadcast_targets`, `connected_peers`) and what the simulator's
+/// failure model and metrics read (`detects_send_failures`, `out_view`,
+/// `take_events`). A failed gossip send is never retransmitted:
 /// CyclonAcked only cleans its view, as in the paper.
 pub trait Membership<I: Identity> {
     /// The protocol's wire message type.
     type Message: Clone + fmt::Debug;
-
-    /// This node's identifier.
-    fn me(&self) -> I;
 
     /// Joins the overlay through `contact`.
     fn join(&mut self, contact: I, out: &mut Outbox<I, Self::Message>);

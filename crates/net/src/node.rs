@@ -31,8 +31,8 @@ pub use crate::core::{Delivery, NodeStats};
 /// Round-difference threshold of the runtime's default tree optimization
 /// (Plumtree §3.8): an `IHave` announcing a path at least this many rounds
 /// shorter than the eager delivery swaps the lazy link into the tree. The
-/// value matches the `plumtree_adaptive`/`plumtree_latency` benches, where
-/// it flattens healed trees without ever costing reliability.
+/// value matches the `hpv-bench plumtree` experiment's optimizing trees,
+/// which it flattens after healing without ever costing reliability.
 pub const DEFAULT_OPTIMIZATION_THRESHOLD: u32 = 2;
 
 /// Default lazy-announcement flush interval, in Plumtree timer units
@@ -64,9 +64,9 @@ pub struct NetConfig {
     /// default), the runtime defaults to the *adaptive* §3.8 behavior:
     /// tree optimization at [`DEFAULT_OPTIMIZATION_THRESHOLD`] and lazy
     /// batching at [`DEFAULT_LAZY_FLUSH_INTERVAL`] timer units. Real
-    /// sockets always have variable latency, and the `plumtree_latency`
-    /// bench shows optimization strictly flattening healed trees at 100%
-    /// reliability there. Restore the paper's static behavior with
+    /// sockets always have variable latency, and the `latency` slice of
+    /// `hpv-bench plumtree` shows optimization strictly flattening healed
+    /// trees at 100% reliability there. Restore the paper's static behavior with
     /// `.with_plumtree(PlumtreeConfig::default())`.
     pub plumtree: PlumtreeConfig,
     /// Capacity of the node's decision-trace ring (see

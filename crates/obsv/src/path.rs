@@ -10,6 +10,7 @@
 //! and hop-latency histograms.
 
 use crate::hist::Histogram;
+use std::collections::HashMap;
 
 /// Provenance of one first delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,11 +133,15 @@ impl DisseminationTree {
     /// Histogram of per-hop latencies: each delivery's time minus its
     /// parent's delivery time (origin excluded — it has no hop).
     pub fn hop_latency_histogram(&self) -> Histogram {
+        let mut delivered_at = HashMap::with_capacity(self.records.len());
+        for record in &self.records {
+            delivered_at.entry(record.node).or_insert(record.time);
+        }
         let mut hist = Histogram::new();
         for record in &self.records {
             let Some(parent) = record.parent else { continue };
-            if let Some(parent_record) = self.records.iter().find(|r| r.node == parent) {
-                hist.record(record.time.saturating_sub(parent_record.time));
+            if let Some(parent_time) = delivered_at.get(&parent) {
+                hist.record(record.time.saturating_sub(*parent_time));
             }
         }
         hist
@@ -145,12 +150,14 @@ impl DisseminationTree {
     /// Histogram of branching factors: how many children each *internal*
     /// node forwarded to (leaves excluded).
     pub fn branching_histogram(&self) -> Histogram {
+        let mut children = HashMap::with_capacity(self.records.len());
+        for parent in self.records.iter().filter_map(|r| r.parent) {
+            *children.entry(parent).or_insert(0u64) += 1;
+        }
         let mut hist = Histogram::new();
         for record in &self.records {
-            let children =
-                self.records.iter().filter(|r| r.parent == Some(record.node)).count() as u64;
-            if children > 0 {
-                hist.record(children);
+            if let Some(&count) = children.get(&record.node) {
+                hist.record(count);
             }
         }
         hist

@@ -183,6 +183,8 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
             if let Broadcast::Plumtree(state) = &mut self.broadcast {
                 state.sync_neighbors(&view);
             }
+            #[cfg(debug_assertions)]
+            self.check_links(&view);
         }
         for event in self.membership.take_events() {
             ctx.membership_event(event);
@@ -265,6 +267,8 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
         state.advance(ctx.now());
         state.handle_message(from, message, &mut out);
         Self::apply(out, Some(from), ctx);
+        #[cfg(debug_assertions)]
+        self.check_links(&self.membership.out_view());
     }
 
     /// A timer armed through [`NodeCtx::schedule`] expired.
@@ -278,6 +282,32 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
         let mut out = std::mem::take(&mut ctx.scratch().plumtree);
         state.on_timer(timer, &mut out);
         Self::apply(out, None, ctx);
+        #[cfg(debug_assertions)]
+        self.check_links(&self.membership.out_view());
+    }
+
+    /// Debug builds check the tree links against the out-view `view` after
+    /// every step: eager and lazy are disjoint, neither repeats a peer or
+    /// holds this node, and together they are the view, which repeats no
+    /// peer either. It runs on every message of every debug test, so it
+    /// scans views of a handful of peers with plain loops instead of
+    /// building sets.
+    #[cfg(debug_assertions)]
+    fn check_links(&self, view: &[I]) {
+        let Broadcast::Plumtree(state) = &self.broadcast else { return };
+        let (eager, lazy, me) = (state.eager(), state.lazy(), state.me());
+        // As many links as the view has peers, the view's peers distinct
+        // and each one linked: then the links are exactly the view's peers.
+        let mut exact = eager.len() + lazy.len() == view.len();
+        let mut i = 0;
+        while exact && i < view.len() {
+            let peer = &view[i];
+            exact = *peer != me
+                && !holds(view, i + 1, peer)
+                && (holds(eager, 0, peer) || holds(lazy, 0, peer));
+            i += 1;
+        }
+        assert!(exact, "{me:?} links eager {eager:?}, lazy {lazy:?} over out-view {view:?}");
     }
 
     /// Ships the effects of one Plumtree step (sends, deliveries that arrived
@@ -305,6 +335,20 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
         }
         ctx.scratch().plumtree = out;
     }
+}
+
+/// Whether `peers[from..]` holds `peer`: `<[I]>::contains` without the
+/// iterator and slicing calls, which unoptimized builds pay for on every
+/// message.
+#[cfg(debug_assertions)]
+fn holds<I: PartialEq>(peers: &[I], mut from: usize, peer: &I) -> bool {
+    while from < peers.len() {
+        if peers[from] == *peer {
+            return true;
+        }
+        from += 1;
+    }
+    false
 }
 
 /// Handles of the `frames.*` / `broadcast.*` counters every runtime keeps

@@ -31,10 +31,6 @@ enum Script {
 impl Membership<u32> for Scripted {
     type Message = Script;
 
-    fn me(&self) -> u32 {
-        0
-    }
-
     fn join(&mut self, contact: u32, out: &mut Outbox<u32, Script>) {
         self.view.push(contact);
         out.send(contact, Script::Welcome);
@@ -42,7 +38,7 @@ impl Membership<u32> for Scripted {
 
     fn handle_message(&mut self, from: u32, message: Script, out: &mut Outbox<u32, Script>) {
         if let Script::Admit { evict } = message {
-            self.view.retain(|peer| *peer != evict);
+            self.view.retain(|peer| *peer != evict && *peer != from);
             self.view.push(from);
             out.send(from, Script::Welcome);
             out.send(evict, Script::Goodbye);
