@@ -11,32 +11,47 @@
 //! documents.
 
 use crate::experiments::attack::AttackCell;
-use crate::experiments::fig2::Fig2Row;
+use crate::experiments::paper::{self, Results};
 use crate::experiments::plumtree::{
     Cell, PathSummary, PhaseMetrics, BURST, DISTURBED_MESSAGES, HEAL_ATTEMPTS, HEAL_CYCLES, WARMUP,
 };
 use crate::json::{array, JsonObject};
 use crate::params::Params;
+use hyparview_sim::protocols::ProtocolKind;
 
-/// The `fig2_reliability` results artifact.
-pub fn fig2_artifact(params: &Params, rows: &[Fig2Row]) -> String {
+/// The `fig2_reliability` results artifact: one row per failure level of
+/// `failures`, one cell per protocol of `kinds`, each merging its runs.
+pub fn fig2_artifact(
+    params: &Params,
+    results: &Results,
+    kinds: &[ProtocolKind],
+    failures: &[f64],
+) -> String {
     JsonObject::new()
         .str("experiment", "fig2_reliability")
         .str("params", &params.describe())
         .raw(
             "rows",
-            array(rows.iter().map(|row| {
+            array(failures.iter().map(|&failure| {
                 JsonObject::new()
-                    .num("failure", row.failure)
+                    .num("failure", failure)
                     .raw(
                         "cells",
-                        array(row.cells.iter().map(|c| {
+                        array(kinds.iter().map(|&kind| {
+                            let cell = paper::Cell::new(params, kind).failing(failure);
+                            let runs = results.runs(&cell);
+                            let summary = paper::summary(runs, params.messages);
+                            let events = runs.iter().map(|run| run.events).sum();
                             JsonObject::new()
-                                .str("protocol", c.kind.label())
-                                .num("mean_reliability", c.mean_reliability)
-                                .num("min_reliability", c.min_reliability)
-                                .num("accuracy_after", c.accuracy_after)
-                                .int("events", c.events)
+                                .str("protocol", kind.label())
+                                .num("mean_reliability", summary.mean_reliability())
+                                .num("min_reliability", summary.min_reliability())
+                                // The view accuracy right after the crash.
+                                .num(
+                                    "accuracy_after",
+                                    results.mean(&cell, |run| run.accuracy_before),
+                                )
+                                .int("events", events)
                                 .build()
                         })),
                     )
@@ -165,8 +180,8 @@ pub fn hyparview_attack_artifact(params: &Params, horizon: usize, cells: &[Attac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::paper::{Cell, Slice};
     use crate::json::parse;
-    use hyparview_sim::protocols::ProtocolKind;
 
     #[test]
     fn attack_artifact_labels_cells_by_model_fraction_and_defense() {
@@ -194,12 +209,9 @@ mod tests {
     #[test]
     fn fig2_artifact_is_valid_json_with_labeled_cells() {
         let params = Params::smoke().with_messages(4);
-        let rows = crate::experiments::reliability_after_failures(
-            &params,
-            &[ProtocolKind::Cyclon],
-            &[0.2],
-        );
-        let doc = fig2_artifact(&params, &rows);
+        let cell = Cell::new(&params, ProtocolKind::Cyclon).failing(0.2);
+        let results = paper::run(&params, vec![Slice::Fig2.key(&params, cell)]);
+        let doc = fig2_artifact(&params, &results, &[ProtocolKind::Cyclon], &[0.2]);
         let parsed = parse(&doc).expect("valid JSON");
         let flat = crate::diff::flatten(&parsed);
         assert!(

@@ -13,6 +13,7 @@
 //! own. Every flag needs its value and every unknown name is an error, so a
 //! typo never runs a different experiment than the one asked for.
 
+use crate::experiments::paper::FIG2_FAILURES;
 use crate::params::{flag_value, Params};
 use crate::report::EXPERIMENTS;
 use hyparview_obsv::Registry;
@@ -61,8 +62,9 @@ pub struct Invocation {
 ///
 /// # Errors
 ///
-/// An unknown experiment or flag, a flag without its value, or a value that
-/// does not parse.
+/// An unknown experiment or flag, a flag without its value, a value that
+/// does not parse, `--messages 0`, or an `--n` so small that the largest
+/// crash the experiments inject (95%) leaves no node alive.
 pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let (name, rest) = args.split_first().ok_or("missing the experiment name")?;
     let &(name, run) = EXPERIMENTS
@@ -70,6 +72,17 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         .find(|(known, _)| known == name)
         .ok_or_else(|| format!("unknown experiment {name:?}"))?;
     let (params, rest) = Params::default().apply_args(rest.iter().cloned())?;
+    if params.messages == 0 {
+        return Err("--messages must be at least 1".to_owned());
+    }
+    let worst = FIG2_FAILURES.iter().copied().fold(0.0, f64::max);
+    if (params.n as f64 * worst).round() as usize >= params.n {
+        return Err(format!(
+            "--n {} leaves no node alive after a {:.0}% crash",
+            params.n,
+            worst * 100.0
+        ));
+    }
     let mut invocation = Invocation { name, run, params, json: None, assert: false };
     let mut rest = rest.into_iter();
     while let Some(flag) = rest.next() {
@@ -91,7 +104,9 @@ pub fn usage() -> String {
          [--seed N] [--runs N] [--jobs N] [--fanout N] [--stabilization N] [--json PATH] \
          [--assert]\n       \
          hpv-bench diff <baseline> <current> [--threshold 0.10]\n\
-         experiments: {}",
+         experiments: {}\n\
+         --runs N merges N seeds per cell in fig1_fanout, fig1c_after_failure, \
+         fig2_reliability and fig3_recovery; the other experiments report the first seed",
         names.join(", ")
     )
 }
@@ -147,5 +162,6 @@ mod tests {
         for (name, _) in EXPERIMENTS {
             assert!(text.contains(name), "{name} missing from usage");
         }
+        assert!(text.contains("the other experiments report the first seed"), "{text}");
     }
 }

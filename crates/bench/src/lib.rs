@@ -13,21 +13,26 @@
 //! * `table1_graph_props` — Table 1: clustering / path length / hops.
 //! * `overhead`, `ablations` — §3.1's message cost; §5.5/§6's design
 //!   choices.
+//!
+//!   These nine are slices of one grid of cells ([`experiments::paper`]):
+//!   one runner, and a cell that slices share runs once.
 //! * `plumtree` — beyond the paper: eager flood vs static and adaptive
 //!   Plumtree trees over one grid of crashes, latency models, per-link
 //!   loss and a partition-and-heal cycle ([`experiments::plumtree`]).
 //! * `hyparview_attack` — adversarial membership: eclipse/infiltration
 //!   colluders vs overlay defenses, headline time-to-eclipse.
-//! * `all` — the seven paper experiments above in order.
+//! * `all` — the seven paper figures and tables in order, over one grid
+//!   in which each distinct cell runs once.
 //! * `diff` — not an experiment: diffs two sets of results artifacts into
 //!   a markdown table ([`diff`]).
 //!
 //! Every experiment accepts `--n`, `--messages`, `--seed`, `--runs`,
 //! `--jobs`, `--fanout`, `--stabilization` and the `--paper` / `--quick`
-//! / `--smoke` presets ([`cli`]). `--jobs N` fans independent seeded runs
-//! out over `N` worker threads ([`parallel::sweep`]); partials merge in
-//! seed order, so every result and artifact is a pure function of the
-//! seed, byte-identical at any job count. Nothing here reads a clock: the
+//! / `--smoke` presets ([`cli`]). `--jobs N` fans every experiment's
+//! independent seeded runs out over `N` worker threads
+//! ([`parallel::sweep`]); partials merge in seed order, so every result
+//! and artifact is a pure function of the seed, byte-identical at any job
+//! count. Nothing here reads a clock: the
 //! repository benchmark (`benchmark/`) is the one source of timed numbers.
 
 #![warn(missing_docs)]
@@ -44,4 +49,4 @@ pub mod params;
 mod report;
 pub mod table;
 
-pub use params::{Params, ALL_PROTOCOLS, FIG1_FANOUTS, FIG2_FAILURES, FIG3_FAILURES};
+pub use params::Params;

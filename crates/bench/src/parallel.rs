@@ -61,27 +61,32 @@ where
     slots.into_iter().map(|slot| slot.expect("every item produced")).collect()
 }
 
-/// Runs `f(&key, run)` for every `key × run` combination over `jobs`
-/// workers and returns each key paired with its run partials, keys in
-/// input order and partials in run order.
+/// Runs `f(&key, run)` for every key and each of its `runs(&key)` runs
+/// over `jobs` workers and returns each key paired with its run partials,
+/// keys in input order and partials in run order.
 ///
 /// The pairing is correct *by construction* — the same `keys` vector
 /// drives both the fan-out and the regrouping — and each key rides along
-/// with its partials, so a caller merging in its own iteration order can
-/// assert that order against the returned keys instead of trusting a
-/// silently-parallel loop nesting.
+/// with its partials, so a caller reads a key's partials by the key
+/// instead of trusting a silently-parallel loop nesting.
 pub fn sweep_grid<K: Sync, T: Send>(
     keys: Vec<K>,
-    runs: usize,
+    runs: impl Fn(&K) -> usize,
     jobs: usize,
     f: impl Fn(&K, usize) -> T + Sync,
 ) -> Vec<(K, Vec<T>)> {
-    let outputs = sweep(keys.len() * runs, jobs, |i| f(&keys[i / runs.max(1)], i % runs.max(1)));
-    let mut outputs = outputs.into_iter();
-    let grouped: Vec<(K, Vec<T>)> =
-        keys.into_iter().map(|key| (key, (&mut outputs).take(runs).collect())).collect();
-    debug_assert!(outputs.next().is_none(), "every partial belongs to exactly one key");
-    grouped
+    let items: Vec<(usize, usize)> = keys
+        .iter()
+        .enumerate()
+        .flat_map(|(i, key)| (0..runs(key)).map(move |run| (i, run)))
+        .collect();
+    let mut outputs = sweep(items.len(), jobs, |i| f(&keys[items[i].0], items[i].1)).into_iter();
+    keys.into_iter()
+        .map(|key| {
+            let partials = outputs.by_ref().take(runs(&key)).collect();
+            (key, partials)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -121,18 +126,20 @@ mod tests {
     #[test]
     fn grid_pairs_keys_with_their_runs() {
         for jobs in [1, 4] {
-            let grid = sweep_grid(vec!["a", "b", "c"], 2, jobs, |&key, run| format!("{key}{run}"));
+            let runs = |key: &&str| if *key == "b" { 1 } else { 2 };
+            let grid =
+                sweep_grid(vec!["a", "b", "c"], runs, jobs, |&key, run| format!("{key}{run}"));
             assert_eq!(
                 grid,
                 vec![
                     ("a", vec!["a0".to_owned(), "a1".to_owned()]),
-                    ("b", vec!["b0".to_owned(), "b1".to_owned()]),
+                    ("b", vec!["b0".to_owned()]),
                     ("c", vec!["c0".to_owned(), "c1".to_owned()]),
                 ],
                 "jobs = {jobs}"
             );
         }
-        assert_eq!(sweep_grid(Vec::<u8>::new(), 3, 2, |_, run| run), vec![]);
+        assert_eq!(sweep_grid(Vec::<u8>::new(), |_| 3, 2, |_, run| run), vec![]);
     }
 
     #[test]

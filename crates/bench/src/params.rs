@@ -8,7 +8,7 @@
 //! artifact. [`Params::apply_args`] is the one parser of these flags for
 //! every `hpv-bench` experiment.
 
-use hyparview_sim::{protocols::ProtocolKind, ProtocolConfigs, Scenario};
+use hyparview_sim::{ProtocolConfigs, Scenario};
 use std::str::FromStr;
 
 /// Shared knobs for all experiments.
@@ -189,19 +189,6 @@ impl Default for Params {
         Params::quick()
     }
 }
-
-/// The failure percentages of Figure 2 (10%–95%).
-pub const FIG2_FAILURES: [f64; 11] =
-    [0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.85, 0.90, 0.95];
-
-/// The failure percentages of Figure 3's panels.
-pub const FIG3_FAILURES: [f64; 6] = [0.20, 0.40, 0.60, 0.70, 0.80, 0.95];
-
-/// The fanout range of Figure 1.
-pub const FIG1_FANOUTS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-
-/// All four protocols in display order.
-pub const ALL_PROTOCOLS: [ProtocolKind; 4] = ProtocolKind::ALL;
 
 #[cfg(test)]
 mod tests {

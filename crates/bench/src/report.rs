@@ -5,52 +5,66 @@
 
 use crate::artifacts::{fig2_artifact, hyparview_attack_artifact, plumtree_artifact};
 use crate::cli::{Outcome, Run};
-use crate::experiments::plumtree::{self, Cell};
-use crate::experiments::{
-    attack, fanout_sweep, flood_vs_random, graph_properties, healing_time, in_degree_distribution,
-    message_overhead, passive_size_sweep, recovery_series, reliability_after_failures,
-    shuffle_payload_sweep, walk_length_sweep, AblationPoint,
+use crate::experiments::attack;
+use crate::experiments::paper::{
+    self, summary, Cell, Results, Slice, FIG2_FAILURES, FIG3_FAILURES,
 };
-use crate::params::{Params, ALL_PROTOCOLS, FIG1_FANOUTS, FIG2_FAILURES, FIG3_FAILURES};
+use crate::experiments::plumtree;
+use crate::params::Params;
 use crate::table::{num, pct, render, sparkline};
+use hyparview_gossip::ReliabilitySummary;
+use hyparview_graph::IndegreeReport;
 use hyparview_obsv::Registry;
 use hyparview_sim::protocols::ProtocolKind;
 
 /// Every experiment by name, in the order `hpv-bench`'s usage lists them.
 pub(crate) const EXPERIMENTS: [(&str, Run); 12] = [
-    ("fig1_fanout", fig1_fanout),
-    ("fig1c_after_failure", fig1c_after_failure),
-    ("fig2_reliability", fig2_reliability),
-    ("fig3_recovery", fig3_recovery),
-    ("fig4_healing", fig4_healing),
-    ("fig5_indegree", fig5_indegree),
-    ("table1_graph_props", table1_graph_props),
-    ("overhead", overhead),
-    ("ablations", ablations),
+    ("fig1_fanout", |params| run_slices(params, &[Slice::Fig1])),
+    ("fig1c_after_failure", |params| run_slices(params, &[Slice::Fig1c])),
+    ("fig2_reliability", |params| run_slices(params, &[Slice::Fig2])),
+    ("fig3_recovery", |params| run_slices(params, &[Slice::Fig3])),
+    ("fig4_healing", |params| run_slices(params, &[Slice::Fig4])),
+    ("fig5_indegree", |params| run_slices(params, &[Slice::Fig5])),
+    ("table1_graph_props", |params| run_slices(params, &[Slice::Table1])),
+    ("overhead", |params| run_slices(params, &[Slice::Overhead])),
+    ("ablations", |params| run_slices(params, &[Slice::Ablations])),
     ("plumtree", plumtree),
     ("hyparview_attack", hyparview_attack),
-    ("all", all),
+    // The paper's evaluation in order: Figures 1 to 4, Table 1, Figure 5.
+    ("all", |params| run_slices(params, &paper::ALL)),
 ];
 
-/// The paper's evaluation in order: Figures 1 to 4, Table 1, Figure 5.
-fn all(params: &Params) -> Outcome {
-    let parts: [Run; 7] = [
-        fig1_fanout,
-        fig1c_after_failure,
-        fig2_reliability,
-        fig3_recovery,
-        fig4_healing,
-        table1_graph_props,
-        fig5_indegree,
-    ];
+/// Experiments of the paper's evaluation over one grid, in which every
+/// cell they share runs once. One slice's outcome is its own; several
+/// slices' reports follow each other.
+fn run_slices(params: &Params, slices: &[Slice]) -> Outcome {
+    let results = paper::run(params, paper::grid(params, slices));
+    if let [slice] = slices {
+        return report(*slice, params, &results);
+    }
     let mut outcome = Outcome::default();
-    for run in parts {
-        let part = run(params);
-        outcome.report += &part.report;
-        outcome.report += "\n\n";
+    for &slice in slices {
+        let part = report(slice, params, &results);
+        outcome.report += &(part.report + "\n\n");
         outcome.failures.extend(part.failures);
     }
     outcome
+}
+
+/// The report of `slice`, read from `results`.
+fn report(slice: Slice, params: &Params, results: &Results) -> Outcome {
+    let report = match slice {
+        Slice::Fig1 => fig1_fanout,
+        Slice::Fig1c => fig1c_after_failure,
+        Slice::Fig2 => fig2_reliability,
+        Slice::Fig3 => fig3_recovery,
+        Slice::Fig4 => fig4_healing,
+        Slice::Fig5 => fig5_indegree,
+        Slice::Table1 => table1_graph_props,
+        Slice::Overhead => overhead,
+        Slice::Ablations => ablations,
+    };
+    report(params, results)
 }
 
 fn header(title: &str, params: &Params, detail: &str) -> Vec<String> {
@@ -66,21 +80,22 @@ fn merged<'a>(registries: impl Iterator<Item = &'a Registry>) -> Registry {
 }
 
 /// Figure 1a/1b: fanout × reliability on a stable overlay.
-fn fig1_fanout(params: &Params) -> Outcome {
+fn fig1_fanout(params: &Params, results: &Results) -> Outcome {
     // The paper measures 50 broadcasts per fanout in this experiment.
-    let params = &params.clone().with_messages(params.messages.min(50));
-    let mut out = header("Figure 1a/1b — fanout x reliability (stable overlay)", params, "");
-    let kinds = [ProtocolKind::Cyclon, ProtocolKind::Scamp, ProtocolKind::HyParView];
-    let points = fanout_sweep(params, &kinds, &FIG1_FANOUTS);
+    let messages = Slice::Fig1.broadcasts(params);
+    let shown = params.clone().with_messages(messages);
+    let mut out = header("Figure 1a/1b — fanout x reliability (stable overlay)", &shown, "");
+    let cells = Slice::Fig1.cells(params);
+    let points: Vec<_> = cells.iter().map(|c| (c, summary(results.runs(c), messages))).collect();
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
+        .map(|(cell, summary)| {
             vec![
-                p.kind.label().to_owned(),
-                p.fanout.to_string(),
-                pct(p.mean_reliability),
-                pct(p.min_reliability),
-                num(p.atomic_fraction, 3),
+                cell.kind.label().to_owned(),
+                cell.fanout.to_string(),
+                pct(summary.mean_reliability()),
+                pct(summary.min_reliability()),
+                num(summary.atomic_fraction(), 3),
             ]
         })
         .collect();
@@ -88,12 +103,9 @@ fn fig1_fanout(params: &Params) -> Outcome {
     out.push(render(&headers, &rows));
     // The paper's headline thresholds.
     for kind in [ProtocolKind::Cyclon, ProtocolKind::Scamp] {
-        let needed = points
-            .iter()
-            .filter(|p| p.kind == kind && p.mean_reliability >= 0.99)
-            .map(|p| p.fanout)
-            .min();
-        out.push(match needed {
+        let reaches =
+            |(c, s): &&(&Cell, ReliabilitySummary)| c.kind == kind && s.mean_reliability() >= 0.99;
+        out.push(match points.iter().filter(reaches).map(|(c, _)| c.fanout).min() {
             Some(f) => format!("{kind}: first fanout reaching 99% reliability = {f}"),
             None => format!("{kind}: never reached 99% reliability in the sweep"),
         });
@@ -103,22 +115,21 @@ fn fig1_fanout(params: &Params) -> Outcome {
 
 /// Figure 1c: reliability of the messages sent right after 50% of the nodes
 /// crash, for Cyclon and Scamp (the motivation experiment, §3.2).
-fn fig1c_after_failure(params: &Params) -> Outcome {
+fn fig1c_after_failure(params: &Params, results: &Results) -> Outcome {
     // The paper sends 100 messages in this experiment.
-    let params = &params.clone().with_messages(params.messages.min(100));
-    let mut out = header("Figure 1c — effect of 50% node failures (Cyclon, Scamp)", params, "");
-    let mut rows = Vec::new();
-    for kind in [ProtocolKind::Cyclon, ProtocolKind::Scamp] {
-        let series = recovery_series(params, kind, 0.5);
-        let max = series.reliability.iter().copied().fold(0.0, f64::max);
-        let mean = series.reliability.iter().sum::<f64>() / series.reliability.len() as f64;
-        rows.push(vec![
-            kind.label().to_owned(),
-            pct(mean),
-            pct(max),
-            sparkline(&series.reliability, 25),
-        ]);
-    }
+    let messages = Slice::Fig1c.broadcasts(params);
+    let shown = params.clone().with_messages(messages);
+    let mut out = header("Figure 1c — effect of 50% node failures (Cyclon, Scamp)", &shown, "");
+    let rows: Vec<Vec<String>> = Slice::Fig1c
+        .cells(params)
+        .iter()
+        .map(|cell| {
+            let series = results.series(cell, messages);
+            let max = series.iter().copied().fold(0.0, f64::max);
+            let mean = series.iter().sum::<f64>() / series.len() as f64;
+            vec![cell.kind.label().to_owned(), pct(mean), pct(max), sparkline(&series, 25)]
+        })
+        .collect();
     out.push(render(&["protocol", "mean reliability", "best message", "evolution"], &rows));
     out.push("(paper: no message delivered to more than ~85% of nodes; no recovery before the next cycle)".into());
     Outcome::new(out)
@@ -127,18 +138,21 @@ fn fig1c_after_failure(params: &Params) -> Outcome {
 /// Figure 2: mean reliability of the broadcasts sent right after crashing
 /// 10% to 95% of all nodes, for all four protocols. The headline: HyParView
 /// at 100% through 50% failures and at least 90% through 90%.
-fn fig2_reliability(params: &Params) -> Outcome {
+fn fig2_reliability(params: &Params, results: &Results) -> Outcome {
     let title =
         format!("Figure 2 — reliability for {} messages after massive failures", params.messages);
     let mut out = header(&title, params, "");
-    let data = reliability_after_failures(params, &ALL_PROTOCOLS, &FIG2_FAILURES);
+    let reliability = |kind, failure| {
+        let runs = results.runs(&Cell::new(params, kind).failing(failure));
+        summary(runs, params.messages).mean_reliability()
+    };
     let mut headers = vec!["failure %"];
-    headers.extend(ALL_PROTOCOLS.map(ProtocolKind::label));
-    let rows: Vec<Vec<String>> = data
+    headers.extend(ProtocolKind::ALL.map(ProtocolKind::label));
+    let rows: Vec<Vec<String>> = FIG2_FAILURES
         .iter()
-        .map(|row| {
-            let mut cells = vec![format!("{:.0}%", row.failure * 100.0)];
-            cells.extend(row.cells.iter().map(|c| pct(c.mean_reliability)));
+        .map(|&failure| {
+            let mut cells = vec![format!("{:.0}%", failure * 100.0)];
+            cells.extend(ProtocolKind::ALL.map(|kind| pct(reliability(kind, failure))));
             cells
         })
         .collect();
@@ -149,45 +163,44 @@ fn fig2_reliability(params: &Params) -> Outcome {
     out.push(" Cyclon and Scamp below 50% reliability for failure rates above 50%)".into());
 
     let mut failures = Vec::new();
-    for row in &data {
-        let Some(hpv) = row.cells.iter().find(|c| c.kind == ProtocolKind::HyParView) else {
-            continue;
-        };
+    for &failure in &FIG2_FAILURES {
+        let hpv = reliability(ProtocolKind::HyParView, failure);
         for (up_to, floor) in [(0.5, 0.9999), (0.9, 0.90)] {
-            if row.failure <= up_to && hpv.mean_reliability < floor {
+            if failure <= up_to && hpv < floor {
                 failures.push(format!(
                     "HyParView at {:.0}% failures: reliability {} < {}",
-                    row.failure * 100.0,
-                    pct(hpv.mean_reliability),
+                    failure * 100.0,
+                    pct(hpv),
                     pct(floor)
                 ));
             }
         }
     }
-    Outcome { json: Some(fig2_artifact(params, &data)), failures, ..Outcome::new(out) }
+    let json = fig2_artifact(params, results, &ProtocolKind::ALL, &FIG2_FAILURES);
+    Outcome { json: Some(json), failures, ..Outcome::new(out) }
 }
 
 /// Figures 3a–3f: per-message reliability after failures of 20% to 95%.
-fn fig3_recovery(params: &Params) -> Outcome {
+fn fig3_recovery(params: &Params, results: &Results) -> Outcome {
     let mut out = header("Figure 3 — reliability after failures, message by message", params, "");
     for &failure in &FIG3_FAILURES {
         out.push(format!("\n## {:.0}% failures", failure * 100.0));
-        let mut rows = Vec::new();
-        for kind in ALL_PROTOCOLS {
-            let series = recovery_series(params, kind, failure);
-            let first = series.reliability.first().copied().unwrap_or(0.0);
-            let recover = series
-                .messages_to_reach(0.99 * series.plateau().max(0.01))
-                .map(|i| (i + 1).to_string())
-                .unwrap_or_else(|| "-".to_owned());
-            rows.push(vec![
-                kind.label().to_owned(),
-                pct(first),
-                pct(series.plateau()),
-                recover,
-                sparkline(&series.reliability, 25),
-            ]);
-        }
+        let rows: Vec<Vec<String>> = ProtocolKind::ALL
+            .iter()
+            .map(|&kind| {
+                let cell = Cell::new(params, kind).failing(failure);
+                let series = results.series(&cell, params.messages);
+                let plateau = paper::plateau(&series);
+                let recover = paper::messages_to_reach(&series, 0.99 * plateau.max(0.01));
+                vec![
+                    kind.label().to_owned(),
+                    pct(series.first().copied().unwrap_or(0.0)),
+                    pct(plateau),
+                    recover.map_or_else(|| "-".to_owned(), |i| (i + 1).to_string()),
+                    sparkline(&series, 25),
+                ]
+            })
+            .collect();
         let headers = ["protocol", "1st message", "plateau", "msgs to plateau", "evolution"];
         out.push(render(&headers, &rows));
     }
@@ -201,54 +214,56 @@ fn fig3_recovery(params: &Params) -> Outcome {
 /// Figure 4: membership cycles needed to regain pre-failure reliability,
 /// for HyParView, CyclonAcked and Cyclon (the paper omits Scamp: its
 /// healing is governed by the lease period).
-fn fig4_healing(params: &Params) -> Outcome {
-    const MAX_CYCLES: usize = 60;
-    const FAILURES: [f64; 9] = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90];
+fn fig4_healing(params: &Params, results: &Results) -> Outcome {
+    const MAX_CYCLES: usize = paper::MAX_HEAL_CYCLES;
     let title = "Figure 4 — healing time (cycles to regain pre-failure reliability)";
     let mut out = header(title, params, &format!(" (max {MAX_CYCLES} cycles probed)"));
-    let kinds = [ProtocolKind::HyParView, ProtocolKind::CyclonAcked, ProtocolKind::Cyclon];
     let cycles = |c: Option<usize>| c.map_or_else(|| format!(">{MAX_CYCLES}"), |c| c.to_string());
-    let mut rows = Vec::new();
-    for &failure in &FAILURES {
-        let mut cells = vec![format!("{:.0}%", failure * 100.0)];
-        for kind in kinds {
-            let result = healing_time(params, kind, failure, MAX_CYCLES);
-            cells.push(format!(
-                "{} / {} (base {})",
-                cycles(result.cycles),
-                cycles(result.cycles_near),
-                pct(result.baseline)
-            ));
-        }
-        rows.push(cells);
-    }
+    let rows: Vec<Vec<String>> = paper::FIG4_FAILURES
+        .iter()
+        .map(|&failure| {
+            let mut cells = vec![format!("{:.0}%", failure * 100.0)];
+            cells.extend(paper::FIG4_PROTOCOLS.map(|kind| {
+                let cell = Cell { heal: true, ..Cell::new(params, kind).failing(failure) };
+                let healing = results.first(&cell).healing.as_ref().expect("a heal cell heals");
+                let (strict, near) = (healing.cycles(1.0), healing.cycles(0.995));
+                format!("{} / {} (base {})", cycles(strict), cycles(near), pct(healing.baseline))
+            }));
+            cells
+        })
+        .collect();
     out.push(render(&["failure %", "HyParView", "CyclonAcked", "Cyclon"], &rows));
     out.push("(paper: HyParView needs 1–2 cycles below 80% and <= 4 at 90%;".into());
     out.push(" Cyclon grows roughly linearly with the failure percentage)".into());
     Outcome::new(out)
 }
 
+/// Run 0 of each protocol's stable cell at `params.fanout` (Figure 5,
+/// Table 1), with its overlay.
+fn stable_runs<'r>(params: &Params, results: &'r Results) -> Vec<(ProtocolKind, &'r paper::Run)> {
+    ProtocolKind::ALL.iter().map(|&kind| (kind, results.first(&Cell::new(params, kind)))).collect()
+}
+
 /// Figure 5: in-degree distribution after stabilization.
-fn fig5_indegree(params: &Params) -> Outcome {
+fn fig5_indegree(params: &Params, results: &Results) -> Outcome {
     let mut out = header("Figure 5 — in-degree distribution after stabilization", params, "");
-    let data = in_degree_distribution(params, &ALL_PROTOCOLS);
+    let data: Vec<(ProtocolKind, &IndegreeReport)> = stable_runs(params, results)
+        .into_iter()
+        .map(|(kind, run)| (kind, &run.overlay.as_ref().expect("a stable overlay").indegree))
+        .collect();
     let rows: Vec<Vec<String>> = data
         .iter()
-        .map(|row| {
-            vec![
-                row.kind.label().to_owned(),
-                num(row.summary.mean, 2),
-                row.summary.min.to_string(),
-                row.summary.max.to_string(),
-                num(row.summary.stddev, 2),
-            ]
+        .map(|(kind, report)| {
+            let summary = &report.summary;
+            let (min, max) = (summary.min.to_string(), summary.max.to_string());
+            vec![kind.label().to_owned(), num(summary.mean, 2), min, max, num(summary.stddev, 2)]
         })
         .collect();
     out.push(render(&["protocol", "mean", "min", "max", "stddev"], &rows));
-    for row in &data {
-        out.push(format!("\n{} in-degree histogram (degree: nodes):", row.kind));
-        let max_count = row.histogram.values().copied().max().unwrap_or(1);
-        for (degree, count) in &row.histogram {
+    for (kind, report) in &data {
+        out.push(format!("\n{kind} in-degree histogram (degree: nodes):"));
+        let max_count = report.histogram.values().copied().max().unwrap_or(1);
+        for (degree, count) in &report.histogram {
             let bar_len = (count * 50).div_ceil(max_count);
             out.push(format!("  {degree:>4}: {:<50} {count}", "#".repeat(bar_len)));
         }
@@ -262,18 +277,20 @@ fn fig5_indegree(params: &Params) -> Outcome {
 
 /// Table 1: clustering coefficient, average shortest path and maximum hops
 /// to delivery after stabilization.
-fn table1_graph_props(params: &Params) -> Outcome {
+fn table1_graph_props(params: &Params, results: &Results) -> Outcome {
     let mut out = header("Table 1 — graph properties after stabilization", params, "");
-    let rows: Vec<Vec<String>> = graph_properties(params, &ALL_PROTOCOLS)
-        .iter()
-        .map(|r| {
+    let hops = Slice::Table1.broadcasts(params);
+    let rows: Vec<Vec<String>> = stable_runs(params, results)
+        .into_iter()
+        .map(|(kind, run)| {
+            let overlay = run.overlay.as_ref().expect("a stable overlay");
             vec![
-                r.kind.label().to_owned(),
-                num(r.clustering, 6),
-                num(r.avg_shortest_path, 3),
-                num(r.mean_max_hops, 1),
-                r.connected.to_string(),
-                num(r.mean_view_size, 1),
+                kind.label().to_owned(),
+                num(overlay.clustering, 6),
+                num(overlay.avg_shortest_path, 3),
+                num(summary(std::slice::from_ref(run), hops).mean_max_hops(), 1),
+                overlay.connected.to_string(),
+                num(overlay.mean_view, 1),
             ]
         })
         .collect();
@@ -292,19 +309,25 @@ fn table1_graph_props(params: &Params) -> Outcome {
 }
 
 /// Transmissions and redundancy per broadcast across fanouts (§3.1).
-fn overhead(params: &Params) -> Outcome {
-    let params = &params.clone().with_messages(params.messages.min(100));
-    let mut out = header("Message overhead per broadcast (stable overlay, §3.1)", params, "");
-    let rows: Vec<Vec<String>> = message_overhead(params, &ALL_PROTOCOLS, &[4, 5, 6])
+fn overhead(params: &Params, results: &Results) -> Outcome {
+    let messages = Slice::Overhead.broadcasts(params);
+    let shown = params.clone().with_messages(messages);
+    let mut out = header("Message overhead per broadcast (stable overlay, §3.1)", &shown, "");
+    let rows: Vec<Vec<String>> = Slice::Overhead
+        .cells(params)
         .iter()
-        .map(|p| {
+        .map(|cell| {
+            let summary = summary(std::slice::from_ref(results.first(cell)), messages);
+            let n = summary.count().max(1) as f64;
+            let sent = summary.total_sent() as f64 / n;
+            let redundant = summary.total_redundant() as f64 / n;
             vec![
-                p.kind.label().to_owned(),
-                p.fanout.to_string(),
-                num(p.sent_per_broadcast, 0),
-                num(p.redundant_per_broadcast, 0),
-                pct(p.redundancy_ratio()),
-                pct(p.mean_reliability),
+                cell.kind.label().to_owned(),
+                cell.fanout.to_string(),
+                num(sent, 0),
+                num(redundant, 0),
+                pct(if sent == 0.0 { 0.0 } else { redundant / sent }),
+                pct(summary.mean_reliability()),
             ]
         })
         .collect();
@@ -318,31 +341,17 @@ fn overhead(params: &Params) -> Outcome {
 
 /// The design choices behind HyParView's resilience (§5.5) and §6's open
 /// question on passive view size.
-fn ablations(params: &Params) -> Outcome {
+fn ablations(params: &Params, results: &Results) -> Outcome {
     let mut out = header("HyParView ablations", params, "");
-    let sections: [(&str, Vec<AblationPoint>); 4] = [
-        (
-            "Passive view size vs resilience at 80% failures (§6 future work)",
-            passive_size_sweep(params, 0.8, &[1, 5, 10, 20, 30, 60]),
-        ),
-        (
-            "Deterministic flood vs random fanout at 50% failures (§5.5)",
-            flood_vs_random(params, 0.5),
-        ),
-        (
-            "Join walk lengths (ARWL/PRWL) at 60% failures",
-            walk_length_sweep(params, 0.6, &[(6, 3), (3, 1), (1, 1), (10, 5)]),
-        ),
-        (
-            "Shuffle payload (ka/kp) at 60% failures",
-            shuffle_payload_sweep(params, 0.6, &[(3, 4), (1, 1), (0, 7), (6, 8)]),
-        ),
-    ];
-    for (title, points) in sections {
+    for (title, cells) in paper::ablations(params) {
         out.push(format!("\n## {title}"));
-        let rows: Vec<Vec<String>> = points
+        let rows: Vec<Vec<String>> = cells
             .iter()
-            .map(|p| vec![p.label.clone(), pct(p.mean_reliability), pct(p.isolated_fraction)])
+            .map(|(label, cell)| {
+                let run = results.first(cell);
+                let reliability = summary(std::slice::from_ref(run), params.messages);
+                vec![label.clone(), pct(reliability.mean_reliability()), pct(run.isolated)]
+            })
             .collect();
         out.push(render(&["configuration", "mean reliability", "isolated nodes"], &rows));
     }
@@ -440,7 +449,7 @@ const FIXED_CRASH30: &str = "fixed.loss0.crash30";
 /// The `plumtree` headline checks, slice by slice. A check may read a cell
 /// of another slice: the static tree at [`FIXED_CRASH30`] is every slice's
 /// baseline.
-fn plumtree_checks(cells: &[Cell]) -> Vec<String> {
+fn plumtree_checks(cells: &[plumtree::Cell]) -> Vec<String> {
     let cell = |strategy: &str, label: &str| plumtree::cell(cells, strategy, label);
     let slice = |name: &'static str| cells.iter().filter(move |c| c.at.slice == name);
     let mut checks = Checks(Vec::new());
@@ -538,13 +547,13 @@ fn plumtree_checks(cells: &[Cell]) -> Vec<String> {
 struct Checks(Vec<String>);
 
 impl Checks {
-    fn that(&mut self, c: &Cell, holds: bool, failure: impl FnOnce() -> String) {
+    fn that(&mut self, c: &plumtree::Cell, holds: bool, failure: impl FnOnce() -> String) {
         if !holds {
             self.0.push(format!("{} {}: {}", c.at.strategy.label, c.at.label(), failure()));
         }
     }
 
-    fn full(&mut self, c: &Cell, phase: &str, reliability: f64) {
+    fn full(&mut self, c: &plumtree::Cell, phase: &str, reliability: f64) {
         self.that(c, reliability >= 0.9999, || {
             format!("{phase} reliability {} < 99.99%", pct(reliability))
         });

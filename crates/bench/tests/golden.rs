@@ -17,7 +17,7 @@
 use hyparview_bench::artifacts::fig2_artifact;
 use hyparview_bench::cli::{self, Outcome};
 use hyparview_bench::diff::{diff, markdown_table};
-use hyparview_bench::experiments::reliability_after_failures;
+use hyparview_bench::experiments::paper::{self, Cell, Slice};
 use hyparview_bench::json::{parse, JsonValue};
 use hyparview_bench::obsv_json::registry_json;
 use hyparview_bench::Params;
@@ -202,7 +202,10 @@ fn fig2_multi_run_merge_is_byte_identical_across_jobs() {
     let doc = |jobs| {
         let params = Params::smoke().with_messages(12).with_runs(2).with_jobs(jobs);
         let kinds = [ProtocolKind::HyParView, ProtocolKind::CyclonAcked];
-        fig2_artifact(&params, &reliability_after_failures(&params, &kinds, &[0.2, 0.6]))
+        let failures = [0.2, 0.6];
+        let cells = failures.iter().flat_map(|&f| kinds.map(|k| Cell::new(&params, k).failing(f)));
+        let grid = cells.map(|cell| Slice::Fig2.key(&params, cell)).collect();
+        fig2_artifact(&params, &paper::run(&params, grid), &kinds, &failures)
     };
     assert_eq!(doc(1), doc(4), "--jobs 4 must not change a byte of the fig2 artifact");
 }

@@ -1,13 +1,15 @@
 //! The built `hpv-bench` binary end to end: `--json` writes exactly what
 //! the artifact builders return for the same `Params`, the metric snapshot
-//! lands next to the results where the experiment has one, and usage errors
-//! exit 2 before anything runs.
+//! lands next to the results where the experiment has one, and usage errors,
+//! scales the experiments cannot run included, exit 2 before anything runs.
 
 use hyparview_bench::artifacts::{fig2_artifact, plumtree_artifact};
-use hyparview_bench::experiments::{plumtree, reliability_after_failures};
+use hyparview_bench::experiments::paper::{self, Slice, FIG2_FAILURES};
+use hyparview_bench::experiments::plumtree;
 use hyparview_bench::obsv_json::registry_json;
-use hyparview_bench::{Params, ALL_PROTOCOLS, FIG2_FAILURES};
+use hyparview_bench::Params;
 use hyparview_obsv::Registry;
+use hyparview_sim::protocols::ProtocolKind;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -43,8 +45,8 @@ fn run_small(name: &str, dir: &std::path::Path) -> PathBuf {
 fn json_is_the_artifact_builders_output_and_no_metrics_where_there_are_none() {
     let dir = out_dir("fig2");
     let json = run_small("fig2_reliability", &dir);
-    let rows = reliability_after_failures(&params(), &ALL_PROTOCOLS, &FIG2_FAILURES);
-    assert_eq!(read(json), fig2_artifact(&params(), &rows));
+    let results = paper::run(&params(), paper::grid(&params(), &[Slice::Fig2]));
+    assert_eq!(read(json), fig2_artifact(&params(), &results, &ProtocolKind::ALL, &FIG2_FAILURES));
     assert!(!dir.join("fig2_reliability.metrics.json").exists());
 }
 
@@ -72,6 +74,9 @@ fn usage_errors_exit_2_and_write_nothing() {
         vec!["plumtree", "--full", "--json", json],
         vec!["fig2_reliability", "--smoke", "--json"],
         vec!["fig2_reliability", "--json", json, "--n"],
+        vec!["fig2_reliability", "--smoke", "--n", "10", "--json", json],
+        vec!["fig2_reliability", "--smoke", "--n", "0", "--json", json],
+        vec!["fig2_reliability", "--smoke", "--messages", "0", "--json", json],
         vec![],
     ] {
         let run = hpv_bench(&args);

@@ -10,8 +10,6 @@
 //! ```
 
 use hyparview_net::{BroadcastMode, NetConfig, Node};
-use hyparview_obsv::log::Level;
-use hyparview_obsv::{obsv_error, obsv_info};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -67,12 +65,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> std::io::Result<()> {
-    // `HPV_LOG=debug|info|warn|error|off` filters; interactive default Info.
-    hyparview_obsv::log::init_from_env(Level::Info);
     let args = match parse_args() {
         Ok(args) => args,
         Err(e) => {
-            obsv_error!("hyparview_node", "{e}");
+            eprintln!("hyparview_node: {e}");
             std::process::exit(2);
         }
     };
@@ -87,9 +83,9 @@ fn main() -> std::io::Result<()> {
     };
     let mode = config.broadcast_mode;
     let node = Node::spawn(args.bind, config)?;
-    obsv_info!("hyparview_node", "listening on {} ({mode} broadcast)", node.addr());
+    eprintln!("listening on {} ({mode} broadcast)", node.addr());
     if let Some(contact) = args.join {
-        obsv_info!("hyparview_node", "joining through {contact}");
+        eprintln!("joining through {contact}");
         node.join(contact);
     }
 

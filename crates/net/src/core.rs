@@ -18,7 +18,7 @@ use bytes::Bytes;
 use crossbeam::channel::Sender;
 use hyparview_core::{Message, RecentSet};
 use hyparview_obsv::{
-    names, Clock, CounterId, Registry, TraceEvent, TraceKind, TraceRing, TraceSink, WallClock,
+    names, CounterId, Registry, TraceEvent, TraceKind, TraceRing, TraceSink, WallClock,
 };
 use hyparview_plumtree::{
     Announcement, BroadcastMode, FrameCounters, HyParViewMembership, Membership, MembershipEvent,
@@ -48,8 +48,8 @@ pub struct Delivery {
 ///
 /// A *snapshot view*: the source of truth is the core's
 /// [`hyparview_obsv::Registry`] (canonical `frames.*` / `broadcast.*` /
-/// `net.*` names, shared with the simulator); this struct is materialized
-/// from it on every publish.
+/// `net.*` names, shared with the simulator); this struct is read from
+/// the node's published registry mirror when asked for.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NodeStats {
     /// Broadcasts initiated by this node.
@@ -74,6 +74,25 @@ pub struct NodeStats {
     pub ihave_batch_anns_sent: u64,
 }
 
+impl NodeStats {
+    /// The counters as `metrics` holds them (0 where a name is not yet
+    /// registered).
+    pub(crate) fn from_registry(metrics: &Registry) -> NodeStats {
+        let c = |name| metrics.value_by_name(name).unwrap_or(0);
+        NodeStats {
+            broadcasts_sent: c(names::BROADCAST_SENT),
+            deliveries: c(names::BROADCAST_DELIVERED),
+            duplicates: c(names::BROADCAST_DUPLICATES),
+            mode_mismatched: c(names::NET_MODE_MISMATCHED),
+            frames_sent: c(names::FRAMES_SENT),
+            payload_frames_sent: c(names::FRAMES_PAYLOAD_SENT),
+            ihave_frames_sent: c(names::FRAMES_IHAVE_SENT),
+            ihave_batch_frames_sent: c(names::FRAMES_IHAVE_BATCH_SENT),
+            ihave_batch_anns_sent: c(names::FRAMES_IHAVE_BATCH_ANNS_SENT),
+        }
+    }
+}
+
 /// Mutable view snapshots shared with the application-facing handle.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Shared {
@@ -81,7 +100,6 @@ pub(crate) struct Shared {
     pub(crate) passive: Vec<SocketAddr>,
     pub(crate) eager: Vec<SocketAddr>,
     pub(crate) lazy: Vec<SocketAddr>,
-    pub(crate) stats: NodeStats,
     /// Mirror of the node's full metric registry (canonical names,
     /// `hyparview.*` and `plumtree.*` counters included).
     pub(crate) metrics: Registry,
@@ -412,23 +430,6 @@ impl LiveNode {
         self.act(sink, |core, ctx| core.on_timer(timer, ctx));
     }
 
-    /// The legacy counters struct, materialized from the registry.
-    fn stats_snapshot(&self) -> NodeStats {
-        let frames = &self.surface.frames;
-        let c = |id: CounterId| self.surface.metrics.counter_value(id);
-        NodeStats {
-            broadcasts_sent: c(frames.broadcasts),
-            deliveries: c(frames.delivered),
-            duplicates: c(frames.duplicates),
-            mode_mismatched: c(self.surface.mode_mismatched),
-            frames_sent: c(frames.sent),
-            payload_frames_sent: c(frames.payload),
-            ihave_frames_sent: c(frames.ihave),
-            ihave_batch_frames_sent: c(frames.ihave_batch),
-            ihave_batch_anns_sent: c(frames.ihave_batch_anns),
-        }
-    }
-
     /// Copies the current views and counters into the shared snapshot the
     /// application handle reads.
     ///
@@ -444,7 +445,6 @@ impl LiveNode {
         if let Some(plumtree) = self.core.plumtree_state() {
             plumtree.stats().fill_registry(metrics);
         }
-        let stats = self.stats_snapshot();
         let metrics = &self.surface.metrics;
         let mut shared = self.shared.lock();
         // `clone_into` refills the snapshots in place: no allocation once
@@ -455,7 +455,6 @@ impl LiveNode {
             plumtree.eager().clone_into(&mut shared.eager);
             plumtree.lazy().clone_into(&mut shared.lazy);
         }
-        shared.stats = stats;
         if shared.metrics.names().len() == metrics.names().len() {
             shared.metrics.copy_values_from(metrics);
         } else {
@@ -547,7 +546,7 @@ mod tests {
     #[test]
     fn flood_forward_is_encoded_once_for_all_targets() {
         let mut core = core_with_five_neighbors(NetConfig::default());
-        let before = core.stats_snapshot();
+        let before = NodeStats::from_registry(&core.surface.metrics);
         let payload = Bytes::from(vec![7u8; 64]);
         let mut ctx = Recorder::default();
         core.on_frame(
@@ -564,7 +563,7 @@ mod tests {
         for (_, bytes) in &ctx.sent {
             assert_eq!(bytes.as_ptr(), first.as_ptr(), "every out-queue shares one buffer");
         }
-        let after = core.stats_snapshot();
+        let after = NodeStats::from_registry(&core.surface.metrics);
         assert_eq!(after.frames_sent - before.frames_sent, 4);
         assert_eq!(after.payload_frames_sent - before.payload_frames_sent, 4);
         assert_eq!(after.deliveries - before.deliveries, 1);
@@ -579,7 +578,7 @@ mod tests {
                 .with_plumtree(PlumtreeConfig::default()),
         );
         core.on_frame(addr(5), Frame::PlumtreePrune, &mut Recorder::default());
-        let before = core.stats_snapshot();
+        let before = NodeStats::from_registry(&core.surface.metrics);
         let payload = Bytes::from(vec![7u8; 8 * 1024]);
         let mut ctx = Recorder::default();
         let push = Frame::PlumtreeGossip { id: 42, round: 2, payload: payload.clone() };
@@ -598,7 +597,7 @@ mod tests {
         assert_eq!(announcements.len(), 1);
         assert_eq!(announcements[0].0, addr(5));
         assert_eq!(decoded(&announcements[0].1), Frame::PlumtreeIHave { id: 42, round: 3 });
-        let after = core.stats_snapshot();
+        let after = NodeStats::from_registry(&core.surface.metrics);
         assert_eq!(after.frames_sent - before.frames_sent, 4);
         assert_eq!(after.payload_frames_sent - before.payload_frames_sent, 3);
         assert_eq!(after.ihave_frames_sent - before.ihave_frames_sent, 1);
@@ -629,6 +628,7 @@ mod tests {
         assert!(state.has_seen(299) && !state.has_seen(299 - window as u128));
         let delivered: Vec<u128> = deliveries.try_iter().map(|delivery| delivery.id).collect();
         assert_eq!(delivered, (0..300).collect::<Vec<u128>>(), "each id once, in order");
-        assert_eq!((core.stats_snapshot().deliveries, core.stats_snapshot().duplicates), (300, 0));
+        let stats = NodeStats::from_registry(&core.surface.metrics);
+        assert_eq!((stats.deliveries, stats.duplicates), (300, 0));
     }
 }

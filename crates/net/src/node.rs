@@ -250,12 +250,12 @@ impl Node {
 
     /// Number of gossip messages delivered so far.
     pub fn delivery_count(&self) -> u64 {
-        self.shared.lock().stats.deliveries
+        self.stats().deliveries
     }
 
     /// Snapshot of the node's runtime counters.
     pub fn stats(&self) -> NodeStats {
-        self.shared.lock().stats
+        NodeStats::from_registry(&self.shared.lock().metrics)
     }
 
     /// Snapshot of the node's full metric registry: the canonical

@@ -6,19 +6,17 @@
 //!
 //! The paper's evaluation is entirely about *measured* dissemination
 //! behavior — reliability, redundancy, last-hop delay, view accuracy.
-//! This crate gives every layer the same four instruments:
+//! This crate gives every layer the same three instruments:
 //!
 //! * [`Registry`] — named counters, gauges and log-bucketed
 //!   [`Histogram`]s with fixed bucket boundaries, so snapshots stay
 //!   byte-deterministic and partial results merge associatively;
 //! * [`TraceSink`]/[`TraceRing`] — structured [`TraceEvent`]s at protocol
-//!   decision points, timestamped through one [`Clock`] abstraction that
-//!   covers both deterministic simulated time and reactor wall time;
+//!   decision points, timestamped in simulated time units by the simulator
+//!   and in [`WallClock`] microseconds by the reactor;
 //! * [`PathTracer`]/[`DisseminationTree`] — causal broadcast-path
 //!   tracing: every first delivery tagged with its hop provenance, so a
-//!   finished broadcast reconstructs as the tree it actually traversed;
-//! * [`log`] — leveled, env-filterable stderr logging for the binaries,
-//!   off by default so tests and artifact pipelines stay quiet.
+//!   finished broadcast reconstructs as the tree it actually traversed.
 //!
 //! The crate is dependency-free and sans-io: producers own their
 //! registries and rings; aggregation and serialization happen in the
@@ -29,13 +27,12 @@
 
 pub mod clock;
 pub mod hist;
-pub mod log;
 pub mod metrics;
 pub mod names;
 pub mod path;
 pub mod trace;
 
-pub use clock::{Clock, TimeDomain, VirtualClock, WallClock};
+pub use clock::WallClock;
 pub use hist::{bucket_bounds, bucket_index, Histogram};
 pub use metrics::{CounterId, GaugeId, HistogramId, Registry};
 pub use path::{DisseminationTree, HopRecord, PathTracer};

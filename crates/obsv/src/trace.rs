@@ -1,8 +1,9 @@
 //! Structured trace events at protocol decision points.
 //!
 //! A [`TraceEvent`] records *that a node made a decision* — swapped a view
-//! member, promoted a tree link, fired a timer — with a timestamp from one
-//! of the two [clock domains](crate::clock::TimeDomain) and small integer
+//! member, promoted a tree link, fired a timer — with a timestamp (the
+//! simulator's virtual time units, or the reactor's
+//! [`WallClock`](crate::WallClock) microseconds) and small integer
 //! operands. Producers push events into a [`TraceSink`]; the stock
 //! implementation is [`TraceRing`], a bounded ring that overwrites the
 //! oldest events and counts what it dropped, so tracing can stay on in a
@@ -114,7 +115,8 @@ pub enum TraceKind {
 /// One timestamped decision made by one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Timestamp in the producer's [clock domain](crate::clock::TimeDomain).
+    /// Timestamp: virtual time units in the simulator, wall-clock
+    /// microseconds since the node started in the reactor.
     pub time: u64,
     /// The deciding node (sim index or listen port).
     pub node: u64,
