@@ -191,7 +191,7 @@ mod tests {
             "eclipse",
             hyparview_sim::AttackerModel::Eclipse,
             0.20,
-            "open",
+            crate::experiments::OPEN,
             4,
         );
         let doc = hyparview_attack_artifact(&params, 4, std::slice::from_ref(&cell));

@@ -63,8 +63,9 @@ pub struct Invocation {
 /// # Errors
 ///
 /// An unknown experiment or flag, a flag without its value, a value that
-/// does not parse, `--messages 0`, or an `--n` so small that the largest
-/// crash the experiments inject (95%) leaves no node alive.
+/// does not parse, `--messages 0`, `--fanout 0` (a broadcast would reach
+/// only its origin), or an `--n` so small that the largest crash the
+/// experiments inject (95%) leaves no node alive.
 pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let (name, rest) = args.split_first().ok_or("missing the experiment name")?;
     let &(name, run) = EXPERIMENTS
@@ -74,6 +75,9 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
     let (params, rest) = Params::default().apply_args(rest.iter().cloned())?;
     if params.messages == 0 {
         return Err("--messages must be at least 1".to_owned());
+    }
+    if params.fanout == 0 {
+        return Err("--fanout must be at least 1".to_owned());
     }
     let worst = FIG2_FAILURES.iter().copied().fold(0.0, f64::max);
     if (params.n as f64 * worst).round() as usize >= params.n {

@@ -35,18 +35,18 @@ use hyparview_sim::{AttackPlan, AttackerModel};
 /// must hold the victim set past the horizon there.
 pub const ATTACK_FRACTIONS: [f64; 2] = [0.10, 0.20];
 
-/// Eclipse victim-set size: enough victims that a single lucky hold-out
-/// does not decide the cell, few enough that the colluders' flood budget
-/// stays concentrated.
-pub const ATTACK_VICTIMS: usize = 2;
-
 /// The two attacker models in display order, with their labels.
 pub const ATTACK_MODELS: [(&str, AttackerModel); 2] =
     [("eclipse", AttackerModel::Eclipse), ("infiltration", AttackerModel::Infiltration)];
 
-/// The two defense configurations in display order: the paper's protocol
-/// untouched, and every overlay defense enabled.
-pub const DEFENSES: [&str; 2] = ["open", "hardened"];
+/// The paper's protocol untouched.
+pub const OPEN: (&str, Config) = ("open", Config::paper());
+
+/// The paper's protocol with every overlay defense on.
+pub const HARDENED: (&str, Config) = ("hardened", Config::hardened());
+
+/// The two defense configurations in display order, each with its label.
+pub const DEFENSES: [(&str, Config); 2] = [OPEN, HARDENED];
 
 /// Membership cycles each cell runs under attack before the broadcast
 /// phase: three stabilization periods, floored at 30 so the smoke preset
@@ -115,27 +115,6 @@ pub struct AttackCell {
     pub metrics: Registry,
 }
 
-/// The defense configuration for one cell: `base` untouched for `"open"`,
-/// `base` with every overlay defense at [`Config::hardened`]'s settings
-/// for `"hardened"` (applied onto `base` so view capacities and shuffle
-/// parameters stay those of the scenario).
-pub fn defense_config(base: &Config, defense: &str) -> Config {
-    match defense {
-        "open" => base.clone(),
-        // `Config::hardened()`'s knobs re-applied onto `base` so sweep-level
-        // capacities (active/passive view sizes, ARWL/PRWL) survive.
-        "hardened" => {
-            let hardened = Config::hardened();
-            base.clone()
-                .with_admission_cooldown(hardened.admission_cooldown)
-                .with_neighbor_evict_budget(hardened.neighbor_evict_budget)
-                .with_max_active_tenure(hardened.max_active_tenure)
-                .with_churn_shuffle_boost(hardened.churn_shuffle_boost)
-        }
-        other => panic!("unknown defense configuration {other}"),
-    }
-}
-
 fn overlay_of(sim: &HyParViewSim) -> Overlay {
     let views = sim
         .out_views()
@@ -154,17 +133,16 @@ pub fn attack_cell(
     model_label: &'static str,
     model: AttackerModel,
     fraction: f64,
-    defense: &'static str,
+    (defense, config): (&'static str, Config),
     horizon: usize,
 ) -> AttackCell {
     let plan = match model {
-        AttackerModel::Eclipse => AttackPlan::eclipse(fraction, ATTACK_VICTIMS),
+        AttackerModel::Eclipse => AttackPlan::eclipse(fraction),
         AttackerModel::Infiltration => AttackPlan::infiltration(fraction),
     };
     let colluders = plan.colluder_indices(params.n);
     let victims = plan.victim_indices(params.n);
     let scenario = params.scenario(0).with_attack(plan);
-    let config = defense_config(&params.configs.hyparview, defense);
     let mut sim = build_hyparview(&scenario, config);
 
     let mut capture_by_cycle = Vec::with_capacity(horizon);
@@ -243,7 +221,7 @@ pub fn hyparview_attack(params: &Params, horizon: usize) -> Vec<AttackCell> {
         }
     }
     parallel::sweep(combos.len(), params.jobs, |i| {
-        let (label, model, fraction, defense) = combos[i];
+        let (label, model, fraction, defense) = combos[i].clone();
         attack_cell(params, label, model, fraction, defense, horizon)
     })
 }
@@ -271,9 +249,8 @@ mod tests {
     fn defenses_push_time_to_eclipse_past_5x_the_undefended_baseline() {
         let params = Params::smoke().with_messages(8);
         let horizon = default_horizon(&params);
-        let open = attack_cell(&params, "eclipse", AttackerModel::Eclipse, 0.20, "open", horizon);
-        let hard =
-            attack_cell(&params, "eclipse", AttackerModel::Eclipse, 0.20, "hardened", horizon);
+        let open = attack_cell(&params, "eclipse", AttackerModel::Eclipse, 0.20, OPEN, horizon);
+        let hard = attack_cell(&params, "eclipse", AttackerModel::Eclipse, 0.20, HARDENED, horizon);
         assert!(open.eclipsed, "an undefended 20% eclipse must capture a victim within {horizon}");
         assert!(
             hard.time_to_eclipse >= 5 * open.time_to_eclipse,
@@ -292,7 +269,7 @@ mod tests {
     fn undefended_infiltration_capture_grows_monotonically() {
         let params = Params::smoke().with_messages(1);
         let cell =
-            attack_cell(&params, "infiltration", AttackerModel::Infiltration, 0.20, "open", 30);
+            attack_cell(&params, "infiltration", AttackerModel::Infiltration, 0.20, OPEN, 30);
         // Windowed monotonicity: per-cycle noise is fine, the trend is not.
         let window = |range: std::ops::Range<usize>| {
             let slice = &cell.capture_by_cycle[range];
@@ -317,14 +294,13 @@ mod tests {
         // change the reliability/RMR headline — tenure rotation and
         // admission damping reshape membership, not dissemination quality.
         let params = Params::smoke().with_messages(16);
-        let phase = |defense: &str| {
-            let config = defense_config(&params.configs.hyparview, defense);
+        let phase = |config: Config| {
             let mut sim = build_hyparview(&params.scenario(0), config);
             sim.run_cycles(params.stabilization_cycles);
             measure(&mut sim, SimId::new(0), params.messages).0
         };
-        let open = phase("open");
-        let hard = phase("hardened");
+        let open = phase(Config::paper());
+        let hard = phase(Config::hardened());
         assert!(open.mean_reliability > 0.9999, "open baseline must be atomic");
         assert!(hard.mean_reliability > 0.9999, "defenses alone must not cost reliability");
         assert!(

@@ -12,8 +12,8 @@ pub mod paper;
 pub mod plumtree;
 
 pub use attack::{
-    attack_cell, attack_cell_for, default_horizon, defense_config, hyparview_attack, AttackCell,
-    ATTACK_FRACTIONS, ATTACK_MODELS, ATTACK_VICTIMS, DEFENSES,
+    attack_cell, attack_cell_for, default_horizon, hyparview_attack, AttackCell, ATTACK_FRACTIONS,
+    ATTACK_MODELS, DEFENSES, HARDENED, OPEN,
 };
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use hyparview_graph::{
     Overlay,
 };
 use hyparview_sim::protocols::ProtocolKind::{self, Cyclon, CyclonAcked, HyParView, Scamp};
-use hyparview_sim::{AnySim, ProtocolConfigs, Scenario};
+use hyparview_sim::{AnySim, Scenario};
 
 /// Broadcasts per healing probe, per the paper (§5.3).
 pub const PROBES_PER_CYCLE: usize = 10;
@@ -51,8 +51,8 @@ pub const FIG4_PROTOCOLS: [ProtocolKind; 3] = [HyParView, CyclonAcked, Cyclon];
 pub struct Cell {
     /// Which of the four protocols.
     pub kind: ProtocolKind,
-    /// The HyParView configuration (the other protocols run
-    /// `params.configs`).
+    /// The HyParView configuration (the other protocols run their paper
+    /// configurations; see [`AnySim::build`]).
     pub hyparview: Config,
     /// HyParView forwards to a random `fanout` of its active view instead
     /// of flooding it (the §5.5 ablation).
@@ -66,10 +66,9 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// `kind` with `params`' configurations at `params.fanout`, stable.
+    /// `kind` with the paper's configurations at `params.fanout`, stable.
     pub fn new(params: &Params, kind: ProtocolKind) -> Cell {
-        let hyparview = params.configs.hyparview.clone();
-        let (fanout, failure) = (params.fanout, 0.0);
+        let (hyparview, fanout, failure) = (Config::paper(), params.fanout, 0.0);
         Cell { kind, hyparview, random_fanout: false, fanout, failure, heal: false }
     }
 
@@ -300,7 +299,7 @@ pub struct Run {
 /// [`MAX_HEAL_CYCLES`] cycles have run.
 pub fn run_cell(params: &Params, key: &Key, run: usize) -> Run {
     let cell = &key.cell;
-    let mut sim = build(cell, &params.scenario(run).with_fanout(cell.fanout), &params.configs);
+    let mut sim = build(cell, &params.scenario(run).with_fanout(cell.fanout));
     sim.run_cycles(params.stabilization_cycles);
     let overlay = key.overlay.then(|| snapshot(&sim, params.seed));
     let baseline = cell.heal.then(|| probe(&mut sim, PROBES_PER_CYCLE).1);
@@ -325,7 +324,7 @@ pub fn run_cell(params: &Params, key: &Key, run: usize) -> Run {
     Run { overlay, accuracy_before, broadcasts, accuracy_after, isolated, events, healing }
 }
 
-fn build(cell: &Cell, scenario: &Scenario, configs: &ProtocolConfigs) -> AnySim {
+fn build(cell: &Cell, scenario: &Scenario) -> AnySim {
     let config = cell.hyparview.clone();
     if cell.random_fanout {
         return AnySim::HyParView(scenario.build_with(move |id, seed| {
@@ -333,7 +332,7 @@ fn build(cell: &Cell, scenario: &Scenario, configs: &ProtocolConfigs) -> AnySim 
             node.expect("valid HyParView config").with_random_fanout(seed ^ 0xFA17)
         }));
     }
-    AnySim::build(cell.kind, scenario, &ProtocolConfigs { hyparview: config, ..configs.clone() })
+    AnySim::build(cell.kind, scenario, config)
 }
 
 fn snapshot(sim: &AnySim, seed: u64) -> OverlaySnapshot {

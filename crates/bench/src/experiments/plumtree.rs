@@ -40,7 +40,7 @@
 
 use crate::parallel;
 use crate::params::Params;
-use hyparview_core::SimId;
+use hyparview_core::{Config, SimId};
 use hyparview_obsv::{names, Histogram, Registry};
 use hyparview_plumtree::{BroadcastMode, PlumtreeConfig};
 use hyparview_sim::protocols::{build_hyparview, HyParViewSim};
@@ -357,7 +357,7 @@ fn run_cell(params: &Params, at: Coordinates) -> Cell {
         .with_broadcast_mode(strategy.mode)
         .with_plumtree(plumtree)
         .with_faults(FaultPlan::default().with_loss(at.loss).with_duplication(at.loss / 2.0));
-    let mut sim = build_hyparview(&scenario, params.configs.hyparview.clone());
+    let mut sim = build_hyparview(&scenario, Config::paper());
     sim.run_cycles(params.stabilization_cycles);
 
     let mut origin = SimId::new(0);

@@ -8,7 +8,7 @@
 //! artifact. [`Params::apply_args`] is the one parser of these flags for
 //! every `hpv-bench` experiment.
 
-use hyparview_sim::{ProtocolConfigs, Scenario};
+use hyparview_sim::Scenario;
 use std::str::FromStr;
 
 /// Shared knobs for all experiments.
@@ -33,8 +33,6 @@ pub struct Params {
     /// [`Params::describe`]: the description is embedded in the JSON
     /// artifacts, which must not vary with execution parallelism.
     pub jobs: usize,
-    /// Protocol configurations.
-    pub configs: ProtocolConfigs,
 }
 
 impl Params {
@@ -48,7 +46,6 @@ impl Params {
             messages: 1_000,
             runs: 1,
             jobs: 1,
-            configs: ProtocolConfigs::paper(),
         }
     }
 
@@ -114,9 +111,9 @@ impl Params {
             .with_stabilization_cycles(self.stabilization_cycles)
     }
 
-    /// Applies a scale preset while keeping configs and execution knobs.
+    /// Applies a scale preset while keeping the execution knob.
     fn preset(self, scale: Params) -> Params {
-        Params { configs: self.configs, jobs: self.jobs, ..scale }
+        Params { jobs: self.jobs, ..scale }
     }
 
     /// Parses CLI arguments of the form `--n 2000 --messages 100 --seed 7
@@ -140,8 +137,8 @@ impl Params {
         while let Some(arg) = args.next() {
             let args = &mut args;
             self = match arg.as_str() {
-                // Presets reset the scale knobs but keep configs and the
-                // execution knobs (jobs): `--jobs 4 --smoke` and
+                // Presets reset the scale knobs but keep the execution
+                // knob (jobs): `--jobs 4 --smoke` and
                 // `--smoke --jobs 4` must agree.
                 "--paper" => self.preset(Params::paper()),
                 "--quick" => self.preset(Params::quick()),

@@ -16,6 +16,7 @@ use hyparview_gossip::ReliabilitySummary;
 use hyparview_graph::IndegreeReport;
 use hyparview_obsv::Registry;
 use hyparview_sim::protocols::ProtocolKind;
+use hyparview_sim::{ATTACKER_REJOIN, ECLIPSE_VICTIMS};
 
 /// Every experiment by name, in the order `hpv-bench`'s usage lists them.
 pub(crate) const EXPERIMENTS: [(&str, Run); 12] = [
@@ -567,7 +568,10 @@ impl Checks {
 /// reliability stays positive.
 fn hyparview_attack(params: &Params) -> Outcome {
     let horizon = attack::default_horizon(params);
-    let detail = format!(" (horizon {horizon} cycles, eclipse victims 2, attacker rejoin 20%)");
+    let detail = format!(
+        " (horizon {horizon} cycles, eclipse victims {ECLIPSE_VICTIMS}, attacker rejoin {:.0}%)",
+        ATTACKER_REJOIN * 100.0
+    );
     let title = "Adversarial membership — attacker fraction × overlay defenses";
     let mut out = header(title, params, &detail);
     let cells = attack::hyparview_attack(params, horizon);

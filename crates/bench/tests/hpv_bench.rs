@@ -77,6 +77,7 @@ fn usage_errors_exit_2_and_write_nothing() {
         vec!["fig2_reliability", "--smoke", "--n", "10", "--json", json],
         vec!["fig2_reliability", "--smoke", "--n", "0", "--json", json],
         vec!["fig2_reliability", "--smoke", "--messages", "0", "--json", json],
+        vec!["fig2_reliability", "--smoke", "--fanout", "0", "--json", json],
         vec![],
     ] {
         let run = hpv_bench(&args);

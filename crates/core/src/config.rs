@@ -18,6 +18,35 @@ use std::fmt;
 /// "just like FORWARDJOIN requests", so this is ARWL's paper value.
 pub(crate) const SHUFFLE_TTL: u8 = 6;
 
+/// Admission damping (overlay defense): once a peer is admitted into the
+/// active view via `JOIN` or a high-priority `NEIGHBOR`, further such
+/// admissions of the *same* identifier are rejected for this many
+/// membership cycles. Damps the rapid re-`JOIN` / re-`NEIGHBOR` churn an
+/// eclipse attacker uses to re-roll random evictions; first-time
+/// admissions are never affected.
+pub const ADMISSION_COOLDOWN: u64 = 50;
+
+/// Per-cycle budget of *eviction-causing* high-priority `NEIGHBOR`
+/// admissions (overlay defense). Once it is spent, further high-priority
+/// requests that would evict an active member are rejected until the next
+/// shuffle tick. Requests that fill a free slot or re-confirm an existing
+/// member are exempt.
+pub const NEIGHBOR_EVICT_BUDGET: usize = 1;
+
+/// Bounded active-view tenure (overlay defense): at each shuffle tick, if
+/// the longest-tenured active member has been in the view for at least
+/// this many cycles *and* a passive-view replacement exists, it is swapped
+/// out (disconnected into the passive view). Continuous rotation caps how
+/// long a captured slot stays captured.
+pub const MAX_ACTIVE_TENURE: u64 = 5;
+
+/// Churn-triggered shuffle boost (overlay defense): when the previous
+/// cycle saw active-view churn (evictions or transport failures), the
+/// shuffle tick sends this many *extra* shuffle requests, diluting
+/// attacker-biased passive views faster exactly when the view is under
+/// pressure.
+pub const CHURN_SHUFFLE_BOOST: usize = 1;
+
 /// Errors produced when validating a [`Config`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -88,38 +117,24 @@ pub struct Config {
     pub shuffle_active: usize,
     /// Number of passive-view identifiers placed in a shuffle message (paper: 4).
     pub shuffle_passive: usize,
-    /// Admission damping (overlay defense, not in the paper): once a peer
-    /// is admitted into the active view via `JOIN` or a high-priority
-    /// `NEIGHBOR`, further such admissions of the *same* identifier are
-    /// rejected for this many membership cycles. `0` disables damping.
-    /// Damps the rapid re-`JOIN` / re-`NEIGHBOR` churn an eclipse attacker
-    /// uses to re-roll random evictions; first-time admissions are never
-    /// affected.
-    pub admission_cooldown: u64,
-    /// Per-cycle budget of *eviction-causing* high-priority `NEIGHBOR`
-    /// admissions (overlay defense). Once the budget is spent, further
-    /// high-priority requests that would evict an active member are
-    /// rejected until the next shuffle tick. `0` disables the budget
-    /// (the paper's always-accept rule). Requests that fill a free slot or
-    /// re-confirm an existing member are exempt.
-    pub neighbor_evict_budget: usize,
-    /// Bounded active-view tenure (overlay defense): at each shuffle tick,
-    /// if the longest-tenured active member has been in the view for at
-    /// least this many cycles *and* a passive-view replacement exists, it
-    /// is swapped out (disconnected into the passive view). Continuous
-    /// rotation caps how long a captured slot stays captured. `0` disables
-    /// forced swap-out.
-    pub max_active_tenure: u64,
-    /// Churn-triggered shuffle boost (overlay defense): when the previous
-    /// cycle saw active-view churn (evictions or transport failures), the
-    /// shuffle tick sends this many *extra* shuffle requests, diluting
-    /// attacker-biased passive views faster exactly when the view is under
-    /// pressure. `0` disables the boost.
-    pub churn_shuffle_boost: usize,
+    /// Turns on the four overlay defenses (not in the paper), each at its
+    /// constant below: admission damping ([`ADMISSION_COOLDOWN`]), the
+    /// per-cycle eviction budget ([`NEIGHBOR_EVICT_BUDGET`]), bounded
+    /// active-view tenure ([`MAX_ACTIVE_TENURE`]) and the churn-triggered
+    /// shuffle boost ([`CHURN_SHUFFLE_BOOST`]). Off by default: the paper's
+    /// protocol.
+    pub defenses: bool,
 }
 
 impl Default for Config {
     fn default() -> Self {
+        Config::paper()
+    }
+}
+
+impl Config {
+    /// Returns the paper's configuration (same as [`Config::default`]).
+    pub const fn paper() -> Self {
         Config {
             active_capacity: 5,
             passive_capacity: 30,
@@ -127,18 +142,8 @@ impl Default for Config {
             prwl: 3,
             shuffle_active: 3,
             shuffle_passive: 4,
-            admission_cooldown: 0,
-            neighbor_evict_budget: 0,
-            max_active_tenure: 0,
-            churn_shuffle_boost: 0,
+            defenses: false,
         }
-    }
-}
-
-impl Config {
-    /// Returns the paper's configuration (same as [`Config::default`]).
-    pub fn paper() -> Self {
-        Self::default()
     }
 
     /// Sets the active view capacity.
@@ -177,42 +182,9 @@ impl Config {
         self
     }
 
-    /// Sets the per-peer admission cooldown in cycles (`0` = off).
-    pub fn with_admission_cooldown(mut self, cycles: u64) -> Self {
-        self.admission_cooldown = cycles;
-        self
-    }
-
-    /// Sets the per-cycle eviction-causing `NEIGHBOR` admission budget
-    /// (`0` = unlimited, the paper's rule).
-    pub fn with_neighbor_evict_budget(mut self, budget: usize) -> Self {
-        self.neighbor_evict_budget = budget;
-        self
-    }
-
-    /// Sets the maximum active-view tenure in cycles (`0` = off).
-    pub fn with_max_active_tenure(mut self, cycles: u64) -> Self {
-        self.max_active_tenure = cycles;
-        self
-    }
-
-    /// Sets the number of extra shuffles sent after a churn-heavy cycle
-    /// (`0` = off).
-    pub fn with_churn_shuffle_boost(mut self, extra: usize) -> Self {
-        self.churn_shuffle_boost = extra;
-        self
-    }
-
-    /// The paper's configuration with every overlay defense enabled at the
-    /// settings the adversarial-membership experiments use: long admission
-    /// cooldown, one eviction-admission per cycle, five-cycle tenure, and
-    /// one boost shuffle under churn.
-    pub fn hardened() -> Self {
-        Config::default()
-            .with_admission_cooldown(50)
-            .with_neighbor_evict_budget(1)
-            .with_max_active_tenure(5)
-            .with_churn_shuffle_boost(1)
+    /// The paper's configuration with every overlay defense on.
+    pub const fn hardened() -> Self {
+        Config { defenses: true, ..Config::paper() }
     }
 
     /// The gossip fanout implied by this configuration: the active view holds
@@ -289,30 +261,19 @@ mod tests {
 
     #[test]
     fn defenses_default_off_and_builders_apply() {
-        let c = Config::default();
-        assert_eq!(c.admission_cooldown, 0);
-        assert_eq!(c.neighbor_evict_budget, 0);
-        assert_eq!(c.max_active_tenure, 0);
-        assert_eq!(c.churn_shuffle_boost, 0);
-        let d = Config::default()
-            .with_admission_cooldown(10)
-            .with_neighbor_evict_budget(2)
-            .with_max_active_tenure(6)
-            .with_churn_shuffle_boost(3);
-        assert_eq!(d.admission_cooldown, 10);
-        assert_eq!(d.neighbor_evict_budget, 2);
-        assert_eq!(d.max_active_tenure, 6);
-        assert_eq!(d.churn_shuffle_boost, 3);
-        d.validate().expect("defended config must validate");
+        assert!(!Config::default().defenses);
+        assert!(Config::hardened().defenses);
+        assert_eq!(Config::hardened(), Config { defenses: true, ..Config::default() });
+        assert_eq!(
+            (ADMISSION_COOLDOWN, NEIGHBOR_EVICT_BUDGET, MAX_ACTIVE_TENURE, CHURN_SHUFFLE_BOOST),
+            (50, 1, 5, 1)
+        );
     }
 
     #[test]
     fn hardened_enables_every_defense() {
         let c = Config::hardened();
-        assert!(c.admission_cooldown > 0);
-        assert!(c.neighbor_evict_budget > 0);
-        assert!(c.max_active_tenure > 0);
-        assert!(c.churn_shuffle_boost > 0);
+        assert!(c.defenses);
         // Defenses never change the paper's view geometry.
         assert_eq!(c.active_capacity, Config::default().active_capacity);
         assert_eq!(c.passive_capacity, Config::default().passive_capacity);

@@ -84,9 +84,9 @@ impl<I: Identity, M> Outbox<I, M> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipEvent<I> {
     /// A `JOIN` from `peer` was rejected because the same identifier was
-    /// admitted within the last [`Config::admission_cooldown`] cycles.
+    /// admitted within the last [`ADMISSION_COOLDOWN`] cycles.
     ///
-    /// [`Config::admission_cooldown`]: crate::Config::admission_cooldown
+    /// [`ADMISSION_COOLDOWN`]: crate::config::ADMISSION_COOLDOWN
     JoinDamped {
         /// The damped sender.
         peer: I,
@@ -98,9 +98,9 @@ pub enum MembershipEvent<I> {
         peer: I,
     },
     /// `peer` was rotated out of the active view after exceeding
-    /// [`Config::max_active_tenure`] cycles of membership.
+    /// [`MAX_ACTIVE_TENURE`] cycles of membership.
     ///
-    /// [`Config::max_active_tenure`]: crate::Config::max_active_tenure
+    /// [`MAX_ACTIVE_TENURE`]: crate::config::MAX_ACTIVE_TENURE
     TenureSwapped {
         /// The rotated-out active-view member.
         peer: I,

@@ -13,7 +13,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{Config, ConfigError, SHUFFLE_TTL};
+use crate::config::{
+    Config, ConfigError, ADMISSION_COOLDOWN, CHURN_SHUFFLE_BOOST, MAX_ACTIVE_TENURE,
+    NEIGHBOR_EVICT_BUDGET, SHUFFLE_TTL,
+};
 use crate::message::{Message, Priority};
 use crate::outbox::{MembershipEvent, Outbox};
 use crate::stats::Stats;
@@ -91,14 +94,14 @@ pub struct HyParView<I> {
     cycle: u64,
     /// Cycle of each peer's last damped-path admission (`JOIN` or
     /// high-priority `NEIGHBOR`). Maintained only while
-    /// [`Config::admission_cooldown`] is non-zero; pruned every tick.
+    /// [`Config::defenses`] is on; pruned every tick.
     admitted_at: Vec<(I, u64)>,
     /// Admission cycle of current active members. Maintained only while
-    /// [`Config::max_active_tenure`] is non-zero; stale entries are pruned
-    /// lazily at each tick.
+    /// [`Config::defenses`] is on; stale entries are pruned lazily at each
+    /// tick.
     active_since: Vec<(I, u64)>,
     /// Eviction-causing high-priority `NEIGHBOR` admissions since the last
-    /// tick (compared against [`Config::neighbor_evict_budget`]).
+    /// tick (compared against [`NEIGHBOR_EVICT_BUDGET`]).
     evict_admissions: usize,
     /// Active-view churn (evictions + transport failures) since the last
     /// tick; a non-zero value arms the shuffle boost.
@@ -250,12 +253,9 @@ impl<I: Identity> HyParView<I> {
         self.cycle += 1;
         self.evict_admissions = 0;
         let churned = std::mem::take(&mut self.churn_events) > 0;
-        if self.config.admission_cooldown > 0 {
+        if self.config.defenses {
             let cycle = self.cycle;
-            let cooldown = self.config.admission_cooldown;
-            self.admitted_at.retain(|(_, at)| cycle.saturating_sub(*at) < cooldown);
-        }
-        if self.config.max_active_tenure > 0 {
+            self.admitted_at.retain(|(_, at)| cycle.saturating_sub(*at) < ADMISSION_COOLDOWN);
             self.tenure_swap(actions);
         }
         // The background half of §4.3's repair: an isolated node rejoins
@@ -266,8 +266,8 @@ impl<I: Identity> HyParView<I> {
         if !self.send_shuffle(actions) {
             return;
         }
-        if churned && self.config.churn_shuffle_boost > 0 {
-            for _ in 0..self.config.churn_shuffle_boost {
+        if churned && self.config.defenses {
+            for _ in 0..CHURN_SHUFFLE_BOOST {
                 if self.send_shuffle(actions) {
                     self.events.push(MembershipEvent::ShuffleBoosted);
                 }
@@ -292,7 +292,7 @@ impl<I: Identity> HyParView<I> {
     }
 
     /// Forced swap-out: once the longest-tenured active member has been in
-    /// the view for [`Config::max_active_tenure`] cycles *and* the passive
+    /// the view for [`MAX_ACTIVE_TENURE`] cycles *and* the passive
     /// view offers a replacement candidate, rotate it out (Disconnect into
     /// the passive view, exactly like a capacity eviction). Continuous
     /// rotation bounds how long a captured slot stays captured.
@@ -306,14 +306,14 @@ impl<I: Identity> HyParView<I> {
         else {
             return;
         };
-        if self.cycle.saturating_sub(since) < self.config.max_active_tenure {
+        if self.cycle.saturating_sub(since) < MAX_ACTIVE_TENURE {
             return;
         }
         if self.active.remove(&peer) {
             self.active_since.retain(|(p, _)| *p != peer);
             self.stats.active_evictions += 1;
             actions.send(peer, Message::Disconnect);
-            self.passive.insert(peer, &mut self.rng);
+            self.passive.insert_evicting(peer, &mut self.rng);
             self.events.push(MembershipEvent::TenureSwapped { peer });
         }
     }
@@ -321,17 +321,16 @@ impl<I: Identity> HyParView<I> {
     /// Whether an admission of `peer` through a damped path would be
     /// rejected by the cooldown (a re-admission inside the window).
     fn is_damped(&self, peer: &I) -> bool {
-        let cooldown = self.config.admission_cooldown;
-        cooldown > 0
+        self.config.defenses
             && self
                 .admitted_at
                 .iter()
-                .any(|(p, at)| p == peer && self.cycle.saturating_sub(*at) < cooldown)
+                .any(|(p, at)| p == peer && self.cycle.saturating_sub(*at) < ADMISSION_COOLDOWN)
     }
 
-    /// Records a damped-path admission of `peer` (no-op with damping off).
+    /// Records a damped-path admission of `peer` (no-op with defenses off).
     fn record_admission(&mut self, peer: I) {
-        if self.config.admission_cooldown == 0 {
+        if !self.config.defenses {
             return;
         }
         match self.admitted_at.iter_mut().find(|(p, _)| *p == peer) {
@@ -340,10 +339,10 @@ impl<I: Identity> HyParView<I> {
         }
     }
 
-    /// Records when `peer` entered the active view (no-op with the tenure
-    /// bound off).
+    /// Records when `peer` entered the active view (no-op with defenses
+    /// off).
     fn record_tenure(&mut self, peer: I) {
-        if self.config.max_active_tenure == 0 {
+        if !self.config.defenses {
             return;
         }
         match self.active_since.iter_mut().find(|(p, _)| *p == peer) {
@@ -442,14 +441,15 @@ impl<I: Identity> HyParView<I> {
     /// active peer if needed); low-priority ones only with a free slot.
     /// The defenses narrow the high-priority rule: a re-admission inside
     /// the cooldown window is rejected, and eviction-causing admissions
-    /// are limited to [`Config::neighbor_evict_budget`] per cycle.
+    /// are limited to [`NEIGHBOR_EVICT_BUDGET`] per cycle.
     fn on_neighbor(&mut self, sender: I, priority: Priority, actions: &mut Actions<I>) {
         self.stats.neighbor_requests_received += 1;
-        let budget = self.config.neighbor_evict_budget;
         let accepted = match priority {
             Priority::High => {
                 if self.is_damped(&sender)
-                    || (budget > 0 && self.would_evict(&sender) && self.evict_admissions >= budget)
+                    || (self.config.defenses
+                        && self.would_evict(&sender)
+                        && self.evict_admissions >= NEIGHBOR_EVICT_BUDGET)
                 {
                     self.events.push(MembershipEvent::NeighborDamped { peer: sender });
                     false
@@ -568,7 +568,7 @@ impl<I: Identity> HyParView<I> {
                 self.stats.active_evictions += 1;
                 self.churn_events = self.churn_events.saturating_add(1);
                 actions.send(dropped, Message::Disconnect);
-                self.passive.insert(dropped, &mut self.rng);
+                self.passive.insert_evicting(dropped, &mut self.rng);
             }
         }
         self.passive.remove(&peer);
@@ -587,7 +587,7 @@ impl<I: Identity> HyParView<I> {
         if peer == self.me || self.active.contains(&peer) {
             return;
         }
-        self.passive.insert(peer, &mut self.rng);
+        self.passive.insert_evicting(peer, &mut self.rng);
     }
 
     fn add_to_passive_preferring(&mut self, peer: I, sent: &mut Vec<I>) {
@@ -1174,8 +1174,8 @@ mod tests {
     // Overlay defenses (all off by default)
     // ------------------------------------------------------------------
 
-    fn defended(id: u32, config: Config) -> HyParView<u32> {
-        HyParView::new(id, config, u64::from(id) + 1).unwrap()
+    fn defended(id: u32) -> HyParView<u32> {
+        HyParView::new(id, Config::hardened(), u64::from(id) + 1).unwrap()
     }
 
     #[test]
@@ -1194,7 +1194,7 @@ mod tests {
 
     #[test]
     fn admission_cooldown_damps_rapid_rejoins() {
-        let mut n = defended(0, Config::default().with_admission_cooldown(10));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         n.handle_message(1, Message::Join, &mut actions);
         assert!(n.active_view().contains(&1), "first JOIN admitted normally");
@@ -1211,21 +1211,25 @@ mod tests {
 
     #[test]
     fn admission_cooldown_expires_after_window() {
-        let mut n = defended(0, Config::default().with_admission_cooldown(2));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         n.handle_message(1, Message::Join, &mut actions);
         n.handle_message(2, Message::Join, &mut actions);
-        for _ in 0..3 {
+        for _ in 1..ADMISSION_COOLDOWN {
             n.shuffle_tick(&mut actions);
         }
+        n.handle_message(1, Message::Join, &mut actions);
+        assert_eq!(n.take_events(), vec![MembershipEvent::JoinDamped { peer: 1 }]);
+        n.shuffle_tick(&mut actions);
         actions.drain().count();
         n.handle_message(1, Message::Join, &mut actions);
         assert!(n.take_events().is_empty(), "cooldown expired: JOIN admitted again");
+        assert!(!actions.is_empty(), "the admitted JOIN fans out again");
     }
 
     #[test]
     fn cooldown_damps_high_priority_neighbor_readmission() {
-        let mut n = defended(0, Config::default().with_admission_cooldown(10));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         n.handle_message(1, Message::Neighbor { priority: Priority::High }, &mut actions);
         assert!(n.active_view().contains(&1));
@@ -1240,7 +1244,8 @@ mod tests {
 
     #[test]
     fn neighbor_evict_budget_limits_eviction_admissions_per_cycle() {
-        let mut n = defended(0, Config::default().with_neighbor_evict_budget(1));
+        assert_eq!(NEIGHBOR_EVICT_BUDGET, 1, "the test spends a budget of one");
+        let mut n = defended(0);
         let mut actions = Actions::new();
         for peer in 1..=5 {
             n.handle_message(peer, Message::Join, &mut actions);
@@ -1264,7 +1269,7 @@ mod tests {
 
     #[test]
     fn evict_budget_exempts_free_slots_and_existing_members() {
-        let mut n = defended(0, Config::default().with_neighbor_evict_budget(1));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         // Free slots: several high-priority admissions in one cycle, none
         // evicting, all accepted.
@@ -1272,26 +1277,36 @@ mod tests {
             n.handle_message(peer, Message::Neighbor { priority: Priority::High }, &mut actions);
             assert!(n.active_view().contains(&peer));
         }
-        // Re-confirming an existing member spends nothing either.
-        n.handle_message(1, Message::Neighbor { priority: Priority::High }, &mut actions);
+        // A low-priority admission fills the view without arming the
+        // cooldown for its sender …
+        n.handle_message(5, Message::Neighbor { priority: Priority::Low }, &mut actions);
+        assert!(n.active_view().is_full());
+        // … so re-confirming that existing member reaches the budget check,
+        // and spends nothing: the next eviction-causing request still fits.
+        n.handle_message(5, Message::Neighbor { priority: Priority::High }, &mut actions);
+        n.handle_message(50, Message::Neighbor { priority: Priority::High }, &mut actions);
+        assert!(n.active_view().contains(&50));
         assert!(n.take_events().is_empty());
     }
 
     #[test]
     fn tenure_swap_rotates_longest_tenured_member() {
-        let mut n = defended(0, Config::default().with_max_active_tenure(3));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         n.handle_message(1, Message::Join, &mut actions);
         n.shuffle_tick(&mut actions); // cycle 1
         n.handle_message(2, Message::Join, &mut actions);
         // Provide a passive-view replacement candidate.
         n.handle_message(2, Message::ShuffleReply { nodes: vec![100] }, &mut actions);
+        // Cycles 2 .. MAX_ACTIVE_TENURE - 1: tenure(1) < MAX_ACTIVE_TENURE.
+        for _ in 2..MAX_ACTIVE_TENURE {
+            n.shuffle_tick(&mut actions);
+            assert!(n.active_view().contains(&1));
+        }
         actions.drain().count();
-        n.shuffle_tick(&mut actions); // cycle 2: tenure(1) = 2 < 3, no swap yet
-        assert!(n.active_view().contains(&1));
-        actions.drain().count();
-        n.shuffle_tick(&mut actions); // cycle 3: tenure(1) = 3, swap fires
+        n.shuffle_tick(&mut actions); // tenure(1) = MAX_ACTIVE_TENURE: swap fires
         assert!(!n.active_view().contains(&1), "longest-tenured member rotated out");
+        assert!(n.active_view().contains(&2), "only the longest-tenured member goes");
         assert!(n.passive_view().contains(&1), "swapped member lands in passive view");
         assert!(sends(&actions).iter().any(|(to, m)| *to == 1 && *m == Message::Disconnect));
         assert!(n.take_events().contains(&MembershipEvent::TenureSwapped { peer: 1 }));
@@ -1299,10 +1314,10 @@ mod tests {
 
     #[test]
     fn tenure_swap_waits_for_replacement_candidates() {
-        let mut n = defended(0, Config::default().with_max_active_tenure(1));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         n.handle_message(1, Message::Join, &mut actions);
-        for _ in 0..5 {
+        for _ in 0..2 * MAX_ACTIVE_TENURE {
             n.shuffle_tick(&mut actions);
         }
         assert!(n.active_view().contains(&1), "no passive candidate: no swap-out");
@@ -1311,7 +1326,7 @@ mod tests {
 
     #[test]
     fn churn_boost_sends_extra_shuffles() {
-        let mut n = defended(0, Config::default().with_churn_shuffle_boost(2));
+        let mut n = defended(0);
         let mut actions = Actions::new();
         for peer in 1..=5 {
             n.handle_message(peer, Message::Join, &mut actions);
@@ -1322,10 +1337,10 @@ mod tests {
         n.shuffle_tick(&mut actions);
         let shuffles =
             sends(&actions).iter().filter(|(_, m)| matches!(m, Message::Shuffle { .. })).count();
-        assert_eq!(shuffles, 3, "base shuffle plus two boost shuffles");
+        assert_eq!(shuffles, 1 + CHURN_SHUFFLE_BOOST, "base shuffle plus the boost shuffles");
         let boosts =
             n.take_events().iter().filter(|e| matches!(e, MembershipEvent::ShuffleBoosted)).count();
-        assert_eq!(boosts, 2);
+        assert_eq!(boosts, CHURN_SHUFFLE_BOOST);
         actions.drain().count();
         // A calm cycle reverts to the base rate.
         n.shuffle_tick(&mut actions);

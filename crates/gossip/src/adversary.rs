@@ -48,13 +48,14 @@ pub struct AttackerRole<I> {
     /// victim set; for infiltration it is every honest node (re-join
     /// targets).
     pub victims: Arc<Vec<I>>,
-    /// Per-cycle probability of churning: sending a fresh `Join` to a
-    /// random victim to re-roll a rejection.
-    pub rejoin: f64,
     seed: u64,
     nonce: u64,
     upgrades: u32,
 }
+
+/// Per-cycle probability that a colluder churns: it sends a fresh `Join`
+/// to a random victim to re-roll earlier rejections.
+pub const ATTACKER_REJOIN: f64 = 0.2;
 
 /// How many incoming `Neighbor` requests a colluder upgrades to
 /// high-priority (unconditional admission) per cycle. Unbounded upgrades
@@ -70,27 +71,13 @@ pub(crate) const UPGRADES_PER_CYCLE: u32 = 64;
 impl<I: Identity> AttackerRole<I> {
     /// Creates an attacker role drawing from a dedicated stream keyed by
     /// `seed` (derive it per node so colluders don't act in lockstep).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rejoin` is outside `0.0..=1.0`.
     pub fn new(
         model: AttackerModel,
         colluders: Arc<Vec<I>>,
         victims: Arc<Vec<I>>,
-        rejoin: f64,
         seed: u64,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&rejoin), "rejoin probability out of range: {rejoin}");
-        AttackerRole {
-            model,
-            colluders,
-            victims,
-            rejoin,
-            seed,
-            nonce: 0,
-            upgrades: UPGRADES_PER_CYCLE,
-        }
+        AttackerRole { model, colluders, victims, seed, nonce: 0, upgrades: UPGRADES_PER_CYCLE }
     }
 
     /// Spends one acceptance-upgrade from this cycle's budget. Returns
@@ -116,9 +103,9 @@ impl<I: Identity> AttackerRole<I> {
         mix_attack(self.seed, self.nonce)
     }
 
-    /// Bernoulli draw against the configured rejoin probability.
+    /// Bernoulli draw against [`ATTACKER_REJOIN`].
     pub(crate) fn churn_now(&mut self) -> bool {
-        self.rejoin > 0.0 && unit_draw(self.draw()) < self.rejoin
+        unit_draw(self.draw()) < ATTACKER_REJOIN
     }
 
     /// Uniform pick from `pool`, `None` when empty.
@@ -159,48 +146,51 @@ fn unit_draw(h: u64) -> f64 {
 mod tests {
     use super::*;
 
-    fn role(rejoin: f64, seed: u64) -> AttackerRole<u32> {
+    fn role(seed: u64) -> AttackerRole<u32> {
         AttackerRole::new(
             AttackerModel::Eclipse,
             Arc::new(vec![8, 9]),
             Arc::new(vec![1, 2, 3]),
-            rejoin,
             seed,
         )
     }
 
     #[test]
     fn draws_are_deterministic_per_seed() {
-        let mut a = role(0.5, 42);
-        let mut b = role(0.5, 42);
+        let mut a = role(42);
+        let mut b = role(42);
         let seq_a: Vec<_> = (0..16).map(|_| a.draw()).collect();
         let seq_b: Vec<_> = (0..16).map(|_| b.draw()).collect();
         assert_eq!(seq_a, seq_b);
-        let mut c = role(0.5, 43);
+        let mut c = role(43);
         let seq_c: Vec<_> = (0..16).map(|_| c.draw()).collect();
         assert_ne!(seq_a, seq_c, "different seeds diverge");
     }
 
     #[test]
     fn churn_probability_is_respected_at_extremes() {
-        let mut never = role(0.0, 7);
-        assert!((0..100).all(|_| !never.churn_now()));
-        assert_eq!(never.nonce, 0, "p = 0 consumes no draws");
-        let mut always = role(1.0, 7);
-        assert!((0..100).all(|_| always.churn_now()));
+        // Each churn decision is one draw, taken against the rate: a draw
+        // of 0 always churns and the largest draw never does.
+        let mut r = role(7);
+        (0..100).for_each(|_| {
+            r.churn_now();
+        });
+        assert_eq!(r.nonce, 100, "one draw per decision");
+        assert!(unit_draw(0) < ATTACKER_REJOIN);
+        assert!(unit_draw(u64::MAX) >= ATTACKER_REJOIN);
     }
 
     #[test]
     fn churn_rate_tracks_probability() {
-        let mut r = role(0.25, 99);
+        let mut r = role(99);
         let hits = (0..4000).filter(|_| r.churn_now()).count();
         let rate = hits as f64 / 4000.0;
-        assert!((rate - 0.25).abs() < 0.03, "empirical rate {rate} far from 0.25");
+        assert!((rate - ATTACKER_REJOIN).abs() < 0.03, "empirical rate {rate} far from 0.2");
     }
 
     #[test]
     fn picks_stay_in_pool() {
-        let mut r = role(0.5, 5);
+        let mut r = role(5);
         for _ in 0..64 {
             let v = r.pick_victim().unwrap();
             assert!((1..=3).contains(&v));
@@ -209,14 +199,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rejoin probability out of range")]
-    fn rejoin_out_of_range_panics() {
-        let _ = role(1.5, 0);
-    }
-
-    #[test]
     fn upgrade_budget_exhausts_and_refills_per_cycle() {
-        let mut r = role(0.0, 11);
+        let mut r = role(11);
         let granted = (0..UPGRADES_PER_CYCLE + 3).filter(|_| r.take_upgrade()).count();
         assert_eq!(granted as u32, UPGRADES_PER_CYCLE, "budget bounds upgrades");
         assert!(!r.take_upgrade(), "exhausted until the next cycle");

@@ -24,7 +24,7 @@ pub mod broadcast;
 pub mod hyparview_impl;
 pub mod membership;
 
-pub use adversary::{AttackerModel, AttackerRole};
+pub use adversary::{AttackerModel, AttackerRole, ATTACKER_REJOIN};
 pub use broadcast::{BroadcastId, BroadcastReport, GossipState, ReliabilitySummary};
 pub use hyparview_impl::HyParViewMembership;
 pub use membership::{Membership, MembershipEvent, Outbox};

@@ -28,8 +28,7 @@ pub use adversary::{
     indegree_report, IndegreeReport,
 };
 pub use metrics::{
-    bfs_distances, clustering_coefficient, connectivity, degree_assortativity, degree_histogram,
-    degree_summary, distance_histogram, in_degrees, out_degrees, shortest_path_stats,
-    ConnectivityReport, DegreeSummary, PathStats,
+    bfs_distances, clustering_coefficient, connectivity, degree_histogram, degree_summary,
+    in_degrees, out_degrees, shortest_path_stats, ConnectivityReport, DegreeSummary, PathStats,
 };
 pub use overlay::Overlay;

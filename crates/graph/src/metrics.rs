@@ -365,120 +365,3 @@ mod tests {
         assert_eq!(s.max, 0);
     }
 }
-
-/// Degree assortativity: the Pearson correlation between the (undirected)
-/// degrees at the two endpoints of each edge. Random overlays should be
-/// close to 0 — strong positive values mean hubs cluster together, which
-/// concentrates failure risk (§2.3's "evenly distributed" requirement).
-pub fn degree_assortativity(overlay: &Overlay) -> f64 {
-    let und = overlay.undirected_adjacency();
-    let mut xs: Vec<f64> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    for v in overlay.alive_nodes() {
-        for &t in &und[v] {
-            let t = t as usize;
-            if t > v {
-                xs.push(und[v].len() as f64);
-                ys.push(und[t].len() as f64);
-                // Count each undirected edge in both orientations so the
-                // correlation is symmetric.
-                xs.push(und[t].len() as f64);
-                ys.push(und[v].len() as f64);
-            }
-        }
-    }
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let n = xs.len() as f64;
-    let mean_x = xs.iter().sum::<f64>() / n;
-    let mean_y = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut var_x = 0.0;
-    let mut var_y = 0.0;
-    for (x, y) in xs.iter().zip(&ys) {
-        cov += (x - mean_x) * (y - mean_y);
-        var_x += (x - mean_x).powi(2);
-        var_y += (y - mean_y).powi(2);
-    }
-    if var_x == 0.0 || var_y == 0.0 {
-        return 0.0;
-    }
-    cov / (var_x.sqrt() * var_y.sqrt())
-}
-
-/// Histogram of shortest-path lengths from `samples` random sources:
-/// `distance → ordered-pair count`. Complements the average in
-/// [`shortest_path_stats`] with the full distribution.
-pub fn distance_histogram(overlay: &Overlay, samples: usize, seed: u64) -> BTreeMap<u32, usize> {
-    let alive = overlay.alive_nodes();
-    let mut hist = BTreeMap::new();
-    if alive.len() < 2 {
-        return hist;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sources: Vec<usize> = if samples >= alive.len() {
-        alive.clone()
-    } else {
-        (0..samples).map(|_| alive[rng.gen_range(0..alive.len())]).collect()
-    };
-    for source in sources {
-        let dist = bfs_distances(overlay, source);
-        for &v in &alive {
-            if v != source && dist[v] != u32::MAX {
-                *hist.entry(dist[v]).or_insert(0) += 1;
-            }
-        }
-    }
-    hist
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-
-    #[test]
-    fn assortativity_of_regular_graph_is_zero() {
-        // 4-cycle: all degrees equal → zero variance → defined as 0.
-        let o = Overlay::new(vec![Some(vec![1]), Some(vec![2]), Some(vec![3]), Some(vec![0])]);
-        assert_eq!(degree_assortativity(&o), 0.0);
-    }
-
-    #[test]
-    fn assortativity_of_star_is_negative() {
-        // Star graphs are maximally disassortative: the hub (high degree)
-        // only links to leaves (degree 1).
-        let o = Overlay::new(vec![
-            Some(vec![1, 2, 3, 4]),
-            Some(vec![]),
-            Some(vec![]),
-            Some(vec![]),
-            Some(vec![]),
-        ]);
-        assert!(degree_assortativity(&o) < -0.9);
-    }
-
-    #[test]
-    fn assortativity_is_bounded() {
-        let o =
-            Overlay::new(vec![Some(vec![1, 2]), Some(vec![0]), Some(vec![0, 3]), Some(vec![2])]);
-        let r = degree_assortativity(&o);
-        assert!((-1.0..=1.0).contains(&r), "assortativity {r}");
-    }
-
-    #[test]
-    fn distance_histogram_on_chain() {
-        // 0 → 1 → 2 (directed chain), exhaustive sampling.
-        let o = Overlay::new(vec![Some(vec![1]), Some(vec![2]), Some(vec![])]);
-        let hist = distance_histogram(&o, 10, 7);
-        // From 0: distances 1 and 2. From 1: distance 1. From 2: nothing.
-        assert_eq!(hist.get(&1), Some(&2));
-        assert_eq!(hist.get(&2), Some(&1));
-    }
-
-    #[test]
-    fn distance_histogram_empty_graph() {
-        let o = Overlay::new(vec![Some(vec![])]);
-        assert!(distance_histogram(&o, 4, 7).is_empty());
-    }
-}

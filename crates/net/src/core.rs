@@ -605,6 +605,33 @@ mod tests {
     }
 
     #[test]
+    fn a_broadcast_frame_of_the_other_mode_is_dropped_and_counted() {
+        let payload = Bytes::from(vec![7u8; 64]);
+        let flood_node_gets = vec![
+            Frame::PlumtreeGossip { id: 42, round: 1, payload: payload.clone() },
+            Frame::PlumtreeIHave { id: 43, round: 1 },
+            Frame::PlumtreeGraft { id: Some(44), round: 1 },
+        ];
+        let plumtree_node_gets = vec![Frame::Gossip { id: 45, hops: 1, payload }];
+        let plumtree = NetConfig::default().with_broadcast_mode(BroadcastMode::Plumtree);
+        for (config, frames) in
+            [(NetConfig::default(), flood_node_gets), (plumtree, plumtree_node_gets)]
+        {
+            let (mut core, deliveries) = core_and_deliveries(config, 16);
+            let before = NodeStats::from_registry(&core.surface.metrics);
+            let mut sink = Recorder::default();
+            for frame in &frames {
+                core.on_frame(addr(1), frame.clone(), &mut sink);
+            }
+            assert!(sink.sent.is_empty(), "{frames:?}: nothing sent");
+            assert!(deliveries.try_recv().is_err(), "{frames:?}: nothing delivered");
+            let after = NodeStats::from_registry(&core.surface.metrics);
+            assert_eq!(after.deliveries, before.deliveries);
+            assert_eq!(after.mode_mismatched - before.mode_mismatched, frames.len() as u64);
+        }
+    }
+
+    #[test]
     fn plumtree_store_ages_out_by_the_sinks_clock() {
         // The shipped configuration: room for 8,192 messages, a horizon of
         // 640 timer units of 20 ms. One frame every 100 ms is 5 units, so

@@ -15,31 +15,6 @@ use hyparview_baselines::{CyclonConfig, ScampConfig};
 use hyparview_core::{Config, SimId};
 use hyparview_gossip::BroadcastReport;
 
-/// Configuration bundle for all four protocols (each used only when its
-/// protocol is selected).
-#[derive(Debug, Clone, Default)]
-pub struct ProtocolConfigs {
-    /// HyParView configuration.
-    pub hyparview: Config,
-    /// Cyclon / CyclonAcked configuration.
-    pub cyclon: CyclonConfig,
-    /// Scamp configuration.
-    pub scamp: ScampConfig,
-}
-
-impl ProtocolConfigs {
-    /// The paper's §5.1 configuration for every protocol, with Scamp
-    /// heartbeats disabled (they only matter for long-running isolation
-    /// recovery and would dominate large simulations).
-    pub fn paper() -> Self {
-        ProtocolConfigs {
-            hyparview: Config::paper(),
-            cyclon: CyclonConfig::paper(),
-            scamp: ScampConfig::paper().with_heartbeats(false),
-        }
-    }
-}
-
 /// A simulation running one of the four evaluated protocols.
 #[allow(clippy::large_enum_variant)]
 pub enum AnySim {
@@ -67,17 +42,20 @@ macro_rules! dispatch {
 impl AnySim {
     /// Builds the overlay for `kind` following the paper's initialisation
     /// procedure (§5: single contact for HyParView/Cyclon, random contact
-    /// for Scamp). Stabilization cycles are *not* run.
-    pub fn build(kind: ProtocolKind, scenario: &Scenario, configs: &ProtocolConfigs) -> AnySim {
+    /// for Scamp). HyParView runs `hyparview`; the baselines run their
+    /// paper configurations, Scamp with heartbeats off (they only matter
+    /// for long-running isolation recovery and would dominate large
+    /// simulations). Stabilization cycles are *not* run.
+    pub fn build(kind: ProtocolKind, scenario: &Scenario, hyparview: Config) -> AnySim {
         match kind {
-            ProtocolKind::HyParView => {
-                AnySim::HyParView(build_hyparview(scenario, configs.hyparview.clone()))
-            }
-            ProtocolKind::Cyclon => AnySim::Cyclon(build_cyclon(scenario, configs.cyclon.clone())),
+            ProtocolKind::HyParView => AnySim::HyParView(build_hyparview(scenario, hyparview)),
+            ProtocolKind::Cyclon => AnySim::Cyclon(build_cyclon(scenario, CyclonConfig::paper())),
             ProtocolKind::CyclonAcked => {
-                AnySim::CyclonAcked(build_cyclon_acked(scenario, configs.cyclon.clone()))
+                AnySim::CyclonAcked(build_cyclon_acked(scenario, CyclonConfig::paper()))
             }
-            ProtocolKind::Scamp => AnySim::Scamp(build_scamp(scenario, configs.scamp.clone())),
+            ProtocolKind::Scamp => {
+                AnySim::Scamp(build_scamp(scenario, ScampConfig::paper().with_heartbeats(false)))
+            }
         }
     }
 
@@ -170,9 +148,8 @@ mod tests {
     #[test]
     fn builds_each_protocol() {
         let scenario = Scenario::new(30, 5);
-        let configs = ProtocolConfigs::paper();
         for kind in ProtocolKind::ALL {
-            let mut sim = AnySim::build(kind, &scenario, &configs);
+            let mut sim = AnySim::build(kind, &scenario, Config::paper());
             assert_eq!(sim.kind(), kind);
             assert_eq!(sim.alive_count(), 30);
             assert_eq!(sim.len(), 30);
@@ -188,7 +165,7 @@ mod tests {
     #[test]
     fn failure_injection_through_wrapper() {
         let scenario = Scenario::new(20, 6);
-        let mut sim = AnySim::build(ProtocolKind::HyParView, &scenario, &ProtocolConfigs::paper());
+        let mut sim = AnySim::build(ProtocolKind::HyParView, &scenario, Config::paper());
         let victims = sim.fail_fraction(0.5);
         assert_eq!(victims.len(), 10);
         assert_eq!(sim.alive_count(), 10);

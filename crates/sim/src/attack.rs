@@ -24,15 +24,23 @@
 //! let inert = AttackPlan::default();
 //! assert!(!inert.is_active());
 //!
-//! // 20% of 100 nodes collude to eclipse 3 victims.
-//! let plan = AttackPlan::eclipse(0.2, 3).with_rejoin(0.25);
+//! // 20% of 100 nodes collude to eclipse ECLIPSE_VICTIMS = 2 victims.
+//! let plan = AttackPlan::eclipse(0.2);
 //! assert!(plan.is_active());
 //! assert_eq!(plan.colluder_count(100), 20);
 //! assert_eq!(plan.colluder_indices(100), (80..100).collect::<Vec<_>>());
-//! assert_eq!(plan.victim_indices(100), vec![1, 2, 3]);
+//! assert_eq!(plan.victim_indices(100), vec![1, 2]);
 //! ```
+//!
+//! Every colluder churns (re-`Join`s through a victim) with the per-cycle
+//! probability [`ATTACKER_REJOIN`](hyparview_gossip::ATTACKER_REJOIN).
 
 use hyparview_gossip::AttackerModel;
+
+/// Eclipse victim-set size: honest nodes `1..=ECLIPSE_VICTIMS` are
+/// targeted. Enough victims that a single lucky hold-out does not decide a
+/// run, few enough that the colluders' flood budget stays concentrated.
+pub const ECLIPSE_VICTIMS: usize = 2;
 
 /// Declarative adversarial-membership plan. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,18 +50,11 @@ pub struct AttackPlan {
     /// Fraction of the scenario's nodes that collude, in `[0, 1]`.
     /// `0.0` (the default) makes the whole plan inert.
     pub fraction: f64,
-    /// Number of eclipse victims ([`AttackerModel::Eclipse`] only):
-    /// honest nodes `1..=victims` are targeted. Infiltration ignores this —
-    /// it targets the whole honest population.
-    pub victims: usize,
-    /// Per-colluder per-cycle churn probability: the chance of sending a
-    /// fresh `Join` through a victim to re-roll earlier rejections.
-    pub rejoin: f64,
 }
 
 impl Default for AttackPlan {
     fn default() -> Self {
-        AttackPlan { model: AttackerModel::Infiltration, fraction: 0.0, victims: 3, rejoin: 0.2 }
+        AttackPlan { model: AttackerModel::Infiltration, fraction: 0.0 }
     }
 }
 
@@ -65,30 +66,18 @@ impl AttackPlan {
     /// Panics when `fraction` is outside `0.0..=1.0`.
     pub fn infiltration(fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "attacker fraction out of range: {fraction}");
-        AttackPlan { model: AttackerModel::Infiltration, fraction, ..AttackPlan::default() }
+        AttackPlan { model: AttackerModel::Infiltration, fraction }
     }
 
     /// An eclipse attack by the given colluding fraction against honest
-    /// nodes `1..=victims`.
+    /// nodes `1..=ECLIPSE_VICTIMS`.
     ///
     /// # Panics
     ///
-    /// Panics when `fraction` is outside `0.0..=1.0` or `victims` is zero.
-    pub fn eclipse(fraction: f64, victims: usize) -> Self {
+    /// Panics when `fraction` is outside `0.0..=1.0`.
+    pub fn eclipse(fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "attacker fraction out of range: {fraction}");
-        assert!(victims > 0, "an eclipse attack needs at least one victim");
-        AttackPlan { model: AttackerModel::Eclipse, fraction, victims, ..AttackPlan::default() }
-    }
-
-    /// Sets the per-cycle churn (re-`Join`) probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rejoin` is outside `0.0..=1.0`.
-    pub fn with_rejoin(mut self, rejoin: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rejoin), "rejoin probability out of range: {rejoin}");
-        self.rejoin = rejoin;
-        self
+        AttackPlan { model: AttackerModel::Eclipse, fraction }
     }
 
     /// Whether the plan does anything at all. An inactive plan costs
@@ -118,7 +107,7 @@ impl AttackPlan {
         (n - self.colluder_count(n)..n).collect()
     }
 
-    /// The attacked node indices, ascending: honest nodes `1..=victims`
+    /// The attacked node indices, ascending: honest nodes `1..=ECLIPSE_VICTIMS`
     /// for eclipse (node 0, everyone's join contact, is left out to keep
     /// the overlay-build procedure untouched), the entire honest population
     /// for infiltration. Empty when the plan is inert.
@@ -128,7 +117,7 @@ impl AttackPlan {
         }
         let honest = n - self.colluder_count(n);
         match self.model {
-            AttackerModel::Eclipse => (1..honest).take(self.victims).collect(),
+            AttackerModel::Eclipse => (1..honest).take(ECLIPSE_VICTIMS).collect(),
             AttackerModel::Infiltration => (0..honest).collect(),
         }
     }
@@ -161,14 +150,12 @@ mod tests {
 
     #[test]
     fn eclipse_targets_early_honest_nodes() {
-        let plan = AttackPlan::eclipse(0.25, 4);
-        assert_eq!(plan.victim_indices(40), vec![1, 2, 3, 4]);
+        let plan = AttackPlan::eclipse(0.25);
+        assert_eq!(plan.victim_indices(40), (1..=ECLIPSE_VICTIMS).collect::<Vec<_>>());
         // Victims never overlap colluders, even in tiny scenarios.
-        let tiny = AttackPlan::eclipse(0.5, 10);
+        let tiny = AttackPlan::eclipse(0.5);
         let honest = 4 - tiny.colluder_count(4);
-        for v in tiny.victim_indices(4) {
-            assert!(v < honest);
-        }
+        assert_eq!(tiny.victim_indices(4), vec![1], "only {honest} honest nodes");
     }
 
     #[test]
@@ -191,11 +178,5 @@ mod tests {
     #[should_panic(expected = "attacker fraction out of range")]
     fn fraction_out_of_range_panics() {
         let _ = AttackPlan::infiltration(1.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one victim")]
-    fn zero_victims_panics() {
-        let _ = AttackPlan::eclipse(0.2, 0);
     }
 }

@@ -25,12 +25,12 @@ pub mod fault;
 pub mod scenario;
 pub mod sim;
 
-pub use any::{AnySim, ProtocolConfigs};
-pub use attack::AttackPlan;
+pub use any::AnySim;
+pub use attack::{AttackPlan, ECLIPSE_VICTIMS};
 pub use churn::{run_churn, ChurnEpoch, ChurnPlan, ChurnReport};
 pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultOp, FaultOpKind, FaultPlan};
-pub use hyparview_gossip::{AttackerModel, AttackerRole, MembershipEvent};
+pub use hyparview_gossip::{AttackerModel, AttackerRole, MembershipEvent, ATTACKER_REJOIN};
 pub use hyparview_plumtree::{BroadcastMode, PlumtreeConfig, PlumtreeStats, PlumtreeTimer};
 pub use scenario::{protocols, ContactPolicy, Scenario};
 pub use sim::{BurstReport, Latency, LatencyAssignment, LatencyModel, Sim, SimConfig, SimStats};

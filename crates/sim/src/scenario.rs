@@ -186,7 +186,6 @@ pub mod protocols {
                     attack.model,
                     Arc::clone(&colluders),
                     Arc::clone(&victims),
-                    attack.rejoin,
                     role_seed,
                 ))
             } else {
@@ -334,14 +333,14 @@ mod tests {
             .with_contact(ContactPolicy::RandomExisting)
             .with_stabilization_cycles(7)
             .with_faults(FaultPlan::default().with_loss(0.1))
-            .with_attack(AttackPlan::eclipse(0.2, 2));
+            .with_attack(AttackPlan::eclipse(0.2));
         assert_eq!(s.sim_config.fanout, 5);
         assert_eq!(s.sim_config.latency, Latency::uniform(1, 4).per_link());
         assert_eq!(s.contact, ContactPolicy::RandomExisting);
         assert_eq!(s.stabilization_cycles, 7);
         assert_eq!(s.sim_config.faults.loss, 0.1);
         assert!(s.sim_config.attack.is_active());
-        assert_eq!(s.sim_config.attack.victims, 2);
+        assert_eq!(s.sim_config.attack.model, hyparview_gossip::AttackerModel::Eclipse);
     }
 
     // ------------------------------------------------------------------
@@ -383,7 +382,7 @@ mod tests {
 
     #[test]
     fn eclipse_attack_captures_undefended_victims() {
-        let plan = crate::attack::AttackPlan::eclipse(0.2, 2);
+        let plan = crate::attack::AttackPlan::eclipse(0.2);
         let scenario = Scenario::new(50, 21).with_attack(plan.clone());
         let colluders: Vec<SimId> = plan.colluder_indices(50).into_iter().map(SimId::new).collect();
         let mut sim = build_hyparview(&scenario, Config::default());
@@ -402,7 +401,7 @@ mod tests {
 
     #[test]
     fn hardened_defenses_blunt_the_eclipse() {
-        let plan = crate::attack::AttackPlan::eclipse(0.2, 2);
+        let plan = crate::attack::AttackPlan::eclipse(0.2);
         let scenario = Scenario::new(50, 21).with_attack(plan.clone());
         let colluders: Vec<SimId> = plan.colluder_indices(50).into_iter().map(SimId::new).collect();
         let mut open = build_hyparview(&scenario, Config::default());

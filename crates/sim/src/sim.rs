@@ -235,44 +235,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// Sets the gossip fanout.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.fanout = fanout;
-        self
-    }
-
-    /// Sets the latency model.
-    pub fn with_latency(mut self, latency: Latency) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Selects the broadcast dissemination mode.
-    pub fn with_broadcast_mode(mut self, mode: BroadcastMode) -> Self {
-        self.broadcast_mode = mode;
-        self
-    }
-
-    /// Sets the Plumtree parameters.
-    pub fn with_plumtree(mut self, config: PlumtreeConfig) -> Self {
-        self.plumtree = config;
-        self
-    }
-
-    /// Sets the network fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the adversarial membership plan.
-    pub fn with_attack(mut self, attack: AttackPlan) -> Self {
-        self.attack = attack;
-        self
-    }
-}
-
 /// Cumulative simulator counters.
 ///
 /// Since the observability refactor this struct is a *snapshot view*: the
@@ -1715,7 +1677,7 @@ mod tests {
     #[test]
     fn delivery_table_matches_a_gossip_state_per_node() {
         for mode in [BroadcastMode::Flood, BroadcastMode::Plumtree] {
-            let config = SimConfig::default().with_broadcast_mode(mode);
+            let config = SimConfig { broadcast_mode: mode, ..SimConfig::default() };
             let mut sim = Sim::new(config, 77, |id, seed| {
                 HyParViewMembership::new(id, Config::default(), seed).unwrap()
             });
@@ -1803,7 +1765,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     fn plumtree_sim(seed: u64) -> Sim<HyParViewMembership<SimId>> {
-        let config = SimConfig::default().with_broadcast_mode(BroadcastMode::Plumtree);
+        let config = SimConfig { broadcast_mode: BroadcastMode::Plumtree, ..SimConfig::default() };
         Sim::new(config, seed, |id, seed| {
             HyParViewMembership::new(id, Config::default(), seed).unwrap()
         })
@@ -1897,7 +1859,7 @@ mod tests {
         // repairs the overlay itself; using Cyclon isolates the graft path
         // and exercises the any-Membership seam.)
         use hyparview_baselines::{Cyclon, CyclonConfig};
-        let config = SimConfig::default().with_broadcast_mode(BroadcastMode::Plumtree);
+        let config = SimConfig { broadcast_mode: BroadcastMode::Plumtree, ..SimConfig::default() };
         let mut sim = Sim::new(config, 25, |id, seed| Cyclon::new(id, CyclonConfig::paper(), seed));
         let contact = sim.add_node();
         for _ in 1..60 {
@@ -1964,9 +1926,11 @@ mod tests {
         // with per-message IHaves every lazy link pays 8 control frames,
         // with batching it pays ~1 IHaveBatch. Reliability must not move.
         let run = |flush: u64| {
-            let config = SimConfig::default()
-                .with_broadcast_mode(BroadcastMode::Plumtree)
-                .with_plumtree(PlumtreeConfig::default().with_lazy_flush_interval(flush));
+            let config = SimConfig {
+                broadcast_mode: BroadcastMode::Plumtree,
+                plumtree: PlumtreeConfig::default().with_lazy_flush_interval(flush),
+                ..SimConfig::default()
+            };
             let mut sim = Sim::new(config, 28, |id, seed| {
                 HyParViewMembership::new(id, Config::default(), seed).unwrap()
             });
@@ -2039,7 +2003,7 @@ mod tests {
     #[test]
     fn variable_latency_broadcasts_stay_atomic_and_deterministic() {
         let run = |latency: Latency| {
-            let config = SimConfig::default().with_latency(latency);
+            let config = SimConfig { latency, ..SimConfig::default() };
             let mut sim = Sim::new(config, 31, |id, seed| {
                 HyParViewMembership::new(id, Config::default(), seed).unwrap()
             });
@@ -2082,10 +2046,12 @@ mod tests {
             let plumtree = PlumtreeConfig::default()
                 .with_optimization_threshold(Some(1))
                 .with_timeouts_for_max_latency(latency.max_hop());
-            let config = SimConfig::default()
-                .with_latency(latency)
-                .with_broadcast_mode(BroadcastMode::Plumtree)
-                .with_plumtree(plumtree);
+            let config = SimConfig {
+                latency,
+                broadcast_mode: BroadcastMode::Plumtree,
+                plumtree,
+                ..SimConfig::default()
+            };
             let mut sim = Sim::new(config, 33, |id, seed| {
                 HyParViewMembership::new(id, Config::default(), seed).unwrap()
             });
@@ -2221,7 +2187,7 @@ mod tests {
         plan: FaultPlan,
         mode: BroadcastMode,
     ) -> Sim<HyParViewMembership<SimId>> {
-        let config = SimConfig::default().with_broadcast_mode(mode).with_faults(plan);
+        let config = SimConfig { broadcast_mode: mode, faults: plan, ..SimConfig::default() };
         Sim::new(config, seed, |id, seed| {
             HyParViewMembership::new(id, Config::default(), seed).unwrap()
         })

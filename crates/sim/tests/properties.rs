@@ -4,7 +4,7 @@
 use hyparview_core::Config;
 use hyparview_gossip::HyParViewMembership;
 use hyparview_sim::protocols::{build_hyparview, ProtocolKind};
-use hyparview_sim::{AnySim, Latency, LatencyModel, ProtocolConfigs, Scenario, Sim};
+use hyparview_sim::{AnySim, Latency, LatencyModel, Scenario, Sim};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,7 @@ proptest! {
         for kind in [ProtocolKind::HyParView, ProtocolKind::Cyclon] {
             let run = || {
                 let scenario = Scenario::new(n, seed);
-                let mut sim = AnySim::build(kind, &scenario, &ProtocolConfigs::paper());
+                let mut sim = AnySim::build(kind, &scenario, Config::paper());
                 sim.run_cycles(3);
                 sim.fail_fraction(failure);
                 let r1 = sim.broadcast_random();

@@ -6,8 +6,9 @@
 //! cargo run --release --example compare_protocols
 //! ```
 
+use hyparview_core::Config;
 use hyparview_sim::protocols::ProtocolKind;
-use hyparview_sim::{AnySim, ProtocolConfigs, Scenario};
+use hyparview_sim::{AnySim, Scenario};
 
 const N: usize = 1_000;
 const MESSAGES: usize = 100;
@@ -23,12 +24,11 @@ fn main() {
     }
     println!();
 
-    let configs = ProtocolConfigs::paper();
     for failure in FAILURES {
         print!("{:>8.0}%", failure * 100.0);
         for kind in ProtocolKind::ALL {
             let scenario = Scenario::new(N, 99).with_fanout(4);
-            let mut sim = AnySim::build(kind, &scenario, &configs);
+            let mut sim = AnySim::build(kind, &scenario, Config::paper());
             sim.run_cycles(20);
             sim.fail_fraction(failure);
             let mut total = 0.0;

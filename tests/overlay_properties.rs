@@ -6,13 +6,13 @@ use hyparview_graph::{
     clustering_coefficient, degree_summary, in_degrees, shortest_path_stats, Overlay,
 };
 use hyparview_sim::protocols::{build_hyparview, ProtocolKind};
-use hyparview_sim::{AnySim, ProtocolConfigs, Scenario};
+use hyparview_sim::{AnySim, Scenario};
 
 const N: usize = 400;
 
 fn overlay_for(kind: ProtocolKind) -> Overlay {
     let scenario = Scenario::new(N, 23);
-    let mut sim = AnySim::build(kind, &scenario, &ProtocolConfigs::paper());
+    let mut sim = AnySim::build(kind, &scenario, Config::paper());
     sim.run_cycles(15);
     Overlay::new(sim.out_views())
 }

@@ -1,14 +1,15 @@
 //! Cross-crate integration tests: protocol cores + gossip + simulator,
 //! exercising the paper's headline claims end to end at small scale.
 
+use hyparview_core::Config;
 use hyparview_sim::protocols::ProtocolKind;
-use hyparview_sim::{AnySim, ProtocolConfigs, Scenario};
+use hyparview_sim::{AnySim, Scenario};
 
 const N: usize = 300;
 
 fn build(kind: ProtocolKind, seed: u64) -> AnySim {
     let scenario = Scenario::new(N, seed);
-    let mut sim = AnySim::build(kind, &scenario, &ProtocolConfigs::paper());
+    let mut sim = AnySim::build(kind, &scenario, Config::paper());
     sim.run_cycles(15);
     sim
 }
