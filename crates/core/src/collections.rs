@@ -10,12 +10,16 @@
 //!   layers' duplicate suppression, [`RecentSet`], is one without values. A
 //!   long-running node cannot afford unbounded history, and FIFO eviction
 //!   suits gossip: duplicates arrive within a few round-trips of the original.
+//!   Every node holds one, so it stores each key once: a ring of entries in
+//!   insertion order plus a compact hash index of ring slots, 20 B per
+//!   `u128` id once full (see the type's docs for the layout).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::collections::VecDeque;
+use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// An order-insensitive set of identifiers with uniform random sampling.
 ///
@@ -204,12 +208,27 @@ impl<I: Copy + Eq> IntoIterator for RandomSet<I> {
 }
 
 /// A FIFO-bounded map: the `capacity` most recently inserted keys, one
-/// value each, in one `HashMap` plus one `VecDeque` of keys in insertion
-/// order. A new key entering a full map evicts the oldest key *and its
+/// value each. A new key entering a full map evicts the oldest key *and its
 /// value*; re-inserting a present key neither refreshes nor overwrites it.
 /// A caller with a second bound of its own (an age, say) reads the old end
 /// with [`RecentMap::oldest`] and trims it with [`RecentMap::pop_oldest`].
-/// Storage grows on demand: a huge capacity costs nothing up front.
+///
+/// # Layout
+///
+/// Each key is stored once, beside its value, in a ring of `(K, V)`
+/// entries in insertion order. A hash index of ring slots finds it: open
+/// addressing with linear probing, at most half full, `u16` slots while the
+/// map holds at most 32,768 entries and `u32` beyond. Removing the oldest
+/// entry shifts its probe chain back over the freed slot, so no tombstone
+/// is left behind. The hash is `std`'s keyed `RandomState`: live ids come
+/// off the wire, and an unkeyed hash would let a sender aim them all at one
+/// probe chain. Ring and index grow on demand by doubling, the ring never
+/// past `capacity`: a huge capacity costs nothing up front.
+///
+/// An entry costs `size_of::<(K, V)>()` in the ring plus 4 to 8 bytes of
+/// index (two to four `u16` slots). A full `RecentSet<u128>` of 128 ids
+/// holds 2,560 B, 20 B per id, and one of 8,192 ids 163,840 B
+/// (`tests/footprint.rs` holds both).
 ///
 /// ```
 /// use hyparview_core::collections::RecentMap;
@@ -220,12 +239,121 @@ impl<I: Copy + Eq> IntoIterator for RandomSet<I> {
 /// cache.insert(2, "c");
 /// assert_eq!(cache.insert(3, "d"), (true, Some(1)), "oldest key evicted");
 /// assert_eq!((cache.get(&1), cache.get(&2)), (None, Some(&"c")));
+/// assert_eq!(cache.values().collect::<Vec<_>>(), [&"c", &"d"], "oldest first");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RecentMap<K, V> {
-    map: HashMap<K, V>,
-    order: VecDeque<K>,
+    /// The entries, oldest first.
+    ring: VecDeque<(K, V)>,
+    /// Ring entries by key hash: `ring[p]` is tagged `front + p`.
+    index: Index,
+    /// The tag of `ring[0]`. Popping the oldest entry raises it instead of
+    /// renumbering the rest; tags are renumbered from 0 when the next one
+    /// would not fit a slot.
+    front: usize,
+    hasher: RandomState,
     capacity: usize,
+}
+
+/// The index's slots, as narrow as the number of entries allows.
+#[derive(Clone)]
+enum Index {
+    Narrow(Box<[u16]>),
+    Wide(Box<[u32]>),
+}
+
+/// Binds `$slots` to the index's slots, whichever their width, for `$body`.
+macro_rules! with_slots {
+    ($index:expr, $slots:ident => $body:expr) => {
+        match $index {
+            Index::Narrow($slots) => $body,
+            Index::Wide($slots) => $body,
+        }
+    };
+}
+
+/// One slot of the index: a ring entry's tag, or [`Slot::FREE`].
+trait Slot: Copy + Eq {
+    /// The free slot, one past the largest tag.
+    const FREE: Self;
+    fn from_tag(tag: usize) -> Self;
+    fn tag(self) -> usize;
+}
+
+impl Slot for u16 {
+    const FREE: u16 = u16::MAX;
+    fn from_tag(tag: usize) -> u16 {
+        tag as u16
+    }
+    fn tag(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Slot for u32 {
+    const FREE: u32 = u32::MAX;
+    fn from_tag(tag: usize) -> u32 {
+        tag as u32
+    }
+    fn tag(self) -> usize {
+        self as usize
+    }
+}
+
+/// Probes from `hash`'s home slot for the entry whose ring position (its
+/// tag less `front`) satisfies `is`: its slot and position, or the first
+/// free slot on the way.
+fn probe<S: Slot>(
+    slots: &[S],
+    hash: u64,
+    front: usize,
+    mut is: impl FnMut(usize) -> bool,
+) -> Result<(usize, usize), usize> {
+    let mask = slots.len() - 1;
+    let mut i = hash as usize & mask;
+    loop {
+        let slot = slots[i];
+        if slot == S::FREE {
+            return Err(i);
+        }
+        if is(slot.tag() - front) {
+            return Ok((i, slot.tag() - front));
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/// Indexes ring position `at` under `hash`, first renumbering the tags from
+/// 0 if `front + at` would not fit a slot.
+fn link<S: Slot>(slots: &mut [S], hash: u64, front: &mut usize, at: usize) {
+    if *front + at >= S::FREE.tag() {
+        for slot in slots.iter_mut().filter(|slot| **slot != S::FREE) {
+            *slot = S::from_tag(slot.tag() - *front);
+        }
+        *front = 0;
+    }
+    let free = probe(slots, hash, *front, |_| false).unwrap_err();
+    slots[free] = S::from_tag(*front + at);
+}
+
+/// Frees slot `hole` and shifts the rest of its probe chain back into it:
+/// a slot moves when its home (`home` of its tag) is not cyclically after
+/// the hole, so every entry stays reachable from its home.
+fn unlink<S: Slot>(slots: &mut [S], mut hole: usize, mut home: impl FnMut(usize) -> usize) {
+    let mask = slots.len() - 1;
+    let mut i = hole;
+    loop {
+        i = (i + 1) & mask;
+        let slot = slots[i];
+        if slot == S::FREE {
+            break;
+        }
+        if i.wrapping_sub(home(slot.tag())) & mask >= i.wrapping_sub(hole) & mask {
+            slots[hole] = slot;
+            hole = i;
+        }
+    }
+    slots[hole] = S::FREE;
 }
 
 impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
@@ -236,63 +364,113 @@ impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        RecentMap { map: HashMap::new(), order: VecDeque::new(), capacity }
+        RecentMap {
+            ring: VecDeque::new(),
+            index: Index::Narrow(Box::default()),
+            front: 0,
+            hasher: RandomState::new(),
+            capacity,
+        }
     }
 
-    /// Inserts `value` under `key` unless the key is present (one hash
-    /// probe); returns whether it was new and the key evicted for it, if any.
-    pub fn insert(&mut self, key: K, value: V) -> (bool, Option<K>) {
-        let Entry::Vacant(slot) = self.map.entry(key) else { return (false, None) };
-        slot.insert(value);
-        let evicted = if self.order.len() >= self.capacity { self.order.pop_front() } else { None };
-        if let Some(oldest) = &evicted {
-            self.map.remove(oldest);
+    fn hash(&self, key: &K) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    /// The ring position of `key`, whose hash is `hash`.
+    fn find(&self, key: &K, hash: u64) -> Option<usize> {
+        if self.ring.is_empty() {
+            return None;
         }
-        self.order.push_back(key);
-        (true, evicted)
+        let ring = &self.ring;
+        with_slots!(&self.index, slots => probe(slots, hash, self.front, |at| ring[at].0 == *key))
+            .ok()
+            .map(|(_, at)| at)
+    }
+
+    /// Inserts `value` under `key` unless the key is present (one probe);
+    /// returns whether it was new and the key evicted for it, if any.
+    pub fn insert(&mut self, key: K, value: V) -> (bool, Option<K>) {
+        let hash = self.hash(&key);
+        if self.find(&key, hash).is_some() {
+            return (false, None);
+        }
+        let evicted = if self.ring.len() >= self.capacity { self.pop_oldest() } else { None };
+        let at = self.ring.len();
+        if at == self.ring.capacity() {
+            self.ring.reserve_exact(at.max(4).min(self.capacity - at));
+        }
+        let slots = with_slots!(&self.index, slots => slots.len());
+        if 2 * (at + 1) > slots {
+            self.reindex((2 * (at + 1)).next_power_of_two());
+        }
+        with_slots!(&mut self.index, slots => link(slots, hash, &mut self.front, at));
+        self.ring.push_back((key, value));
+        (true, evicted.map(|(key, _)| key))
+    }
+
+    /// Indexes every entry afresh in `slots` free slots, the oldest tagged 0.
+    fn reindex(&mut self, slots: usize) {
+        self.front = 0;
+        self.index = if slots <= 1 << 16 {
+            Index::Narrow(vec![u16::FREE; slots].into())
+        } else {
+            assert!(slots / 2 < u32::FREE.tag(), "a RecentMap indexes fewer than 2^32 entries");
+            Index::Wide(vec![u32::FREE; slots].into())
+        };
+        for (at, (key, _)) in self.ring.iter().enumerate() {
+            let hash = self.hasher.hash_one(key);
+            with_slots!(&mut self.index, slots => link(slots, hash, &mut self.front, at));
+        }
     }
 
     /// Whether `key` is currently remembered.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+        self.find(key, self.hash(key)).is_some()
     }
 
     /// The value remembered for `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
+        self.find(key, self.hash(key)).map(|at| &self.ring[at].1)
     }
 
     /// Mutable access to the value remembered for `key`.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.map.get_mut(key)
+        self.find(key, self.hash(key)).map(|at| &mut self.ring[at].1)
     }
 
     /// The key inserted longest ago among those remembered, with its value.
     pub fn oldest(&self) -> Option<(&K, &V)> {
-        let key = self.order.front()?;
-        Some((key, self.map.get(key)?))
+        self.ring.front().map(|(key, value)| (key, value))
     }
 
-    /// The remembered values, in no particular order.
+    /// The remembered values, oldest first.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.map.values()
+        self.ring.iter().map(|(_, value)| value)
     }
 
     /// Forgets the oldest key and hands it back with its value.
     pub fn pop_oldest(&mut self) -> Option<(K, V)> {
-        let key = self.order.pop_front()?;
-        let value = self.map.remove(&key)?;
-        Some((key, value))
+        let (oldest, _) = self.ring.front()?;
+        let (ring, hasher, front) = (&self.ring, &self.hasher, self.front);
+        let hash = hasher.hash_one(oldest);
+        let home = |tag: usize| hasher.hash_one(ring[tag - front].0) as usize;
+        with_slots!(&mut self.index, slots => {
+            let (hole, _) = probe(slots, hash, front, |at| at == 0).expect("every entry indexed");
+            unlink(slots, hole, home);
+        });
+        self.front += 1;
+        self.ring.pop_front()
     }
 
     /// Number of remembered keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.ring.len()
     }
 
     /// Returns `true` when nothing is remembered.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.ring.is_empty()
     }
 
     /// The maximum number of keys remembered at once.
@@ -300,10 +478,17 @@ impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
         self.capacity
     }
 
-    /// Forgets every key and value (capacity is unchanged).
+    /// Forgets every key and value (capacity is unchanged, and so is the
+    /// storage grown so far).
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
+        self.ring.clear();
+        self.reindex(with_slots!(&self.index, slots => slots.len()));
+    }
+}
+
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for RecentMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.ring.iter().map(|(key, value)| (key, value))).finish()
     }
 }
 
@@ -370,7 +555,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xD15C0)
@@ -474,55 +659,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recent_map_matches_the_set_plus_map_pair_it_replaced() {
-        for capacity in [1usize, 2, 7, 64] {
-            let mut r = StdRng::seed_from_u64(0x5EED ^ capacity as u64);
-            let mut map: RecentMap<u128, u32> = RecentMap::new(capacity);
-            let mut model = SetPlusMap {
-                set: HashSet::new(),
-                order: VecDeque::new(),
-                values: HashMap::new(),
-                capacity,
-            };
-            // Keys from a universe 3x the capacity: a steady mix of first
-            // sights, re-inserts of live keys and returns of evicted ones,
-            // with the old end trimmed by hand in between.
-            let universe = 3 * capacity as u128 + 1;
-            for step in 0..4_000u32 {
-                let key = r.gen_range(0..universe);
-                match r.gen_range(0..6) {
-                    0..=2 => assert_eq!(
-                        map.insert(key, step),
-                        model.insert(key, step),
-                        "insert {key} at step {step}, capacity {capacity}"
-                    ),
-                    3 => assert_eq!(map.pop_oldest(), model.pop_oldest(), "pop at step {step}"),
-                    4 => {
-                        let update = |v: &mut u32| {
-                            *v = v.wrapping_mul(31) ^ step;
-                            *v
-                        };
-                        assert_eq!(
-                            map.get_mut(&key).map(update),
-                            model.values.get_mut(&key).map(update),
-                            "get_mut {key} at step {step}"
-                        );
-                    }
-                    _ => assert_eq!(map.get(&key), model.values.get(&key), "get {key}"),
+    /// Drives `map` and a fresh model through `steps` random operations on
+    /// keys below `universe`: a steady mix of first sights, re-inserts of
+    /// live keys and returns of evicted ones, with the old end trimmed by
+    /// hand in between. Every key's membership and value, and the values in
+    /// FIFO order, are compared as often as half a million key lookups allow
+    /// (at every step for the small maps). Returns the most keys held at
+    /// once.
+    fn drive(map: &mut RecentMap<u128, u32>, universe: u128, steps: u32, seed: u64) -> usize {
+        let capacity = map.capacity();
+        let mut r = StdRng::seed_from_u64(seed);
+        let mut model = SetPlusMap {
+            set: HashSet::new(),
+            order: VecDeque::new(),
+            values: HashMap::new(),
+            capacity,
+        };
+        let every = (u128::from(steps) * universe / 500_000).max(1) as u32;
+        let mut most = 0;
+        for step in 0..steps {
+            let key = r.gen_range(0..universe);
+            match r.gen_range(0..6) {
+                0..=2 => assert_eq!(
+                    map.insert(key, step),
+                    model.insert(key, step),
+                    "insert {key} at step {step}, capacity {capacity}"
+                ),
+                3 => assert_eq!(map.pop_oldest(), model.pop_oldest(), "pop at step {step}"),
+                4 => {
+                    let update = |v: &mut u32| {
+                        *v = v.wrapping_mul(31) ^ step;
+                        *v
+                    };
+                    assert_eq!(
+                        map.get_mut(&key).map(update),
+                        model.values.get_mut(&key).map(update),
+                        "get_mut {key} at step {step}"
+                    );
                 }
-                assert_eq!(map.len(), model.set.len());
-                assert!(map.len() <= capacity && map.capacity() == capacity);
-                assert_eq!(map.oldest(), model.oldest(), "oldest at step {step}");
+                _ => assert_eq!(map.get(&key), model.values.get(&key), "get {key}"),
+            }
+            assert_eq!(map.len(), model.set.len());
+            assert!(map.len() <= capacity && map.capacity() == capacity);
+            assert_eq!(map.oldest(), model.oldest(), "oldest at step {step}");
+            most = most.max(map.len());
+            if step % every == 0 || step + 1 == steps {
                 for k in 0..universe {
                     assert_eq!(map.contains_key(&k), model.set.contains(&k), "membership of {k}");
                     assert_eq!(map.get(&k), model.values.get(&k), "value of {k}");
                 }
+                let fifo = model.order.iter().map(|k| &model.values[k]);
+                assert!(map.values().eq(fifo), "values oldest first at step {step}");
             }
+        }
+        most
+    }
+
+    #[test]
+    fn recent_map_matches_the_set_plus_map_pair_it_replaced() {
+        // The first four as before the ring; 128 fills its index exactly
+        // half, 129 and 1,000 stop the ring's doubling short of a power of
+        // two; 3 keys over 300,000 steps (about 100,000 first sights)
+        // renumber the `u16` tags; the unbounded map passes 70,000 keys,
+        // well past the switch to `u32` slots at 32,768.
+        let unbounded = RecentSet::<u128>::UNBOUNDED;
+        for (capacity, steps) in
+            [(1, 4_000), (2, 4_000), (7, 4_000), (64, 4_000), (128, 4_000), (129, 4_000)]
+                .into_iter()
+                .chain([(1_000, 4_000), (3, 300_000), (unbounded, 300_000)])
+        {
+            let universe = if capacity == unbounded { 1 << 18 } else { 3 * capacity as u128 + 1 };
+            let seed = 0x5EED ^ capacity as u64;
+            let mut map: RecentMap<u128, u32> = RecentMap::new(capacity);
+            let most = drive(&mut map, universe, steps, seed);
+            assert!(capacity != unbounded || most > 70_000, "held at most {most} keys");
             map.clear();
-            assert!(map.is_empty() && !map.contains_key(&0));
+            assert!(map.is_empty() && !map.contains_key(&0) && map.values().next().is_none());
             assert!(map.oldest().is_none() && map.pop_oldest().is_none());
             assert_eq!(map.insert(0, 1), (true, None), "a cleared map evicts nothing");
+            map.clear();
+            // The storage grown by the first run, reused.
+            drive(&mut map, universe, 1_000, !seed);
         }
     }
 

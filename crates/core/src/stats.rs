@@ -4,11 +4,11 @@
 //! overhead accounting) and for debugging live deployments.
 //!
 //! [`Stats`] is the *snapshot view*; the canonical cross-layer form is a
-//! [`hyparview_obsv::Registry`] populated through [`Stats::fill_registry`]
-//! under the `hyparview.*` metric names, which is what the simulator and
-//! the TCP runtime export and what cluster-level aggregation merges.
-
-use hyparview_obsv::Registry;
+//! [`hyparview_obsv::Registry`] holding the `hyparview.*` metric names
+//! ([`METRIC_NAMES`], registered once with
+//! [`Registry::register_counters`](hyparview_obsv::Registry::register_counters)
+//! and refreshed from [`Stats::values`]), which is what the TCP runtime
+//! exports and what cluster-level aggregation merges.
 
 /// The `hyparview.*` registry names, field order of [`Stats`].
 pub const METRIC_NAMES: [&str; 13] = [
@@ -64,8 +64,9 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// The counters in [`METRIC_NAMES`] order.
-    fn values(&self) -> [u64; 13] {
+    /// The counters in [`METRIC_NAMES`] order: absolute values, so setting
+    /// them into a registry again never double-counts.
+    pub fn values(&self) -> [u64; 13] {
         [
             self.joins_handled,
             self.forward_joins_received,
@@ -82,36 +83,27 @@ impl Stats {
             self.promotions,
         ]
     }
-
-    /// Writes this snapshot into `registry` under the canonical
-    /// `hyparview.*` names (absolute values — registering on first use,
-    /// overwriting on refresh, so periodic republishing never
-    /// double-counts).
-    pub fn fill_registry(&self, registry: &mut Registry) {
-        for (name, value) in METRIC_NAMES.iter().zip(self.values()) {
-            let id = registry.counter(name);
-            registry.set_counter(id, value);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyparview_obsv::Registry;
 
     #[test]
     fn registry_round_trip_preserves_every_counter() {
         let mut s =
             Stats { joins_handled: 3, shuffles_forwarded: 7, promotions: 1, ..Stats::default() };
         let mut registry = Registry::new();
-        s.fill_registry(&mut registry);
+        let ids = registry.register_counters(&METRIC_NAMES);
+        registry.set_counters(&ids, s.values());
         assert_eq!(registry.value_by_name("hyparview.joins_handled"), Some(3));
         for (name, value) in METRIC_NAMES.iter().zip(s.values()) {
             assert_eq!(registry.value_by_name(name), Some(value), "{name}");
         }
         // Refreshing overwrites rather than double-counting.
         s.promotions = 9;
-        s.fill_registry(&mut registry);
+        registry.set_counters(&ids, s.values());
         assert_eq!(registry.value_by_name("hyparview.promotions"), Some(9));
     }
 }

@@ -238,6 +238,41 @@ impl<I: Identity> Membership<I> for HyParViewMembership<I> {
         self.inner.active_view().to_vec()
     }
 
+    /// The paper's view invariants: each view within its capacity, neither
+    /// holding this node, and no peer in both (§4.1, §4.4). It runs after
+    /// every membership event of every debug test, so it scans the views
+    /// (a handful of peers) with index loops, which an unoptimised build
+    /// runs several times faster than iterator chains.
+    fn check_invariants(&self) {
+        let (me, active, passive) =
+            (self.inner.me(), self.inner.active_view(), self.inner.passive_view());
+        let (a, p) = (active.as_slice(), passive.as_slice());
+        let mut holds = a.len() <= active.capacity() && p.len() <= passive.capacity();
+        let mut i = 0;
+        while holds && i < a.len() {
+            holds = a[i] != me;
+            i += 1;
+        }
+        let mut i = 0;
+        while holds && i < p.len() {
+            holds = p[i] != me;
+            let mut j = 0;
+            while holds && j < a.len() {
+                holds = a[j] != p[i];
+                j += 1;
+            }
+            i += 1;
+        }
+        assert!(
+            holds,
+            "{me:?} breaks a view invariant: active {:?} (capacity {}), passive {:?} (capacity {})",
+            a,
+            active.capacity(),
+            p,
+            passive.capacity()
+        );
+    }
+
     fn take_events(&mut self) -> Vec<MembershipEvent<I>> {
         let mut events = self.inner.take_events();
         events.append(&mut self.events);
@@ -269,6 +304,20 @@ mod tests {
         let minus_sender = node.broadcast_targets(1, Some(3));
         assert_eq!(minus_sender.len(), 4);
         assert!(!minus_sender.contains(&3));
+    }
+
+    #[test]
+    fn view_invariants_hold_when_a_shuffle_offers_this_node_and_its_neighbours() {
+        let mut node = HyParViewMembership::new(0u32, Config::default(), 7).unwrap();
+        let mut out = Outbox::new();
+        for peer in 1..=5 {
+            node.handle_message(peer, Message::Join, &mut out);
+            node.check_invariants();
+        }
+        node.handle_message(1, Message::ShuffleReply { nodes: vec![0, 1, 2, 50] }, &mut out);
+        node.check_invariants();
+        let passive = node.protocol().passive_view();
+        assert!(passive.contains(&50) && passive.len() == 1, "{:?}", passive.as_slice());
     }
 
     #[test]

@@ -85,6 +85,11 @@ pub trait Membership<I: Identity> {
     fn take_events(&mut self) -> Vec<MembershipEvent<I>> {
         Vec::new()
     }
+
+    /// Panics when the protocol's own invariants over its views do not
+    /// hold. Debug builds of a node run it after every membership event;
+    /// it must not change any state. Default: nothing to check.
+    fn check_invariants(&self) {}
 }
 
 #[cfg(test)]

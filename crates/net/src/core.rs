@@ -140,6 +140,10 @@ struct Surface {
     metrics: Registry,
     frames: FrameCounters,
     mode_mismatched: CounterId,
+    /// The `hyparview.*` counters [`LiveNode::publish`] refreshes.
+    hyparview: [CounterId; 13],
+    /// The `plumtree.*` counters, in Plumtree mode.
+    plumtree: Option<[CounterId; 11]>,
     trace: Option<TraceRing>,
     clock: WallClock,
 }
@@ -312,6 +316,10 @@ impl LiveNode {
         let mut metrics = Registry::new();
         let frames = FrameCounters::register(&mut metrics);
         let mode_mismatched = metrics.counter(names::NET_MODE_MISMATCHED);
+        let hyparview = metrics.register_counters(&hyparview_core::stats::METRIC_NAMES);
+        let plumtree = core
+            .plumtree_state()
+            .map(|_| metrics.register_counters(&hyparview_plumtree::state::METRIC_NAMES));
         let trace = (config.trace_capacity > 0).then(|| TraceRing::new(config.trace_capacity));
         let surface = Surface {
             local,
@@ -321,6 +329,8 @@ impl LiveNode {
             metrics,
             frames,
             mode_mismatched,
+            hyparview,
+            plumtree,
             trace,
             clock: WallClock::new(),
         };
@@ -435,15 +445,17 @@ impl LiveNode {
     ///
     /// The protocol-layer counters (`hyparview.*`, `plumtree.*`) are
     /// refilled into the registry first, so the published mirror always
-    /// carries the full canonical set. The refill registers those names on
-    /// the first publish; afterwards the layout is stable and the mirror
-    /// is an allocation-free value copy.
+    /// carries the full canonical set. They were registered with the node,
+    /// so the refill sets them by handle. The reactor publishes every
+    /// changed node on every loop turn: after the first publish, which
+    /// clones the registry into the mirror, nothing here allocates or
+    /// searches a name.
     pub(crate) fn publish(&mut self) {
         let protocol = self.core.membership().protocol();
-        let metrics = &mut self.surface.metrics;
-        protocol.stats().fill_registry(metrics);
-        if let Some(plumtree) = self.core.plumtree_state() {
-            plumtree.stats().fill_registry(metrics);
+        let surface = &mut self.surface;
+        surface.metrics.set_counters(&surface.hyparview, protocol.stats().values());
+        if let (Some(plumtree), Some(ids)) = (self.core.plumtree_state(), &surface.plumtree) {
+            surface.metrics.set_counters(ids, plumtree.stats().values());
         }
         let metrics = &self.surface.metrics;
         let mut shared = self.shared.lock();
@@ -455,7 +467,7 @@ impl LiveNode {
             plumtree.eager().clone_into(&mut shared.eager);
             plumtree.lazy().clone_into(&mut shared.lazy);
         }
-        if shared.metrics.names().len() == metrics.names().len() {
+        if shared.metrics.same_layout(metrics) {
             shared.metrics.copy_values_from(metrics);
         } else {
             shared.metrics = metrics.clone();

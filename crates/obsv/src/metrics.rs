@@ -50,6 +50,13 @@ impl Registry {
         CounterId(self.counters.len() - 1)
     }
 
+    /// Registers (or finds) each counter of `names`, in order, and returns
+    /// their handles: what a producer holds on to so that refreshing a
+    /// block of counters later ([`Registry::set_counters`]) searches no name.
+    pub fn register_counters<const N: usize>(&mut self, names: &[&str; N]) -> [CounterId; N] {
+        names.map(|name| self.counter(name))
+    }
+
     /// Registers (or finds) the gauge `name` and returns its handle.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
         if let Some(index) = self.gauges.iter().position(|(n, _)| n == name) {
@@ -81,6 +88,13 @@ impl Registry {
     /// Sets a counter to an absolute value (for snapshot fills).
     pub fn set_counter(&mut self, id: CounterId, value: u64) {
         self.counters[id.0].1 = value;
+    }
+
+    /// Sets each counter of `ids` to the value at the same position.
+    pub fn set_counters<const N: usize>(&mut self, ids: &[CounterId; N], values: [u64; N]) {
+        for (id, value) in ids.iter().zip(values) {
+            self.set_counter(*id, value);
+        }
     }
 
     /// Current value of a counter.
@@ -123,17 +137,6 @@ impl Registry {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h.count())
     }
 
-    /// Every registered metric name, counters then gauges then histograms,
-    /// in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.counters
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .chain(self.gauges.iter().map(|(n, _)| n.as_str()))
-            .chain(self.histograms.iter().map(|(n, _)| n.as_str()))
-            .collect()
-    }
-
     /// Registered counters as `(name, value)` pairs, registration order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
         self.counters.iter().map(|(n, v)| (n.as_str(), *v))
@@ -166,6 +169,16 @@ impl Registry {
             let id = self.histogram(name);
             self.histograms[id.0].1.merge(hist);
         }
+    }
+
+    /// Whether `self` registers as many counters, gauges and histograms as
+    /// `other`: the condition [`Registry::copy_values_from`] asserts, and,
+    /// for a mirror of a registry that only ever registers more names, the
+    /// same layout. Reads three lengths per side and allocates nothing.
+    pub fn same_layout(&self, other: &Registry) -> bool {
+        self.counters.len() == other.counters.len()
+            && self.gauges.len() == other.gauges.len()
+            && self.histograms.len() == other.histograms.len()
     }
 
     /// Copies every metric *value* from `other`, which must have the exact
@@ -253,7 +266,18 @@ mod tests {
         };
         let mut shared = make(0);
         let live = make(9);
+        assert!(shared.same_layout(&live) && !shared.same_layout(&Registry::new()));
         shared.copy_values_from(&live);
         assert_eq!(shared, live);
+    }
+
+    #[test]
+    fn a_block_of_counters_is_set_by_handle() {
+        let mut reg = Registry::new();
+        let early = reg.counter("b");
+        let ids = reg.register_counters(&["a", "b", "c"]);
+        assert_eq!(ids[1], early, "registration finds what is there");
+        reg.set_counters(&ids, [1, 2, 3]);
+        assert_eq!(reg.counters().collect::<Vec<_>>(), [("b", 2), ("a", 1), ("c", 3)]);
     }
 }

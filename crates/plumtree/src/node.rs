@@ -155,7 +155,8 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
 
     /// Runs one membership event (a join, a received message, the periodic
     /// action, a failed send) and ships its effects: sends, neighbour sync,
-    /// membership events.
+    /// membership events. Debug builds then check the tree links and the
+    /// protocol's own view invariants ([`Membership::check_invariants`]).
     pub fn step<C: NodeCtx<I, M, P>>(
         &mut self,
         ctx: &mut C,
@@ -186,6 +187,8 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
             #[cfg(debug_assertions)]
             self.check_links(&view);
         }
+        #[cfg(debug_assertions)]
+        self.membership.check_invariants();
         for event in self.membership.take_events() {
             ctx.membership_event(event);
         }

@@ -154,8 +154,17 @@ impl PlumtreeStats {
     /// snapshot never double-counts). [`PlumtreeStats`] stays the
     /// plain-struct *view*; the registry is the cross-layer form that
     /// cluster aggregation merges.
+    ///
+    /// It finds every name anew; a frequent refresh registers
+    /// [`METRIC_NAMES`] once and sets [`PlumtreeStats::values`] by handle.
     pub fn fill_registry(&self, registry: &mut hyparview_obsv::Registry) {
-        let values = [
+        let ids = registry.register_counters(&METRIC_NAMES);
+        registry.set_counters(&ids, self.values());
+    }
+
+    /// The counters in [`METRIC_NAMES`] order.
+    pub fn values(&self) -> [u64; 11] {
+        [
             self.gossip_sent,
             self.ihave_sent,
             self.ihave_suppressed,
@@ -167,11 +176,7 @@ impl PlumtreeStats {
             self.graft_dead_letters,
             self.delivered,
             self.redundant,
-        ];
-        for (name, value) in METRIC_NAMES.iter().zip(values) {
-            let id = registry.counter(name);
-            registry.set_counter(id, value);
-        }
+        ]
     }
 }
 
@@ -195,7 +200,7 @@ impl std::ops::AddAssign for PlumtreeStats {
 struct Cached<I, P> {
     round: u32,
     /// [`PlumtreeState::advance`]'s reading at the first receipt, truncated
-    /// to 32 bits: it sits in the padding a `u128`-keyed map slot has
+    /// to 32 bits: it sits in the padding a `u128`-keyed store entry has
     /// anyway, where a `u64` would add 16 bytes to every remembered
     /// message. Ages are taken with `wrapping_sub`, so a wrap can only make
     /// an entry look *younger* than it is: kept longer, never dropped early.
