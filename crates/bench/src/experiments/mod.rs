@@ -1,13 +1,15 @@
 //! The experiment harness: the paper's evaluation (§5) and its ablations
-//! (§5.5/§6) as slices of one grid of cells ([`paper`]), plus the Plumtree
-//! and attack extensions.
+//! (§5.5/§6) as slices of one grid of cells ([`paper`]), the paper's
+//! claims about them as one table ([`claims`]), plus the Plumtree and
+//! attack extensions.
 //!
 //! Every function here is deterministic given its [`Params`](crate::Params)
 //! and returns structured data; `report.rs` prints the tables, builds
-//! the artifacts and checks the headlines, one function per `hpv-bench`
-//! experiment.
+//! the artifacts and checks the claims and the extensions' headlines, one
+//! function per `hpv-bench` experiment.
 
 pub mod attack;
+pub mod claims;
 pub mod paper;
 pub mod plumtree;
 

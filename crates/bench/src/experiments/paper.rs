@@ -356,7 +356,7 @@ fn probe(sim: &mut AnySim, count: usize) -> (Vec<BroadcastReport>, f64) {
 
 /// Every cell of a grid with its runs, in grid order.
 #[derive(Debug)]
-pub struct Results(Vec<(Key, Vec<Run>)>);
+pub struct Results(pub(crate) Vec<(Key, Vec<Run>)>);
 
 /// Runs every `(cell, run)` of `grid` over `params.jobs` workers.
 pub fn run(params: &Params, grid: Vec<Key>) -> Results {
@@ -383,6 +383,31 @@ impl Results {
     /// Run 0 of `cell`: what the slices that merge no runs read.
     pub fn first(&self, cell: &Cell) -> &Run {
         &self.runs(cell)[0]
+    }
+
+    /// The mean reliability of the first `broadcasts` broadcasts after the
+    /// crash, over the runs of `cell`.
+    pub fn reliability(&self, cell: &Cell, broadcasts: usize) -> f64 {
+        summary(self.runs(cell), broadcasts).mean_reliability()
+    }
+
+    /// Messages sent and redundant per broadcast over the first
+    /// `broadcasts` broadcasts of `cell`, and their mean reliability (§3.1).
+    pub fn overhead(&self, cell: &Cell, broadcasts: usize) -> [f64; 3] {
+        let summary = summary(self.runs(cell), broadcasts);
+        let n = summary.count().max(1) as f64;
+        let (sent, redundant) = (summary.total_sent() as f64, summary.total_redundant() as f64);
+        [sent / n, redundant / n, summary.mean_reliability()]
+    }
+
+    /// The probes of heal cell `cell` (Figure 4).
+    pub fn healing(&self, cell: &Cell) -> &Healing {
+        self.first(cell).healing.as_ref().expect("a heal cell heals")
+    }
+
+    /// The stable overlay of `kind`'s cell at `params` (Figure 5, Table 1).
+    pub fn overlay(&self, params: &Params, kind: ProtocolKind) -> &OverlaySnapshot {
+        self.first(&Cell::new(params, kind)).overlay.as_ref().expect("a stable overlay")
     }
 
     /// `read` averaged over the runs of `cell`.

@@ -15,7 +15,9 @@
 //!   choices.
 //!
 //!   These nine are slices of one grid of cells ([`experiments::paper`]):
-//!   one runner, and a cell that slices share runs once.
+//!   one runner, and a cell that slices share runs once. Each report ends
+//!   with its rows of the paper's claims ([`experiments::claims`]), and
+//!   `--assert` exits 1 on a failing row.
 //! * `plumtree` — beyond the paper: eager flood vs static and adaptive
 //!   Plumtree trees over one grid of crashes, latency models, per-link
 //!   loss and a partition-and-heal cycle ([`experiments::plumtree`]).

@@ -1,19 +1,20 @@
 //! One function per `hpv-bench` experiment: it runs the experiment, renders
-//! its table, builds its results artifact and checks its headline against
-//! the paper. [`EXPERIMENTS`] is the name table `hpv-bench` dispatches on;
-//! the names are the artifacts' `experiment` fields and file stems.
+//! its table and builds its results artifact. A paper slice's report ends
+//! with its rows of the claims table ([`claims`]), each measured and marked
+//! holds or FAILS, and its failures are exactly the failing rows; the
+//! `plumtree` and `hyparview_attack` extensions check their own headlines.
+//! [`EXPERIMENTS`] is the name table `hpv-bench` dispatches on; the names
+//! are the artifacts' `experiment` fields and file stems.
 
 use crate::artifacts::{fig2_artifact, hyparview_attack_artifact, plumtree_artifact};
 use crate::cli::{Outcome, Run};
-use crate::experiments::attack;
-use crate::experiments::paper::{
-    self, summary, Cell, Results, Slice, FIG2_FAILURES, FIG3_FAILURES,
-};
+use crate::experiments::paper::{self, summary, Cell, Results, Slice, FIG2_FAILURES};
 use crate::experiments::plumtree;
+use crate::experiments::{attack, claims};
 use crate::params::Params;
 use crate::table::{num, pct, render, sparkline};
 use hyparview_gossip::ReliabilitySummary;
-use hyparview_graph::IndegreeReport;
+use hyparview_graph::mean_field_reach;
 use hyparview_obsv::Registry;
 use hyparview_sim::protocols::ProtocolKind;
 use hyparview_sim::{ATTACKER_REJOIN, ECLIPSE_VICTIMS};
@@ -52,8 +53,9 @@ fn run_slices(params: &Params, slices: &[Slice]) -> Outcome {
     outcome
 }
 
-/// The report of `slice`, read from `results`.
-fn report(slice: Slice, params: &Params, results: &Results) -> Outcome {
+/// The report of `slice`, read from `results`, and its rows of the claims
+/// table: a failing row is a failure.
+pub(crate) fn report(slice: Slice, params: &Params, results: &Results) -> Outcome {
     let report = match slice {
         Slice::Fig1 => fig1_fanout,
         Slice::Fig1c => fig1c_after_failure,
@@ -65,7 +67,9 @@ fn report(slice: Slice, params: &Params, results: &Results) -> Outcome {
         Slice::Overhead => overhead,
         Slice::Ablations => ablations,
     };
-    report(params, results)
+    let (table, failures) = claims::check(slice, params, results);
+    let outcome = report(params, results);
+    Outcome { report: format!("{}\n\nclaims:\n{table}", outcome.report), failures, ..outcome }
 }
 
 fn header(title: &str, params: &Params, detail: &str) -> Vec<String> {
@@ -97,12 +101,14 @@ fn fig1_fanout(params: &Params, results: &Results) -> Outcome {
                 pct(summary.mean_reliability()),
                 pct(summary.min_reliability()),
                 num(summary.atomic_fraction(), 3),
+                pct(mean_field_reach(cell.fanout)),
             ]
         })
         .collect();
-    let headers = ["protocol", "fanout", "mean reliability", "min reliability", "atomic frac"];
+    let headers =
+        ["protocol", "fanout", "mean reliability", "min reliability", "atomic frac", "model"];
     out.push(render(&headers, &rows));
-    // The paper's headline thresholds.
+    // The first fanout at which each baseline reaches 99%.
     for kind in [ProtocolKind::Cyclon, ProtocolKind::Scamp] {
         let reaches =
             |(c, s): &&(&Cell, ReliabilitySummary)| c.kind == kind && s.mean_reliability() >= 0.99;
@@ -132,20 +138,17 @@ fn fig1c_after_failure(params: &Params, results: &Results) -> Outcome {
         })
         .collect();
     out.push(render(&["protocol", "mean reliability", "best message", "evolution"], &rows));
-    out.push("(paper: no message delivered to more than ~85% of nodes; no recovery before the next cycle)".into());
     Outcome::new(out)
 }
 
 /// Figure 2: mean reliability of the broadcasts sent right after crashing
-/// 10% to 95% of all nodes, for all four protocols. The headline: HyParView
-/// at 100% through 50% failures and at least 90% through 90%.
+/// 10% to 95% of all nodes, for all four protocols.
 fn fig2_reliability(params: &Params, results: &Results) -> Outcome {
     let title =
         format!("Figure 2 — reliability for {} messages after massive failures", params.messages);
     let mut out = header(&title, params, "");
     let reliability = |kind, failure| {
-        let runs = results.runs(&Cell::new(params, kind).failing(failure));
-        summary(runs, params.messages).mean_reliability()
+        results.reliability(&Cell::new(params, kind).failing(failure), params.messages)
     };
     let mut headers = vec!["failure %"];
     headers.extend(ProtocolKind::ALL.map(ProtocolKind::label));
@@ -158,33 +161,14 @@ fn fig2_reliability(params: &Params, results: &Results) -> Outcome {
         })
         .collect();
     out.push(render(&headers, &rows));
-    out.push(
-        "(paper: HyParView ~100% up to 90%, ~90% at 95%; CyclonAcked competitive to 70%;".into(),
-    );
-    out.push(" Cyclon and Scamp below 50% reliability for failure rates above 50%)".into());
-
-    let mut failures = Vec::new();
-    for &failure in &FIG2_FAILURES {
-        let hpv = reliability(ProtocolKind::HyParView, failure);
-        for (up_to, floor) in [(0.5, 0.9999), (0.9, 0.90)] {
-            if failure <= up_to && hpv < floor {
-                failures.push(format!(
-                    "HyParView at {:.0}% failures: reliability {} < {}",
-                    failure * 100.0,
-                    pct(hpv),
-                    pct(floor)
-                ));
-            }
-        }
-    }
     let json = fig2_artifact(params, results, &ProtocolKind::ALL, &FIG2_FAILURES);
-    Outcome { json: Some(json), failures, ..Outcome::new(out) }
+    Outcome { json: Some(json), ..Outcome::new(out) }
 }
 
 /// Figures 3a–3f: per-message reliability after failures of 20% to 95%.
 fn fig3_recovery(params: &Params, results: &Results) -> Outcome {
     let mut out = header("Figure 3 — reliability after failures, message by message", params, "");
-    for &failure in &FIG3_FAILURES {
+    for failure in paper::FIG3_FAILURES {
         out.push(format!("\n## {:.0}% failures", failure * 100.0));
         let rows: Vec<Vec<String>> = ProtocolKind::ALL
             .iter()
@@ -205,10 +189,6 @@ fn fig3_recovery(params: &Params, results: &Results) -> Outcome {
         let headers = ["protocol", "1st message", "plateau", "msgs to plateau", "evolution"];
         out.push(render(&headers, &rows));
     }
-    out.push(
-        "(paper: HyParView recovers almost immediately; CyclonAcked after ~25 messages;".into(),
-    );
-    out.push(" Cyclon/Scamp flat; above 80% failures the baselines sit near 0%)".into());
     Outcome::new(out)
 }
 
@@ -226,7 +206,7 @@ fn fig4_healing(params: &Params, results: &Results) -> Outcome {
             let mut cells = vec![format!("{:.0}%", failure * 100.0)];
             cells.extend(paper::FIG4_PROTOCOLS.map(|kind| {
                 let cell = Cell { heal: true, ..Cell::new(params, kind).failing(failure) };
-                let healing = results.first(&cell).healing.as_ref().expect("a heal cell heals");
+                let healing = results.healing(&cell);
                 let (strict, near) = (healing.cycles(1.0), healing.cycles(0.995));
                 format!("{} / {} (base {})", cycles(strict), cycles(near), pct(healing.baseline))
             }));
@@ -234,24 +214,13 @@ fn fig4_healing(params: &Params, results: &Results) -> Outcome {
         })
         .collect();
     out.push(render(&["failure %", "HyParView", "CyclonAcked", "Cyclon"], &rows));
-    out.push("(paper: HyParView needs 1–2 cycles below 80% and <= 4 at 90%;".into());
-    out.push(" Cyclon grows roughly linearly with the failure percentage)".into());
     Outcome::new(out)
-}
-
-/// Run 0 of each protocol's stable cell at `params.fanout` (Figure 5,
-/// Table 1), with its overlay.
-fn stable_runs<'r>(params: &Params, results: &'r Results) -> Vec<(ProtocolKind, &'r paper::Run)> {
-    ProtocolKind::ALL.iter().map(|&kind| (kind, results.first(&Cell::new(params, kind)))).collect()
 }
 
 /// Figure 5: in-degree distribution after stabilization.
 fn fig5_indegree(params: &Params, results: &Results) -> Outcome {
     let mut out = header("Figure 5 — in-degree distribution after stabilization", params, "");
-    let data: Vec<(ProtocolKind, &IndegreeReport)> = stable_runs(params, results)
-        .into_iter()
-        .map(|(kind, run)| (kind, &run.overlay.as_ref().expect("a stable overlay").indegree))
-        .collect();
+    let data = ProtocolKind::ALL.map(|kind| (kind, &results.overlay(params, kind).indegree));
     let rows: Vec<Vec<String>> = data
         .iter()
         .map(|(kind, report)| {
@@ -261,7 +230,7 @@ fn fig5_indegree(params: &Params, results: &Results) -> Outcome {
         })
         .collect();
     out.push(render(&["protocol", "mean", "min", "max", "stddev"], &rows));
-    for (kind, report) in &data {
+    for (kind, report) in data {
         out.push(format!("\n{kind} in-degree histogram (degree: nodes):"));
         let max_count = report.histogram.values().copied().max().unwrap_or(1);
         for (degree, count) in &report.histogram {
@@ -269,10 +238,6 @@ fn fig5_indegree(params: &Params, results: &Results) -> Outcome {
             out.push(format!("  {degree:>4}: {:<50} {count}", "#".repeat(bar_len)));
         }
     }
-    out.push(
-        "\n(paper: HyParView concentrated at the active view size; Cyclon spread wide;".into(),
-    );
-    out.push(" Scamp long-tailed with some nodes known by a single peer)".into());
     Outcome::new(out)
 }
 
@@ -281,15 +246,15 @@ fn fig5_indegree(params: &Params, results: &Results) -> Outcome {
 fn table1_graph_props(params: &Params, results: &Results) -> Outcome {
     let mut out = header("Table 1 — graph properties after stabilization", params, "");
     let hops = Slice::Table1.broadcasts(params);
-    let rows: Vec<Vec<String>> = stable_runs(params, results)
-        .into_iter()
-        .map(|(kind, run)| {
-            let overlay = run.overlay.as_ref().expect("a stable overlay");
+    let rows: Vec<Vec<String>> = ProtocolKind::ALL
+        .iter()
+        .map(|&kind| {
+            let (overlay, cell) = (results.overlay(params, kind), Cell::new(params, kind));
             vec![
                 kind.label().to_owned(),
                 num(overlay.clustering, 6),
                 num(overlay.avg_shortest_path, 3),
-                num(summary(std::slice::from_ref(run), hops).mean_max_hops(), 1),
+                num(summary(std::slice::from_ref(results.first(&cell)), hops).mean_max_hops(), 1),
                 overlay.connected.to_string(),
                 num(overlay.mean_view, 1),
             ]
@@ -304,8 +269,6 @@ fn table1_graph_props(params: &Params, results: &Results) -> Outcome {
         "mean view",
     ];
     out.push(render(&headers, &rows));
-    out.push("(paper @ n=10k: Cyclon 0.006836 / 2.60 / 10.6; Scamp 0.022476 / 3.35 / 14.1;".into());
-    out.push(" HyParView 0.00092 / 6.39 / 9.0 — longest paths but fewest hops to delivery)".into());
     Outcome::new(out)
 }
 
@@ -318,25 +281,20 @@ fn overhead(params: &Params, results: &Results) -> Outcome {
         .cells(params)
         .iter()
         .map(|cell| {
-            let summary = summary(std::slice::from_ref(results.first(cell)), messages);
-            let n = summary.count().max(1) as f64;
-            let sent = summary.total_sent() as f64 / n;
-            let redundant = summary.total_redundant() as f64 / n;
+            let [sent, redundant, reliability] = results.overhead(cell, messages);
             vec![
                 cell.kind.label().to_owned(),
                 cell.fanout.to_string(),
                 num(sent, 0),
                 num(redundant, 0),
                 pct(if sent == 0.0 { 0.0 } else { redundant / sent }),
-                pct(summary.mean_reliability()),
+                pct(reliability),
             ]
         })
         .collect();
     let headers =
         ["protocol", "fanout", "msgs/broadcast", "redundant", "redundancy", "reliability"];
     out.push(render(&headers, &rows));
-    out.push("(paper @ n=10k: fanout 6 vs 4 costs ~20,000 extra messages per broadcast,".into());
-    out.push(" >99% of which are redundant; HyParView reaches 100% at fanout 4)".into());
     Outcome::new(out)
 }
 

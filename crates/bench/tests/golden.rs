@@ -13,13 +13,19 @@
 //! slice: `plumtree_vs_flood`, `plumtree_adaptive`, `plumtree_latency` and
 //! `plumtree_wan` each hold one slice of its grid to its checks and to the
 //! golden's cells.
+//!
+//! The README's Figure 2 table is rendered, not quoted: one test renders it
+//! from the committed paper-scale artifact and the claims table's Figure 2
+//! rows, without running a simulation, and compares it with the README.
 
 use hyparview_bench::artifacts::fig2_artifact;
 use hyparview_bench::cli::{self, Outcome};
 use hyparview_bench::diff::{diff, markdown_table};
+use hyparview_bench::experiments::claims;
 use hyparview_bench::experiments::paper::{self, Cell, Slice};
 use hyparview_bench::json::{parse, JsonValue};
 use hyparview_bench::obsv_json::registry_json;
+use hyparview_bench::table::pct;
 use hyparview_bench::Params;
 use hyparview_sim::protocols::ProtocolKind;
 use std::path::PathBuf;
@@ -232,4 +238,38 @@ fn a_moved_number_is_named_flagged_and_rewritable() {
         "{report}"
     );
     assert_eq!(compare("fig2_reliability", "fig2_reliability.json", &golden, &golden), Ok(()));
+}
+
+/// The README's `| failure % | paper | n = 10,000 |` block: per failure
+/// level of `results/paper/fig2_reliability.json`, the paper's value from
+/// the claims table's Figure 2 row and HyParView's measured reliability.
+#[test]
+fn readme_figure_2_table_renders_the_paper_artifact() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |file| std::fs::read_to_string(root.join(file)).unwrap();
+    let artifact = parse(&read("results/paper/fig2_reliability.json")).unwrap();
+    let Some(JsonValue::Arr(rows)) = artifact.get("rows") else {
+        panic!("a fig2 artifact has a rows array");
+    };
+    let claims = claims::table();
+    let mut table = String::from("| failure % | paper | n = 10,000 |\n|---|---|---|\n");
+    for row in rows {
+        let failure = row.get("failure").and_then(JsonValue::as_f64).unwrap() * 100.0;
+        let subject = format!("HyParView at {failure:.0}% failures");
+        let claim = claims.iter().find(|c| c.slice == Slice::Fig2 && c.subject == subject);
+        let paper = claim.unwrap_or_else(|| panic!("no claim about {subject:?}")).paper;
+        let Some(JsonValue::Arr(cells)) = row.get("cells") else {
+            panic!("a fig2 row has a cells array");
+        };
+        let is_hpv =
+            |c: &&JsonValue| c.get("protocol").and_then(JsonValue::as_str) == Some("HyParView");
+        let hpv = cells.iter().find(is_hpv).unwrap();
+        let reliability = hpv.get("mean_reliability").and_then(JsonValue::as_f64).unwrap();
+        table += &format!("| {failure:.0}% | {paper} | {} |\n", pct(reliability));
+    }
+    assert!(
+        read("README.md").contains(&table),
+        "README.md's Figure 2 table is not the rendering of \
+         results/paper/fig2_reliability.json; replace it with:\n\n{table}"
+    );
 }

@@ -10,7 +10,9 @@
 //! * **connectivity** — components, largest component, isolated nodes;
 //! * **adversarial capture** — colluder share of honest views, in-degree
 //!   capture, eclipsed victims, honest-component connectivity
-//!   ([`adversary`]).
+//!   ([`adversary`]);
+//! * **analytic references** — what theory expects of a measurement, such
+//!   as the mean-field reach of push gossip beside Figure 1 ([`analytic`]).
 //!
 //! The crate is protocol-agnostic: it consumes plain adjacency snapshots
 //! (`Vec<Option<Vec<usize>>>`, `None` = crashed node) produced by
@@ -20,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod adversary;
+pub mod analytic;
 pub mod metrics;
 pub mod overlay;
 
@@ -27,6 +30,7 @@ pub use adversary::{
     capture_fraction, eclipsed_victims, honest_connectivity, honest_subgraph, indegree_capture,
     indegree_report, IndegreeReport,
 };
+pub use analytic::mean_field_reach;
 pub use metrics::{
     bfs_distances, clustering_coefficient, connectivity, degree_histogram, degree_summary,
     in_degrees, out_degrees, shortest_path_stats, ConnectivityReport, DegreeSummary, PathStats,
