@@ -303,6 +303,26 @@ impl<I: Identity> Membership<I> for Cyclon<I> {
     fn out_view(&self) -> Vec<I> {
         self.view_ids()
     }
+
+    /// The view holds at most [`CyclonConfig::view_capacity`] entries and
+    /// none for this node. Repeats are left to the property tests: this
+    /// runs after every debug step, and a scan for them is quadratic in
+    /// the view.
+    fn check_invariants(&self) {
+        let mut holds = self.view.len() <= self.config.view_capacity;
+        let mut i = 0;
+        while holds && i < self.view.len() {
+            holds = self.view[i].id != self.me;
+            i += 1;
+        }
+        assert!(
+            holds,
+            "{:?} breaks a view invariant: view {:?} (capacity {})",
+            self.me,
+            self.view_ids(),
+            self.config.view_capacity
+        );
+    }
 }
 
 #[cfg(test)]

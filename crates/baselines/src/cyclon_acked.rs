@@ -79,6 +79,10 @@ impl<I: Identity> Membership<I> for CyclonAcked<I> {
     fn out_view(&self) -> Vec<I> {
         self.inner.out_view()
     }
+
+    fn check_invariants(&self) {
+        self.inner.check_invariants();
+    }
 }
 
 #[cfg(test)]

@@ -280,6 +280,19 @@ impl<I: Identity> Membership<I> for Scamp<I> {
     fn out_view(&self) -> Vec<I> {
         self.partial_view.to_vec()
     }
+
+    /// Neither view holds this node. Scamp bounds no view (the partial
+    /// view settles around `(c + 1) · log n` by itself), and its sets hold
+    /// no repeats by construction.
+    fn check_invariants(&self) {
+        assert!(
+            !self.partial_view.contains(&self.me) && !self.in_view.contains(&self.me),
+            "{:?} holds itself: partial view {:?}, in-view {:?}",
+            self.me,
+            self.partial_view.as_slice(),
+            self.in_view.as_slice()
+        );
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::experiments::{attack, claims};
 use crate::params::Params;
 use crate::table::{num, pct, render, sparkline};
 use hyparview_gossip::ReliabilitySummary;
-use hyparview_graph::mean_field_reach;
+use hyparview_graph::{mean_field_atomic, mean_field_reach};
 use hyparview_obsv::Registry;
 use hyparview_sim::protocols::ProtocolKind;
 use hyparview_sim::{ATTACKER_REJOIN, ECLIPSE_VICTIMS};
@@ -101,12 +101,22 @@ fn fig1_fanout(params: &Params, results: &Results) -> Outcome {
                 pct(summary.mean_reliability()),
                 pct(summary.min_reliability()),
                 num(summary.atomic_fraction(), 3),
+                num(mean_field_atomic(params.n, cell.fanout), 3),
                 pct(mean_field_reach(cell.fanout)),
             ]
         })
         .collect();
-    let headers =
-        ["protocol", "fanout", "mean reliability", "min reliability", "atomic frac", "model"];
+    // The two model columns are the mean-field predictions for push
+    // gossip over uniform random views; printed, not checked.
+    let headers = [
+        "protocol",
+        "fanout",
+        "mean reliability",
+        "min reliability",
+        "atomic frac",
+        "model atomic",
+        "model reach",
+    ];
     out.push(render(&headers, &rows));
     // The first fanout at which each baseline reaches 99%.
     for kind in [ProtocolKind::Cyclon, ProtocolKind::Scamp] {

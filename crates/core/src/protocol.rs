@@ -185,6 +185,38 @@ impl<I: Identity> HyParView<I> {
         std::mem::take(&mut self.events)
     }
 
+    /// Panics unless the paper's view invariants hold: each view within
+    /// its capacity, neither holding this node, and no peer in both
+    /// (§4.1, §4.4). The views' collection rules out repeats. Read-only;
+    /// debug builds of a node run it after every membership event, so it
+    /// scans the views (a handful of peers) with index loops, which an
+    /// unoptimised build runs several times faster than iterator chains.
+    pub fn check_invariants(&self) {
+        let (me, a, p) = (self.me, self.active.as_slice(), self.passive.as_slice());
+        let mut holds = a.len() <= self.active.capacity() && p.len() <= self.passive.capacity();
+        let mut i = 0;
+        while holds && i < a.len() {
+            holds = a[i] != me;
+            i += 1;
+        }
+        let mut i = 0;
+        while holds && i < p.len() {
+            holds = p[i] != me;
+            let mut j = 0;
+            while holds && j < a.len() {
+                holds = a[j] != p[i];
+                j += 1;
+            }
+            i += 1;
+        }
+        assert!(
+            holds,
+            "{me:?} breaks a view invariant: active {a:?} (capacity {}), passive {p:?} (capacity {})",
+            self.active.capacity(),
+            self.passive.capacity()
+        );
+    }
+
     /// The peers a broadcast layer should flood a message to: the entire
     /// active view except the peer the message arrived from (§4.1.ii).
     pub fn broadcast_targets(&self, exclude: Option<I>) -> Vec<I> {

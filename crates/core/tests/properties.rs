@@ -2,7 +2,8 @@
 //!
 //! These drive a single protocol instance with arbitrary message sequences
 //! and check the structural invariants that Algorithm 1 must preserve no
-//! matter what the network throws at the node.
+//! matter what the network throws at the node, through the protocol's own
+//! definition of them (`HyParView::check_invariants`).
 
 use hyparview_core::{Actions, Config, HyParView, MembershipEvent, Message, Priority};
 use proptest::prelude::*;
@@ -49,34 +50,6 @@ fn arb_input() -> impl Strategy<Value = Input> {
     ]
 }
 
-fn check_invariants(node: &Node) {
-    let active = node.active_view().to_vec();
-    let passive = node.passive_view().to_vec();
-
-    // Bounded views.
-    assert!(active.len() <= node.config().active_capacity, "active view over capacity");
-    assert!(passive.len() <= node.config().passive_capacity, "passive view over capacity");
-
-    // No self references.
-    assert!(!active.contains(&ME), "own id in active view");
-    assert!(!passive.contains(&ME), "own id in passive view");
-
-    // No duplicates inside a view.
-    let mut a = active.clone();
-    a.sort_unstable();
-    a.dedup();
-    assert_eq!(a.len(), active.len(), "duplicate in active view");
-    let mut p = passive.clone();
-    p.sort_unstable();
-    p.dedup();
-    assert_eq!(p.len(), passive.len(), "duplicate in passive view");
-
-    // The views are disjoint.
-    for id in &active {
-        assert!(!passive.contains(id), "{id} present in both views");
-    }
-}
-
 /// The paper's configuration, or the same with every overlay defense on.
 fn config(hardened: bool) -> Config {
     if hardened {
@@ -116,7 +89,7 @@ proptest! {
                 Input::Tick => node.shuffle_tick(&mut actions),
                 Input::PeerFailed(p) => node.on_peer_failed(p, &mut actions),
             }
-            check_invariants(&node);
+            node.check_invariants();
             check_events(&mut node);
             actions.drain().count();
         }
@@ -174,7 +147,7 @@ proptest! {
         let mut actions = Actions::new();
         for j in &joiners {
             node.handle_message(*j, Message::Join, &mut actions);
-            prop_assert!(node.active_view().len() <= node.config().active_capacity);
+            node.check_invariants();
             prop_assert!(node.active_view().contains(j), "fresh joiner always admitted");
             actions.drain().count();
         }
@@ -202,6 +175,6 @@ proptest! {
                 prop_assert!(nodes.len() <= request_len + 1);
             }
         }
-        prop_assert!(node.passive_view().len() <= node.config().passive_capacity);
+        node.check_invariants();
     }
 }

@@ -87,9 +87,11 @@ pub trait Membership<I: Identity> {
     }
 
     /// Panics when the protocol's own invariants over its views do not
-    /// hold. Debug builds of a node run it after every membership event;
-    /// it must not change any state. Default: nothing to check.
-    fn check_invariants(&self) {}
+    /// hold: at least each view within its bound (if it has one) and
+    /// without this node. Debug builds of a node run it after every
+    /// membership event, so it must not change any state and should cost
+    /// O(view). Every protocol states its own; there is no default.
+    fn check_invariants(&self);
 }
 
 #[cfg(test)]

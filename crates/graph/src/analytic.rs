@@ -22,6 +22,16 @@ pub fn mean_field_reach(fanout: usize) -> f64 {
     }
 }
 
+/// The chance that one push-gossip broadcast at `fanout` reaches all of
+/// `n` nodes, by the same mean-field model: each node is missed
+/// independently with probability e^(−fπ), π the
+/// [`mean_field_reach`], so the broadcast is atomic with probability
+/// about exp(−n·e^(−fπ)).
+pub fn mean_field_atomic(n: usize, fanout: usize) -> f64 {
+    let missed = (-(fanout as f64) * mean_field_reach(fanout)).exp();
+    (-(n as f64) * missed).exp()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,5 +42,13 @@ mod tests {
         assert_eq!(reach, [79.68, 94.05, 98.02, 99.30]);
         assert_eq!(mean_field_reach(1), 0.0);
         assert!(mean_field_reach(8) > 0.9996 && mean_field_reach(8) < 1.0);
+    }
+
+    #[test]
+    fn mean_field_atomic_falls_with_the_network_size() {
+        let atomic = |n, f| (mean_field_atomic(n, f) * 1000.0).round() / 1000.0;
+        assert_eq!([5, 6, 7, 8].map(|f| atomic(200, f)), [0.248, 0.605, 0.832, 0.935]);
+        assert_eq!(atomic(10_000, 8), 0.035);
+        assert_eq!(atomic(200, 1), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! The overlay graph metrics of the paper's §2.3 and §5.4: degree
 //! distributions, clustering coefficient, average shortest path and
-//! connectivity.
+//! connectivity, plus the symmetry of the links (§4.1).
 
 use crate::overlay::Overlay;
 use rand::rngs::StdRng;
@@ -199,6 +199,23 @@ pub fn connectivity(overlay: &Overlay) -> ConnectivityReport {
     ConnectivityReport { components, largest_component: largest, isolated }
 }
 
+/// The one-sided links among alive nodes, in node order: every `(u, v)`
+/// with `u → v` but not `v → u`. HyParView's active views are symmetric
+/// (§4.1), so its overlay at quiescence has none; links to dead nodes are
+/// the failure detector's business and do not count.
+pub fn one_sided_links(overlay: &Overlay) -> Vec<(usize, usize)> {
+    let mut links = Vec::new();
+    for u in overlay.alive_nodes() {
+        for &v in overlay.out_neighbors(u) {
+            let v = v as usize;
+            if overlay.is_alive(v) && !overlay.out_neighbors(v).contains(&(u as u32)) {
+                links.push((u, v));
+            }
+        }
+    }
+    links
+}
+
 /// Summary statistics of a degree sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeSummary {
@@ -240,6 +257,15 @@ mod tests {
     /// Two components: {0, 1} and {2, 3}; node 4 isolated.
     fn split() -> Overlay {
         Overlay::new(vec![Some(vec![1]), Some(vec![0]), Some(vec![3]), Some(vec![2]), Some(vec![])])
+    }
+
+    #[test]
+    fn one_sided_links_list_unanswered_edges_between_alive_nodes() {
+        assert_eq!(one_sided_links(&triangle()), vec![(2, 0)]);
+        assert!(one_sided_links(&split()).is_empty());
+        // 0 → 1 points at a dead node; 2 → 0 is one-sided.
+        let o = Overlay::new(vec![Some(vec![1]), None, Some(vec![0])]);
+        assert_eq!(one_sided_links(&o), vec![(2, 0)]);
     }
 
     #[test]

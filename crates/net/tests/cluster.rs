@@ -1,6 +1,7 @@
 //! End-to-end tests of the TCP runtime on the loopback interface: the
 //! reproduction's stand-in for the paper's planned PlanetLab deployment.
 
+use hyparview_graph::{connectivity, one_sided_links, Overlay};
 use hyparview_net::{BroadcastMode, NetConfig, Node, PayloadTooLarge, MAX_PAYLOAD_LEN};
 use std::time::{Duration, Instant};
 
@@ -43,37 +44,18 @@ fn wait_until<F: FnMut() -> bool>(timeout: Duration, mut cond: F) -> bool {
 }
 
 /// The overlay is ready when every link is symmetric and the union graph is
-/// connected — only then is a flood guaranteed to reach everyone.
+/// connected — only then is a flood guaranteed to reach everyone. A link
+/// to an address outside the cluster is not ready either.
 fn overlay_ready(nodes: &[Node]) -> bool {
     let addrs: Vec<_> = nodes.iter().map(|n| n.addr()).collect();
-    let views: Vec<Vec<_>> = nodes.iter().map(|n| n.active_view()).collect();
-    if views.iter().any(|v| v.is_empty()) {
-        return false;
+    let mut views = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        let view = node.active_view().into_iter().map(|peer| addrs.iter().position(|a| *a == peer));
+        let Some(view) = view.collect() else { return false };
+        views.push(Some(view));
     }
-    // Symmetry.
-    for (i, view) in views.iter().enumerate() {
-        for peer in view {
-            let Some(j) = addrs.iter().position(|a| a == peer) else { return false };
-            if !views[j].contains(&addrs[i]) {
-                return false;
-            }
-        }
-    }
-    // Connectivity (BFS from node 0).
-    let mut seen = vec![false; nodes.len()];
-    let mut queue = vec![0usize];
-    seen[0] = true;
-    while let Some(v) = queue.pop() {
-        for peer in &views[v] {
-            if let Some(j) = addrs.iter().position(|a| a == peer) {
-                if !seen[j] {
-                    seen[j] = true;
-                    queue.push(j);
-                }
-            }
-        }
-    }
-    seen.iter().all(|s| *s)
+    let overlay = Overlay::new(views);
+    one_sided_links(&overlay).is_empty() && connectivity(&overlay).is_connected()
 }
 
 fn wait_for_overlay(nodes: &[Node]) {

@@ -23,6 +23,13 @@
 //!   the buffered [`MembershipEvent`]s;
 //! * a flood receipt: the delivery, then one send to the target list;
 //! * a Plumtree step: sends in outbox order, then deliveries, then timers.
+//!
+//! Debug builds check the invariants after every step, each through the
+//! one definition its owner holds: the membership protocol's view
+//! invariants ([`Membership::check_invariants`]) after a membership step,
+//! and in Plumtree mode `eager ∪ lazy = out-view`
+//! ([`PlumtreeState::check_links`]) after any step. Both are read-only,
+//! so a debug and a release run take the same path.
 
 use crate::message::{MsgId, PlumtreeMessage};
 use crate::state::{PlumtreeOut, PlumtreeState, PlumtreeTimer};
@@ -155,8 +162,9 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
 
     /// Runs one membership event (a join, a received message, the periodic
     /// action, a failed send) and ships its effects: sends, neighbour sync,
-    /// membership events. Debug builds then check the tree links and the
-    /// protocol's own view invariants ([`Membership::check_invariants`]).
+    /// membership events. Debug builds then check the tree links
+    /// ([`PlumtreeState::check_links`]) and the protocol's own view
+    /// invariants ([`Membership::check_invariants`]).
     pub fn step<C: NodeCtx<I, M, P>>(
         &mut self,
         ctx: &mut C,
@@ -183,9 +191,9 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
             }
             if let Broadcast::Plumtree(state) = &mut self.broadcast {
                 state.sync_neighbors(&view);
+                #[cfg(debug_assertions)]
+                state.check_links(&view);
             }
-            #[cfg(debug_assertions)]
-            self.check_links(&view);
         }
         #[cfg(debug_assertions)]
         self.membership.check_invariants();
@@ -271,7 +279,7 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
         state.handle_message(from, message, &mut out);
         Self::apply(out, Some(from), ctx);
         #[cfg(debug_assertions)]
-        self.check_links(&self.membership.out_view());
+        state.check_links(&self.membership.out_view());
     }
 
     /// A timer armed through [`NodeCtx::schedule`] expired.
@@ -286,31 +294,7 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
         state.on_timer(timer, &mut out);
         Self::apply(out, None, ctx);
         #[cfg(debug_assertions)]
-        self.check_links(&self.membership.out_view());
-    }
-
-    /// Debug builds check the tree links against the out-view `view` after
-    /// every step: eager and lazy are disjoint, neither repeats a peer or
-    /// holds this node, and together they are the view, which repeats no
-    /// peer either. It runs on every message of every debug test, so it
-    /// scans views of a handful of peers with plain loops instead of
-    /// building sets.
-    #[cfg(debug_assertions)]
-    fn check_links(&self, view: &[I]) {
-        let Broadcast::Plumtree(state) = &self.broadcast else { return };
-        let (eager, lazy, me) = (state.eager(), state.lazy(), state.me());
-        // As many links as the view has peers, the view's peers distinct
-        // and each one linked: then the links are exactly the view's peers.
-        let mut exact = eager.len() + lazy.len() == view.len();
-        let mut i = 0;
-        while exact && i < view.len() {
-            let peer = &view[i];
-            exact = *peer != me
-                && !holds(view, i + 1, peer)
-                && (holds(eager, 0, peer) || holds(lazy, 0, peer));
-            i += 1;
-        }
-        assert!(exact, "{me:?} links eager {eager:?}, lazy {lazy:?} over out-view {view:?}");
+        state.check_links(&self.membership.out_view());
     }
 
     /// Ships the effects of one Plumtree step (sends, deliveries that arrived
@@ -338,20 +322,6 @@ impl<I: Identity, M: Membership<I>, P: Clone> NodeCore<I, M, P> {
         }
         ctx.scratch().plumtree = out;
     }
-}
-
-/// Whether `peers[from..]` holds `peer`: `<[I]>::contains` without the
-/// iterator and slicing calls, which unoptimized builds pay for on every
-/// message.
-#[cfg(debug_assertions)]
-fn holds<I: PartialEq>(peers: &[I], mut from: usize, peer: &I) -> bool {
-    while from < peers.len() {
-        if peers[from] == *peer {
-            return true;
-        }
-        from += 1;
-    }
-    false
 }
 
 /// Handles of the `frames.*` / `broadcast.*` counters every runtime keeps

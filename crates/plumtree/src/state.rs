@@ -348,6 +348,27 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         self.eager.contains(peer) || self.lazy.contains(peer)
     }
 
+    /// Panics unless the tree links are exactly the membership out-view
+    /// `view`: eager and lazy are disjoint, neither holds this node, and
+    /// together they are the view's peers, which repeat none. Read-only;
+    /// debug builds of a node run it after every step, so it scans views
+    /// of a handful of peers with plain loops instead of building sets.
+    pub fn check_links(&self, view: &[I]) {
+        let (eager, lazy, me) = (self.eager(), self.lazy(), self.me);
+        // As many links as the view has peers, the view's peers distinct
+        // and each one linked: then the links are exactly the view's peers.
+        let mut exact = eager.len() + lazy.len() == view.len();
+        let mut i = 0;
+        while exact && i < view.len() {
+            let peer = &view[i];
+            exact = *peer != me
+                && !holds(view, i + 1, peer)
+                && (holds(eager, 0, peer) || holds(lazy, 0, peer));
+            i += 1;
+        }
+        assert!(exact, "{me:?} links eager {eager:?}, lazy {lazy:?} over out-view {view:?}");
+    }
+
     /// `true` once `id` has been delivered (and is still remembered by the
     /// bounded message store).
     pub fn has_seen(&self, id: MsgId) -> bool {
@@ -814,6 +835,19 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             self.lazy.insert(peer);
         }
     }
+}
+
+/// Whether `peers[from..]` holds `peer`: `<[I]>::contains` without the
+/// iterator and slicing calls, which unoptimized builds pay for on every
+/// message.
+fn holds<I: PartialEq>(peers: &[I], mut from: usize, peer: &I) -> bool {
+    while from < peers.len() {
+        if peers[from] == *peer {
+            return true;
+        }
+        from += 1;
+    }
+    false
 }
 
 #[cfg(test)]

@@ -59,6 +59,9 @@ impl Membership<u32> for Scripted {
     fn take_events(&mut self) -> Vec<MembershipEvent<u32>> {
         std::mem::take(&mut self.events)
     }
+
+    /// The script keeps no invariant of its own.
+    fn check_invariants(&self) {}
 }
 
 /// One effect as the context saw it, payload left out.

@@ -255,6 +255,7 @@ pub mod protocols {
 mod tests {
     use super::protocols::*;
     use super::*;
+    use hyparview_graph::Overlay;
 
     #[test]
     fn hyparview_scenario_connects_everyone() {
@@ -273,18 +274,10 @@ mod tests {
     fn hyparview_active_views_are_symmetric_after_join() {
         let scenario = Scenario::new(50, 10);
         let sim = build_hyparview(&scenario, Config::default());
-        let views = sim.out_views();
-        let mut asymmetric = 0usize;
-        for (i, view) in views.iter().enumerate() {
-            let Some(view) = view else { continue };
-            for peer in view {
-                let back = views[peer.index()].as_ref().unwrap();
-                if !back.contains(&SimId::new(i)) {
-                    asymmetric += 1;
-                }
-            }
-        }
-        assert_eq!(asymmetric, 0, "active view links must be symmetric");
+        let views = sim.out_views().into_iter();
+        let views = views.map(|v| v.map(|ids| ids.into_iter().map(SimId::index).collect()));
+        let one_sided = hyparview_graph::one_sided_links(&Overlay::new(views.collect()));
+        assert!(one_sided.is_empty(), "one-sided active-view links: {one_sided:?}");
     }
 
     #[test]

@@ -81,8 +81,8 @@ proptest! {
         prop_assert!(conn.is_connected(), "{} components at n={n}", conn.components);
     }
 
-    /// Active views never exceed capacity and never contain dead peers
-    /// after a full healing run.
+    /// The view invariants hold and active views hold no dead peer after
+    /// a full healing run.
     #[test]
     fn healed_views_are_accurate(seed in any::<u64>(), failure in 0.1f64..0.7) {
         let scenario = Scenario::new(60, seed);
@@ -97,10 +97,10 @@ proptest! {
         }
         sim.run_cycles(3);
         for id in sim.alive_ids() {
-            let view = sim.node(id).protocol().active_view().to_vec();
-            prop_assert!(view.len() <= 5);
-            for peer in view {
-                prop_assert!(sim.is_alive(peer), "{id:?} still lists dead peer {peer:?}");
+            let node = sim.node(id).protocol();
+            node.check_invariants();
+            for peer in node.active_view().iter() {
+                prop_assert!(sim.is_alive(*peer), "{id:?} still lists dead peer {peer:?}");
             }
         }
     }
