@@ -25,14 +25,15 @@ pub type Run = fn(&Params) -> Outcome;
 /// What an experiment hands back.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// The report printed to stdout: header, tables, headline.
+    /// The report printed to stdout: header, tables, then the claims table.
     pub report: String,
     /// The results artifact, written to `--json PATH`.
     pub json: Option<String>,
     /// The cells' registries merged, written next to the results artifact
     /// as `*.metrics.json`.
     pub metrics: Option<Registry>,
-    /// Headline checks that failed; under `--assert` any one exits 1.
+    /// The failing rows of the claims table; under `--assert` any one
+    /// exits 1.
     pub failures: Vec<String>,
 }
 
@@ -54,7 +55,7 @@ pub struct Invocation {
     pub params: Params,
     /// `--json PATH`: where the results artifact goes.
     pub json: Option<String>,
-    /// `--assert`: exit 1 when a headline check fails.
+    /// `--assert`: exit 1 when a row of the claims table fails.
     pub assert: bool,
 }
 

@@ -15,11 +15,12 @@
 //! Per cycle, the overlay snapshot is scored with the
 //! [`hyparview_graph::adversary`] analyzers; the headline metric is
 //! **time-to-eclipse** — the first cycle at which some victim's active
-//! view is 100% colluders — which the defenses must push past the
-//! experiment horizon at 20% colluders. After the membership phase the
-//! experiment broadcasts from an honest node and reports reliability over
-//! the *honest* population only (colluders black-hole payloads, so global
-//! reliability is capped by construction).
+//! view is 100% colluders — which the defenses must push to 5× the
+//! undefended one at 20% colluders and past the horizon at 10%
+//! ([`claims::attack_table`](super::claims::attack_table)). After the
+//! membership phase the experiment broadcasts from an honest node and
+//! reports reliability over the *honest* population only (colluders
+//! black-hole payloads, so global reliability is capped by construction).
 
 use crate::parallel;
 use crate::params::Params;
@@ -56,7 +57,7 @@ pub fn default_horizon(params: &Params) -> usize {
 }
 
 /// Result of one `(model, fraction, defense)` combination.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AttackCell {
     /// Attacker model label (`"eclipse"`, `"infiltration"`).
     pub model: &'static str,
@@ -113,6 +114,18 @@ pub struct AttackCell {
     /// Final metric-registry snapshot, including the `attack.*` counters —
     /// deterministic per seed.
     pub metrics: Registry,
+}
+
+impl AttackCell {
+    /// The time-to-eclipse as printed: its cycle, or `> horizon` when no
+    /// victim was captured.
+    pub fn eclipse_time(&self) -> String {
+        if self.eclipsed {
+            self.time_to_eclipse.to_string()
+        } else {
+            format!("> {}", self.horizon)
+        }
+    }
 }
 
 fn overlay_of(sim: &HyParViewSim) -> Overlay {
@@ -244,26 +257,6 @@ mod tests {
     use super::*;
     use crate::experiments::plumtree::measure;
     use hyparview_sim::protocols::build_hyparview;
-
-    #[test]
-    fn defenses_push_time_to_eclipse_past_5x_the_undefended_baseline() {
-        let params = Params::smoke().with_messages(8);
-        let horizon = default_horizon(&params);
-        let open = attack_cell(&params, "eclipse", AttackerModel::Eclipse, 0.20, OPEN, horizon);
-        let hard = attack_cell(&params, "eclipse", AttackerModel::Eclipse, 0.20, HARDENED, horizon);
-        assert!(open.eclipsed, "an undefended 20% eclipse must capture a victim within {horizon}");
-        assert!(
-            hard.time_to_eclipse >= 5 * open.time_to_eclipse,
-            "defended time-to-eclipse {} < 5× undefended {}",
-            hard.time_to_eclipse,
-            open.time_to_eclipse
-        );
-        assert!(
-            hard.neighbors_damped + hard.tenure_swaps > 0,
-            "the hardened run must actually exercise its defenses"
-        );
-        assert!(open.neighbor_floods > 0, "eclipse attackers must flood Neighbor requests");
-    }
 
     #[test]
     fn undefended_infiltration_capture_grows_monotonically() {

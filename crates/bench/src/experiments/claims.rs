@@ -1,51 +1,85 @@
-//! The paper's claims, written once: one row per statement of its
-//! evaluation (§5), for every slice of [`paper`]. A row names its slice,
-//! what it measures, the paper's statement and the network size it is
-//! checked at; its check reads the slice's cells and returns the measured
-//! value and whether the claim holds. A slice's failures under `--assert`
-//! are exactly its failing rows. Where the repo does not reproduce a
-//! statement, the row checks what does hold beside the paper's text.
+//! Every stated claim of `hpv-bench`, written once: one row per
+//! statement, checked by one function. The paper's evaluation (§5) gives
+//! the rows of its nine slices ([`table`]); Leitão, Pereira and
+//! Rodrigues, "Epidemic Broadcast Trees" (SRDS 2007), those of `plumtree`
+//! ([`plumtree_table`]); and `hyparview_attack` states its own headline
+//! ([`attack_table`]). A row names its experiment, what it measures, the
+//! statement and the network size it is checked at; its check reads the
+//! experiment's results and returns the measured value and whether the
+//! claim holds. `check` ends every report with its rows, and an
+//! experiment's failures under `--assert` are exactly its failing rows.
+//! Where the repo does not reproduce a statement, the row checks what
+//! does hold beside the text.
 
+use super::attack::{attack_cell_for, AttackCell};
 use super::paper::Slice::{self, Ablations, Fig1, Fig1c, Fig2, Fig3, Fig4, Fig5, Overhead, Table1};
 use super::paper::{self, summary, Cell, Results};
 use super::paper::{FIG2_FAILURES, FIG3_FAILURES, FIG4_FAILURES};
+use super::plumtree::{self, cell, LATENCY_CASES};
+use crate::cli::Outcome;
 use crate::params::Params;
 use crate::table::{pct, render};
 use hyparview_core::Config;
 use hyparview_graph::mean_field_reach;
 use hyparview_sim::protocols::ProtocolKind::{self, Cyclon, CyclonAcked, HyParView, Scamp};
 
-/// A row's check: what it measured, and whether the claim holds.
-type Check = dyn Fn(&Params, &Results) -> (String, bool);
+/// A row's check over results of type `R`: what it measured, and whether
+/// the claim holds.
+type Check<R> = dyn Fn(&Params, &R) -> (String, bool);
 
-/// One row of the claims table.
-pub struct Claim {
-    /// The slice whose cells the check reads.
-    pub slice: Slice,
+/// One row of the claims table, checked against results of type `R`: a
+/// paper slice's [`Results`], or the cells of `plumtree` or
+/// `hyparview_attack`.
+pub struct Claim<R: ?Sized> {
+    /// The experiment whose report prints the row: a paper slice by its
+    /// figure (`Fig5`), `plumtree` or `hyparview_attack`.
+    pub experiment: String,
     /// What the row measures.
     pub subject: String,
-    /// The paper's statement.
-    pub paper: &'static str,
+    /// The statement: the paper's, or the experiment's own headline.
+    pub statement: &'static str,
     /// The one network size the row is checked at (`None`: every size).
     pub(crate) n: Option<usize>,
-    check: Box<Check>,
+    check: Box<Check<R>>,
 }
 
-impl Claim {
+impl<R: ?Sized> Claim<R> {
     /// What `--assert` reports when the row measures `measured` and does
-    /// not hold: the figure, the statement and the value.
+    /// not hold: the experiment, the subject, the statement and the value.
     pub(crate) fn failure(&self, measured: &str) -> String {
-        format!("{:?}: {} (paper: {}): {measured}", self.slice, self.subject, self.paper)
+        format!("{}: {} ({}): {measured}", self.experiment, self.subject, self.statement)
     }
 }
 
+/// A row of the paper's `slice`.
 fn row(
     slice: Slice,
     subject: impl Into<String>,
-    paper: &'static str,
+    statement: &'static str,
     check: impl Fn(&Params, &Results) -> (String, bool) + 'static,
-) -> Claim {
-    Claim { slice, subject: subject.into(), paper, n: None, check: Box::new(check) }
+) -> Claim<Results> {
+    let (experiment, subject) = (format!("{slice:?}"), subject.into());
+    Claim { experiment, subject, statement, n: None, check: Box::new(check) }
+}
+
+/// A row of `plumtree`, read from its cells.
+fn tree(
+    subject: &str,
+    statement: &'static str,
+    check: impl Fn(&[plumtree::Cell]) -> (String, bool) + 'static,
+) -> Claim<[plumtree::Cell]> {
+    let (experiment, subject) = ("plumtree".to_owned(), subject.to_owned());
+    Claim { experiment, subject, statement, n: None, check: Box::new(move |_, r| check(r)) }
+}
+
+/// A row of `hyparview_attack`, read from its cells.
+fn attack(
+    subject: &str,
+    statement: &'static str,
+    check: impl Fn(&[AttackCell]) -> (String, bool) + 'static,
+) -> Claim<[AttackCell]> {
+    let (experiment, subject) = ("hyparview_attack".to_owned(), subject.to_owned());
+    Claim { experiment, subject, statement, n: None, check: Box::new(move |_, r| check(r)) }
 }
 
 /// `kind`'s mean reliability after a crash of `failure` (Figure 2).
@@ -74,9 +108,9 @@ fn min(values: impl IntoIterator<Item = f64>) -> f64 {
     values.into_iter().fold(f64::INFINITY, f64::min)
 }
 
-/// Every claim the repo checks, slice by slice in `hpv-bench all`'s order,
-/// then `overhead` and `ablations`.
-pub fn table() -> Vec<Claim> {
+/// The paper's claims, slice by slice in `hpv-bench all`'s order, then
+/// `overhead` and `ablations`.
+pub fn table() -> Vec<Claim<Results>> {
     let fig1 = |p: &Params, r: &Results, kind, fanout| {
         r.reliability(&Cell::fig1(p, kind, fanout), Fig1.broadcasts(p))
     };
@@ -249,21 +283,209 @@ pub fn table() -> Vec<Claim> {
     rows
 }
 
-/// `slice`'s rows checked at `params` against `results`: the table the
-/// report prints, and one failure per failing row.
-pub(crate) fn check(slice: Slice, params: &Params, results: &Results) -> (String, Vec<String>) {
+/// The unit-latency, lossless `plumtree` cell after a 30% crash: the cell
+/// every slice of its grid compares against.
+const FIXED_CRASH30: &str = "fixed.loss0.crash30";
+
+/// An attack cell by its model, colluder fraction and defense.
+fn attack_cell(c: &AttackCell) -> String {
+    format!("{} at {} {}", c.model, pct(c.fraction), c.defense)
+}
+
+/// A reliability with the two decimals a 99.99% floor needs.
+fn pct2(value: f64) -> String {
+    format!("{:.2}%", value * 100.0)
+}
+
+/// The item of `items` where `value` is least.
+fn worst<'c, C>(items: impl IntoIterator<Item = &'c C>, value: impl Fn(&C) -> f64) -> &'c C {
+    items.into_iter().min_by(|a, b| value(a).total_cmp(&value(b))).expect("a row reads cells")
+}
+
+/// Whether every one of `cells` reaches 99.99% in `phase`, and the worst
+/// by its strategy and label, as the artifact names it.
+fn full<'c>(
+    cells: impl IntoIterator<Item = &'c plumtree::Cell>,
+    phase: impl Fn(&plumtree::Cell) -> &plumtree::PhaseMetrics,
+) -> (String, bool) {
+    let cells: Vec<_> = cells.into_iter().collect();
+    let low = worst(cells.iter().copied(), |c| phase(c).mean_reliability);
+    let name = format!("{} {}", low.at.strategy.label, low.at.label());
+    let measured = format!("least {} ({name})", pct2(phase(low).mean_reliability));
+    (measured, cells.iter().all(|c| phase(c).mean_reliability >= 0.9999))
+}
+
+/// The optimized and the static tree after a 30% crash under `latency`.
+fn crashed<'c>(r: &'c [plumtree::Cell], latency: &str) -> [&'c plumtree::Cell; 2] {
+    let label = format!("{latency}.loss0.crash30");
+    ["optimized", "static"].map(|strategy| cell(r, strategy, &label))
+}
+
+/// `plumtree`'s claims over its 24 cells. A row that covers several cells
+/// holds on each, and its measured value names the worst.
+pub fn plumtree_table() -> Vec<Claim<[plumtree::Cell]>> {
+    vec![
+        tree("every lossless cell, stable", "as reliable as the flood", |r| {
+            full(r.iter().filter(|c| c.at.loss == 0.0), |c| &c.stable)
+        }),
+        tree("cost: static tree vs flood", "tree RMR near 0, the flood's near fanout − 1", |r| {
+            let trees =
+                r.iter().filter(|c| c.at.slice == "cost" && c.at.strategy.label == "static");
+            let pairs: Vec<_> =
+                trees.map(|t| [t, cell(r, "flood", &t.at.label())].map(|c| c.stable)).collect();
+            let holds = pairs.iter().all(|[t, f]| {
+                let payloads = t.payload_per_broadcast < f.payload_per_broadcast / 2.0;
+                t.mean_rmr < 0.1 && f.mean_rmr > 1.5 && payloads
+            });
+            let rmr = |i: usize| pairs.iter().map(move |pair| pair[i].mean_rmr);
+            let share =
+                max(pairs.iter().map(|[t, f]| t.payload_per_broadcast / f.payload_per_broadcast));
+            let (tree, flood) = (max(rmr(0)), min(rmr(1)));
+            let measured = format!("RMR {tree:.3} vs {flood:.2} at worst, payloads {share:.2}x");
+            (format!("{measured} the flood's"), holds)
+        }),
+        tree("static tree after a 30% crash", "Graft repair keeps delivering", |r| {
+            let disturbed = cell(r, "static", FIXED_CRASH30).disturbed_reliability;
+            (format!("{} (floor 95%)", pct(disturbed)), disturbed > 0.95)
+        }),
+        tree("batched vs static, control frames", "§3.8: batching folds announcements", |r| {
+            let [batched, tree] = ["batched", "static"].map(|s| cell(r, s, FIXED_CRASH30));
+            let [ours, theirs] = [batched, tree].map(|c| c.stable.control_per_broadcast);
+            let measured =
+                format!("{ours:.1} vs {theirs:.1} per broadcast, {} batches", batched.batches);
+            (measured, batched.batches > 0 && ours < 0.6 * theirs)
+        }),
+        tree("static and optimized, every latency", "the tree heals after a 30% crash", |r| {
+            let pairs: Vec<_> = LATENCY_CASES.iter().flat_map(|l| crashed(r, l.label)).collect();
+            full(pairs, |c| &c.healed)
+        }),
+        tree("optimized vs static, healed last hop", "§3.8: optimization flattens it", |r| {
+            let (mut shown, mut holds) = (Vec::new(), true);
+            for latency in ["fixed", "uniform", "uniform-link"] {
+                let [optimized, tree] =
+                    crashed(r, latency).map(|c| (c.optimizations, c.healed.mean_last_hop));
+                shown.push(format!("{:.1} vs {:.1} {latency}", optimized.1, tree.1));
+                holds &= optimized.0 > 0 && optimized.1 < tree.1;
+            }
+            (shown.join(", "), holds)
+        }),
+        tree("late optimizations", "only varying latency lets an IHave lose the race", |r| {
+            let late = |label| cell(r, "optimized", label).late_optimizations;
+            let (fixed, uniform) = (late(FIXED_CRASH30), late("uniform.loss0.crash30"));
+            let holds = fixed == 0 && uniform > 0;
+            (format!("{fixed} at unit latency, {uniform} under uniform jitter"), holds)
+        }),
+        tree("every static tree", "never optimizes", |r| {
+            let trees = r.iter().filter(|c| c.at.strategy.label == "static");
+            let optimizations: u64 = trees.map(|c| c.optimizations).sum();
+            (format!("{optimizations} optimizations"), optimizations == 0)
+        }),
+        tree("adaptive tree at 10% loss", "lazy repair holds 99% under per-link loss", |r| {
+            let label = "lognormal-link.loss10.partition";
+            let [adaptive, flood] = ["adaptive", "flood"].map(|s| cell(r, s, label));
+            let (reliability, duplicated) = (adaptive.stable.mean_reliability, adaptive.duplicated);
+            let flood = pct2(flood.stable.mean_reliability);
+            let measured =
+                format!("{} (flood {flood}), {duplicated} frames duplicated", pct2(reliability));
+            (measured, reliability >= 0.99 && duplicated > 0)
+        }),
+        tree("every lossless wan cell, healed", "converges back to full delivery", |r| {
+            let lossless: Vec<_> =
+                r.iter().filter(|c| c.at.slice == "wan" && c.at.loss == 0.0).collect();
+            let (measured, full) = full(lossless.iter().copied(), |c| &c.healed);
+            let (converged, all) =
+                (lossless.iter().filter(|c| c.converged).count(), lossless.len());
+            (format!("{converged} of {all} converged, {measured}"), full && converged == all)
+        }),
+        tree("every wan cell, faults", "loss and the cut drop frames, nothing else", |r| {
+            let wan = r.iter().filter(|c| c.at.slice == "wan");
+            let (lossless, lossy): (Vec<_>, Vec<_>) = wan.partition(|c| c.at.loss == 0.0);
+            let clean: u64 = lossless.iter().map(|c| c.dropped + c.duplicated).sum();
+            let cut = lossless.iter().map(|c| c.partition_dropped).min().unwrap_or(0);
+            let lost = lossy.iter().map(|c| c.dropped).min().unwrap_or(0);
+            let holds =
+                lossless.iter().all(|c| c.dropped + c.duplicated == 0 && c.partition_dropped > 0)
+                    && lossy.iter().all(|c| c.dropped > 0);
+            let measured = format!("lossless: {clean} dropped or duplicated, least {cut} cut");
+            (format!("{measured}; lossy: least {lost} dropped"), holds)
+        }),
+        tree("every wan cell, the partition", "a halved overlay misses nodes", |r| {
+            let wan: Vec<_> = r.iter().filter(|c| c.at.slice == "wan").collect();
+            let high = max(wan.iter().map(|c| c.disturbed_reliability));
+            let heal = wan.iter().filter(|c| c.converged).map(|c| c.time_to_heal).min();
+            let holds = wan
+                .iter()
+                .all(|c| c.disturbed_reliability < 1.0 && (!c.converged || c.time_to_heal > 0));
+            let heal = heal.unwrap_or(0);
+            (format!("{} or less during the cut, healed at {heal} or later", pct(high)), holds)
+        }),
+    ]
+}
+
+/// `hyparview_attack`'s headline over its 8 cells.
+pub fn attack_table() -> Vec<Claim<[AttackCell]>> {
+    vec![
+        attack("eclipse at 20%, open", "a Neighbor flood captures a victim", |r| {
+            let open = attack_cell_for(r, "eclipse", 0.20, "open");
+            let (floods, time) = (open.neighbor_floods, open.eclipse_time());
+            (format!("time-to-eclipse {time}, {floods} floods"), open.eclipsed && floods > 0)
+        }),
+        attack("eclipse at 20%, hardened vs open", "defenses take 5x as long or more", |r| {
+            let [open, hard] = ["open", "hardened"].map(|d| attack_cell_for(r, "eclipse", 0.20, d));
+            let (damped, swaps) = (hard.neighbors_damped, hard.tenure_swaps);
+            let shown = format!("{} vs {}", hard.eclipse_time(), open.eclipse_time());
+            let measured =
+                format!("time-to-eclipse {shown} ({damped} admissions damped, {swaps} swaps)");
+            (measured, hard.time_to_eclipse >= 5 * open.time_to_eclipse)
+        }),
+        attack("eclipse at 10%, hardened", "the defenses hold past the horizon", |r| {
+            let hard = attack_cell_for(r, "eclipse", 0.10, "hardened");
+            (format!("time-to-eclipse {}", hard.eclipse_time()), !hard.eclipsed)
+        }),
+        attack("every hardened cell", "damps a Neighbor or swaps tenure", |r| {
+            let fired = |c: &AttackCell| (c.neighbors_damped + c.tenure_swaps) as f64;
+            let hardened: Vec<_> = r.iter().filter(|c| c.defense == "hardened").collect();
+            let least = worst(hardened.iter().copied(), fired);
+            let measured =
+                format!("least {} defense events ({})", fired(least), attack_cell(least));
+            (measured, hardened.iter().all(|c| fired(c) > 0.0))
+        }),
+        attack("every cell", "honest broadcasts reach honest nodes", |r| {
+            let least = worst(r, |c| c.honest_reliability);
+            let measured =
+                format!("least {} ({})", pct(least.honest_reliability), attack_cell(least));
+            (measured, r.iter().all(|c| c.honest_reliability > 0.0))
+        }),
+        attack("infiltration at 20%, hardened vs open", "the defenses cut capture", |r| {
+            let capture = |d| attack_cell_for(r, "infiltration", 0.20, d).capture_fraction;
+            let (open, hard) = (capture("open"), capture("hardened"));
+            (format!("capture {hard:.3} vs {open:.3}"), hard < open)
+        }),
+    ]
+}
+
+/// `rows` checked at `params` against `results`, ending `outcome`'s report
+/// with the table of every row checked at `params.n`; `outcome`'s
+/// failures are exactly its failing rows.
+pub(crate) fn check<R: ?Sized>(
+    outcome: Outcome,
+    rows: impl IntoIterator<Item = Claim<R>>,
+    params: &Params,
+    results: &R,
+) -> Outcome {
     let mut failures = Vec::new();
-    let rows: Vec<Vec<String>> = table()
+    let rows: Vec<Vec<String>> = rows
         .into_iter()
-        .filter(|claim| claim.slice == slice && claim.n.unwrap_or(params.n) == params.n)
+        .filter(|claim| claim.n.unwrap_or(params.n) == params.n)
         .map(|claim| {
             let (measured, holds) = (claim.check)(params, results);
             if !holds {
                 failures.push(claim.failure(&measured));
             }
             let verdict = if holds { "holds" } else { "FAILS" };
-            vec![claim.subject, claim.paper.to_owned(), measured, verdict.to_owned()]
+            vec![claim.subject, claim.statement.to_owned(), measured, verdict.to_owned()]
         })
         .collect();
-    (render(&["claim", "paper", "measured", ""], &rows), failures)
+    let table = render(&["claim", "statement", "measured", ""], &rows);
+    Outcome { report: format!("{}\n\nclaims:\n{table}", outcome.report), failures, ..outcome }
 }

@@ -1,12 +1,12 @@
 //! The experiment harness: the paper's evaluation (§5) and its ablations
-//! (§5.5/§6) as slices of one grid of cells ([`paper`]), the paper's
-//! claims about them as one table ([`claims`]), plus the Plumtree and
-//! attack extensions.
+//! (§5.5/§6) as slices of one grid of cells ([`paper`]), the Plumtree and
+//! attack extensions, and every experiment's claims as one table
+//! ([`claims`]).
 //!
 //! Every function here is deterministic given its [`Params`](crate::Params)
 //! and returns structured data; `report.rs` prints the tables, builds
-//! the artifacts and checks the claims and the extensions' headlines, one
-//! function per `hpv-bench` experiment.
+//! the artifacts and checks the claims, one function per `hpv-bench`
+//! experiment.
 
 pub mod attack;
 pub mod claims;

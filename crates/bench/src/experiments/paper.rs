@@ -16,8 +16,8 @@ use crate::params::Params;
 use hyparview_core::Config;
 use hyparview_gossip::{BroadcastReport, HyParViewMembership, ReliabilitySummary};
 use hyparview_graph::{
-    clustering_coefficient, connectivity, indegree_report, shortest_path_stats, IndegreeReport,
-    Overlay,
+    bfs_distances, clustering_coefficient, connectivity, indegree_report, shortest_path_stats,
+    IndegreeReport, Overlay,
 };
 use hyparview_sim::protocols::ProtocolKind::{self, Cyclon, CyclonAcked, HyParView, Scamp};
 use hyparview_sim::{AnySim, Scenario};
@@ -279,6 +279,10 @@ pub struct Run {
     pub overlay: Option<OverlaySnapshot>,
     /// View accuracy (§2.3) right after the crash.
     pub accuracy_before: f64,
+    /// Share of the alive nodes the first broadcast's origin reaches in
+    /// the overlay right after the crash: what a flood over the views can
+    /// deliver before repair changes them (0 without broadcasts).
+    pub reach: f64,
     /// Every broadcast sent after the crash, in order.
     pub broadcasts: Vec<BroadcastReport>,
     /// View accuracy after those broadcasts.
@@ -294,9 +298,10 @@ pub struct Run {
 /// Runs `key`'s cell once, with seed `params.scenario(run)`: stabilize;
 /// snapshot the overlay if a slice reads it (no simulator randomness is
 /// drawn); on a heal cell, probe the pre-failure reliability; crash the
-/// cell's failure fraction; broadcast `key.broadcasts` times; on a heal
-/// cell, run a cycle and a probe until the probe regains the baseline or
-/// [`MAX_HEAL_CYCLES`] cycles have run.
+/// cell's failure fraction and keep the overlay (no randomness either);
+/// broadcast `key.broadcasts` times; on a heal cell, run a cycle and a
+/// probe until the probe regains the baseline or [`MAX_HEAL_CYCLES`]
+/// cycles have run.
 pub fn run_cell(params: &Params, key: &Key, run: usize) -> Run {
     let cell = &key.cell;
     let mut sim = build(cell, &params.scenario(run).with_fanout(cell.fanout));
@@ -306,8 +311,10 @@ pub fn run_cell(params: &Params, key: &Key, run: usize) -> Run {
     if cell.failure > 0.0 {
         sim.fail_fraction(cell.failure);
     }
+    let crashed = Overlay::new(sim.out_views());
     let accuracy_before = sim.accuracy();
     let (broadcasts, first_probe) = probe(&mut sim, key.broadcasts);
+    let reach = broadcasts.first().map_or(0.0, |first| share_reached(&crashed, first.origin));
     let views = sim.out_views();
     let alive: Vec<&Vec<usize>> = views.iter().flatten().collect();
     let isolated = alive.iter().filter(|view| view.is_empty()).count();
@@ -321,7 +328,14 @@ pub fn run_cell(params: &Params, key: &Key, run: usize) -> Run {
         }
         Healing { baseline, probes }
     });
-    Run { overlay, accuracy_before, broadcasts, accuracy_after, isolated, events, healing }
+    Run { overlay, accuracy_before, reach, broadcasts, accuracy_after, isolated, events, healing }
+}
+
+/// The share of `overlay`'s alive nodes that `origin` reaches along
+/// out-edges, itself included.
+fn share_reached(overlay: &Overlay, origin: usize) -> f64 {
+    let reached = bfs_distances(overlay, origin).into_iter().filter(|&d| d != u32::MAX).count();
+    reached as f64 / overlay.alive_count().max(1) as f64
 }
 
 fn build(cell: &Cell, scenario: &Scenario) -> AnySim {

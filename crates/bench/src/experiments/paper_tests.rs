@@ -1,11 +1,12 @@
-// The paper slices' unit tests, one `<figure>::tests` module per slice so
-// that each test keeps its name. A claim test asserts its rows of the
-// claims table (`claims.rs`), read off one run of `all`, `overhead` and
-// `ablations` at `--smoke`; the others check the grid runner. Included by
-// `experiments/mod.rs` in test builds.
+// The claims table's unit tests and the paper slices', one
+// `<figure>::tests` module per slice so that each test keeps its name. A
+// claim test asserts its rows of the claims table (`claims.rs`), read off
+// one run of `all`, `overhead` and `ablations` at `--smoke`; the others
+// check the grid runner. Included by `experiments/mod.rs` in test builds.
 
 use crate::cli::{self, Outcome};
 use crate::{experiments::paper::*, Params};
+use hyparview_obsv::Registry;
 use hyparview_sim::protocols::ProtocolKind::HyParView;
 
 /// Runs `cells` as `slice` reads them.
@@ -29,8 +30,10 @@ fn smoke() -> &'static [Outcome] {
 
 /// Asserts that `slice`'s rows about `subjects` hold at `--smoke`.
 fn holds(slice: Slice, subjects: &[&str]) {
+    let experiment = format!("{slice:?}");
     for subject in subjects {
-        let claim = claims::table().into_iter().find(|c| c.slice == slice && c.subject == *subject);
+        let mut rows = claims::table().into_iter();
+        let claim = rows.find(|c| c.experiment == experiment && c.subject == *subject);
         let prefix = claim.unwrap_or_else(|| panic!("no claim about {subject:?}")).failure("");
         let failed: Vec<_> = smoke().iter().flat_map(|o| &o.failures).collect();
         assert!(failed.iter().all(|f| !f.starts_with(&prefix)), "{failed:#?}");
@@ -47,8 +50,89 @@ fn every_claim_holds_at_the_smoke_scale() {
     assert_eq!(held.count(), claims::table().iter().filter(|c| c.n.is_none()).count());
 }
 
-/// A row that does not hold fails its slice, naming the figure, the
-/// statement and the measured value; `--assert` exits 1 on it.
+/// `plumtree`'s grid with values on which every row holds: full
+/// reliability, a pruned tree on a third of the flood's payloads, batches
+/// and optimizations where the strategy has them, late ones only under
+/// varying latency, and faults only where the cell injects them.
+fn plumtree_cells() -> Vec<plumtree::Cell> {
+    let cell = |at: plumtree::Coordinates| {
+        let (tree, batches) = (at.strategy.label != "flood", at.strategy.lazy_flush_interval > 0);
+        let optimizes = at.strategy.optimization_threshold.is_some();
+        let phase = plumtree::PhaseMetrics {
+            mean_reliability: 1.0,
+            min_reliability: 1.0,
+            mean_rmr: if tree { 0.0 } else { 3.0 },
+            mean_last_hop: if optimizes { 5.0 } else { 7.0 },
+            control_per_broadcast: if batches { 50.0 } else { 150.0 },
+            payload_per_broadcast: if tree { 199.0 } else { 600.0 },
+        };
+        let (lossy, wan) = (at.loss > 0.0, at.slice == "wan");
+        plumtree::Cell {
+            at,
+            stable: phase,
+            stable_paths: Default::default(),
+            disturbed_reliability: if wan { 0.5 } else { 1.0 },
+            heal_broadcasts: 1,
+            time_to_heal: 10,
+            converged: true,
+            healed: phase,
+            healed_paths: Default::default(),
+            optimizations: optimizes.into(),
+            late_optimizations: (optimizes && at.latency.label != "fixed").into(),
+            batches: batches.into(),
+            grafts: 0,
+            dead_letters: 0,
+            dropped: lossy.into(),
+            partition_dropped: wan.into(),
+            duplicated: lossy.into(),
+            events: 0,
+            metrics: Registry::new(),
+        }
+    };
+    plumtree::grid().into_iter().map(cell).collect()
+}
+
+/// `hyparview_attack`'s grid with values on which every row holds: the
+/// undefended overlays are flooded, eclipsed at cycle 2 and capture more;
+/// the hardened ones hold past a 30-cycle horizon and damp a `Neighbor`.
+fn attack_cells() -> Vec<AttackCell> {
+    let cell = |model, fraction, defense| {
+        let open = defense == "open";
+        AttackCell {
+            model,
+            fraction,
+            defense,
+            horizon: 30,
+            eclipsed: open,
+            time_to_eclipse: if open { 2 } else { 31 },
+            capture_fraction: if open { 0.3 } else { 0.2 },
+            honest_reliability: 1.0,
+            neighbors_damped: (!open).into(),
+            neighbor_floods: 1,
+            ..AttackCell::default()
+        }
+    };
+    let mut cells = Vec::new();
+    for (model, _) in ATTACK_MODELS {
+        for fraction in ATTACK_FRACTIONS {
+            cells.extend(DEFENSES.map(|(defense, _)| cell(model, fraction, defense)));
+        }
+    }
+    cells
+}
+
+/// `outcome` fails exactly on `failure`, and its report shows the row
+/// that FAILS.
+fn fails_exactly(outcome: Outcome, failure: &str) {
+    assert_eq!(outcome.failures, [failure]);
+    let failed = outcome.report.lines().filter(|l| l.ends_with("FAILS")).count();
+    assert_eq!(failed, 1, "{}", outcome.report);
+}
+
+/// A row that does not hold fails its experiment, naming it, the subject,
+/// the statement and the measured value; `--assert` exits 1 on it. One
+/// case each for a paper slice, `plumtree` and `hyparview_attack`: one
+/// value pushed past one row's bound fails that row alone.
 #[test]
 fn a_failing_row_is_a_failure_of_its_slice() {
     let params = Params::smoke();
@@ -56,11 +140,30 @@ fn a_failing_row_is_a_failure_of_its_slice() {
     let hyparview = Cell::new(&params, HyParView);
     let (_, runs) = results.0.iter_mut().find(|(key, _)| key.cell == hyparview).unwrap();
     runs[0].overlay.as_mut().unwrap().indegree.summary.stddev = 2.0;
-    let outcome = crate::report::report(Slice::Fig5, &params, &results);
-    let failure = "Fig5: HyParView (paper: concentrated at the active view size): 99.0% at 5, \
+    let failure = "Fig5: HyParView (concentrated at the active view size): 99.0% at 5, \
                    stddev 2.00";
-    assert_eq!(outcome.failures, [failure]);
-    assert!(outcome.report.lines().any(|l| l.ends_with("FAILS")), "{}", outcome.report);
+    fails_exactly(crate::report::report(Slice::Fig5, &params, &results), failure);
+
+    let mut cells = plumtree_cells();
+    let adaptive = cells.iter_mut().find(|c| {
+        c.at.strategy.label == "adaptive" && c.at.label() == "lognormal-link.loss10.partition"
+    });
+    adaptive.unwrap().stable.mean_reliability = 0.98;
+    let outcome = claims::check(Outcome::default(), claims::plumtree_table(), &params, &cells[..]);
+    let failure = "plumtree: adaptive tree at 10% loss (lazy repair holds 99% under per-link \
+                   loss): 98.00% (flood 100.00%), 1 frames duplicated";
+    fails_exactly(outcome, failure);
+
+    let mut cells = attack_cells();
+    let hard_10 = cells.iter_mut().find(|c| {
+        (c.model, c.fraction, c.defense) == ("eclipse", 0.10, "hardened")
+    });
+    let hard_10 = hard_10.unwrap();
+    (hard_10.eclipsed, hard_10.time_to_eclipse) = (true, 5);
+    let outcome = claims::check(Outcome::default(), claims::attack_table(), &params, &cells[..]);
+    let failure = "hyparview_attack: eclipse at 10%, hardened (the defenses hold past the \
+                   horizon): time-to-eclipse 5";
+    fails_exactly(outcome, failure);
 }
 
 /// One `<figure>::tests` module per slice: a test named after each group

@@ -15,14 +15,15 @@
 //!   choices.
 //!
 //!   These nine are slices of one grid of cells ([`experiments::paper`]):
-//!   one runner, and a cell that slices share runs once. Each report ends
-//!   with its rows of the paper's claims ([`experiments::claims`]), and
-//!   `--assert` exits 1 on a failing row.
+//!   one runner, and a cell that slices share runs once.
 //! * `plumtree` — beyond the paper: eager flood vs static and adaptive
 //!   Plumtree trees over one grid of crashes, latency models, per-link
 //!   loss and a partition-and-heal cycle ([`experiments::plumtree`]).
 //! * `hyparview_attack` — adversarial membership: eclipse/infiltration
 //!   colluders vs overlay defenses, headline time-to-eclipse.
+//!
+//!   Every report ends with the experiment's rows of the claims table
+//!   ([`experiments::claims`]), and `--assert` exits 1 on a failing row.
 //! * `all` — the seven paper figures and tables in order, over one grid
 //!   in which each distinct cell runs once.
 //! * `diff` — not an experiment: diffs two sets of results artifacts into

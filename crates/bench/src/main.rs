@@ -8,8 +8,9 @@
 //! cargo run --release -p hyparview-bench -- plumtree --smoke --assert --json plumtree.json
 //! ```
 //!
-//! Exit codes: `0` done, `1` a headline check failed under `--assert`, `2`
-//! a usage error (unknown experiment or flag, missing value).
+//! Exit codes: `0` done, `1` a row of the claims table failed under
+//! `--assert`, `2` a usage error (unknown experiment or flag, missing
+//! value).
 
 use hyparview_bench::obsv_json::registry_json;
 use hyparview_bench::{cli, diff};

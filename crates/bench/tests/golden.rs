@@ -2,24 +2,21 @@
 //!
 //! Each experiment runs in-process exactly as `hpv-bench <name> --smoke
 //! --jobs J` runs it (`cli::parse`, then the experiment function), at
-//! `--jobs 1` and `--jobs 2`. Its headline checks must hold (what
+//! `--jobs 1` and `--jobs 2`. Every row of its claims table must hold (what
 //! `--assert` gates), and its results artifact and metric snapshot must
 //! equal, byte for byte, the goldens under `results/smoke/`. The artifacts
 //! are pure functions of the seed, so a refactor moves none of them; a
 //! change that moves one on purpose rewrites it with the command the
 //! failure prints, and the move shows as a value-level `git diff`.
 //!
-//! `plumtree` runs once per job count and is checked whole and slice by
-//! slice: `plumtree_vs_flood`, `plumtree_adaptive`, `plumtree_latency` and
-//! `plumtree_wan` each hold one slice of its grid to its checks and to the
-//! golden's cells.
-//!
-//! The README's Figure 2 table is rendered, not quoted: one test renders it
-//! from the committed paper-scale artifact and the claims table's Figure 2
-//! rows, without running a simulation, and compares it with the README.
+//! The README's tables of committed numbers are rendered, not quoted: one
+//! test each renders the Figure 2 table (from the paper-scale artifact and
+//! the claims table's Figure 2 rows), the Plumtree table (from the smoke
+//! golden) and the benchmark table (from the last `BENCH_HISTORY.json`
+//! entry), without running a simulation, and compares it with the README.
 
 use hyparview_bench::artifacts::fig2_artifact;
-use hyparview_bench::cli::{self, Outcome};
+use hyparview_bench::cli;
 use hyparview_bench::diff::{diff, markdown_table};
 use hyparview_bench::experiments::claims;
 use hyparview_bench::experiments::paper::{self, Cell, Slice};
@@ -29,7 +26,6 @@ use hyparview_bench::table::pct;
 use hyparview_bench::Params;
 use hyparview_sim::protocols::ProtocolKind;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// The relative worsening that flags a directed metric as a regression, as
 /// in CI's `hpv-bench diff` step.
@@ -60,46 +56,34 @@ fn compare(name: &str, file: &str, golden: &str, actual: &str) -> Result<(), Str
     ))
 }
 
-/// The job counts every smoke experiment runs at.
-const JOBS: [&str; 2] = ["1", "2"];
-
-/// `name` at `--smoke --jobs jobs`, as `hpv-bench` runs it.
-fn smoke(name: &str, jobs: &str) -> Outcome {
-    let args = [name, "--smoke", "--jobs", jobs].map(str::to_owned);
-    let inv = cli::parse(&args).expect("a valid hpv-bench command line");
-    (inv.run)(&inv.params)
-}
-
-/// Checks one outcome of `name` at `--jobs jobs`: its headline checks hold
-/// and its artifacts equal the goldens.
-fn check_outcome(name: &str, jobs: &str, outcome: &Outcome) {
-    let results = format!("{name}.json");
-    let metrics = format!("{name}.metrics.json");
-    assert!(
-        outcome.failures.is_empty(),
-        "{name} --jobs {jobs}: headline checks failed: {:#?}",
-        outcome.failures
-    );
-    let json = outcome.json.clone().expect("every smoke experiment writes a results artifact");
-    let snapshot = outcome.metrics.as_ref().map(registry_json);
-    for (file, actual) in [(&results, Some(json)), (&metrics, snapshot)] {
-        // A file on one side only compares against "" and fails to parse.
-        let golden = std::fs::read_to_string(golden_path(file)).ok();
-        if golden.is_none() && actual.is_none() {
-            continue;
-        }
-        let (golden, actual) = (golden.unwrap_or_default(), actual.unwrap_or_default());
-        if let Err(report) = compare(name, file, &golden, &actual) {
-            panic!("{name} --jobs {jobs}: {report}");
-        }
-    }
-}
-
-/// Runs `name` at `--smoke` and `--jobs 1` and `2`, and checks each
-/// outcome's headline and artifacts against the goldens.
+/// Runs `name` as `hpv-bench <name> --smoke --jobs J` runs it, at `--jobs
+/// 1` and `2`, and checks each outcome's claims and artifacts against the
+/// goldens.
 fn check(name: &str) {
-    for jobs in JOBS {
-        check_outcome(name, jobs, &smoke(name, jobs));
+    for jobs in ["1", "2"] {
+        let args = [name, "--smoke", "--jobs", jobs].map(str::to_owned);
+        let inv = cli::parse(&args).expect("a valid hpv-bench command line");
+        let outcome = (inv.run)(&inv.params);
+        assert!(
+            outcome.failures.is_empty(),
+            "{name} --jobs {jobs}: claims failed: {:#?}",
+            outcome.failures
+        );
+        assert!(outcome.report.contains("\n\nclaims:\n"), "{name}: no claims table");
+        let json = outcome.json.expect("every smoke experiment writes a results artifact");
+        let snapshot = outcome.metrics.as_ref().map(registry_json);
+        let (results, metrics) = (format!("{name}.json"), format!("{name}.metrics.json"));
+        for (file, actual) in [(&results, Some(json)), (&metrics, snapshot)] {
+            // A file on one side only compares against "" and fails to parse.
+            let golden = std::fs::read_to_string(golden_path(file)).ok();
+            if golden.is_none() && actual.is_none() {
+                continue;
+            }
+            let (golden, actual) = (golden.unwrap_or_default(), actual.unwrap_or_default());
+            if let Err(report) = compare(name, file, &golden, &actual) {
+                panic!("{name} --jobs {jobs}: {report}");
+            }
+        }
     }
 }
 
@@ -108,91 +92,9 @@ fn fig2_reliability() {
     check("fig2_reliability");
 }
 
-/// The `plumtree` outcomes at `--jobs 1` and `2`, run once and shared by
-/// the whole-artifact test and the four slice tests.
-fn plumtree_outcomes() -> &'static [(&'static str, Outcome)] {
-    static OUTCOMES: OnceLock<Vec<(&'static str, Outcome)>> = OnceLock::new();
-    OUTCOMES.get_or_init(|| JOBS.iter().map(|&jobs| (jobs, smoke("plumtree", jobs))).collect())
-}
-
 #[test]
 fn plumtree() {
-    for (jobs, outcome) in plumtree_outcomes() {
-        check_outcome("plumtree", jobs, outcome);
-    }
-}
-
-/// The cells of `slice` in a `plumtree` artifact, in grid order.
-fn slice_cells(artifact: &str, slice: &str) -> Vec<JsonValue> {
-    let artifact = parse(artifact).expect("a plumtree artifact parses");
-    let Some(JsonValue::Arr(cells)) = artifact.get("cells") else {
-        panic!("a plumtree artifact has a cells array");
-    };
-    let in_slice = |c: &&JsonValue| c.get("slice").and_then(JsonValue::as_str) == Some(slice);
-    cells.iter().filter(in_slice).cloned().collect()
-}
-
-/// Checks one slice of the shared `plumtree` outcomes: the headline checks
-/// that name one of its cells hold, and its cells equal the golden's by
-/// value. Each slice is the grid one of the former Plumtree experiments
-/// ran, so a move or a failed check is reported under that experiment's
-/// name as well as under `plumtree`.
-fn check_plumtree_slice(slice: &str) {
-    let golden = std::fs::read_to_string(golden_path("plumtree.json")).unwrap();
-    let golden = slice_cells(&golden, slice);
-    assert!(!golden.is_empty(), "the golden has cells in the {slice} slice");
-    // A failed check names its cell as `<variant> <label>: ...`.
-    let names: Vec<String> = golden
-        .iter()
-        .map(|c| {
-            let field = |key| c.get(key).and_then(JsonValue::as_str).unwrap_or_default();
-            format!("{} {}: ", field("variant"), field("label"))
-        })
-        .collect();
-    let as_doc =
-        |cells: Vec<JsonValue>| JsonValue::Obj(vec![("cells".into(), JsonValue::Arr(cells))]);
-    for (jobs, outcome) in plumtree_outcomes() {
-        let failures: Vec<&String> = outcome
-            .failures
-            .iter()
-            .filter(|f| names.iter().any(|name| f.starts_with(name.as_str())))
-            .collect();
-        assert!(
-            failures.is_empty(),
-            "plumtree --jobs {jobs}: {slice} checks failed: {failures:#?}"
-        );
-        let json = outcome.json.as_deref().expect("plumtree writes a results artifact");
-        let actual = slice_cells(json, slice);
-        if actual != golden {
-            let rows = diff(&as_doc(golden.clone()), &as_doc(actual));
-            let (table, _) = markdown_table(&rows, THRESHOLD);
-            panic!("plumtree --jobs {jobs}: the {slice} slice moved from its golden:\n\n{table}");
-        }
-    }
-}
-
-/// Flood vs the static tree after 10, 30 and 50% crashes.
-#[test]
-fn plumtree_vs_flood() {
-    check_plumtree_slice("cost");
-}
-
-/// §3.8's optimization, batching and both together.
-#[test]
-fn plumtree_adaptive() {
-    check_plumtree_slice("adaptive");
-}
-
-/// The static and the optimized tree under variable latency.
-#[test]
-fn plumtree_latency() {
-    check_plumtree_slice("latency");
-}
-
-/// Flood, the static and the adaptive tree under loss and a partition.
-#[test]
-fn plumtree_wan() {
-    check_plumtree_slice("wan");
+    check("plumtree");
 }
 
 #[test]
@@ -256,8 +158,8 @@ fn readme_figure_2_table_renders_the_paper_artifact() {
     for row in rows {
         let failure = row.get("failure").and_then(JsonValue::as_f64).unwrap() * 100.0;
         let subject = format!("HyParView at {failure:.0}% failures");
-        let claim = claims.iter().find(|c| c.slice == Slice::Fig2 && c.subject == subject);
-        let paper = claim.unwrap_or_else(|| panic!("no claim about {subject:?}")).paper;
+        let claim = claims.iter().find(|c| c.experiment == "Fig2" && c.subject == subject);
+        let paper = claim.unwrap_or_else(|| panic!("no claim about {subject:?}")).statement;
         let Some(JsonValue::Arr(cells)) = row.get("cells") else {
             panic!("a fig2 row has a cells array");
         };
@@ -272,4 +174,81 @@ fn readme_figure_2_table_renders_the_paper_artifact() {
         "README.md's Figure 2 table is not the rendering of \
          results/paper/fig2_reliability.json; replace it with:\n\n{table}"
     );
+}
+
+/// `value`'s field at the dotted `path`, as a number.
+fn number(value: &JsonValue, path: &str) -> f64 {
+    let field = path.split('.').try_fold(value, |v, key| v.get(key));
+    field.and_then(JsonValue::as_f64).unwrap_or_else(|| panic!("no number at {path}"))
+}
+
+/// Asserts that README.md holds `table`, the rendering of `source`.
+fn readme_holds(table: &str, source: &str) {
+    let readme = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    assert!(
+        std::fs::read_to_string(readme).unwrap().contains(table),
+        "README.md's table is not the rendering of {source}; replace it with:\n\n{table}"
+    );
+}
+
+/// The README's Plumtree table: one row per cell of the smoke golden.
+#[test]
+fn readme_plumtree_table_renders_the_smoke_golden() {
+    let golden = parse(&std::fs::read_to_string(golden_path("plumtree.json")).unwrap()).unwrap();
+    let Some(JsonValue::Arr(cells)) = golden.get("cells") else {
+        panic!("a plumtree artifact has a cells array");
+    };
+    let mut table = String::from(
+        "| slice | strategy | cell | stable rel. | RMR | payload / control per bcast | \
+         disturbed rel. | time to heal | healed last hop | optimizations (late) |\n\
+         |---|---|---|---|---|---|---|---|---|---|\n",
+    );
+    for cell in cells {
+        let text = |key| cell.get(key).and_then(JsonValue::as_str).unwrap();
+        let at = |path| number(cell, path);
+        table += &format!(
+            "| {} | {} | {} | {:.2}% | {:.3} | {:.0} / {:.0} | {} | {} | {:.1} | {} ({}) |\n",
+            text("slice"),
+            text("variant"),
+            text("label"),
+            at("stable.mean_reliability") * 100.0,
+            at("stable.mean_rmr"),
+            at("stable.payload_per_broadcast"),
+            at("stable.control_per_broadcast"),
+            pct(at("disturbed_reliability")),
+            at("time_to_heal"),
+            at("healed.mean_last_hop"),
+            at("optimizations"),
+            at("late_optimizations"),
+        );
+    }
+    readme_holds(&table, "results/smoke/plumtree.json");
+}
+
+/// The README's benchmark table: the four end-to-end metrics of the last
+/// `BENCH_HISTORY.json` entry on each workload.
+#[test]
+fn readme_benchmark_table_renders_the_last_bench_history_entry() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let history = parse(&std::fs::read_to_string(root.join("BENCH_HISTORY.json")).unwrap());
+    let Some(JsonValue::Arr(entries)) = history.unwrap().get("entries").cloned() else {
+        panic!("BENCH_HISTORY.json has an entries array");
+    };
+    let last = entries.last().expect("at least one entry");
+    let pr = match last.get("pr") {
+        Some(JsonValue::Num(pr)) => pr.to_string(),
+        pr => pr.and_then(JsonValue::as_str).expect("an entry names its PR").to_owned(),
+    };
+    let Some(JsonValue::Obj(workloads)) = last.get("workloads") else {
+        panic!("an entry has a workloads object");
+    };
+    let metrics = ["setup_s", "delivered_share", "frames_per_delivery", "peak_rss_mb"];
+    let mut table = format!("Last `BENCH_HISTORY.json` entry: PR {pr}.\n\n| workload |");
+    table += &metrics.map(|m| format!(" `{m}` |")).concat();
+    table += "\n|---|---|---|---|---|\n";
+    for (workload, values) in workloads {
+        let values = metrics.map(|m| format!(" {} |", number(values, m)));
+        table += &format!("| `{workload}` |{}\n", values.concat());
+    }
+    readme_holds(&table, "the last entry of BENCH_HISTORY.json");
 }
