@@ -10,20 +10,27 @@
 //!
 //! Architecture:
 //!
-//! * `Io` owns the fd table: a slab of `Slot`s (listener or connection
-//!   state machine) keyed by slab index, registered with the shared
-//!   [`Poller`]. Connections are nonblocking. Frames decode straight out
-//!   of the reactor's one read buffer; a connection's [`FrameReader`]
-//!   holds bytes only for a frame a read cut in two, reserved for exactly
-//!   that frame. Outbound queues are bounded (`VecDeque<Bytes>` +
-//!   partial-write cursor).
+//! * `Io` owns the connection table: a slab of `Conn` state machines
+//!   keyed by slab index, registered with the shared [`Poller`].
+//!   Listeners are not in the slab: node `i`'s listener is registered
+//!   under the key `LISTENER_BIT | i`. Connections are nonblocking.
+//!   Frames decode straight out of the reactor's one read buffer; a
+//!   connection's [`FrameReader`] holds bytes only for a frame a read cut
+//!   in two, reserved for exactly that frame. Outbound queues are bounded
+//!   (`VecDeque<Bytes>` + partial-write cursor). A send only queues its
+//!   frame and marks the connection. After each dispatched event (one
+//!   readiness event, one control message, the pass over due timers) the
+//!   reactor flushes every marked connection with one `write_vectored` of
+//!   up to `WRITEV_FRAMES` frames, so what one event sends to a peer
+//!   shares a syscall and no queue waits out a whole loop turn.
 //! * `Reactor` owns the nodes: each a sans-runtime `LiveNode` plus its
-//!   listener key, driven through a `ReactorCtx` frame sink. A single
-//!   timer heap carries both
-//!   shuffle ticks and Plumtree timers for all nodes.
+//!   listener, driven through a `ReactorCtx` frame sink. A single timer
+//!   heap carries both shuffle ticks and Plumtree timers for all nodes.
 //! * [`Cluster`] is the application handle: a cheaply clonable reference to
-//!   the reactor thread. [`Cluster::spawn_node`] adds a node and returns
-//!   its [`Node`] handle; [`Node::spawn`] is just a single-node cluster.
+//!   the reactor thread. [`Cluster::spawn_node`] binds and registers the
+//!   listener on the calling thread, hands the node to the reactor without
+//!   waiting for it, and returns its [`Node`] handle; [`Node::spawn`] is
+//!   just a single-node cluster.
 //!
 //! Failure semantics (§4.1, TCP as the failure detector): connect errors,
 //! broken connections, and EOF surface as `on_peer_failed`; a peer whose
@@ -43,7 +50,7 @@ use parking_lot::Mutex;
 pub use polling::raise_nofile_limit;
 use polling::{Event, Events, Poller};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
@@ -58,6 +65,13 @@ const READ_BUF: usize = 16 * 1024;
 /// overflows is treated as failed (NeEM-style slow-peer expulsion, §5.5),
 /// so TCP back-pressure cannot freeze the overlay.
 const WRITER_QUEUE: usize = 1024;
+
+/// Most queued frames one `write_vectored` hands the kernel.
+const WRITEV_FRAMES: usize = 64;
+
+/// Marks a listener's poller key: node `i`'s listener is registered under
+/// `LISTENER_BIT | i`, outside the connection slab's keys.
+const LISTENER_BIT: usize = 1 << (usize::BITS - 1);
 
 /// A shared reactor runtime hosting any number of nodes on one thread.
 ///
@@ -87,6 +101,9 @@ pub(crate) struct ClusterInner {
     poller: Arc<Poller>,
     metrics: Arc<Mutex<Registry>>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The index the next spawned node gets. Held while its `AddNode` is
+    /// sent, so the reactor's node table fills in index order.
+    next_node: Mutex<usize>,
 }
 
 impl ClusterInner {
@@ -145,6 +162,7 @@ impl Cluster {
                 poller,
                 metrics,
                 thread: Mutex::new(Some(thread)),
+                next_node: Mutex::new(0),
             }),
         })
     }
@@ -159,10 +177,17 @@ impl Cluster {
 
     /// Binds `addr` (port 0 for ephemeral) and adds a node to this reactor.
     ///
+    /// The listener is registered with the reactor's poller from the
+    /// calling thread, and the node is queued to the reactor without
+    /// waiting for the reactor to take it in. A peer that connects before
+    /// then waits in the listen backlog; the node's own later calls
+    /// (`join`, `broadcast`) are queued behind it.
+    ///
     /// # Errors
     ///
-    /// Returns any I/O error from binding the listener, or `BrokenPipe`
-    /// when the reactor thread has died.
+    /// Returns any I/O error from binding the listener, the poller's error
+    /// from registering it, or `BrokenPipe` when the reactor thread has
+    /// died.
     pub fn spawn_node(&self, addr: SocketAddr, config: NetConfig) -> std::io::Result<Node> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -172,16 +197,27 @@ impl Cluster {
         let shared = Arc::new(Mutex::new(Shared::default()));
         let core = LiveNode::new(local, &config, Arc::clone(&shared), delivery_tx)?;
 
-        let (reply_tx, reply_rx) = bounded(1);
-        self.inner.send(ReactorControl::AddNode {
+        let mut next_node = self.inner.next_node.lock();
+        let index = *next_node;
+        let fd = listener.as_raw_fd();
+        self.inner.poller.add(fd, LISTENER_BIT | index, true, false)?;
+        let add = ReactorControl::AddNode {
             listener: Box::new(listener),
             core: Box::new(core),
             shuffle_interval: config.shuffle_interval,
-            reply: reply_tx,
-        });
-        let index = reply_rx.recv_timeout(Duration::from_secs(10)).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::BrokenPipe, "reactor thread is gone")
-        })?;
+        };
+        if let Err(rejected) = self.inner.control.send(add) {
+            // Deregister while `rejected` still holds the listener open, so
+            // the fd number cannot have been reused by then.
+            let _ = self.inner.poller.delete(fd);
+            drop(rejected);
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "reactor thread is gone",
+            ));
+        }
+        let _ = self.inner.poller.notify();
+        *next_node += 1;
         Ok(Node {
             addr: local,
             deliveries: delivery_rx,
@@ -199,25 +235,10 @@ impl std::fmt::Debug for Cluster {
 }
 
 enum ReactorControl {
-    AddNode {
-        listener: Box<TcpListener>,
-        core: Box<LiveNode>,
-        shuffle_interval: Duration,
-        reply: Sender<usize>,
-    },
+    AddNode { listener: Box<TcpListener>, core: Box<LiveNode>, shuffle_interval: Duration },
     Node(usize, Control),
-    RemoveNode {
-        node: usize,
-        ack: Sender<()>,
-    },
+    RemoveNode { node: usize, ack: Sender<()> },
     Shutdown,
-}
-
-/// One entry in the fd slab.
-enum Slot {
-    Free,
-    Listener { node: usize, listener: TcpListener },
-    Conn(Conn),
 }
 
 /// A nonblocking connection state machine.
@@ -247,11 +268,31 @@ struct Conn {
     front_pos: usize,
     /// Whether the current epoll registration includes write interest.
     want_write: bool,
+    /// Queued frames await the reactor's next flush (the key is on
+    /// `Io::to_flush`).
+    flush_pending: bool,
 }
 
-/// What a fully drained read pass left behind.
+impl Conn {
+    /// Moves the partial-write cursor `n` written bytes on, across frame
+    /// boundaries.
+    fn advance(&mut self, mut n: usize) {
+        while let Some(front) = self.outq.front() {
+            let left = front.len() - self.front_pos;
+            if n < left {
+                self.front_pos += n;
+                return;
+            }
+            n -= left;
+            self.outq.pop_front();
+            self.front_pos = 0;
+        }
+    }
+}
+
+/// What a read pass left behind.
 enum ReadOutcome {
-    /// Socket still open (drained to `WouldBlock`).
+    /// Socket still open (a short read, or drained to `WouldBlock`).
     Open,
     /// Orderly EOF or fatal read/decode error.
     Broken,
@@ -260,14 +301,17 @@ enum ReadOutcome {
     Violation,
 }
 
-/// The fd table: slab of slots + the outbound-connection index.
+/// The connection table: slab of connections + the outbound-connection
+/// index.
 struct Io {
     poller: Arc<Poller>,
-    slots: Vec<Slot>,
+    slots: Vec<Option<Conn>>,
     free: Vec<usize>,
     /// `(node, canonical peer) -> slab key` for outbound connections, so a
     /// node's sends reuse one connection per peer.
     outbound: HashMap<(usize, SocketAddr), usize>,
+    /// Keys of connections with frames queued since the last flush.
+    to_flush: Vec<usize>,
     /// Deepest outbound queue ever observed (`reactor.outq_high_water`) —
     /// how close the cluster came to NeEM slow-node expulsion.
     outq_high_water: u64,
@@ -280,6 +324,7 @@ impl Io {
             slots: Vec::new(),
             free: Vec::new(),
             outbound: HashMap::new(),
+            to_flush: Vec::new(),
             outq_high_water: 0,
         }
     }
@@ -288,7 +333,7 @@ impl Io {
         match self.free.pop() {
             Some(key) => key,
             None => {
-                self.slots.push(Slot::Free);
+                self.slots.push(None);
                 self.slots.len() - 1
             }
         }
@@ -297,19 +342,12 @@ impl Io {
     /// Closes and frees a slot: deregisters the fd, drops the socket, and
     /// removes a matching outbound-index entry.
     fn close(&mut self, key: usize) {
-        match std::mem::replace(&mut self.slots[key], Slot::Free) {
-            Slot::Free => return,
-            Slot::Listener { listener, .. } => {
-                let _ = self.poller.delete(listener.as_raw_fd());
-            }
-            Slot::Conn(conn) => {
-                let _ = self.poller.delete(conn.stream.as_raw_fd());
-                if conn.outbound {
-                    if let Some(peer) = conn.peer {
-                        if self.outbound.get(&(conn.node, peer)) == Some(&key) {
-                            self.outbound.remove(&(conn.node, peer));
-                        }
-                    }
+        let Some(conn) = self.slots[key].take() else { return };
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        if conn.outbound {
+            if let Some(peer) = conn.peer {
+                if self.outbound.get(&(conn.node, peer)) == Some(&key) {
+                    self.outbound.remove(&(conn.node, peer));
                 }
             }
         }
@@ -327,7 +365,7 @@ impl Io {
             self.free.push(key);
             return;
         }
-        self.slots[key] = Slot::Conn(Conn {
+        self.slots[key] = Some(Conn {
             stream,
             node,
             peer: None,
@@ -339,6 +377,7 @@ impl Io {
             outq: VecDeque::new(),
             front_pos: 0,
             want_write: false,
+            flush_pending: false,
         });
     }
 
@@ -354,7 +393,7 @@ impl Io {
             self.free.push(key);
             return Err(e);
         }
-        self.slots[key] = Slot::Conn(Conn {
+        self.slots[key] = Some(Conn {
             stream,
             node,
             peer: Some(to),
@@ -366,15 +405,17 @@ impl Io {
             outq: VecDeque::from([encode(&Frame::Hello { sender: local })]),
             front_pos: 0,
             want_write: true,
+            flush_pending: false,
         });
         self.outbound.insert((node, to), key);
         Ok(key)
     }
 
-    /// Queues `bytes` to `(node, to)`, opening the connection lazily.
-    /// Failures — immediate connect errors, queue overflow (NeEM slow-node
-    /// expulsion), fatal write errors — close the connection and report
-    /// `to` into `failures`.
+    /// Queues `bytes` to `(node, to)`, opening the connection lazily, and
+    /// marks the connection for the reactor's next flush (a connecting one
+    /// flushes on connect completion). Immediate connect errors and queue
+    /// overflow (NeEM slow-node expulsion) close the connection and report
+    /// `to` into `failures`; write errors surface at the flush.
     fn send(
         &mut self,
         node: usize,
@@ -393,7 +434,7 @@ impl Io {
                 }
             },
         };
-        let Slot::Conn(conn) = &mut self.slots[key] else { return };
+        let Some(conn) = &mut self.slots[key] else { return };
         conn.outq.push_back(bytes);
         self.outq_high_water = self.outq_high_water.max(conn.outq.len() as u64);
         if conn.outq.len() > WRITER_QUEUE {
@@ -403,26 +444,34 @@ impl Io {
             failures.push_back(to);
             return;
         }
-        if conn.connecting {
-            return; // flushed on connect completion
-        }
-        if self.flush(key).is_err() {
-            self.close(key);
-            failures.push_back(to);
+        if !conn.connecting && !conn.flush_pending {
+            conn.flush_pending = true;
+            self.to_flush.push(key);
         }
     }
 
-    /// Writes as much of the queue as the socket accepts, adjusts write
-    /// interest, and completes a pending graceful close once drained.
+    /// Writes as much of the queue as the socket accepts, up to
+    /// `WRITEV_FRAMES` frames per `write_vectored`, adjusts write interest,
+    /// and completes a pending graceful close once drained.
     ///
     /// # Errors
     ///
     /// Returns the fatal write error; the caller decides whether it is a
     /// reportable failure (the slot is *not* closed here).
     fn flush(&mut self, key: usize) -> std::io::Result<()> {
-        let Slot::Conn(conn) = &mut self.slots[key] else { return Ok(()) };
-        while let Some(front) = conn.outq.front() {
-            match conn.stream.write(&front[conn.front_pos..]) {
+        let Some(conn) = &mut self.slots[key] else { return Ok(()) };
+        conn.flush_pending = false;
+        while !conn.outq.is_empty() {
+            let mut slices = [IoSlice::new(&[]); WRITEV_FRAMES];
+            let mut count = 0;
+            let mut offered = 0;
+            for (slice, frame) in slices.iter_mut().zip(&conn.outq) {
+                let start = if count == 0 { conn.front_pos } else { 0 };
+                *slice = IoSlice::new(&frame[start..]);
+                offered += frame.len() - start;
+                count += 1;
+            }
+            match conn.stream.write_vectored(&slices[..count]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
@@ -430,10 +479,9 @@ impl Io {
                     ))
                 }
                 Ok(n) => {
-                    conn.front_pos += n;
-                    if conn.front_pos == front.len() {
-                        conn.outq.pop_front();
-                        conn.front_pos = 0;
+                    conn.advance(n);
+                    if n < offered {
+                        break; // the socket buffer is full
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -441,9 +489,14 @@ impl Io {
                 Err(e) => return Err(e),
             }
         }
-        if conn.outq.is_empty() && conn.closing {
-            self.close(key);
-            return Ok(());
+        if conn.outq.is_empty() {
+            if conn.closing {
+                self.close(key);
+                return Ok(());
+            }
+            // Give back what a burst grew the queue to; four frames is the
+            // smallest allocation a `VecDeque<Bytes>` makes anyway.
+            conn.outq.shrink_to(4);
         }
         let want_write = conn.connecting || !conn.outq.is_empty();
         if want_write != conn.want_write {
@@ -458,7 +511,7 @@ impl Io {
     /// its remaining queue, then closes without reporting a failure.
     fn disconnect(&mut self, node: usize, peer: SocketAddr) {
         let Some(key) = self.outbound.remove(&(node, peer)) else { return };
-        let Slot::Conn(conn) = &mut self.slots[key] else { return };
+        let Some(conn) = &mut self.slots[key] else { return };
         if conn.outq.is_empty() && !conn.connecting {
             self.close(key);
         } else {
@@ -475,16 +528,18 @@ impl Io {
         }
     }
 
-    /// Drains the socket and decodes complete frames straight out of `buf`,
-    /// tagging each with the connection's peer. Only an inbound
-    /// connection's first frame, its `Hello`, names the peer.
+    /// Reads the socket until a read comes back shorter than `buf` (the
+    /// level-triggered poller reports leftover bytes and EOF again) and
+    /// decodes complete frames straight out of `buf`, tagging each with the
+    /// connection's peer. Only an inbound connection's first frame, its
+    /// `Hello`, names the peer.
     fn read_conn(
         &mut self,
         key: usize,
         buf: &mut [u8],
         frames: &mut Vec<(SocketAddr, Frame)>,
     ) -> ReadOutcome {
-        let Slot::Conn(conn) = &mut self.slots[key] else { return ReadOutcome::Open };
+        let Some(conn) = &mut self.slots[key] else { return ReadOutcome::Open };
         loop {
             match conn.stream.read(buf) {
                 Ok(0) => return ReadOutcome::Broken, // EOF: peer closed or crashed
@@ -514,6 +569,9 @@ impl Io {
                             Err(_) => return ReadOutcome::Broken,
                         }
                     }
+                    if n < buf.len() {
+                        return ReadOutcome::Open;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return ReadOutcome::Open,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -534,7 +592,8 @@ enum TimerEntry {
 
 struct NodeSlot {
     core: LiveNode,
-    listener_key: usize,
+    /// Registered under `LISTENER_BIT | node` by [`Cluster::spawn_node`].
+    listener: TcpListener,
     shuffle_interval: Duration,
 }
 
@@ -698,24 +757,16 @@ impl Reactor {
     fn drain_control(&mut self) -> bool {
         loop {
             match self.control_rx.try_recv() {
-                Ok(ReactorControl::AddNode { listener, core, shuffle_interval, reply }) => {
-                    let key = self.io.alloc_key();
+                Ok(ReactorControl::AddNode { listener, core, shuffle_interval }) => {
+                    // `AddNode`s arrive in index order (`Cluster::spawn_node`).
                     let node = self.nodes.len();
-                    if self.io.poller.add(listener.as_raw_fd(), key, true, false).is_err() {
-                        // fd exhaustion: drop the node; the reply sender is
-                        // dropped and spawn_node reports BrokenPipe.
-                        self.io.free.push(key);
-                        continue;
-                    }
-                    self.io.slots[key] = Slot::Listener { node, listener: *listener };
                     self.nodes.push(Some(NodeSlot {
                         core: *core,
-                        listener_key: key,
+                        listener: *listener,
                         shuffle_interval,
                     }));
                     self.arm_shuffle(node, shuffle_interval);
                     self.dirty.insert(node);
-                    let _ = reply.send(node);
                 }
                 Ok(ReactorControl::Node(node, control)) => match control {
                     Control::Join(contact) => {
@@ -733,19 +784,22 @@ impl Reactor {
                 Ok(ReactorControl::Shutdown) | Err(TryRecvError::Disconnected) => return false,
                 Err(TryRecvError::Empty) => return true,
             }
+            // Per message, not per drain: a burst of broadcasts from one
+            // node must not queue past `WRITER_QUEUE` before its first write.
+            self.flush_marked();
         }
     }
 
     fn remove_node(&mut self, node: usize) {
         let Some(mut slot) = self.nodes.get_mut(node).and_then(Option::take) else { return };
-        self.io.close(slot.listener_key);
+        let _ = self.io.poller.delete(slot.listener.as_raw_fd());
         let conn_keys: Vec<usize> = self
             .io
             .slots
             .iter()
             .enumerate()
             .filter_map(|(key, s)| match s {
-                Slot::Conn(conn) if conn.node == node => Some(key),
+                Some(conn) if conn.node == node => Some(key),
                 _ => None,
             })
             .collect();
@@ -798,7 +852,7 @@ impl Reactor {
     /// itself. An inbound failure also evicts the node's outbound
     /// connection to that peer; a goodbye evicts it silently.
     fn fail_conn(&mut self, key: usize) {
-        let Slot::Conn(conn) = &self.io.slots[key] else { return };
+        let Some(conn) = &self.io.slots[key] else { return };
         let (node, peer, closing, goodbye) = (conn.node, conn.peer, conn.closing, conn.goodbye);
         self.io.close(key);
         if closing {
@@ -819,38 +873,49 @@ impl Reactor {
         frames: &mut Vec<(SocketAddr, Frame)>,
     ) {
         let key = event.key;
-        match self.io.slots.get(key) {
-            Some(Slot::Listener { .. }) => self.handle_accept(key),
-            Some(Slot::Conn(_)) => {
-                if event.writable {
-                    self.handle_writable(key);
-                }
-                if event.readable {
-                    self.handle_readable(key, buf, frames);
-                }
+        if key & LISTENER_BIT != 0 {
+            self.handle_accept(key & !LISTENER_BIT);
+        } else if let Some(Some(_)) = self.io.slots.get(key) {
+            if event.writable {
+                self.handle_writable(key);
             }
-            // Stale event for a slot freed earlier in this batch.
-            _ => {}
+            if event.readable {
+                self.handle_readable(key, buf, frames);
+            }
+        }
+        // Otherwise a stale event for a slot freed earlier in this batch.
+    }
+
+    fn handle_accept(&mut self, node: usize) {
+        // A listener whose `AddNode` is still queued has no slot yet: the
+        // next turn drains the control queue before the level-triggered
+        // poller reports the listener again. A removed node's has none
+        // either.
+        let Some(Some(slot)) = self.nodes.get(node) else { return };
+        loop {
+            match slot.listener.accept() {
+                Ok((stream, _)) => self.io.register_inbound(node, stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
         }
     }
 
-    fn handle_accept(&mut self, key: usize) {
-        loop {
-            let (node, stream) = {
-                let Slot::Listener { node, listener } = &self.io.slots[key] else { return };
-                match listener.accept() {
-                    Ok((stream, _)) => (*node, stream),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return,
-                }
-            };
-            self.io.register_inbound(node, stream);
+    /// Flushes every connection marked since the last flush. A failed
+    /// write fails its connection, and the node's repair may send, and so
+    /// mark, more.
+    fn flush_marked(&mut self) {
+        while let Some(key) = self.io.to_flush.pop() {
+            let pending = matches!(&self.io.slots[key], Some(conn) if conn.flush_pending);
+            if pending && self.io.flush(key).is_err() {
+                self.fail_conn(key);
+            }
         }
     }
 
     fn handle_writable(&mut self, key: usize) {
-        let Slot::Conn(conn) = &mut self.io.slots[key] else { return };
+        let Some(conn) = &mut self.io.slots[key] else { return };
         if conn.connecting {
             match conn.stream.take_error() {
                 Ok(None) => conn.connecting = false,
@@ -874,7 +939,7 @@ impl Reactor {
         frames: &mut Vec<(SocketAddr, Frame)>,
     ) {
         {
-            let Slot::Conn(conn) = &self.io.slots[key] else { return };
+            let Some(conn) = &self.io.slots[key] else { return };
             if conn.connecting {
                 // Readability on a connecting socket means the connect
                 // failed; let the writable path classify it via SO_ERROR.
@@ -883,10 +948,8 @@ impl Reactor {
         }
         frames.clear();
         let outcome = self.io.read_conn(key, buf, frames);
-        let node = match &self.io.slots[key] {
-            Slot::Conn(conn) => conn.node,
-            _ => return,
-        };
+        let Some(conn) = &self.io.slots[key] else { return };
+        let node = conn.node;
         // Dispatch what arrived before any EOF/error: a crashing peer's
         // last frames still count.
         for (from, frame) in frames.drain(..) {
@@ -911,6 +974,7 @@ impl Reactor {
                 break;
             }
             self.fire_due_timers();
+            self.flush_marked();
             self.publish_dirty();
             self.publish_gauges();
             let wait_start = Instant::now();
@@ -924,13 +988,15 @@ impl Reactor {
             self.stats.epoll_wait_us += (self.now - wait_start).as_micros() as u64;
             // `events` snapshots keys; a handler may free (and the slab
             // reuse) a key within the batch. handle_event re-checks the
-            // slot kind, and a misdirected read/flush on a reused slot is
+            // slot, and a misdirected read/flush on a reused slot is
             // harmless under level-triggered polling (real readiness is
-            // re-reported on the next wait).
+            // re-reported on the next wait). What each event queued goes
+            // out before the next event is handled.
             let mut batch = 0u64;
             for event in events.iter() {
                 batch += 1;
                 self.handle_event(event, &mut buf, &mut frames);
+                self.flush_marked();
             }
             self.stats.batch_max = self.stats.batch_max.max(batch);
         }
@@ -939,6 +1005,7 @@ impl Reactor {
             self.io.close(key);
         }
         for slot in self.nodes.iter_mut().flatten() {
+            let _ = self.io.poller.delete(slot.listener.as_raw_fd());
             slot.core.publish();
         }
         self.publish_gauges();

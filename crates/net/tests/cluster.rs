@@ -2,7 +2,7 @@
 //! reproduction's stand-in for the paper's planned PlanetLab deployment.
 
 use hyparview_graph::{connectivity, one_sided_links, Overlay};
-use hyparview_net::{BroadcastMode, NetConfig, Node, PayloadTooLarge, MAX_PAYLOAD_LEN};
+use hyparview_net::{BroadcastMode, Cluster, NetConfig, Node, PayloadTooLarge, MAX_PAYLOAD_LEN};
 use std::time::{Duration, Instant};
 
 fn config() -> NetConfig {
@@ -351,4 +351,45 @@ fn deliveries_report_hop_counts() {
     assert_eq!(own.hops, 0, "origin delivers at hop 0");
     let remote = nodes[1].deliveries().recv_timeout(Duration::from_secs(5)).unwrap();
     assert!(remote.hops >= 1);
+}
+
+/// `spawn_node` returns without waiting for the reactor, so 200 nodes
+/// spawned and joined back to back (each through a seeded random earlier
+/// node, no wait between them) are queued to a reactor still busy with
+/// the first joins, and the overlay still converges.
+#[test]
+fn back_to_back_spawns_on_one_cluster_converge() {
+    let cluster = Cluster::new().unwrap();
+    let mut nodes: Vec<Node> = Vec::with_capacity(200);
+    let mut draw = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 0..200 {
+        let cfg = NetConfig { seed: Some(500 + i as u64), ..NetConfig::default() };
+        let node = cluster.spawn_node("127.0.0.1:0".parse().unwrap(), cfg).expect("spawn node");
+        if i > 0 {
+            draw = draw
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            node.join(nodes[(draw >> 33) as usize % i].addr());
+        }
+        nodes.push(node);
+    }
+    assert!(
+        wait_until(Duration::from_secs(30), || overlay_ready(&nodes)),
+        "200 back-to-back spawns did not converge within 30 s"
+    );
+}
+
+/// A bind error is returned synchronously and leaves the cluster usable:
+/// the next node it spawns still joins (its index was not skipped).
+#[test]
+fn failed_bind_leaves_the_cluster_usable() {
+    let cluster = Cluster::new().unwrap();
+    let first = cluster.spawn_node("127.0.0.1:0".parse().unwrap(), config()).unwrap();
+    let err = cluster.spawn_node(first.addr(), config()).expect_err("the address is in use");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+
+    let second = cluster.spawn_node("127.0.0.1:0".parse().unwrap(), config()).unwrap();
+    second.join(first.addr());
+    let nodes = [first, second];
+    wait_for_overlay(&nodes);
 }

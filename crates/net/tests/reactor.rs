@@ -286,3 +286,115 @@ fn shared_cluster_survives_node_removal() {
         assert_eq!(delivery.id, id);
     }
 }
+
+/// A peer that connects to a node the moment `spawn_node` returns, most
+/// likely before the reactor has taken the node in, waits in the listen
+/// backlog: its `Hello` + `Join` still make it a neighbour.
+#[test]
+fn join_right_after_spawn_reaches_the_new_node() {
+    let cluster = Cluster::new().unwrap();
+    let fake_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake: SocketAddr = fake_listener.local_addr().unwrap();
+
+    let node = cluster.spawn_node("127.0.0.1:0".parse().unwrap(), config()).unwrap();
+    let mut stream = TcpStream::connect(node.addr()).unwrap();
+    stream.write_all(&encode(&Frame::Hello { sender: fake })).unwrap();
+    stream.write_all(&encode(&Frame::Membership(Message::Join))).unwrap();
+
+    assert!(
+        wait_until(Duration::from_secs(5), || node.active_view().contains(&fake)),
+        "the early Join never joined: {:?}",
+        node.active_view()
+    );
+}
+
+/// A peer that writes its last frames and closes: the node delivers the
+/// frames, then reports the peer failed (EOF). The node's read buffer
+/// holds 16 KiB, so the three 10 KiB frames take at least two reads, with
+/// a frame cut between them; a read pass ends at a short read, and the
+/// level-triggered poller reports the EOF on a later turn.
+#[test]
+fn last_frames_before_eof_are_delivered_then_the_peer_fails() {
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config()).unwrap();
+    let fake_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake: SocketAddr = fake_listener.local_addr().unwrap();
+    let payload = |id: u128| Bytes::from(vec![id as u8; 10 * 1024]);
+    {
+        let mut stream = TcpStream::connect(node.addr()).unwrap();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&encode(&Frame::Hello { sender: fake }));
+        bytes.extend_from_slice(&encode(&Frame::Membership(Message::Join)));
+        for id in 1..=3u128 {
+            bytes.extend_from_slice(&encode(&Frame::Gossip { id, hops: 0, payload: payload(id) }));
+        }
+        stream.write_all(&bytes).unwrap();
+    }
+    for id in 1..=3u128 {
+        let delivery = node
+            .deliveries()
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("frame {id} before the EOF was not delivered"));
+        assert_eq!((delivery.id, delivery.payload), (id, payload(id)));
+    }
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            node.metrics().value_by_name("hyparview.peer_failures") == Some(1)
+                && !node.active_view().contains(&fake)
+        }),
+        "the EOF was not reported as a failure: {:?}",
+        node.active_view()
+    );
+}
+
+/// A peer that stops reading while its node queues far more than a
+/// socket buffer holds still gets every frame, intact and in order, once
+/// it reads again. 32 KiB frames make partial `write_vectored` calls end
+/// inside a frame.
+#[test]
+fn a_stalled_reader_gets_every_queued_frame_in_order() {
+    const FRAMES: usize = 600;
+    const LEN: usize = 32 * 1024;
+    let body = |seq: usize| -> Vec<u8> {
+        let mut payload: Vec<u8> = (0..LEN).map(|i| (i * 31 + seq * 7) as u8).collect();
+        payload[..8].copy_from_slice(&(seq as u64).to_be_bytes());
+        payload
+    };
+    let config = NetConfig { shuffle_interval: Duration::from_secs(3600), ..config() };
+    let node = Node::spawn("127.0.0.1:0".parse().unwrap(), config).unwrap();
+    let fake_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake: SocketAddr = fake_listener.local_addr().unwrap();
+
+    let mut join = TcpStream::connect(node.addr()).unwrap();
+    join.write_all(&encode(&Frame::Hello { sender: fake })).unwrap();
+    join.write_all(&encode(&Frame::Membership(Message::Join))).unwrap();
+    assert!(wait_until(Duration::from_secs(5), || node.active_view().contains(&fake)));
+
+    // Nothing reads `fake`'s side until every broadcast has been queued.
+    for seq in 0..FRAMES {
+        node.broadcast(body(seq));
+    }
+    assert!(
+        wait_until(Duration::from_secs(20), || node.delivery_count() == FRAMES as u64),
+        "the node handled {} of {FRAMES} broadcasts",
+        node.delivery_count()
+    );
+
+    let mut stream = accept_within(&fake_listener, Duration::from_secs(5)).expect("no connection");
+    assert_eq!(read_frame(&mut stream), Some(Frame::Hello { sender: node.addr() }));
+    let mut next = 0;
+    while next < FRAMES {
+        match read_frame(&mut stream) {
+            Some(Frame::Gossip { payload, .. }) => {
+                assert!(
+                    payload[..] == body(next)[..],
+                    "frame {next} arrived damaged or out of order"
+                );
+                next += 1;
+            }
+            Some(_) => {} // membership traffic, if any
+            None => panic!("connection ended after {next} of {FRAMES} frames"),
+        }
+    }
+    assert!(node.active_view().contains(&fake), "the stalled peer was expelled");
+    drop(join);
+}
