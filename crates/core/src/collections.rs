@@ -449,6 +449,11 @@ impl<K: Copy + Eq + Hash, V> RecentMap<K, V> {
         self.ring.iter().map(|(_, value)| value)
     }
 
+    /// Mutable access to the remembered values, oldest first.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.ring.iter_mut().map(|(_, value)| value)
+    }
+
     /// Forgets the oldest key and hands it back with its value.
     pub fn pop_oldest(&mut self) -> Option<(K, V)> {
         let (oldest, _) = self.ring.front()?;

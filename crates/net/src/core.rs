@@ -643,6 +643,68 @@ mod tests {
         }
     }
 
+    /// Pushes `ids` from tree parent 1, then fires the lazy flush: each
+    /// lazy peer is sent one `IHaveBatch` of them.
+    fn push_and_flush(
+        core: &mut LiveNode,
+        payloads: &[Bytes],
+        ids: std::ops::Range<usize>,
+        sink: &mut Recorder,
+    ) {
+        for id in ids.clone() {
+            let push =
+                Frame::PlumtreeGossip { id: id as u128, round: 1, payload: payloads[id].clone() };
+            core.on_frame(addr(1), push, sink);
+        }
+        sink.sent.clear();
+        core.on_plumtree_timer(PlumtreeTimer::LazyFlush, sink);
+        let anns: Vec<(u128, u32)> = ids.map(|id| (id as u128, 2)).collect();
+        let mut flushed: Vec<(u16, Frame)> =
+            sink.sent.drain(..).map(|(to, frame)| (to.port(), decoded(&frame))).collect();
+        flushed.sort_unstable_by_key(|(port, _)| *port);
+        let batch = Frame::PlumtreeIHaveBatch { anns };
+        assert_eq!(flushed, [(4, batch.clone()), (5, batch)]);
+    }
+
+    #[test]
+    fn a_payload_goes_once_every_lazy_peer_has_announced_it_back() {
+        let config = NetConfig::default().with_broadcast_mode(BroadcastMode::Plumtree);
+        let (mut core, deliveries) = core_and_deliveries(config, 256);
+        let mut sink = Recorder::default();
+        // 1 is the parent, 2 and 3 are tree links, 4 and 5 lazy links.
+        for port in [4, 5] {
+            core.on_frame(addr(port), Frame::PlumtreePrune, &mut sink);
+        }
+        let payloads: Vec<Bytes> = (0..220).map(|i| Bytes::from(vec![i as u8; 8 * 1024])).collect();
+        let held =
+            |core: &LiveNode| core.core.plumtree_state().expect("Plumtree mode").held_payloads();
+        for start in (0..200).step_by(20) {
+            push_and_flush(&mut core, &payloads, start..start + 20, &mut sink);
+            assert_eq!(held(&core), 20, "ids {start}..: owed to 4 and 5");
+            // Each lazy peer got the ids elsewhere and announces them back.
+            let anns: Vec<(u128, u32)> = (start..start + 20).map(|id| (id as u128, 2)).collect();
+            for port in [4, 5] {
+                let batch = Frame::PlumtreeIHaveBatch { anns: anns.clone() };
+                core.on_frame(addr(port), batch, &mut sink);
+            }
+            assert!(sink.sent.is_empty(), "the announcements back are answered with nothing");
+        }
+        assert_eq!(deliveries.try_iter().count(), 200);
+        assert_eq!(held(&core), 0);
+        assert!(payloads[..200].iter().all(Bytes::is_unique), "every buffer has one owner again");
+
+        // 5 never answers: the node holds exactly the ids announced to it.
+        push_and_flush(&mut core, &payloads, 200..220, &mut sink);
+        let anns: Vec<(u128, u32)> = (200..220).map(|id| (id as u128, 2)).collect();
+        core.on_frame(addr(4), Frame::PlumtreeIHaveBatch { anns }, &mut sink);
+        assert_eq!(deliveries.try_iter().count(), 20);
+        assert_eq!(held(&core), 20);
+        let shared: Vec<usize> = (0..220).filter(|&id| !payloads[id].is_unique()).collect();
+        assert_eq!(shared, (200..220).collect::<Vec<_>>());
+        let state = core.core.plumtree_state().expect("Plumtree mode");
+        assert_eq!((state.cached_len(), state.stats().ihave_sent), (220, 440));
+    }
+
     #[test]
     fn plumtree_store_ages_out_by_the_sinks_clock() {
         // The shipped configuration: room for 8,192 messages, a horizon of

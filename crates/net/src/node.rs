@@ -52,7 +52,8 @@ pub struct NetConfig {
     pub seed: Option<u64>,
     /// How many recent gossip ids to remember for duplicate suppression,
     /// in either mode. Plumtree keeps a payload beside an id only while a
-    /// peer it announced the id to may graft it.
+    /// peer it announced the id to has neither shown that it holds the id
+    /// nor left the view.
     ///
     /// The flood's window (a [`hyparview_core::RecentSet`] of 16-byte ids)
     /// costs each node 20 B per id once full: 2,560 B at 128 ids and

@@ -46,8 +46,9 @@ pub struct PlumtreeConfig {
     pub graft_timeout: u64,
     /// Hard cap on the number of broadcast ids the message store remembers
     /// at once: the duplicate-detection window. A remembered id keeps its
-    /// payload only while a peer it was announced to may graft it, so far
-    /// fewer payloads are held (none at a node without lazy links). It is
+    /// payload only while a peer it was announced to has neither shown that
+    /// it holds the id (an `IHave` or a payload of it) nor left the view, so
+    /// far fewer payloads are held (none at a node without lazy links). It is
     /// not the retention rule: a broadcast is dropped once it is
     /// [`PlumtreeConfig::retention`] old, and this cap evicts (oldest id
     /// first) only when more than `cache_capacity` broadcasts arrive within

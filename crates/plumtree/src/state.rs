@@ -13,11 +13,15 @@
 //!
 //! A payload is kept only while a peer may still graft it from this node. A
 //! `Graft` goes to an announcer of the id (the missing-message timer pulls
-//! from nobody else), so a first receipt that announces the id to no one
-//! (every lazy peer holds it, or there is none) keeps no payload, and one
-//! whose queued announcements are all taken back before the flush, or whose
-//! queued peers all leave, lets it go then. The id itself is remembered as
-//! long as ever: duplicate detection and tree optimization do not change.
+//! from nobody else), and only from a peer that does not hold the id yet.
+//! So the payload stays while some peer it was announced to (queued or
+//! sent) has not shown that it holds the id, by an `IHave` or a payload of
+//! it, and has not left the view; with the last such peer it goes. Over
+//! §4.1's TCP links a peer's frames arrive in order, so its `Graft` always
+//! comes before its own `IHave` or payload of the id. A first receipt that
+//! announces the id to no one (every lazy peer holds it, or there is none)
+//! keeps no payload at all. The id itself is remembered as long as ever:
+//! duplicate detection and tree optimization do not change.
 
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
@@ -211,9 +215,32 @@ struct Cached<I, P> {
     /// broadcasts. A node is never its own neighbour, so no sender matches
     /// that, and a plain `I` leaves room for `payload`'s tag in the padding.
     parent: I,
-    /// The payload while a peer this node announced the id to may graft it,
-    /// `None` once none can (see the module docs).
+    /// The peers this node announced the id to, queued or sent, that have
+    /// not shown since that they hold it: bit `s` for the neighbour in slot
+    /// `s` of [`PlumtreeState`]'s slot table, [`UNTRACKED`] for any peer
+    /// without one. It sits in the padding too.
+    owed: u16,
+    /// The payload while `owed` is not zero, `None` once no peer can graft
+    /// it (see the module docs).
     payload: Option<P>,
+}
+
+/// Neighbours with an `owed` bit of their own.
+const SLOTS: usize = 15;
+
+/// The `owed` bit of every peer beyond [`SLOTS`]: never cleared, so a
+/// payload announced to one is held until its id is evicted.
+const UNTRACKED: u16 = 1 << SLOTS;
+
+impl<I, P> Cached<I, P> {
+    /// The peers in `bits` are owed the id no longer; with the last one
+    /// owed, the payload goes.
+    fn settle(&mut self, bits: u16) {
+        self.owed &= !bits;
+        if self.owed == 0 {
+            self.payload = None;
+        }
+    }
 }
 
 // The simulator's store slot (`P = ()`) stays two `u128`s wide: an
@@ -252,10 +279,14 @@ impl<I> Default for MissingEntry<I> {
 /// multiple of the longest time a neighbour can go on asking for a payload,
 /// so only a copy the protocol no longer has a use for arrives that late. A
 /// state whose clock is never advanced ages nothing and is bounded by the
-/// count alone. An entry also holds the payload, but only for as long as a
-/// peer this node announced the id to may graft it
-/// ([`PlumtreeState::held_payloads`]): the count bounds the ids, and
-/// announcements bound the payloads.
+/// count alone. An entry also holds the payload, but only while some peer
+/// this node announced the id to has neither shown that it holds the id
+/// (an `IHave` or a payload of it) nor left the view
+/// ([`PlumtreeState::held_payloads`]): the count bounds the ids, and the
+/// announcements still owed an answer bound the payloads. Each neighbour
+/// takes one of 15 slots when it comes up, and an entry marks the slots it
+/// is owed by in a 16-bit mask; a neighbour beyond the fifteenth keeps an
+/// id it was announced held until the id is evicted.
 ///
 /// Neighbor maintenance is driven by the membership layer: feed active-view
 /// changes through [`PlumtreeState::on_neighbor_up`] /
@@ -280,6 +311,9 @@ pub struct PlumtreeState<I: Identity, P: Clone> {
     /// Per-peer queued lazy announcements, in lazy-set insertion order
     /// (a `Vec` keeps flush order deterministic for the simulator).
     lazy_queue: Vec<(I, Vec<Announcement>)>,
+    /// The neighbour behind each bit of a store entry's `owed` mask; a free
+    /// slot holds `me`, which is never a neighbour.
+    slots: [I; SLOTS],
     /// Whether a [`PlumtreeTimer::LazyFlush`] is in flight.
     flush_armed: bool,
     /// The runtime's last reading ([`PlumtreeState::advance`]).
@@ -300,6 +334,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             missing: HashMap::new(),
             timer_armed: HashSet::new(),
             lazy_queue: Vec::new(),
+            slots: [me; SLOTS],
             flush_armed: false,
             now: 0,
             stats: PlumtreeStats::default(),
@@ -383,7 +418,8 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     }
 
     /// Number of remembered ids whose payload is still held for a `Graft`:
-    /// those announced to a peer, or queued for one.
+    /// those announced (or queued) to a peer that has neither shown it holds
+    /// the id, by an `IHave` or a payload of it, nor left the view.
     pub fn held_payloads(&self) -> usize {
         self.cache.values().filter(|cached| cached.payload.is_some()).count()
     }
@@ -404,16 +440,22 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     // ------------------------------------------------------------------
 
     /// `peer` entered the active view: new links start eager so fresh
-    /// overlay repairs immediately carry payloads (Plumtree §3.5).
+    /// overlay repairs immediately carry payloads (Plumtree §3.5). It takes
+    /// a free `owed` slot, if one is left.
     pub fn on_neighbor_up(&mut self, peer: I) {
         if peer == self.me || self.is_neighbor(&peer) {
             return;
         }
         self.eager.insert(peer);
+        let me = self.me;
+        if let Some(slot) = self.slots.iter_mut().find(|slot| **slot == me) {
+            *slot = peer;
+        }
     }
 
     /// `peer` left the active view: forget it entirely, including its
-    /// outstanding `IHave` announcements and queued lazy pushes.
+    /// outstanding `IHave` announcements and queued lazy pushes. It can no
+    /// longer graft over this link, so no payload is held for it.
     pub fn on_neighbor_down(&mut self, peer: I) {
         self.eager.remove(&peer);
         self.lazy.remove(&peer);
@@ -421,9 +463,13 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             entry.announcers.retain(|(p, _)| *p != peer);
         }
         if let Some(at) = self.lazy_queue.iter().position(|(p, _)| *p == peer) {
-            let (_, anns) = self.lazy_queue.remove(at);
-            for ann in anns {
-                self.release_unless_queued(ann.id);
+            self.lazy_queue.remove(at);
+        }
+        let bit = self.owed_bit(peer);
+        if bit != 0 {
+            self.slots[bit.trailing_zeros() as usize] = self.me;
+            for cached in self.cache.values_mut() {
+                cached.settle(bit);
             }
         }
     }
@@ -460,9 +506,8 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         }
         self.stats.delivered += 1;
         self.eager_push(id, 1, &payload, None, out);
-        if self.lazy_push(id, 1, &[], out) {
-            self.hold(id, payload.clone());
-        }
+        let owed = self.lazy_push(id, 1, &[], out);
+        self.hold(id, owed, &payload);
         out.deliveries.push(PlumtreeDelivery { id, round: 0, payload });
     }
 
@@ -574,9 +619,8 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
             self.promote_eager(from);
             self.eager_push(id, round + 1, &payload, Some(from), out);
             let holders = pending.as_ref().map_or(&[][..], |entry| &entry.announcers);
-            if self.lazy_push(id, round + 1, holders, out) {
-                self.hold(id, payload.clone());
-            }
+            let owed = self.lazy_push(id, round + 1, holders, out);
+            self.hold(id, owed, &payload);
             out.deliveries.push(PlumtreeDelivery { id, round, payload });
             // Over unit-latency links payloads and announcements arrive in
             // strict round order, so the announcement of a shorter lazy
@@ -681,8 +725,10 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         let Some(id) = id else {
             return; // optimization graft: promotion only, no payload pull
         };
-        // A released payload was announced to nobody, so only a peer off
-        // the protocol asks for it: answered like an evicted id.
+        // A released payload is owed to no peer: every one it was announced
+        // to has shown it holds the id or has left. Only a peer off the
+        // protocol, or a frame the transport repeated or reordered past the
+        // peer's own `IHave`, asks for it: answered like an evicted id.
         if let Some(Cached { round, payload: Some(payload), .. }) = self.cache.get(&id) {
             self.stats.gossip_sent += 1;
             out.outbox.send(
@@ -713,7 +759,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     /// [`PlumtreeConfig::retention`] old.
     fn remember(&mut self, id: MsgId, round: u32, parent: I) -> bool {
         let stamp = self.now as u32;
-        if !self.cache.insert(id, Cached { round, stamp, parent, payload: None }).0 {
+        if !self.cache.insert(id, Cached { round, stamp, parent, owed: 0, payload: None }).0 {
             return false;
         }
         // At least 1, so the loop stops at the entry just stored (age 0).
@@ -727,23 +773,23 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         true
     }
 
-    /// Keeps the payload of the just-remembered `id`: it was announced.
-    fn hold(&mut self, id: MsgId, payload: P) {
-        if let Some(cached) = self.cache.get_mut(&id) {
-            cached.payload = Some(payload);
-        }
-    }
-
-    /// Drops `id`'s payload unless an announcement of it is still queued.
-    /// One [`PlumtreeState::lazy_push`] queues all of an id's announcements
-    /// and one flush sends them, so an id queued for nobody was and will be
-    /// announced to nobody, and no peer can graft it here.
-    fn release_unless_queued(&mut self, id: MsgId) {
-        if self.lazy_queue.iter().any(|(_, anns)| anns.iter().any(|ann| ann.id == id)) {
+    /// Keeps the payload of the just-remembered `id` if it is `owed` to a
+    /// peer it was announced to.
+    fn hold(&mut self, id: MsgId, owed: u16, payload: &P) {
+        if owed == 0 {
             return;
         }
         if let Some(cached) = self.cache.get_mut(&id) {
-            cached.payload = None;
+            cached.owed = owed;
+            cached.payload = Some(payload.clone());
+        }
+    }
+
+    /// The `owed` bit of `peer`'s slot, 0 for a peer without one.
+    fn owed_bit(&self, peer: I) -> u16 {
+        match self.slots.iter().position(|slot| *slot == peer) {
+            Some(slot) if peer != self.me => 1 << slot,
+            _ => 0,
         }
     }
 
@@ -769,26 +815,29 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     /// exists so that a peer can ask for the payload, and one that announced
     /// the id never will. (The payload's sender is a tree link by now.) A
     /// holder that shows itself before the flush: [`PlumtreeState::withdraw`].
-    /// Returns whether any peer was announced to or queued for.
+    /// Returns the `owed` bits of the peers announced to or queued for.
     fn lazy_push(
         &mut self,
         id: MsgId,
         round: u32,
         holders: &[(I, u32)],
         out: &mut PlumtreeOut<I, P>,
-    ) -> bool {
+    ) -> u16 {
         let ann = Announcement { id, round };
-        let (mut queued, mut sent) = (false, false);
+        let (mut owed, mut queued) = (0, false);
         for &peer in &self.lazy {
             if holders.iter().any(|(holder, _)| *holder == peer) {
                 self.stats.ihave_suppressed += 1;
                 continue;
             }
+            owed |= match self.owed_bit(peer) {
+                0 => UNTRACKED,
+                bit => bit,
+            };
             if self.config.lazy_flush_interval == 0 {
                 // Batching disabled: one IHave frame per message per peer.
                 self.stats.ihave_sent += 1;
                 out.outbox.send(peer, PlumtreeMessage::IHave { id, round });
-                sent = true;
                 continue;
             }
             match self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) {
@@ -804,20 +853,25 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
                 delay: self.config.lazy_flush_interval,
             });
         }
-        queued || sent
+        owed
     }
 
     /// `peer` has just shown (an `IHave` or a payload) that it holds the
-    /// delivered `id`: drop the announcement still queued for it, if any,
-    /// and the payload with the last one.
+    /// delivered `id`: drop the announcement still queued for it, if any. It
+    /// will not graft the id, so it is owed it no longer, and the payload
+    /// goes with the last peer that was.
     fn withdraw(&mut self, peer: I, id: MsgId) {
-        let Some((_, anns)) = self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) else {
-            return;
-        };
-        if let Some(at) = anns.iter().position(|ann| ann.id == id) {
-            anns.remove(at);
-            self.stats.ihave_suppressed += 1;
-            self.release_unless_queued(id);
+        if let Some((_, anns)) = self.lazy_queue.iter_mut().find(|(p, _)| *p == peer) {
+            if let Some(at) = anns.iter().position(|ann| ann.id == id) {
+                anns.remove(at);
+                self.stats.ihave_suppressed += 1;
+            }
+        }
+        let bit = self.owed_bit(peer);
+        if bit != 0 {
+            if let Some(cached) = self.cache.get_mut(&id) {
+                cached.settle(bit);
+            }
         }
     }
 
@@ -1254,10 +1308,12 @@ mod tests {
             }
         }
         assert_eq!((aged.cached_len(), frozen.cached_len()), (301, 301));
+        // The graft comes first: once 2 has shown it holds id 5, it is owed
+        // the payload no longer, aged or not.
         for message in [
+            PlumtreeMessage::Graft { id: Some(5), round: 2 },
             PlumtreeMessage::Gossip { id: 5, round: 9, payload: "m" },
             PlumtreeMessage::IHave { id: 5, round: 2 },
-            PlumtreeMessage::Graft { id: Some(5), round: 2 },
         ] {
             let (mut out, mut expected) = (PlumtreeOut::new(), PlumtreeOut::new());
             aged.handle_message(2, message.clone(), &mut out);
@@ -1762,7 +1818,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // A payload is held only while a peer may graft it
+    // A payload is held only while a peer it was announced to may graft it
     // ------------------------------------------------------------------
 
     /// A shared buffer like `Bytes`: the store's clone shows in the count.
@@ -1853,7 +1909,7 @@ mod tests {
             s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
             assert_eq!(graft(&mut s, 2, 5), [(2, 5)], "flush {flush}");
             duplicate_is_caught(&mut s, 1, 5, &page);
-            assert_eq!(s.held_payloads(), 1, "an announced payload stays while the id does");
+            assert_eq!(s.held_payloads(), 1, "2 has not shown it holds id 5");
         }
         // A late, shorter announcement still swaps a held id into the tree.
         let mut s = paging_node(&[2, 3], 0);
@@ -1897,6 +1953,100 @@ mod tests {
         assert!(out.is_empty());
         duplicate_is_caught(&mut s, 1, 10, &page);
         assert!(s.eager_peers() == [1] && s.lazy_peers().is_empty());
+    }
+
+    #[test]
+    fn an_ihave_after_the_flush_releases_the_payload_with_the_last_owed_peer() {
+        let page: Page = "8 KiB".into();
+        let mut s = paging_node(&[2, 3], 4);
+        page_in(&mut s, 5, &page);
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
+        assert_eq!((s.queued_announcements(), s.held_payloads()), (0, 1));
+        let mut out = PlumtreeOut::new();
+        s.handle_message(2, PlumtreeMessage::IHave { id: 5, round: 9 }, &mut out);
+        assert_eq!(s.held_payloads(), 1, "3 is still owed id 5");
+        assert_eq!(std::rc::Rc::strong_count(&page), 2);
+        s.handle_message(3, PlumtreeMessage::IHave { id: 5, round: 9 }, &mut out);
+        assert!(out.is_empty(), "nothing to answer: {out:?}");
+        assert_eq!((s.cached_len(), s.held_payloads()), (1, 0));
+        assert_eq!(std::rc::Rc::strong_count(&page), 1, "the store dropped its copy");
+        duplicate_is_caught(&mut s, 1, 5, &page);
+        assert_eq!(s.stats().ihave_suppressed, 0, "both announcements had gone out");
+    }
+
+    #[test]
+    fn a_redundant_payload_from_a_lazy_peer_counts_as_showing_the_id() {
+        let page: Page = "8 KiB".into();
+        for flush in [0, 4] {
+            let mut s = paging_node(&[2], flush);
+            page_in(&mut s, 5, &page);
+            s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
+            assert_eq!(s.held_payloads(), 1, "flush {flush}");
+            duplicate_is_caught(&mut s, 2, 5, &page);
+            assert_eq!(s.held_payloads(), 0, "flush {flush}");
+            assert_eq!(std::rc::Rc::strong_count(&page), 1, "flush {flush}");
+        }
+    }
+
+    #[test]
+    fn an_owed_peers_graft_after_the_flush_is_answered() {
+        let page: Page = "8 KiB".into();
+        let mut s = paging_node(&[2, 3], 4);
+        page_in(&mut s, 5, &page);
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
+        s.handle_message(3, PlumtreeMessage::IHave { id: 5, round: 9 }, &mut PlumtreeOut::new());
+        assert_eq!(graft(&mut s, 2, 5), [(2, 5)], "2 never showed it holds id 5");
+        assert_eq!(s.held_payloads(), 1, "a graft leaves what is owed as it was");
+        assert_eq!(graft(&mut s, 3, 5), [(3, 5)], "held, so answered whoever asks");
+    }
+
+    #[test]
+    fn a_peer_going_down_is_owed_nothing_and_its_slot_starts_clean() {
+        let page: Page = "8 KiB".into();
+        let mut s = paging_node(&[2, 3], 4);
+        page_in(&mut s, 5, &page);
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
+        s.on_neighbor_down(2);
+        assert_eq!(s.held_payloads(), 1, "3 is still owed id 5");
+        // 4 takes the slot 2 left; it was never announced id 5.
+        s.on_neighbor_up(4);
+        s.on_prune(4);
+        s.handle_message(3, PlumtreeMessage::IHave { id: 5, round: 9 }, &mut PlumtreeOut::new());
+        assert_eq!((s.held_payloads(), std::rc::Rc::strong_count(&page)), (0, 1));
+        // The slot's next id is 4's own.
+        page_in(&mut s, 6, &page);
+        s.on_timer(PlumtreeTimer::LazyFlush, &mut PlumtreeOut::new());
+        s.handle_message(3, PlumtreeMessage::IHave { id: 6, round: 9 }, &mut PlumtreeOut::new());
+        assert_eq!(s.held_payloads(), 1, "4 is owed id 6");
+        s.on_neighbor_down(4);
+        assert_eq!((s.held_payloads(), std::rc::Rc::strong_count(&page)), (0, 1));
+    }
+
+    #[test]
+    fn a_peer_beyond_the_slots_keeps_the_payload_until_the_id_goes() {
+        let page: Page = "8 KiB".into();
+        // Tree link 1 and lazy links 2 to 15 fill the 15 slots.
+        let lazy: Vec<u32> = (2..=17).collect();
+        let mut s = paging_node(&lazy, 0);
+        page_in(&mut s, 5, &page);
+        for &peer in &lazy {
+            let ihave = PlumtreeMessage::IHave { id: 5, round: 9 };
+            s.handle_message(peer, ihave, &mut PlumtreeOut::new());
+        }
+        assert_eq!(s.held_payloads(), 1, "16 and 17 have no slot to settle");
+        assert_eq!(graft(&mut s, 17, 5), [(17, 5)]);
+        // With the slotless peers gone, an id owed to slotted peers only
+        // is released as usual.
+        for peer in [16, 17] {
+            s.on_neighbor_down(peer);
+        }
+        assert_eq!(s.held_payloads(), 1, "going down settles no slotless peer");
+        page_in(&mut s, 6, &page);
+        for peer in 2..=15 {
+            let ihave = PlumtreeMessage::IHave { id: 6, round: 9 };
+            s.handle_message(peer, ihave, &mut PlumtreeOut::new());
+        }
+        assert_eq!(s.held_payloads(), 1, "id 5's payload only");
     }
 
     #[test]

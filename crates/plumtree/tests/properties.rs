@@ -6,8 +6,11 @@
 //!   lazy peer gets exactly one;
 //! * a full in-memory overlay delivers every broadcast to every node (the
 //!   tree spans the network), with and without pruning warm-up;
-//! * under drops, duplicates and reordering, a node answers every `Graft`
-//!   of an id it announced to the grafting peer while it remembers the id.
+//! * a node holds a payload exactly while a peer it announced the id to
+//!   has not shown that it holds the id, and answers every `Graft` of an id
+//!   it announced to the grafting peer while it remembers the id, unless
+//!   the peer had shown it first (a frame repeated or reordered by a lossy
+//!   transport; never over ordered, lossless links).
 
 use hyparview_plumtree::{
     Announcement, MsgId, PlumtreeConfig, PlumtreeMessage, PlumtreeOut, PlumtreeState, PlumtreeTimer,
@@ -291,17 +294,49 @@ impl Stream {
 struct GraftTally {
     /// `Graft`s for a remembered id from a peer the node had announced it to.
     checked: usize,
+    /// The subset left unanswered: each from a peer that had shown first
+    /// that it holds the id, its `Graft` a frame the transport repeated or
+    /// carried past that peer's own `IHave` or payload.
+    stale: usize,
     /// Steps after which some remembered id held no payload.
     released: usize,
 }
 
+impl std::ops::AddAssign for GraftTally {
+    fn add_assign(&mut self, rhs: GraftTally) {
+        self.checked += rhs.checked;
+        self.stale += rhs.stale;
+        self.released += rhs.released;
+    }
+}
+
+/// How a schedule's transport carries frames.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Transport {
+    /// Any frame in flight goes next, each dropped or duplicated with a
+    /// seeded chance.
+    Lossy,
+    /// The live runtime's TCP links: each link's frames in the order they
+    /// were sent, none lost or repeated; the links interleave at random.
+    Fifo,
+}
+
 /// One schedule on a 3 to 6 node overlay (a ring plus seeded chords), with
 /// lazy batching and tree optimization on: broadcasts from random origins,
-/// frames delivered in random order, each dropped or duplicated with a
-/// seeded chance, timers fired at random. Every `Graft { id: Some(id) }` a
-/// node gets from a peer it announced `id` to, while `id` is in its store,
-/// must be answered with the payload.
-fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
+/// frames delivered as `transport` carries them, timers fired at random.
+///
+/// The test keeps its own books from the frames it delivers: which peers
+/// have shown a node that they hold an id (an `IHave` or a payload of it
+/// reached the node), and, for each id a node delivered, the lazy peers its
+/// first receipt announced the id to that have not shown it since. After
+/// every step the node's `held_payloads()` must equal the number of its
+/// ids still owed to some peer.
+///
+/// A `Graft { id: Some(id) }` a node gets from a peer it announced `id` to,
+/// while `id` is in its store, must be answered with the payload unless the
+/// peer had already shown that it holds `id`; such a peer has the id in its
+/// own store. Over [`Transport::Fifo`] every one is answered.
+fn grafts_of_announced_ids_are_answered(seed: u64, transport: Transport) -> GraftTally {
     let mut rng = Stream(seed);
     let n = 3 + rng.below(4) as usize;
     let mut adjacency = vec![Vec::new(); n];
@@ -329,6 +364,13 @@ fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
         .collect();
     // (node, peer, id): `node` sent `peer` an announcement of `id`.
     let mut announced: HashSet<(u32, u32, MsgId)> = HashSet::new();
+    // (node, peer, id): `peer`'s `IHave` or payload of `id` reached `node`.
+    // The node forgets an announcer it grafts, and every announcer of an id
+    // it gives up on (a dead letter), so the books do too.
+    let mut shown: HashSet<(u32, u32, MsgId)> = HashSet::new();
+    // `owed[node][id]`: the peers `node` announced `id` to, queued or sent,
+    // that have not shown it since.
+    let mut owed: Vec<HashMap<MsgId, HashSet<u32>>> = vec![HashMap::new(); n];
     let mut wire: Vec<(u32, u32, PlumtreeMessage<u64>)> = Vec::new();
     let mut timers: Vec<(u32, PlumtreeTimer)> = Vec::new();
     let mut tally = GraftTally::default();
@@ -345,18 +387,31 @@ fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
             }
             1 | 2 if !timers.is_empty() => {
                 let (node, timer) = timers.swap_remove(rng.below(timers.len() as u64) as usize);
+                let dead_letters = nodes[node as usize].stats().graft_dead_letters;
                 nodes[node as usize].on_timer(timer, &mut out);
+                if let PlumtreeTimer::Missing(id) = timer {
+                    if nodes[node as usize].stats().graft_dead_letters > dead_letters {
+                        shown.retain(|&(v, _, x)| (v, x) != (node, id));
+                    }
+                }
                 node
             }
             _ if !wire.is_empty() => {
                 let at = rng.below(wire.len() as u64) as usize;
-                let (from, to, message) = match rng.below(10) {
-                    0 => {
-                        wire.swap_remove(at);
-                        continue;
+                let (from, to, message) = match transport {
+                    Transport::Lossy => match rng.below(10) {
+                        0 => {
+                            wire.swap_remove(at);
+                            continue;
+                        }
+                        1 => wire[at].clone(),
+                        _ => wire.swap_remove(at),
+                    },
+                    Transport::Fifo => {
+                        let link = (wire[at].0, wire[at].1);
+                        let first = wire.iter().position(|(f, t, _)| (*f, *t) == link);
+                        wire.remove(first.expect("the picked frame's link"))
                     }
-                    1 => wire[at].clone(),
-                    _ => wire.swap_remove(at),
                 };
                 let asked = match message {
                     PlumtreeMessage::Graft { id: Some(id), .. }
@@ -367,24 +422,55 @@ fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
                     }
                     _ => None,
                 };
+                let shows: Vec<MsgId> = match &message {
+                    PlumtreeMessage::Gossip { id, .. } | PlumtreeMessage::IHave { id, .. } => {
+                        vec![*id]
+                    }
+                    other => other.announcements().iter().map(|ann| ann.id).collect(),
+                };
                 nodes[to as usize].handle_message(from, message, &mut out);
                 if let Some(id) = asked {
                     let answered = out.outbox.as_slice().iter().any(|(peer, reply)| {
                         *peer == from && matches!(reply, PlumtreeMessage::Gossip { id: got, .. } if *got == id)
                     });
-                    assert!(
-                        answered,
-                        "seed {seed}: node {to} left {from}'s graft of {id} unanswered"
-                    );
+                    if !answered {
+                        assert!(
+                            transport == Transport::Lossy,
+                            "seed {seed}: node {to} left {from}'s graft of {id} unanswered"
+                        );
+                        let still_owed =
+                            owed[to as usize].get(&id).is_some_and(|p| p.contains(&from));
+                        assert!(
+                            !still_owed && nodes[from as usize].has_seen(id),
+                            "seed {seed}: node {to} left {from}'s graft of {id} unanswered, \
+                             and {from} had not shown it holds the id"
+                        );
+                        tally.stale += 1;
+                    }
                     tally.checked += 1;
+                }
+                for id in shows {
+                    shown.insert((to, from, id));
+                    if let Some(peers) = owed[to as usize].get_mut(&id) {
+                        peers.remove(&from);
+                    }
                 }
                 to
             }
             _ => continue,
         };
+        for delivery in &out.deliveries {
+            let lazy = nodes[node as usize].lazy().iter().copied();
+            let peers = lazy.filter(|&peer| !shown.contains(&(node, peer, delivery.id))).collect();
+            owed[node as usize].insert(delivery.id, peers);
+        }
         for (to, message) in out.outbox.drain() {
             let ids: Vec<MsgId> = match &message {
                 PlumtreeMessage::IHave { id, .. } => vec![*id],
+                PlumtreeMessage::Graft { id: Some(id), .. } => {
+                    shown.remove(&(node, to, *id));
+                    vec![]
+                }
                 other => other.announcements().iter().map(|ann| ann.id).collect(),
             };
             for id in ids {
@@ -393,6 +479,14 @@ fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
             wire.push((node, to, message));
         }
         timers.extend(out.timers.iter().map(|request| (node, request.timer)));
+        let state = &nodes[node as usize];
+        let still_owed = owed[node as usize].values().filter(|peers| !peers.is_empty()).count();
+        assert_eq!(
+            state.held_payloads(),
+            still_owed,
+            "seed {seed} ({transport:?}), step {steps}: node {node} holds a payload no peer is owed, \
+             or lacks one a peer is"
+        );
         tally.released +=
             usize::from(nodes.iter().any(|node| node.held_payloads() < node.cached_len()));
     }
@@ -400,16 +494,28 @@ fn grafts_of_announced_ids_are_answered(seed: u64) -> GraftTally {
 }
 
 /// The sweep behind [`grafts_of_announced_ids_are_answered`]: a payload is
-/// released only when no peer was announced the id, so no in-protocol
-/// `Graft` ever finds it gone.
+/// released only once every peer it was announced to has shown it holds
+/// the id, so a `Graft` that finds it gone is one that peer's own transport
+/// repeated or reordered.
 #[test]
 fn a_graft_for_an_announced_id_is_answered_under_drops_duplicates_and_reordering() {
     let mut total = GraftTally::default();
     for seed in 0..200 {
-        let tally = grafts_of_announced_ids_are_answered(seed);
-        total.checked += tally.checked;
-        total.released += tally.released;
+        total += grafts_of_announced_ids_are_answered(seed, Transport::Lossy);
     }
+    assert!(total.checked > 1_000, "the schedules must graft announced ids: {}", total.checked);
+    assert!(total.released > 10_000, "and release payloads: {}", total.released);
+}
+
+/// Over ordered, lossless links a peer's `Graft` always arrives before its
+/// own `IHave` or payload of the id, so every one is answered.
+#[test]
+fn over_fifo_links_every_graft_for_an_announced_id_is_answered() {
+    let mut total = GraftTally::default();
+    for seed in 0..200 {
+        total += grafts_of_announced_ids_are_answered(seed, Transport::Fifo);
+    }
+    assert_eq!(total.stale, 0);
     assert!(total.checked > 1_000, "the schedules must graft announced ids: {}", total.checked);
     assert!(total.released > 10_000, "and release payloads: {}", total.released);
 }
