@@ -109,18 +109,24 @@ impl<I: Copy + Eq> RandomSet<I> {
 
     /// Returns a uniformly random element different from `excluded`, if any.
     pub fn choose_excluding<R: Rng + ?Sized>(&self, rng: &mut R, excluded: &I) -> Option<I> {
-        let candidates: Vec<I> = self.items.iter().filter(|x| *x != excluded).copied().collect();
-        candidates.choose(rng).copied()
+        self.choose_where(rng, |x| x != excluded)
     }
 
-    /// Returns a uniformly random element for which `keep` holds.
+    /// Returns a uniformly random element for which `keep` holds. Counts
+    /// the matches and takes the k-th without collecting them: the same
+    /// element and the same single draw (none when nothing matches) as
+    /// choosing from the filtered list.
     pub fn choose_where<R, F>(&self, rng: &mut R, keep: F) -> Option<I>
     where
         R: Rng + ?Sized,
         F: Fn(&I) -> bool,
     {
-        let candidates: Vec<I> = self.items.iter().filter(|x| keep(x)).copied().collect();
-        candidates.choose(rng).copied()
+        let count = self.items.iter().filter(|x| keep(x)).count();
+        if count == 0 {
+            return None;
+        }
+        let k = rng.gen_range(0..count);
+        self.items.iter().filter(|x| keep(x)).nth(k).copied()
     }
 
     /// Samples up to `count` distinct elements uniformly at random.
@@ -799,6 +805,26 @@ mod tests {
             assert_eq!(even % 2, 0);
         }
         assert_eq!(s.choose_where(&mut r, |_| false), None);
+    }
+
+    #[test]
+    fn choose_where_draws_as_choosing_from_the_filtered_list() {
+        // The k-th match of one `gen_range(0..count)` draw: the same element
+        // and the same generator state as collecting the matches and
+        // choosing among them, and no draw at all when nothing matches.
+        let s: RandomSet<u32> = (0..12).collect();
+        let (mut counted, mut collected) = (rng(), rng());
+        for modulus in [1, 2, 3, 5, 7, 13] {
+            let keep = |x: &u32| x % modulus == 1 % modulus;
+            let filtered: Vec<u32> = s.iter().copied().filter(keep).collect();
+            assert_eq!(
+                s.choose_where(&mut counted, keep),
+                filtered.choose(&mut collected).copied()
+            );
+            assert_eq!(counted.gen_range(0..u64::MAX), collected.gen_range(0..u64::MAX));
+        }
+        assert_eq!(s.choose_where(&mut counted, |x| *x > 100), None);
+        assert_eq!(counted.gen_range(0..u64::MAX), collected.gen_range(0..u64::MAX), "no draw");
     }
 
     #[test]

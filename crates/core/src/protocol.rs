@@ -650,8 +650,7 @@ impl<I: Identity> HyParView<I> {
         if self.repair.pending.is_some() || self.active.is_full() {
             return;
         }
-        let tried = self.repair.tried.clone();
-        let Some(candidate) = self.passive.choose_not_in(&mut self.rng, &tried) else {
+        let Some(candidate) = self.passive.choose_not_in(&mut self.rng, &self.repair.tried) else {
             // Passive view exhausted: forget rejections so future triggers
             // can retry the same nodes (their situation may have changed).
             self.repair.tried.clear();

@@ -36,7 +36,6 @@ use hyparview_plumtree::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Distribution one latency draw comes from.
 ///
@@ -119,7 +118,9 @@ pub enum LatencyAssignment {
     /// latency geometry, seeded from the scenario seed so the same scenario
     /// always produces the same geometry. Per-link draws consume no
     /// simulator randomness, so runs differing only in broadcast behavior
-    /// (e.g. Plumtree variants) still crash identical node sets.
+    /// (e.g. Plumtree variants) still crash identical node sets. Nothing is
+    /// stored per link: each send redraws the link's value from a seed
+    /// hashed from `(scenario seed, from, to)`.
     PerLink,
 }
 
@@ -178,7 +179,9 @@ impl Latency {
     }
 
     /// Switches to per-link assignment: each directed link keeps one draw
-    /// for the whole run ([`LatencyAssignment::PerLink`]).
+    /// for the whole run ([`LatencyAssignment::PerLink`]). The draw is a
+    /// pure function of the link, recomputed per send, so the simulator
+    /// stores nothing per link however many links a run touches.
     pub const fn per_link(mut self) -> Latency {
         self.assignment = LatencyAssignment::PerLink;
         self
@@ -543,9 +546,6 @@ struct Network<Msg> {
     track: Track,
     /// Seed of the per-link latency geometry ([`LatencyAssignment::PerLink`]).
     link_seed: u64,
-    /// Memoized per-link draws — fixed for the run by definition, so each
-    /// directed edge pays the seed-and-sample cost once.
-    link_latency: HashMap<(SimId, SimId), u64>,
     /// Seed of the fault-decision stream ([`FaultPlan`]). Like the link
     /// seed, it is derived from the scenario seed and independent of the
     /// sim RNG: fault draws never perturb crash sets or gossip targets.
@@ -564,18 +564,15 @@ struct Network<Msg> {
 impl<Msg> Network<Msg> {
     /// The latency of one transmission from `from` to `to`, in virtual time
     /// units. Per-message assignment draws from the simulation RNG;
-    /// per-link assignment derives a stable draw from the link's own seed
-    /// (asymmetric: `a→b` and `b→a` are independent draws).
+    /// per-link assignment redraws the link's stable value from its own
+    /// seed on every send, so nothing is stored per link (asymmetric:
+    /// `a→b` and `b→a` are independent draws).
     fn latency_of(&mut self, from: SimId, to: SimId) -> u64 {
+        let model = self.config.latency.model;
         match self.config.latency.assignment {
-            LatencyAssignment::PerMessage => self.config.latency.model.sample(&mut self.rng),
+            LatencyAssignment::PerMessage => model.sample(&mut self.rng),
             LatencyAssignment::PerLink => {
-                let model = self.config.latency.model;
-                let link_seed = self.link_seed;
-                *self.link_latency.entry((from, to)).or_insert_with(|| {
-                    let mut link_rng = StdRng::seed_from_u64(mix_link(link_seed, from, to));
-                    model.sample(&mut link_rng)
-                })
+                model.sample(&mut StdRng::seed_from_u64(mix_link(self.link_seed, from, to)))
             }
         }
     }
@@ -856,7 +853,6 @@ impl<M: Membership<SimId>> Sim<M> {
                 trace: None,
                 track: Track::default(),
                 link_seed: seed ^ 0x7A7E_11C7_1A7E_11C7,
-                link_latency: HashMap::new(),
                 fault_seed: seed ^ 0xFA17_FA17_FA17_FA17,
                 fault_nonce: 0,
                 partition: None,
@@ -973,6 +969,12 @@ impl<M: Membership<SimId>> Sim<M> {
     /// Number of events still waiting in the queue.
     pub fn pending_events(&self) -> usize {
         self.net.queue.len()
+    }
+
+    /// Heap bytes the event queue holds for events, pending or pooled for
+    /// reuse ([`EventQueue::retained_bytes`]).
+    pub fn queue_retained_bytes(&self) -> usize {
+        self.net.queue.retained_bytes()
     }
 
     /// Whether the simulation is *quiescent*: the event queue is empty.
