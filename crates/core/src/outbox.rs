@@ -55,6 +55,11 @@ impl<I: Identity, M> Outbox<I, M> {
         self.messages.is_empty()
     }
 
+    /// Messages the outbox has room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.messages.capacity()
+    }
+
     /// Drains the queued `(destination, message)` pairs in FIFO order.
     pub fn drain(&mut self) -> std::vec::Drain<'_, (I, M)> {
         self.messages.drain(..)

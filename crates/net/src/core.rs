@@ -8,9 +8,10 @@
 //! is the core's effect sink, which encodes what the core sends (once per
 //! flood forward, once per `(id, round)` eager push) and hands the bytes to
 //! a [`FrameSink`]. The reactor (`reactor.rs`) multiplexes many nodes onto
-//! one epoll loop behind that sink. Keeping all of this sans-runtime means
-//! identical frames in produce identical frames out, regardless of which
-//! I/O shell carried them.
+//! one epoll loop behind that sink, and lends each step its one
+//! [`LiveScratch`], as the simulator lends its own to every node. Keeping
+//! all of this sans-runtime means identical frames in produce identical
+//! frames out, regardless of which I/O shell carried them.
 
 use crate::node::NetConfig;
 use crate::wire::{encode, Frame};
@@ -32,6 +33,23 @@ use std::time::{Duration, Instant};
 /// Wall-clock length of one Plumtree timer unit: every Plumtree timeout and
 /// the message store's age are counted in these.
 pub(crate) const PLUMTREE_TIMER_UNIT: Duration = Duration::from_millis(20);
+
+/// The most hops a flood copy travels: a node that receives a copy at this
+/// count delivers it but forwards it no further.
+///
+/// A live node remembers the ids it delivered in a window of
+/// [`NetConfig::dedup_capacity`] ids. A copy of an id that has left the
+/// window is delivered and flooded again, and with more ids in flight than
+/// the window holds, those second floods made late copies of their own
+/// without end. The cap ends every copy's chain. A flood over the whole
+/// active view reaches every node in a few hops more than the overlay's
+/// logarithmic diameter, far below the cap: 13 at most on 2,000 nodes with
+/// active views of 4.
+///
+/// The cap is the live shell's, not the shared core's: the simulator
+/// remembers every id it delivers, so its floods end without one, and at
+/// a gossip fanout of 1 its chains run to 261 hops on 10,000 nodes.
+pub const MAX_FLOOD_HOPS: u32 = 64;
 
 /// A gossip message delivered to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,6 +126,9 @@ pub(crate) struct Shared {
     pub(crate) trace: Option<TraceRing>,
 }
 
+/// The effect buffers of a live node's step.
+pub(crate) type LiveScratch = Scratch<SocketAddr, Message<SocketAddr>, Bytes>;
+
 /// The transport a [`LiveNode`] drives: encoded frames out, graceful
 /// connection teardown, timer arming. Implemented by the reactor's
 /// `ReactorCtx` (shared epoll loop).
@@ -125,6 +146,10 @@ pub(crate) trait FrameSink {
     /// (the reactor takes one per loop turn), so that handling a frame
     /// costs no clock read of its own.
     fn now(&self) -> Instant;
+    /// The buffers the step runs through. The transport owns them, one set
+    /// for every node it runs, and lends them to each step: a node holds
+    /// none.
+    fn scratch(&mut self) -> &mut LiveScratch;
 }
 
 type LiveMembership = HyParViewMembership<SocketAddr>;
@@ -135,7 +160,6 @@ struct Surface {
     /// Bounded duplicate suppression of the flood (Plumtree's message
     /// store is its own).
     seen: Option<RecentSet<u128>>,
-    scratch: Scratch<SocketAddr, Message<SocketAddr>, Bytes>,
     delivery_tx: Sender<Delivery>,
     metrics: Registry,
     frames: FrameCounters,
@@ -173,8 +197,8 @@ impl LiveCtx<'_> {
 }
 
 impl NodeCtx<SocketAddr, LiveMembership, Bytes> for LiveCtx<'_> {
-    fn scratch(&mut self) -> &mut Scratch<SocketAddr, Message<SocketAddr>, Bytes> {
-        &mut self.surface.scratch
+    fn scratch(&mut self) -> &mut LiveScratch {
+        self.sink.scratch()
     }
 
     /// The transport's clock in whole timer units since this node started.
@@ -212,8 +236,9 @@ impl NodeCtx<SocketAddr, LiveMembership, Bytes> for LiveCtx<'_> {
     }
 
     /// Encoded once: the out-queues share one buffer by reference count.
+    /// A copy that would arrive past [`MAX_FLOOD_HOPS`] goes nowhere.
     fn send_flood(&mut self, id: MsgId, hops: u32, payload: Bytes, targets: Vec<SocketAddr>) {
-        if targets.is_empty() {
+        if targets.is_empty() || hops > MAX_FLOOD_HOPS {
             return;
         }
         let bytes = encode(&Frame::Gossip { id, hops, payload });
@@ -324,7 +349,6 @@ impl LiveNode {
         let surface = Surface {
             local,
             seen,
-            scratch: Scratch::default(),
             delivery_tx,
             metrics,
             frames,
@@ -508,11 +532,12 @@ mod tests {
     struct Recorder {
         sent: Vec<(SocketAddr, Bytes)>,
         now: Instant,
+        scratch: LiveScratch,
     }
 
     impl Default for Recorder {
         fn default() -> Self {
-            Recorder { sent: Vec::new(), now: Instant::now() }
+            Recorder { sent: Vec::new(), now: Instant::now(), scratch: LiveScratch::default() }
         }
     }
 
@@ -524,6 +549,9 @@ mod tests {
         fn schedule(&mut self, _timer: PlumtreeTimer, _delay: Duration) {}
         fn now(&self) -> Instant {
             self.now
+        }
+        fn scratch(&mut self) -> &mut LiveScratch {
+            &mut self.scratch
         }
     }
 
@@ -579,6 +607,30 @@ mod tests {
         assert_eq!(after.frames_sent - before.frames_sent, 4);
         assert_eq!(after.payload_frames_sent - before.payload_frames_sent, 4);
         assert_eq!(after.deliveries - before.deliveries, 1);
+    }
+
+    /// A node's steps run through the buffers its transport lends: a
+    /// second node that does what the first did grows them no further.
+    #[test]
+    fn a_second_node_adds_no_scratch_capacity() {
+        let config = NetConfig { seed: Some(1), ..NetConfig::default() }
+            .with_broadcast_mode(BroadcastMode::Plumtree);
+        let mut sink = Recorder::default();
+        let mut capacity = Vec::new();
+        for local in [9, 10] {
+            let (delivery_tx, _deliveries) = bounded(16);
+            let mut node =
+                LiveNode::new(addr(local), &config, Arc::default(), delivery_tx).unwrap();
+            for port in 1..=5 {
+                node.on_frame(addr(port), Frame::Membership(Message::Join), &mut sink);
+            }
+            let push =
+                Frame::PlumtreeGossip { id: 42, round: 1, payload: Bytes::from_static(b"x") };
+            node.on_frame(addr(1), push, &mut sink);
+            capacity.push(sink.scratch.capacity());
+        }
+        assert!(capacity[0] > 0, "the steps ran through the lent buffers");
+        assert_eq!(capacity[1], capacity[0], "the second node grew them no further");
     }
 
     #[test]

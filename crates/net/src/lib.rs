@@ -28,7 +28,7 @@ pub mod wire;
 pub use hyparview_plumtree::{BroadcastMode, PlumtreeConfig};
 pub use node::{
     Delivery, NetConfig, Node, NodeStats, PayloadTooLarge, DEFAULT_LAZY_FLUSH_INTERVAL,
-    DEFAULT_OPTIMIZATION_THRESHOLD,
+    DEFAULT_OPTIMIZATION_THRESHOLD, MAX_FLOOD_HOPS,
 };
 pub use reactor::Cluster;
 pub use wire::{Frame, FrameReader, WireError, MAX_PAYLOAD_LEN};

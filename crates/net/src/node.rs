@@ -26,7 +26,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use crate::core::{Delivery, NodeStats};
+pub use crate::core::{Delivery, NodeStats, MAX_FLOOD_HOPS};
 
 /// Round-difference threshold of the runtime's default tree optimization
 /// (Plumtree §3.8): an `IHave` announcing a path at least this many rounds
@@ -58,6 +58,11 @@ pub struct NetConfig {
     /// The flood's window (a [`hyparview_core::RecentSet`] of 16-byte ids)
     /// costs each node 20 B per id once full: 2,560 B at 128 ids and
     /// 163,840 B at the default 8,192.
+    ///
+    /// At-most-once delivery needs a window larger than the broadcasts in
+    /// flight: a late copy of an id that has left the window is delivered
+    /// and forwarded again, up to [`MAX_FLOOD_HOPS`](crate::MAX_FLOOD_HOPS)
+    /// hops from its origin.
     pub dedup_capacity: usize,
     /// How broadcast payloads are disseminated.
     pub broadcast_mode: BroadcastMode,

@@ -25,7 +25,9 @@
 //!   shares a syscall and no queue waits out a whole loop turn.
 //! * `Reactor` owns the nodes: each a sans-runtime `LiveNode` plus its
 //!   listener, driven through a `ReactorCtx` frame sink. A single timer
-//!   heap carries both shuffle ticks and Plumtree timers for all nodes.
+//!   heap carries both shuffle ticks and Plumtree timers for all nodes,
+//!   and one set of effect buffers (`LiveScratch`) serves every node's
+//!   step: the reactor lends it through the `ReactorCtx`.
 //! * [`Cluster`] is the application handle: a cheaply clonable reference to
 //!   the reactor thread. [`Cluster::spawn_node`] binds and registers the
 //!   listener on the calling thread, hands the node to the reactor without
@@ -38,7 +40,7 @@
 //! the reactor keeps read interest on *outbound* connections too, a crashed
 //! peer is usually detected at EOF, before the next write to it fails.
 
-use crate::core::{FrameSink, LiveNode, Shared};
+use crate::core::{FrameSink, LiveNode, LiveScratch, Shared};
 use crate::node::{Control, NetConfig, Node, DELIVERY_QUEUE};
 use crate::wire::{encode, Frame, FrameReader};
 use bytes::Bytes;
@@ -310,6 +312,9 @@ struct Io {
     /// `(node, canonical peer) -> slab key` for outbound connections, so a
     /// node's sends reuse one connection per peer.
     outbound: HashMap<(usize, SocketAddr), usize>,
+    /// The keys of each node's open connections, inbound and outbound, so
+    /// that removing a node closes them without a pass over the slab.
+    node_conns: Vec<Vec<usize>>,
     /// Keys of connections with frames queued since the last flush.
     to_flush: Vec<usize>,
     /// Deepest outbound queue ever observed (`reactor.outq_high_water`) —
@@ -324,6 +329,7 @@ impl Io {
             slots: Vec::new(),
             free: Vec::new(),
             outbound: HashMap::new(),
+            node_conns: Vec::new(),
             to_flush: Vec::new(),
             outq_high_water: 0,
         }
@@ -339,10 +345,22 @@ impl Io {
         }
     }
 
+    /// Lists the connection just put into slot `key` under its `node`.
+    fn list(&mut self, node: usize, key: usize) {
+        if self.node_conns.len() <= node {
+            self.node_conns.resize_with(node + 1, Vec::new);
+        }
+        self.node_conns[node].push(key);
+    }
+
     /// Closes and frees a slot: deregisters the fd, drops the socket, and
     /// removes a matching outbound-index entry.
     fn close(&mut self, key: usize) {
         let Some(conn) = self.slots[key].take() else { return };
+        let keys = &mut self.node_conns[conn.node];
+        if let Some(at) = keys.iter().position(|&k| k == key) {
+            keys.swap_remove(at);
+        }
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         if conn.outbound {
             if let Some(peer) = conn.peer {
@@ -379,6 +397,7 @@ impl Io {
             want_write: false,
             flush_pending: false,
         });
+        self.list(node, key);
     }
 
     /// Starts a nonblocking outbound connection from `node` (identity
@@ -407,6 +426,7 @@ impl Io {
             want_write: true,
             flush_pending: false,
         });
+        self.list(node, key);
         self.outbound.insert((node, to), key);
         Ok(key)
     }
@@ -609,6 +629,8 @@ struct ReactorCtx<'a> {
     /// [`Reactor::now`].
     now: Instant,
     failures: VecDeque<SocketAddr>,
+    /// [`Reactor::scratch`], lent to the node for this event.
+    scratch: &'a mut LiveScratch,
 }
 
 impl FrameSink for ReactorCtx<'_> {
@@ -631,6 +653,10 @@ impl FrameSink for ReactorCtx<'_> {
 
     fn now(&self) -> Instant {
         self.now
+    }
+
+    fn scratch(&mut self) -> &mut LiveScratch {
+        self.scratch
     }
 }
 
@@ -674,6 +700,9 @@ struct Reactor {
     stats: LoopStats,
     metrics: Arc<Mutex<Registry>>,
     gauge_ids: GaugeIds,
+    /// The effect buffers every node's step runs through, one set for the
+    /// whole reactor (a node holds none).
+    scratch: LiveScratch,
 }
 
 impl Reactor {
@@ -704,6 +733,7 @@ impl Reactor {
             stats: LoopStats::default(),
             metrics,
             gauge_ids,
+            scratch: LiveScratch::default(),
         }
     }
 
@@ -726,7 +756,7 @@ impl Reactor {
     /// because re-failing a peer already outside the active view is a
     /// protocol no-op).
     fn with_core(&mut self, node: usize, f: impl FnOnce(&mut LiveNode, &mut ReactorCtx)) {
-        let Reactor { io, nodes, timers, timer_seq, now, dirty, .. } = self;
+        let Reactor { io, nodes, timers, timer_seq, now, dirty, scratch, .. } = self;
         let Some(slot) = nodes.get_mut(node).and_then(|slot| slot.as_mut()) else { return };
         let mut ctx = ReactorCtx {
             io,
@@ -736,6 +766,7 @@ impl Reactor {
             timer_seq,
             now: *now,
             failures: VecDeque::new(),
+            scratch,
         };
         f(&mut slot.core, &mut ctx);
         while let Some(peer) = ctx.failures.pop_front() {
@@ -793,18 +824,10 @@ impl Reactor {
     fn remove_node(&mut self, node: usize) {
         let Some(mut slot) = self.nodes.get_mut(node).and_then(Option::take) else { return };
         let _ = self.io.poller.delete(slot.listener.as_raw_fd());
-        let conn_keys: Vec<usize> = self
-            .io
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(key, s)| match s {
-                Some(conn) if conn.node == node => Some(key),
-                _ => None,
-            })
-            .collect();
-        for key in conn_keys {
-            self.io.close(key);
+        if let Some(keys) = self.io.node_conns.get_mut(node) {
+            for key in std::mem::take(keys) {
+                self.io.close(key);
+            }
         }
         slot.core.publish();
         self.dirty.remove(&node);

@@ -12,8 +12,24 @@
 //! Registration is idempotent per name, so "fill" helpers that copy a
 //! legacy stats struct into a registry can re-run without duplicating
 //! metrics.
+//!
+//! A registry stores no name of its own: an entry holds a `&'static str`
+//! and a value, and each name is stored once per process. A canonical
+//! name (a const of [`crate::names`], or a name a producer registers from
+//! its own `&'static` array through [`Registry::register_counters`], as
+//! `hyparview_core::stats::METRIC_NAMES` and
+//! `hyparview_plumtree::state::METRIC_NAMES` are) is that static itself.
+//! Any other name is copied once, the first time any registry meets it,
+//! into a process-wide set of interned names that is never freed; every
+//! later registration of it, merge into it and clone of it shares that
+//! copy. A live process hosts thousands of nodes, each with its own
+//! registry and a published mirror of it: each of those is one buffer of
+//! entries and nothing more.
 
 use crate::hist::Histogram;
+use crate::names;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 
 /// Handle of a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +46,39 @@ pub struct HistogramId(usize);
 /// A named metric store. See the [module docs](self) for the model.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, u64)>,
-    histograms: Vec<(String, Histogram)>,
+    counters: Vec<(&'static str, u64)>,
+    gauges: Vec<(&'static str, u64)>,
+    histograms: Vec<(&'static str, Histogram)>,
+}
+
+/// The index of `name` in `entries`; a name not there yet is pushed first,
+/// with a zero value, as `stored` gives it.
+fn index<T: Default>(
+    entries: &mut Vec<(&'static str, T)>,
+    name: &str,
+    stored: impl FnOnce() -> &'static str,
+) -> usize {
+    if let Some(index) = entries.iter().position(|(n, _)| *n == name) {
+        return index;
+    }
+    entries.push((stored(), T::default()));
+    entries.len() - 1
+}
+
+/// The one copy of `name` the process keeps: the canonical static of that
+/// text, else the interned copy, made on first use.
+fn stored(name: &str) -> &'static str {
+    if let Some(canonical) = names::CANONICAL.iter().find(|canonical| **canonical == name) {
+        return canonical;
+    }
+    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(copy) = interned.get(name) {
+        return copy;
+    }
+    let copy: &'static str = Box::leak(name.into());
+    interned.insert(copy);
+    copy
 }
 
 impl Registry {
@@ -43,36 +89,32 @@ impl Registry {
 
     /// Registers (or finds) the counter `name` and returns its handle.
     pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(index) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(index);
-        }
-        self.counters.push((name.to_owned(), 0));
-        CounterId(self.counters.len() - 1)
+        CounterId(index(&mut self.counters, name, || stored(name)))
     }
 
     /// Registers (or finds) each counter of `names`, in order, and returns
     /// their handles: what a producer holds on to so that refreshing a
     /// block of counters later ([`Registry::set_counters`]) searches no name.
-    pub fn register_counters<const N: usize>(&mut self, names: &[&str; N]) -> [CounterId; N] {
-        names.map(|name| self.counter(name))
+    /// The statics are stored as they are, and the registry grows by
+    /// exactly the names it did not hold.
+    pub fn register_counters<const N: usize>(
+        &mut self,
+        names: &[&'static str; N],
+    ) -> [CounterId; N] {
+        let new =
+            names.iter().filter(|name| !self.counters.iter().any(|(n, _)| n == *name)).count();
+        self.counters.reserve_exact(new);
+        names.map(|name| CounterId(index(&mut self.counters, name, || name)))
     }
 
     /// Registers (or finds) the gauge `name` and returns its handle.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(index) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(index);
-        }
-        self.gauges.push((name.to_owned(), 0));
-        GaugeId(self.gauges.len() - 1)
+        GaugeId(index(&mut self.gauges, name, || stored(name)))
     }
 
     /// Registers (or finds) the histogram `name` and returns its handle.
     pub fn histogram(&mut self, name: &str) -> HistogramId {
-        if let Some(index) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(index);
-        }
-        self.histograms.push((name.to_owned(), Histogram::new()));
-        HistogramId(self.histograms.len() - 1)
+        HistogramId(index(&mut self.histograms, name, || stored(name)))
     }
 
     /// Increments a counter by one.
@@ -128,46 +170,47 @@ impl Registry {
     /// when nothing of that name is registered — the lookup tests use
     /// this; hot paths use handles.
     pub fn value_by_name(&self, name: &str) -> Option<u64> {
-        if let Some((_, v)) = self.counters.iter().find(|(n, _)| n == name) {
+        if let Some((_, v)) = self.counters.iter().find(|(n, _)| *n == name) {
             return Some(*v);
         }
-        if let Some((_, v)) = self.gauges.iter().find(|(n, _)| n == name) {
+        if let Some((_, v)) = self.gauges.iter().find(|(n, _)| *n == name) {
             return Some(*v);
         }
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h.count())
+        self.histograms.iter().find(|(n, _)| *n == name).map(|(_, h)| h.count())
     }
 
     /// Registered counters as `(name, value)` pairs, registration order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
+        self.counters.iter().map(|(n, v)| (*n, *v))
     }
 
     /// Registered gauges as `(name, value)` pairs, registration order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
+        self.gauges.iter().map(|(n, v)| (*n, *v))
     }
 
     /// Registered histograms as `(name, histogram)` pairs.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(n, h)| (n.as_str(), h))
+        self.histograms.iter().map(|(n, h)| (*n, h))
     }
 
     /// Folds `other` into `self` by metric name: counters add, gauges take
     /// the maximum (high-water aggregation across nodes), histograms merge
     /// bucket-wise. Names unknown to `self` are registered, so merging
     /// per-node registries into a fresh one yields the cluster snapshot.
+    /// The names are `other`'s own statics: merging copies no name.
     pub fn merge(&mut self, other: &Registry) {
-        for (name, value) in other.counters() {
-            let id = self.counter(name);
+        for &(name, value) in &other.counters {
+            let id = CounterId(index(&mut self.counters, name, || name));
             self.add(id, value);
         }
-        for (name, value) in other.gauges() {
-            let id = self.gauge(name);
+        for &(name, value) in &other.gauges {
+            let id = GaugeId(index(&mut self.gauges, name, || name));
             self.max_gauge(id, value);
         }
-        for (name, hist) in other.histograms() {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(hist);
+        for &(name, ref hist) in &other.histograms {
+            let id = index(&mut self.histograms, name, || name);
+            self.histograms[id].1.merge(hist);
         }
     }
 

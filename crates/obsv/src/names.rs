@@ -107,3 +107,39 @@ pub const SHARED_TRANSPORT_NAMES: [&str; 8] = [
     BROADCAST_DELIVERED,
     BROADCAST_DUPLICATES,
 ];
+
+/// Every name above: what a registry stores as the static itself when a
+/// producer registers it (see [`crate::metrics`]).
+pub(crate) const CANONICAL: [&str; 31] = [
+    FRAMES_SENT,
+    FRAMES_PAYLOAD_SENT,
+    FRAMES_IHAVE_SENT,
+    FRAMES_IHAVE_BATCH_SENT,
+    FRAMES_IHAVE_BATCH_ANNS_SENT,
+    BROADCAST_SENT,
+    BROADCAST_DELIVERED,
+    BROADCAST_DUPLICATES,
+    SIM_EVENTS_PROCESSED,
+    SIM_MEMBERSHIP_DELIVERED,
+    SIM_MEMBERSHIP_TO_DEAD,
+    SIM_GOSSIP_DELIVERED,
+    SIM_GOSSIP_TO_DEAD,
+    SIM_FAILURE_NOTIFICATIONS,
+    NET_MODE_MISMATCHED,
+    FAULTS_DROPPED,
+    FAULTS_PARTITION_DROPPED,
+    FAULTS_DUPLICATED,
+    ATTACK_JOINS_DAMPED,
+    ATTACK_NEIGHBORS_DAMPED,
+    ATTACK_TENURE_SWAPS,
+    ATTACK_SHUFFLE_BOOSTS,
+    ATTACK_NEIGHBOR_FLOODS,
+    ATTACK_REJOINS,
+    ATTACK_SHUFFLES_BIASED,
+    REACTOR_EPOLL_WAITS,
+    REACTOR_EPOLL_WAIT_US,
+    REACTOR_BATCH_MAX,
+    REACTOR_OUTQ_HIGH_WATER,
+    REACTOR_TIMER_LAG_US_MAX,
+    REACTOR_TIMERS_FIRED,
+];

@@ -52,6 +52,18 @@ impl<I: Identity, Msg, P> Default for Scratch<I, Msg, P> {
     }
 }
 
+impl<I: Identity, Msg, P> Scratch<I, Msg, P> {
+    /// Effects the buffers have room for without growing: what the shell
+    /// keeps between steps.
+    pub fn capacity(&self) -> usize {
+        let plumtree = &self.plumtree;
+        self.outbox.capacity()
+            + plumtree.outbox.capacity()
+            + plumtree.deliveries.capacity()
+            + plumtree.timers.capacity()
+    }
+}
+
 /// The effect sink of a [`NodeCore`]: everything a node does to the world.
 ///
 /// The acting node is implied (a context is built for one node's step).
@@ -349,15 +361,26 @@ pub struct FrameCounters {
 impl FrameCounters {
     /// Registers (or finds) the eight shared names in `registry`.
     pub fn register(registry: &mut Registry) -> FrameCounters {
+        let [broadcasts, sent, payload, ihave, ihave_batch, ihave_batch_anns, delivered, duplicates] =
+            registry.register_counters(&[
+                names::BROADCAST_SENT,
+                names::FRAMES_SENT,
+                names::FRAMES_PAYLOAD_SENT,
+                names::FRAMES_IHAVE_SENT,
+                names::FRAMES_IHAVE_BATCH_SENT,
+                names::FRAMES_IHAVE_BATCH_ANNS_SENT,
+                names::BROADCAST_DELIVERED,
+                names::BROADCAST_DUPLICATES,
+            ]);
         FrameCounters {
-            broadcasts: registry.counter(names::BROADCAST_SENT),
-            sent: registry.counter(names::FRAMES_SENT),
-            payload: registry.counter(names::FRAMES_PAYLOAD_SENT),
-            ihave: registry.counter(names::FRAMES_IHAVE_SENT),
-            ihave_batch: registry.counter(names::FRAMES_IHAVE_BATCH_SENT),
-            ihave_batch_anns: registry.counter(names::FRAMES_IHAVE_BATCH_ANNS_SENT),
-            delivered: registry.counter(names::BROADCAST_DELIVERED),
-            duplicates: registry.counter(names::BROADCAST_DUPLICATES),
+            broadcasts,
+            sent,
+            payload,
+            ihave,
+            ihave_batch,
+            ihave_batch_anns,
+            delivered,
+            duplicates,
         }
     }
 
